@@ -11,6 +11,15 @@ circuit route evolves the full four-qubit density matrix through the
 gate sequence, while the closed-form route applies the equivalent
 two-qubit branch maps directly.  They are pinned against each other in
 the test suite and must never be merged into one code path.
+
+Exact strategy trees are walked over count classes rather than single
+outcome histories.  Outcome ``k`` acts on the clients as an entrywise
+mask, and entrywise masks commute, so every history with the same first
+outcome and the same four outcome counts ends in the same client state
+with the same path probability.  A tree leaf is therefore a class: its
+probability is the class mass (the number of member histories times
+their common path probability) and its history is one representative
+member.
 """
 
 from __future__ import annotations
@@ -29,7 +38,13 @@ from .constants import (
     TRACE_EPSILON,
 )
 from .errors import DegenerateParameterError
-from .photonics import ApparatusParams, HeraldedPair, heralded_state, p_click
+from .photonics import (
+    ApparatusParams,
+    ExcitationAngle,
+    HeraldedPair,
+    heralded_state,
+    p_click,
+)
 from .qstate import (
     DensityMatrix,
     apply_cz,
@@ -254,7 +269,12 @@ def run_iterate_exact(
 
 @dataclass(frozen=True)
 class Leaf:
-    """One terminal (or cap-truncated) branch of an exact strategy tree."""
+    """One terminal (or cap-truncated) count class of an exact strategy tree.
+
+    ``probability`` is the class mass, summed over every member history;
+    ``history`` is one representative member.  All members share the
+    iterate count, the status and the client state.
+    """
 
     run: DistillationRun
     probability: float
@@ -278,7 +298,12 @@ class Leaf:
 
 @dataclass(frozen=True)
 class ExactTree:
-    """All leaves of the exact branch-by-branch strategy evolution."""
+    """All leaves of the exact strategy evolution, one per count class.
+
+    Each leaf stands for every outcome history with its first outcome and
+    its four outcome counts (see ``Leaf``), so leaf masses, not leaf
+    counts, are the physical quantities.
+    """
 
     initial_clients: DensityMatrix
     config: StrategyConfig
@@ -347,42 +372,110 @@ def _parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityM
     return out.normalized()
 
 
+def _outcome_masks(labels: tuple, pair: HeraldedPair | DensityMatrix) -> np.ndarray:
+    """Entrywise client masks of the four outcomes, stacked by outcome index.
+
+    Between iterates the clients meet only the two controlled-Z gates,
+    which are diagonal in the client basis, so outcome ``k`` maps any
+    client state ``rho`` to the unnormalized entrywise product
+    ``M_k * rho``, whatever the broker.  One circuit iterate on |++>,
+    whose entries are all 1/4, reads the masks off as ``M_k = 4 p_k
+    sigma_k``; a branch the circuit pruned gets a zero mask.  The masks
+    must sum to one on the diagonal, or the broker does not define a
+    trace-preserving iterate.
+    """
+    reference = DensityMatrix(np.full((4, 4), 0.25, dtype=complex), labels, validate=False)
+    masks = np.zeros((4, 4, 4), dtype=complex)
+    for outcome, branch in run_iterate_exact(reference, pair).items():
+        if branch.state is not None:
+            masks[outcome.index] = 4.0 * branch.probability * branch.state.elements
+    defect = float(np.max(np.abs(masks.diagonal(axis1=1, axis2=2).sum(axis=0) - 1.0)))
+    if defect > PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(
+            f"outcome masks do not sum to one on the diagonal: defect {defect:.3e}"
+        )
+    return masks
+
+
+@dataclass
+class _CountClass:
+    """Histories sharing a first outcome and four outcome counts.
+
+    The masks commute, so every member has the same path probability and
+    the same normalized client state; ``history`` is one member, kept as
+    the class representative.  ``key`` is (first outcome index, n0, n1,
+    n2, n3).
+    """
+
+    key: tuple[int, ...]
+    history: tuple[IterateOutcome, ...]
+    path_probability: float
+    multiplicity: int
+    state: np.ndarray
+
+
 def run_strategy_exact(
     clients: DensityMatrix,
     pair: HeraldedPair | DensityMatrix,
     config: StrategyConfig,
 ) -> ExactTree:
-    """Expand every measurement branch of a strategy exactly.
+    """Evaluate every measurement branch of a strategy exactly.
 
-    Branches extend while their history is pending and the iterate cap is
-    not reached; leaves keep the normalized client state, the absolute
-    branch probability and the classification.  Branches lighter than
-    the pruning epsilon are dropped and accounted in
-    ``pruned_probability``; the surviving mass is checked to conserve
-    probability.
+    The walk runs depth by depth over count classes: outcome histories
+    keyed by their first outcome and their four outcome counts.  One
+    circuit iterate on |++> gives the outcome masks (``_outcome_masks``).
+    Because the masks commute, all histories of a class share one path
+    probability and one client state, so a class only counts how many
+    histories reach it.  A class extends while it is pending and the
+    iterate cap is not reached; otherwise it becomes one leaf, whose
+    probability is the class mass (multiplicity times path probability)
+    and whose history is a representative member.  Classes whose mass
+    falls below the pruning epsilon, and branches whose conditional
+    weight does, are dropped and accounted in ``pruned_probability``;
+    the surviving mass is checked to conserve probability.
     """
-    frontier: list[tuple[tuple[IterateOutcome, ...], float, DensityMatrix]] = [
-        ((), 1.0, clients.normalized())
-    ]
+    initial = clients.normalized()
+    masks = _outcome_masks(initial.labels, pair)
+    frontier = [_CountClass((), (), 1.0, 1, initial.elements)]
     leaves: list[Leaf] = []
     pruned = 0.0
-    for _ in range(config.max_iterates):
-        next_frontier: list[tuple[tuple[IterateOutcome, ...], float, DensityMatrix]] = []
-        for history, prob, state in frontier:
-            for branch in run_iterate_exact(state, pair).values():
-                joint = prob * branch.probability
-                if branch.state is None or joint < BRANCH_PRUNE_EPSILON:
-                    pruned += joint
+    for depth in range(1, config.max_iterates + 1):
+        reached: dict[tuple[int, ...], _CountClass] = {}
+        for node in frontier:
+            for outcome in OUTCOMES:
+                k = outcome.index
+                key = list(node.key) if node.key else [k, 0, 0, 0, 0]
+                key[1 + k] += 1
+                key = tuple(key)
+                known = reached.get(key)
+                if known is not None:
+                    known.multiplicity += node.multiplicity
                     continue
-                new_history = history + (branch.outcome,)
-                status = classify(new_history)
-                if status is Status.PENDING and len(new_history) < config.max_iterates:
-                    next_frontier.append((new_history, joint, branch.state))
-                else:
-                    run = DistillationRun(new_history, branch.state, status)
-                    leaves.append(Leaf(run, joint))
-        frontier = next_frontier
-    tree = ExactTree(clients.normalized(), config, tuple(leaves), pruned)
+                unnormalized = masks[k] * node.state
+                weight = float(unnormalized.trace().real)
+                if weight < BRANCH_PRUNE_EPSILON:
+                    pruned += node.multiplicity * node.path_probability * max(weight, 0.0)
+                    continue
+                reached[key] = _CountClass(
+                    key,
+                    node.history + (outcome,),
+                    node.path_probability * weight,
+                    node.multiplicity,
+                    unnormalized / weight,
+                )
+        frontier = []
+        for node in reached.values():
+            mass = node.multiplicity * node.path_probability
+            if mass < BRANCH_PRUNE_EPSILON:
+                pruned += mass
+                continue
+            status = classify(node.history)
+            if status is Status.PENDING and depth < config.max_iterates:
+                frontier.append(node)
+            else:
+                state = DensityMatrix(node.state, initial.labels, validate=False)
+                leaves.append(Leaf(DistillationRun(node.history, state, status), mass))
+    tree = ExactTree(initial, config, tuple(leaves), pruned)
     defect = abs(tree.total_probability - 1.0)
     if defect > PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(
@@ -399,13 +492,16 @@ def run_strategy_exact(
 class SampleStats:
     """Per-trial Monte Carlo records.
 
-    Arrays are aligned by row and sorted by trial index.  Merging two
-    disjoint batches produced from the same seed and window duration is
-    exact: aggregates never depend on how trials were partitioned.
+    Arrays are aligned by row and sorted by trial index.  ``config``,
+    ``params`` and ``theta`` (the excitation angle in radians) record
+    what the trials were drawn from.  Merging two disjoint batches drawn
+    from the same strategy, seed, link parameters and angle is exact:
+    aggregates never depend on how trials were partitioned.
     """
 
-    rng_seed: int
-    tau: float
+    config: StrategyConfig
+    params: ApparatusParams
+    theta: float
     trial: np.ndarray
     attempts: np.ndarray
     iterates: np.ndarray
@@ -424,10 +520,24 @@ class SampleStats:
     def n_trials(self) -> int:
         return len(self.trial)
 
+    @property
+    def rng_seed(self) -> int:
+        return self.config.rng_seed
+
+    @property
+    def tau(self) -> float:
+        return self.params.tau
+
     def merge(self, other: "SampleStats") -> "SampleStats":
-        """Combine two disjoint batches; order-insensitive by construction."""
-        if self.rng_seed != other.rng_seed or self.tau != other.tau:
-            raise ValueError("batches come from different configurations")
+        """Combine two disjoint batches; order-insensitive by construction.
+
+        Raises ValueError when the batches were drawn from different
+        strategies, seeds, caps, link parameters or angles.
+        """
+        mine = (self.config, self.params, self.theta)
+        theirs = (other.config, other.params, other.theta)
+        if mine != theirs:
+            raise ValueError(f"batches come from different configurations: {mine} vs {theirs}")
         trial = np.concatenate([self.trial, other.trial])
         order = np.argsort(trial, kind="stable")
         trial = trial[order]
@@ -438,8 +548,9 @@ class SampleStats:
             return np.concatenate([a, b])[order]
 
         return SampleStats(
-            self.rng_seed,
-            self.tau,
+            self.config,
+            self.params,
+            self.theta,
             trial,
             pick(self.attempts, other.attempts),
             pick(self.iterates, other.iterates),
@@ -655,6 +766,7 @@ def run_trajectories(
                 fidelities[row] = 0.5 * (d1 + d2) + c12.real
             else:
                 fidelities[row] = 0.5 * (d0 + d3) + c03.real
+    angle = theta.theta if isinstance(theta, ExcitationAngle) else float(theta)
     return SampleStats(
-        config.rng_seed, params.tau, trials, attempts, iterates, status_codes, fidelities
+        config, params, angle, trials, attempts, iterates, status_codes, fidelities
     )

@@ -6,12 +6,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import paritydistill
 from paritydistill import (
     ApparatusParams,
     ExcitationAngle,
@@ -369,7 +371,14 @@ def test_outdir_environment_variable(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "nested" / "drift.manifest.json").exists()
 
 
-def test_module_entry_point():
+def test_module_entry_point(monkeypatch):
+    # the child interpreter must import the package under test, which
+    # pytest may have found through its own path setting, not PYTHONPATH
+    package_root = os.path.dirname(os.path.dirname(paritydistill.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [package_root, inherited]))
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "paritydistill", "--version"],
         capture_output=True,

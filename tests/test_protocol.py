@@ -10,11 +10,14 @@ import pytest
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
+    DegenerateParameterError,
     DistillationRun,
+    ExactTree,
     HeraldedPair,
     ApparatusParams,
     ExcitationAngle,
     IterateOutcome,
+    Leaf,
     OUTCOMES,
     Status,
     StrategyConfig,
@@ -24,6 +27,7 @@ from paritydistill import (
     classify,
     eta_weight,
     heralded_state,
+    heralded_state_with_dark_counts,
     iterate_channel,
     loop_interval_probabilities,
     p_click,
@@ -32,6 +36,8 @@ from paritydistill import (
     run_strategy_exact,
     run_trajectories,
 )
+from paritydistill import protocol
+from paritydistill.constants import BRANCH_PRUNE_EPSILON
 from paritydistill.protocol import _compact_step, _outcome_probabilities
 
 RNG = np.random.default_rng
@@ -58,6 +64,35 @@ def random_pair(rng) -> HeraldedPair:
         phi=rng.uniform(-0.7, 0.7),
         delta=rng.uniform(-1.5, 1.5),
     )
+
+
+def circuit_tree(clients, pair, config) -> ExactTree:
+    """Reference tree: one circuit iterate per outcome history.
+
+    Expands every history separately, with per-path pruning, so it is
+    exponential in the iterate cap; the count-class tree of
+    ``run_strategy_exact`` must reproduce its masses.
+    """
+    frontier = [((), 1.0, clients.normalized())]
+    leaves = []
+    pruned = 0.0
+    for _ in range(config.max_iterates):
+        next_frontier = []
+        for history, prob, state in frontier:
+            for branch in run_iterate_exact(state, pair).values():
+                joint = prob * branch.probability
+                if branch.state is None or joint < BRANCH_PRUNE_EPSILON:
+                    pruned += joint
+                    continue
+                new_history = history + (branch.outcome,)
+                status = classify(new_history)
+                if status is Status.PENDING and len(new_history) < config.max_iterates:
+                    next_frontier.append((new_history, joint, branch.state))
+                else:
+                    run = DistillationRun(new_history, branch.state, status)
+                    leaves.append(Leaf(run, joint))
+        frontier = next_frontier
+    return ExactTree(clients.normalized(), config, tuple(leaves), pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +352,120 @@ def test_failure_leaves_are_diagonal_product_states():
                     assert np.sum(d > 1e-9) <= 2
 
 
+def count_class(history) -> tuple[int, ...]:
+    """First outcome index and the four outcome counts of a history."""
+    counts = [0, 0, 0, 0]
+    for outcome in history:
+        counts[outcome.index] += 1
+    return (history[0].index, *counts)
+
+
+def tree_case(kind: str, rng):
+    """Clients and broker of one oracle comparison."""
+    clients = plus_state(CLIENT_LABELS)
+    if kind == "pair":
+        return clients, random_pair(rng)
+    if kind == "dark":
+        params = ApparatusParams(
+            t1=rng.uniform(0.01, 0.9),
+            t2=rng.uniform(0.01, 0.9),
+            x1=rng.uniform(0.0, 1.0),
+            p_dark=rng.uniform(1e-4, 0.2),
+        )
+        theta = ExcitationAngle.from_sin_sq(rng.uniform(0.05, 0.9))
+        broker, _ = heralded_state_with_dark_counts(params, theta)
+        return clients, broker
+    # a random mixed two-qubit state, relabelled as the broker
+    broker = DensityMatrix(random_mixed_clients(rng).elements, ("B1", "B2"))
+    if kind == "general":
+        return clients, broker
+    return random_pure_clients(rng), broker
+
+
+@pytest.mark.parametrize("kind", ["pair", "dark", "general", "pure_clients"])
+def test_count_class_tree_matches_circuit_oracle(kind):
+    # the count-class walk against the per-history circuit expansion:
+    # every mass, the depth profile and the success fidelity agree
+    rng = RNG(149)
+    configs = (
+        StrategyConfig.two_iterates_only(),
+        StrategyConfig.loop(max_iterates=5),
+        StrategyConfig.loop(max_iterates=8),
+    )
+    for cfg in configs:
+        for _ in range(2):
+            clients, broker = tree_case(kind, rng)
+            tree = run_strategy_exact(clients, broker, cfg)
+            oracle = circuit_tree(clients, broker, cfg)
+            for status in Status:
+                assert tree.status_probability(status) == pytest.approx(
+                    oracle.status_probability(status), abs=1e-12
+                )
+            assert tree.pruned_probability == pytest.approx(
+                oracle.pruned_probability, abs=1e-12
+            )
+            profile, expect = tree.depth_profile(), oracle.depth_profile()
+            assert set(profile) == set(expect)
+            for depth, row in expect.items():
+                for status in set(row) | set(profile[depth]):
+                    assert profile[depth].get(status, 0.0) == pytest.approx(
+                        row.get(status, 0.0), abs=1e-12
+                    ), f"{status} mass at depth {depth}"
+            assert tree.mean_success_fidelity() == pytest.approx(
+                oracle.mean_success_fidelity(), abs=1e-12
+            )
+            # each leaf is one class: its mass sums the member histories,
+            # and every member ends in the class state (up to roundoff
+            # dust, which normalizing a light branch amplifies)
+            members: dict[tuple, list] = {}
+            for leaf in oracle.leaves:
+                members.setdefault(count_class(leaf.history), []).append(leaf)
+            classes = {count_class(leaf.history): leaf for leaf in tree.leaves}
+            assert set(classes) == set(members)
+            for key, group in members.items():
+                leaf = classes[key]
+                assert leaf.probability == pytest.approx(
+                    sum(m.probability for m in group), abs=1e-12
+                )
+                for member in group:
+                    assert member.status is leaf.status
+                    gap = np.max(np.abs(member.state.elements - leaf.state.elements))
+                    assert member.probability * gap < 1e-13
+
+
+def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
+    # caps far beyond the per-history oracle: one circuit iterate per
+    # tree, and the success and failure masses still follow the series.
+    # At eta = 0.3, cap 32, pruning single paths instead of whole classes
+    # would drop ~3e-6 of failure mass.
+    calls = []
+    circuit = protocol.run_iterate_exact
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return circuit(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_iterate_exact", counted)
+    clients = plus_state(CLIENT_LABELS)
+    for eta in (0.05, 0.3, 0.5):
+        for cap in (16, 32):
+            calls.clear()
+            tree = run_strategy_exact(
+                clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig.loop(cap)
+            )
+            assert len(calls) == 1
+            ps, pf = loop_interval_probabilities(eta, cap)
+            assert tree.success_probability == pytest.approx(ps.sum(), abs=1e-10)
+            assert tree.failure_probability == pytest.approx(pf.sum(), abs=1e-10)
+
+
+def test_tree_rejects_broker_that_does_not_conserve_probability():
+    pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
+    half = DensityMatrix(0.5 * pair.expand().elements, ("B1", "B2"))
+    with pytest.raises(DegenerateParameterError, match="masks"):
+        run_strategy_exact(plus_state(CLIENT_LABELS), half, StrategyConfig.loop(4))
+
+
 def test_fully_contaminated_tree_never_classifies():
     clients = plus_state(CLIENT_LABELS)
     tree = run_strategy_exact(
@@ -481,9 +630,37 @@ def test_trajectories_merge_is_partition_invariant():
         np.testing.assert_array_equal(merged.fidelity, whole.fidelity)
     with pytest.raises(ValueError):
         left.merge(left)
-    other_cfg = StrategyConfig.loop(max_iterates=6, rng_seed=6)
+    # batches drawn from any other configuration never merge
+    mismatched = (
+        (StrategyConfig.loop(max_iterates=6, rng_seed=6), params, theta),
+        (StrategyConfig.loop(max_iterates=8, rng_seed=5), params, theta),
+        (StrategyConfig.two_iterates_only(rng_seed=5), params, theta),
+        (cfg, params, ExcitationAngle.from_sin_sq(0.5)),
+        (cfg, ApparatusParams(t1=0.6, t2=0.4), theta),
+        (cfg, ApparatusParams(t1=0.6, t2=0.3, tau=2.0), theta),
+        (cfg, ApparatusParams(t1=0.6, t2=0.3, x1=0.2), theta),
+    )
+    for other_cfg, other_params, other_theta in mismatched:
+        other = run_trajectories(other_cfg, other_params, other_theta, 10, trial_start=1000)
+        with pytest.raises(ValueError):
+            left.merge(other)
+        with pytest.raises(ValueError):
+            other.merge(left)
+    two = run_trajectories(
+        StrategyConfig.two_iterates_only(rng_seed=5), params, ExcitationAngle(0.3), 10
+    )
+    loop16 = run_trajectories(
+        StrategyConfig.loop(max_iterates=16, rng_seed=5),
+        params,
+        ExcitationAngle(0.9),
+        10,
+        trial_start=10,
+    )
     with pytest.raises(ValueError):
-        left.merge(run_trajectories(other_cfg, params, theta, 10, trial_start=1000))
+        two.merge(loop16)
+    # the same angle given as a float or as an ExcitationAngle is one config
+    as_float = run_trajectories(cfg, params, theta.theta, 150, trial_start=250)
+    np.testing.assert_array_equal(left.merge(as_float).status, whole.status)
 
 
 def test_sample_stats_csv_format(tmp_path):
