@@ -381,6 +381,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "wavelength": params.wavelength,
             "tau": params.tau,
             "output": args.output,
+            "rng_stream": stats.stream,
         },
         csv_path,
         seed=args.seed,

@@ -24,7 +24,6 @@ member.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -122,8 +121,8 @@ class StrategyConfig:
             raise ValueError("a run needs at least two iterates to classify")
         if self.mode is StrategyMode.TWO_ITERATES_ONLY and self.max_iterates != 2:
             raise ValueError("the two-iterate strategy stops at exactly two iterates")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be nonnegative")
+        if not 0 <= self.rng_seed < 2**64:
+            raise ValueError("rng_seed must lie in [0, 2**64)")
 
     @classmethod
     def two_iterates_only(cls, rng_seed: int = 0) -> "StrategyConfig":
@@ -487,6 +486,21 @@ def run_strategy_exact(
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
+# Version of the uniform stream ``run_trajectories`` consumes; bumped by
+# any change that can alter a sampled bit.  Version 0 was numpy's
+# per-trial Generator seeded with (seed, trial).
+STREAM_VERSION = 1
+
+# Trials evolved together.  Uniforms are keyed by the absolute trial
+# index, so results never depend on this; it only bounds the working
+# arrays, which stay near 1 MB.
+_CHUNK_TRIALS = 2048
+
+# CSV rows formatted per write.
+_CSV_BATCH_ROWS = 1024
+
+_STATUS_NAMES = {s.value: s.name.lower() for s in Status}
+
 
 @dataclass(frozen=True)
 class SampleStats:
@@ -494,8 +508,9 @@ class SampleStats:
 
     Arrays are aligned by row and sorted by trial index.  ``config``,
     ``params`` and ``theta`` (the excitation angle in radians) record
-    what the trials were drawn from.  Merging two disjoint batches drawn
-    from the same strategy, seed, link parameters and angle is exact:
+    what the trials were drawn from, and ``stream`` the version of the
+    uniform stream.  Merging two disjoint batches drawn from the same
+    strategy, seed, link parameters, angle and stream is exact:
     aggregates never depend on how trials were partitioned.
     """
 
@@ -507,6 +522,7 @@ class SampleStats:
     iterates: np.ndarray
     status: np.ndarray
     fidelity: np.ndarray
+    stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
         n = len(self.trial)
@@ -532,10 +548,11 @@ class SampleStats:
         """Combine two disjoint batches; order-insensitive by construction.
 
         Raises ValueError when the batches were drawn from different
-        strategies, seeds, caps, link parameters or angles.
+        strategies, seeds, caps, link parameters, angles or stream
+        versions.
         """
-        mine = (self.config, self.params, self.theta)
-        theirs = (other.config, other.params, other.theta)
+        mine = (self.config, self.params, self.theta, self.stream)
+        theirs = (other.config, other.params, other.theta, other.stream)
         if mine != theirs:
             raise ValueError(f"batches come from different configurations: {mine} vs {theirs}")
         trial = np.concatenate([self.trial, other.trial])
@@ -556,6 +573,7 @@ class SampleStats:
             pick(self.iterates, other.iterates),
             pick(self.status, other.status),
             pick(self.fidelity, other.fidelity),
+            self.stream,
         )
 
     def counts(self) -> dict[Status, int]:
@@ -596,77 +614,202 @@ class SampleStats:
         }
 
     def write_csv(self, path) -> None:
+        """One row per trial, in trial order, formatted in batches."""
+        seed = self.rng_seed
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["seed", "trial", "attempts", "iterates", "status", "fidelity"])
-            for k in range(self.n_trials):
-                writer.writerow(
-                    [
-                        self.rng_seed,
-                        int(self.trial[k]),
-                        int(self.attempts[k]),
-                        int(self.iterates[k]),
-                        Status(self.status[k]).name.lower(),
-                        repr(float(self.fidelity[k])),
-                    ]
+            fh.write("seed,trial,attempts,iterates,status,fidelity\n")
+            for lo in range(0, self.n_trials, _CSV_BATCH_ROWS):
+                rows = slice(lo, lo + _CSV_BATCH_ROWS)
+                columns = zip(
+                    self.trial[rows].tolist(),
+                    self.attempts[rows].tolist(),
+                    self.iterates[rows].tolist(),
+                    self.status[rows].tolist(),
+                    self.fidelity[rows].tolist(),
+                )
+                fh.write(
+                    "".join(
+                        f"{seed},{t},{a},{k},{_STATUS_NAMES[c]},{f!r}\n"
+                        for t, a, k, c, f in columns
+                    )
                 )
 
 
-def _outcome_probabilities(rho: np.ndarray, eta: float, sin_two_phi: float) -> np.ndarray:
-    """Branch probabilities of one iterate from the state diagonal.
+# Per-trial uniforms come from nested SplitMix64 streams (Steele, Lea and
+# Flood, OOPSLA 2014), evaluated counter-style as in Salmon et al., SC'11:
+# the seed's stream gives one state per trial, and the trial's stream
+# gives its draws.  Every uniform is a pure function of (seed, trial,
+# draw index), computed in wrapping uint64 arithmetic.
+_MASK64 = (1 << 64) - 1
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-    Only the diagonal of the (normalized) client state enters, so no
-    matrix work happens until the chosen branch map is applied.
+# Compact trajectory rows: d0..d3, then (re, im) of rho[1,2] and of
+# rho[0,3].  ``_PARTNER`` pairs each coherence row with its other half;
+# every entry of |++> is 1/4.
+_PARTNER = np.array([0, 1, 2, 3, 5, 4, 7, 6])
+_PLUS_COMPACT = np.array([0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.25, 0.0])
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function on a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _trial_streams(seed: int, trials: np.ndarray) -> np.ndarray:
+    """SplitMix64 state of each trial: output ``t`` of the seed's stream.
+
+    The seed's stream starts from ``mix64(seed + gamma)``, so nearby
+    seeds do not share shifted trial streams.
     """
-    d = rho.diagonal().real
-    probs = np.empty(4)
-    for idx, oc in enumerate(OUTCOMES):
-        a, b = _PROJECTED_INDICES[oc.parity]
-        p = 0.5 * (1.0 - eta) * (d[a] + d[b] + (2 * oc.i - 1) * sin_two_phi * (d[a] - d[b]))
-        p += eta * d[oc.index]
-        probs[idx] = max(p, 0.0)
+    key = _mix64(np.array([(seed + _GOLDEN_GAMMA) & _MASK64], dtype=np.uint64))
+    counters = (trials.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN_GAMMA)
+    return _mix64(key + counters)
+
+
+def _uniforms(streams: np.ndarray, draw: int) -> np.ndarray:
+    """Draw ``draw`` of each trial stream, as a 53-bit float in [0, 1)."""
+    offset = np.uint64(((draw + 1) * _GOLDEN_GAMMA) & _MASK64)
+    bits = _mix64(streams + offset) >> np.uint64(11)
+    return bits.astype(np.float64) * 2.0**-53
+
+
+def _compact_tables(pair: HeraldedPair) -> tuple[np.ndarray, np.ndarray]:
+    """Per-outcome multipliers of the compact trajectory state.
+
+    From |++> the branch maps never populate a coherence outside the
+    opposite-parity pairs, so a trajectory state is carried as eight real
+    rows: the diagonal d0..d3, then the real and imaginary parts of
+    rho[1,2] and of rho[0,3].  Outcome ``k`` multiplies the state
+    entrywise by its mask, the closed-form branch map applied to the
+    all-ones matrix.  Row ``r`` of the successor is ``scale[r, k] *
+    row_r + twist[r, k] * partner_r``, which is the complex product for
+    a coherence and a plain scaling (``twist`` zero) for the diagonal.
+    Both tables have shape (8, 4): one column per outcome.
+    """
+    ones = np.ones((4, 4), dtype=complex)
+    scale = np.zeros((8, 4))
+    twist = np.zeros((8, 4))
+    for oc in OUTCOMES:
+        mask = _branch_map_elements(ones, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
+        k = oc.index
+        scale[:4, k] = mask.diagonal().real
+        for row, (a, b) in ((4, (1, 2)), (6, (0, 3))):
+            scale[row : row + 2, k] = mask[a, b].real
+            twist[row, k] = -mask[a, b].imag
+            twist[row + 1, k] = mask[a, b].imag
+    return scale, twist
+
+
+def _branch_probabilities(states: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Outcome probabilities, shape (4, m), of compact states of shape (8, m).
+
+    ``p_k = sum_j scale[j, k] d_j``, summed in index order.  Every term
+    is nonnegative, so a probability is exactly zero only when each of
+    its terms is.
+    """
+    probs = scale[0, :, None] * states[0]
+    for j in (1, 2, 3):
+        probs = probs + scale[j, :, None] * states[j]
     return probs
 
 
-def _compact_step(
-    state: tuple, i: int, j: int, eta: float, sin_two_phi: float, cross: tuple
-) -> tuple[float, tuple]:
-    """One branch-map application on a compact trajectory state.
+def _pick_outcome(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index by inverse CDF on ``u`` in [0, 1).
 
-    The trajectory dynamics never populate coherences outside the two
-    opposite-parity pairs, so a state is carried as
-    ``(d0, d1, d2, d3, c12, c03)`` with real diagonal entries and the
-    complex entries rho[1,2] and rho[0,3].  Returns the unnormalized
-    branch weight and the normalized successor in the same form.  Agrees
-    entry for entry with the dense branch map; the dense route stays the
-    reference implementation.
+    The index counts the cumulative thresholds at or below ``u`` times
+    the total.  A zero-probability outcome shares its threshold with the
+    next one, and ``u * total < total`` for every ``u < 1``, so such an
+    outcome is never chosen.
     """
-    d0, d1, d2, d3, c12, c03 = state
-    sign = 2 * i - 1
-    half = 0.5 * (1.0 - eta)
-    w_lo = half * (1.0 + sign * sin_two_phi)
-    w_hi = half * (1.0 - sign * sin_two_phi)
-    k = 2 * i + j
-    if (i + j) & 1 == 0:
-        # kept pair (1, 2); double-excitation spike lands on the other pair
-        na, nb, nc = w_lo * d1, w_hi * d2, half * cross[i] * c12
-        spike = eta * (d0, d1, d2, d3)[k]
-        weight = na + nb + spike
-        if weight <= 0.0:
-            return 0.0, state
-        inv = 1.0 / weight
-        out = [0.0, na * inv, nb * inv, 0.0, nc * inv, 0.0]
-        out[k] += spike * inv
-    else:
-        na, nb, nc = w_lo * d0, w_hi * d3, half * cross[i] * c03
-        spike = eta * (d0, d1, d2, d3)[k]
-        weight = na + nb + spike
-        if weight <= 0.0:
-            return 0.0, state
-        inv = 1.0 / weight
-        out = [na * inv, 0.0, 0.0, nb * inv, 0.0, nc * inv]
-        out[k] += spike * inv
-    return weight, tuple(out)
+    first = probs[0]
+    second = first + probs[1]
+    third = second + probs[2]
+    r = u * (third + probs[3])
+    return (r >= first).astype(np.intp) + (r >= second) + (r >= third)
+
+
+def _advance(
+    states: np.ndarray,
+    outcome: np.ndarray,
+    probs: np.ndarray,
+    scale: np.ndarray,
+    twist: np.ndarray,
+) -> np.ndarray:
+    """Apply each column's chosen branch map and renormalize.
+
+    Raises rather than divide by a chosen branch weight that is not
+    positive.
+    """
+    weight = probs[outcome, np.arange(len(outcome))]
+    if not np.all(weight > 0.0):
+        raise DegenerateParameterError("sampled an outcome of zero probability")
+    grown = scale[:, outcome] * states + twist[:, outcome] * states[_PARTNER]
+    return grown * (1.0 / weight)
+
+
+def _sample_chunk(
+    streams: np.ndarray,
+    scale: np.ndarray,
+    twist: np.ndarray,
+    log_miss: float | None,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve one chunk of trials together, one iterate depth at a time.
+
+    Draw ``2 d`` of a trial gives the attempt windows of its herald at
+    depth ``d`` and draw ``2 d + 1`` its outcome.  Trials leave the
+    working arrays as soon as their history classifies; those left at
+    the cap stay pending.  ``log_miss`` is ln(1 - p_click), or None when
+    every window heralds.
+    """
+    n = len(streams)
+    attempts = np.zeros(n, dtype=np.int64)
+    iterates = np.full(n, cap, dtype=np.int64)
+    status = np.full(n, Status.PENDING.value, dtype=np.int8)
+    fidelity = np.full(n, np.nan)
+    live = np.arange(n)
+    states = np.repeat(_PLUS_COMPACT[:, None], n, axis=1)
+    windows = np.zeros(n, dtype=np.int64)
+    first = balance = None
+    for depth in range(cap):
+        wait = _uniforms(streams, 2 * depth)
+        if log_miss is None:
+            windows += 1
+        else:
+            windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
+        probs = _branch_probabilities(states, scale)
+        outcome = _pick_outcome(probs, _uniforms(streams, 2 * depth + 1))
+        states = _advance(states, outcome, probs, scale, twist)
+        parity = (outcome ^ (outcome >> 1)) & 1
+        # +1 for j = 0 and -1 for j = 1: the two signatures of one parity
+        step = 1 - 2 * (outcome & 1)
+        if depth == 0:
+            first, balance = parity, step
+            continue
+        balance += step
+        failed = parity != first
+        succeeded = ~failed & (balance == 0)
+        status[live[failed]] = Status.FAILURE.value
+        won = live[succeeded]
+        status[won] = 1 + first[succeeded]
+        kept = states[:, succeeded]
+        fidelity[won] = np.where(
+            first[succeeded] == 0,
+            0.5 * (kept[1] + kept[2]) + kept[4],
+            0.5 * (kept[0] + kept[3]) + kept[6],
+        )
+        done = failed | succeeded
+        iterates[live[done]] = depth + 1
+        attempts[live[done]] = windows[done]
+        keep = ~done
+        live, streams, states = live[keep], streams[keep], states[:, keep]
+        windows, first, balance = windows[keep], first[keep], balance[keep]
+        if not len(live):
+            break
+    attempts[live] = windows
+    return attempts, iterates, status, fidelity
 
 
 def run_trajectories(
@@ -682,9 +825,12 @@ def run_trajectories(
     Each trial starts from freshly reset clients in |++>, waits a
     geometric number of attempt windows for every herald, consumes the
     pair in one iterate and repeats until the history classifies or the
-    iterate cap is hit.  Trial ``t`` draws from a generator seeded with
-    (config.rng_seed, t), so results are reproducible bit for bit and
-    independent of how a trial range is split into batches.
+    iterate cap is hit.  Every uniform is a pure function of
+    (config.rng_seed, trial index, draw index), version
+    ``STREAM_VERSION``, so results are reproducible bit for bit and
+    independent of how a trial range is split into batches.  Trials are
+    evolved together in fixed chunks, and the chunking cannot change a
+    result either.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -694,78 +840,20 @@ def run_trajectories(
     pc = p_click(params, theta)
     if pc < TRACE_EPSILON:
         raise DegenerateParameterError("click probability vanishes, nothing to sample")
-    eta = pair.eta
-    sin_two_phi = math.sin(2.0 * pair.phi)
-    # f0 * conj(f1) for each first-bit value: cos(2 phi) e^{2 i sign delta}
-    cross = tuple(
-        math.cos(2.0 * pair.phi) * complex(math.cos(2.0 * pair.delta), s * math.sin(2.0 * pair.delta))
-        for s in (-1.0, 1.0)
-    )
-    state0 = (0.25, 0.25, 0.25, 0.25, 0.25 + 0.0j, 0.25 + 0.0j)
-    half = 0.5 * (1.0 - eta)
-    seed = config.rng_seed
-    cap = config.max_iterates
+    # at p_click = 1 every herald takes exactly one window
+    log_miss = math.log1p(-pc) if pc < 1.0 else None
+    scale, twist = _compact_tables(pair)
     trials = np.arange(trial_start, trial_start + n_trials, dtype=np.int64)
-    attempts = np.zeros(n_trials, dtype=np.int64)
-    iterates = np.zeros(n_trials, dtype=np.int64)
-    status_codes = np.full(n_trials, Status.PENDING.value, dtype=np.int8)
-    fidelities = np.full(n_trials, np.nan)
-    for row in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial_start + row)))
-        state = state0
-        first_parity = -1
-        count_diff = 0
-        windows = 0
-        status = Status.PENDING
-        depth = 0
-        while depth < cap:
-            windows += int(rng.geometric(pc))
-            d0, d1, d2, d3, c12, c03 = state
-            s_even = d1 + d2
-            z_even = sin_two_phi * (d1 - d2)
-            s_odd = d0 + d3
-            z_odd = sin_two_phi * (d0 - d3)
-            p0 = half * (s_even - z_even) + eta * d0
-            p1 = half * (s_odd - z_odd) + eta * d1
-            p2 = half * (s_odd + z_odd) + eta * d2
-            p3 = half * (s_even + z_even) + eta * d3
-            r = rng.random() * (p0 + p1 + p2 + p3)
-            if r < p0:
-                idx = 0
-            elif r < p0 + p1:
-                idx = 1
-            elif r < p0 + p1 + p2:
-                idx = 2
-            else:
-                idx = 3
-            i, j = idx >> 1, idx & 1
-            depth += 1
-            _, state = _compact_step(state, i, j, eta, sin_two_phi, cross)
-            parity = (i + j) & 1
-            if first_parity < 0:
-                first_parity = parity
-                count_diff = 1 if j == 0 else -1
-            elif parity != first_parity:
-                status = Status.FAILURE
-                break
-            else:
-                count_diff += 1 if j == 0 else -1
-                if count_diff == 0:
-                    status = (
-                        Status.SUCCESS_PARITY_EVEN
-                        if first_parity == 0
-                        else Status.SUCCESS_PARITY_ODD
-                    )
-                    break
-        attempts[row] = windows
-        iterates[row] = depth
-        status_codes[row] = status.value
-        if status.is_success:
-            d0, d1, d2, d3, c12, c03 = state
-            if first_parity == 0:
-                fidelities[row] = 0.5 * (d1 + d2) + c12.real
-            else:
-                fidelities[row] = 0.5 * (d0 + d3) + c03.real
+    attempts = np.empty(n_trials, dtype=np.int64)
+    iterates = np.empty(n_trials, dtype=np.int64)
+    status_codes = np.empty(n_trials, dtype=np.int8)
+    fidelities = np.empty(n_trials)
+    for lo in range(0, n_trials, _CHUNK_TRIALS):
+        rows = slice(lo, lo + _CHUNK_TRIALS)
+        streams = _trial_streams(config.rng_seed, trials[rows])
+        attempts[rows], iterates[rows], status_codes[rows], fidelities[rows] = _sample_chunk(
+            streams, scale, twist, log_miss, config.max_iterates
+        )
     angle = theta.theta if isinstance(theta, ExcitationAngle) else float(theta)
     return SampleStats(
         config, params, angle, trials, attempts, iterates, status_codes, fidelities

@@ -17,6 +17,7 @@ import paritydistill
 from paritydistill import (
     ApparatusParams,
     ExcitationAngle,
+    STREAM_VERSION,
     Status,
     StrategyConfig,
     chain_growth_rate,
@@ -251,7 +252,9 @@ def test_simulate_is_reproducible(tmp_path, capsys):
     assert (tmp_path / "a" / "simulate.manifest.json").read_bytes() == (
         tmp_path / "b" / "simulate.manifest.json"
     ).read_bytes()
-    assert read_manifest(tmp_path / "a" / "simulate.csv")["seed"] == 7
+    manifest = read_manifest(tmp_path / "a" / "simulate.csv")
+    assert manifest["seed"] == 7
+    assert manifest["parameters"]["rng_stream"] == STREAM_VERSION
 
 
 def test_simulate_summary_against_exact_tree(tmp_path, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from paritydistill import (
     IterateOutcome,
     Leaf,
     OUTCOMES,
+    STREAM_VERSION,
     Status,
     StrategyConfig,
     StrategyMode,
@@ -38,7 +42,6 @@ from paritydistill import (
 )
 from paritydistill import protocol
 from paritydistill.constants import BRANCH_PRUNE_EPSILON
-from paritydistill.protocol import _compact_step, _outcome_probabilities
 
 RNG = np.random.default_rng
 
@@ -95,6 +98,88 @@ def circuit_tree(clients, pair, config) -> ExactTree:
     return ExactTree(clients.normalized(), config, tuple(leaves), pruned)
 
 
+# Scalar sampler reference: a per-trial loop over Python floats and
+# integers.  It recomputes the counter uniforms with Python integers and
+# repeats the vectorised sampler's arithmetic in the same order, so the
+# two must agree bit for bit; classification goes through ``classify``.
+
+MASK64 = (1 << 64) - 1
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+PARTNER_ROWS = (0, 1, 2, 3, 5, 4, 7, 6)
+PLUS_COMPACT = (0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.25, 0.0)
+
+
+def splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def counter_uniform(seed: int, trial: int, draw: int) -> float:
+    key = splitmix64((seed + GOLDEN_GAMMA) & MASK64)
+    stream = splitmix64((key + (trial + 1) * GOLDEN_GAMMA) & MASK64)
+    return (splitmix64((stream + (draw + 1) * GOLDEN_GAMMA) & MASK64) >> 11) * 2.0**-53
+
+
+def _outcome_probabilities(state, scale) -> list[float]:
+    """Branch probabilities of one iterate from the diagonal d0..d3."""
+    probs = []
+    for k in range(4):
+        p = scale[0][k] * state[0]
+        for j in (1, 2, 3):
+            p = p + scale[j][k] * state[j]
+        probs.append(p)
+    return probs
+
+
+def _compact_step(state, k: int, weight: float, scale, twist) -> tuple:
+    """Branch map ``k`` on a compact state, normalized by ``weight``."""
+    inv = 1.0 / weight
+    return tuple(
+        (scale[r][k] * state[r] + twist[r][k] * state[PARTNER_ROWS[r]]) * inv
+        for r in range(8)
+    )
+
+
+def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
+    """Per-trial loop with the sampler's stream; returns its five columns."""
+    pc = p_click(params, theta)
+    log_miss = math.log1p(-pc) if pc < 1.0 else None
+    scale, twist = (t.tolist() for t in protocol._compact_tables(heralded_state(params, theta)))
+    seed = config.rng_seed
+    rows = []
+    for trial in range(trial_start, trial_start + n_trials):
+        state = PLUS_COMPACT
+        history: list[IterateOutcome] = []
+        windows = 0
+        status = Status.PENDING
+        while status is Status.PENDING and len(history) < config.max_iterates:
+            depth = len(history)
+            u = counter_uniform(seed, trial, 2 * depth)
+            windows += 1 if log_miss is None else math.floor(math.log1p(-u) / log_miss) + 1
+            p = _outcome_probabilities(state, scale)
+            r = counter_uniform(seed, trial, 2 * depth + 1) * (((p[0] + p[1]) + p[2]) + p[3])
+            if r < p[0]:
+                k = 0
+            elif r < p[0] + p[1]:
+                k = 1
+            elif r < (p[0] + p[1]) + p[2]:
+                k = 2
+            else:
+                k = 3
+            assert p[k] > 0.0, "a zero-probability outcome was chosen"
+            state = _compact_step(state, k, p[k], scale, twist)
+            history.append(OUTCOMES[k])
+            status = classify(history)
+        fid = float("nan")
+        if status is Status.SUCCESS_PARITY_EVEN:
+            fid = 0.5 * (state[1] + state[2]) + state[4]
+        elif status is Status.SUCCESS_PARITY_ODD:
+            fid = 0.5 * (state[0] + state[3]) + state[6]
+        rows.append((trial, windows, len(history), status.value, fid))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 # ---------------------------------------------------------------------------
 # Outcome bookkeeping
 
@@ -140,6 +225,9 @@ def test_strategy_config_validation():
         StrategyConfig(StrategyMode.TWO_ITERATES_ONLY, max_iterates=3)
     with pytest.raises(ValueError):
         StrategyConfig(StrategyMode.LOOP, max_iterates=8, rng_seed=-1)
+    with pytest.raises(ValueError):
+        StrategyConfig(StrategyMode.LOOP, max_iterates=8, rng_seed=2**64)
+    assert StrategyConfig.loop(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
     assert StrategyConfig.two_iterates_only().max_iterates == 2
     assert StrategyConfig.loop(max_iterates=12).max_iterates == 12
 
@@ -206,9 +294,8 @@ def test_diagonal_probability_shortcut_matches_channel():
     for _ in range(20):
         clients = random_mixed_clients(rng)
         pair = random_pair(rng)
-        probs = _outcome_probabilities(
-            clients.elements, pair.eta, math.sin(2.0 * pair.phi)
-        )
+        scale = protocol._compact_tables(pair)[0].tolist()
+        probs = _outcome_probabilities(clients.elements.diagonal().real, scale)
         for idx, oc in enumerate(OUTCOMES):
             assert probs[idx] == pytest.approx(
                 iterate_channel(clients, pair, oc).trace.real, abs=1e-12
@@ -480,11 +567,10 @@ def test_fully_contaminated_tree_never_classifies():
 # Compact trajectory state
 
 
-def test_compact_step_matches_dense_branch_map():
-    from paritydistill.protocol import _branch_map_elements
-
-    rng = RNG(139)
-    for _ in range(50):
+def random_compact_states(rng, n):
+    """Random states of the compact form with random links, as (dense, pair)."""
+    out = []
+    for _ in range(n):
         d = rng.dirichlet(np.ones(4))
         c12 = math.sqrt(d[1] * d[2]) * rng.uniform(0.0, 1.0) * np.exp(
             1j * rng.uniform(-math.pi, math.pi)
@@ -495,33 +581,77 @@ def test_compact_step_matches_dense_branch_map():
         m = np.diag(d).astype(complex)
         m[1, 2], m[2, 1] = c12, c12.conjugate()
         m[0, 3], m[3, 0] = c03, c03.conjugate()
-        eta = rng.uniform(0.05, 0.9)
-        phi = rng.uniform(-0.7, 0.7)
-        delta = rng.uniform(-1.5, 1.5)
-        sin_two_phi = math.sin(2.0 * phi)
-        cross = tuple(
-            math.cos(2.0 * phi) * np.exp(2j * s * delta) for s in (-1.0, 1.0)
+        pair = HeraldedPair(
+            eta=rng.uniform(0.05, 0.9), phi=rng.uniform(-0.7, 0.7), delta=rng.uniform(-1.5, 1.5)
         )
-        compact = (d[0], d[1], d[2], d[3], c12, c03)
-        for i in (0, 1):
-            for j in (0, 1):
-                dense = _branch_map_elements(m, eta, phi, delta, i, j)
-                weight = dense.trace().real
-                w, nxt = _compact_step(compact, i, j, eta, sin_two_phi, cross)
-                assert w == pytest.approx(weight, abs=1e-13)
-                norm = dense / weight
-                np.testing.assert_allclose(
-                    nxt,
-                    (
-                        norm[0, 0].real,
-                        norm[1, 1].real,
-                        norm[2, 2].real,
-                        norm[3, 3].real,
-                        norm[1, 2],
-                        norm[0, 3],
-                    ),
-                    atol=1e-12,
-                )
+        out.append((m, pair))
+    return out
+
+
+def compact_of(m) -> tuple:
+    return (
+        m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real,
+        m[1, 2].real, m[1, 2].imag, m[0, 3].real, m[0, 3].imag,
+    )
+
+
+def test_compact_step_matches_dense_branch_map():
+    from paritydistill.protocol import _branch_map_elements
+
+    for m, pair in random_compact_states(RNG(139), 50):
+        scale, twist = (t.tolist() for t in protocol._compact_tables(pair))
+        compact = compact_of(m)
+        probs = _outcome_probabilities(compact, scale)
+        for oc in OUTCOMES:
+            dense = _branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
+            weight = dense.trace().real
+            assert probs[oc.index] == pytest.approx(weight, abs=1e-13)
+            nxt = _compact_step(compact, oc.index, probs[oc.index], scale, twist)
+            np.testing.assert_allclose(nxt, compact_of(dense / weight), atol=1e-12)
+
+
+def test_vectorised_step_matches_dense_branch_map():
+    from paritydistill.protocol import _branch_map_elements
+
+    for m, pair in random_compact_states(RNG(139), 50):
+        scale, twist = protocol._compact_tables(pair)
+        # one column per outcome, all starting from the same state
+        states = np.repeat(np.array(compact_of(m))[:, None], 4, axis=1)
+        outcome = np.arange(4)
+        probs = protocol._branch_probabilities(states, scale)
+        after = protocol._advance(states, outcome, probs, scale, twist)
+        for oc in OUTCOMES:
+            dense = _branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
+            weight = dense.trace().real
+            np.testing.assert_allclose(probs[oc.index], weight, atol=1e-13)
+            # the dense map populates nothing outside the compact entries
+            outside = dense.copy()
+            for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0)):
+                outside[a, b] = 0.0
+            assert np.max(np.abs(outside)) == 0.0
+            np.testing.assert_allclose(
+                after[:, oc.index], compact_of(dense / weight), atol=1e-12
+            )
+
+
+def test_vectorised_step_rejects_zero_weight():
+    scale, twist = protocol._compact_tables(HeraldedPair(eta=0.3, phi=0.1, delta=0.2))
+    states = np.zeros((8, 1))
+    probs = protocol._branch_probabilities(states, scale)
+    with pytest.raises(DegenerateParameterError):
+        protocol._advance(states, np.array([2]), probs, scale, twist)
+
+
+def test_pick_outcome_never_chooses_zero_probability():
+    rng = RNG(149)
+    lowest, highest = 0.0, 1.0 - 2.0**-53
+    for pattern in range(1, 16):
+        support = [(pattern >> k) & 1 for k in range(4)]
+        for _ in range(20):
+            probs = np.array(support, dtype=float)[:, None] * rng.uniform(1e-300, 1.0, (4, 1))
+            probs = np.repeat(probs, 3, axis=1)
+            chosen = protocol._pick_outcome(probs, np.array([lowest, 0.5, highest]))
+            assert all(support[k] for k in chosen), (support, chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -684,3 +814,182 @@ def test_sample_stats_csv_format(tmp_path):
         }
     stats.write_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Upper tail of the chi-square distribution, by the gamma series."""
+    a, y = dof / 2.0, x / 2.0
+    term = total = 1.0 / a
+    k = 0
+    while term > 1e-17 * total:
+        k += 1
+        term *= y / (a + k)
+        total += term
+    return 1.0 - math.exp(a * math.log(y) - y - math.lgamma(a)) * total
+
+
+def test_chi2_sf_known_values():
+    # tabulated upper 0.1% / 5% points and the median of chi-square(19)
+    assert chi2_sf(43.820, 19) == pytest.approx(1e-3, rel=1e-3)
+    assert chi2_sf(30.144, 19) == pytest.approx(0.05, rel=1e-3)
+    assert chi2_sf(18.338, 19) == pytest.approx(0.5, rel=1e-3)
+
+
+UNBALANCED = ApparatusParams(t1=0.6, t2=0.3, x1=0.2)
+
+
+def test_counter_stream_known_answers():
+    # first output of SplitMix64 seeded with 0 (reference test vector)
+    assert splitmix64(GOLDEN_GAMMA) == 0xE220A8397B1DCDAF
+    first = protocol._mix64(np.array([GOLDEN_GAMMA], dtype=np.uint64))
+    assert int(first[0]) == 0xE220A8397B1DCDAF
+    trials = np.array([0, 1, 2047, 2048, 2**40], dtype=np.int64)
+    for seed in (0, 7, 2**64 - 1):
+        streams = protocol._trial_streams(seed, trials)
+        for draw in (0, 1, 5):
+            u = protocol._uniforms(streams, draw)
+            expected = [counter_uniform(seed, int(t), draw) for t in trials]
+            np.testing.assert_array_equal(u, expected)
+            assert np.all((u >= 0.0) & (u < 1.0))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [StrategyConfig.two_iterates_only(rng_seed=17), StrategyConfig.loop(10, rng_seed=17)],
+    ids=["two_iterates", "loop"],
+)
+def test_vectorised_sampler_matches_scalar_reference(config):
+    theta = ExcitationAngle.from_sin_sq(0.4)
+    chunk = protocol._CHUNK_TRIALS
+    start, n = chunk - 37, chunk + 100  # two chunks, off the chunk grid
+    stats = run_trajectories(config, UNBALANCED, theta, n, trial_start=start)
+    reference = scalar_trajectories(config, UNBALANCED, theta, n, trial_start=start)
+    whole = run_trajectories(config, UNBALANCED, theta, start + n)
+    for column, expected in zip(
+        (stats.trial, stats.attempts, stats.iterates, stats.status, stats.fidelity), reference
+    ):
+        np.testing.assert_array_equal(column, expected)
+    for name in ("attempts", "iterates", "status", "fidelity"):
+        np.testing.assert_array_equal(getattr(stats, name), getattr(whole, name)[start:])
+    assert set(stats.status.tolist()) == {s.value for s in Status}
+
+
+@pytest.mark.parametrize("t1, t2", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+def test_trajectories_at_certain_click(t1, t2):
+    # p_click = 1 and eta = 1: one window per herald; after the first
+    # outcome three of the four branch weights are exactly zero, so
+    # every trial repeats its first outcome up to the cap
+    params = ApparatusParams(t1=t1, t2=t2)
+    theta = ExcitationAngle.from_sin_sq(1.0)
+    assert p_click(params, theta) == 1.0
+    assert heralded_state(params, theta).eta == 1.0
+    for config in (StrategyConfig.two_iterates_only(rng_seed=3), StrategyConfig.loop(6, rng_seed=3)):
+        stats = run_trajectories(config, params, theta, 300)
+        np.testing.assert_array_equal(stats.attempts, stats.iterates)
+        assert np.all(stats.iterates == config.max_iterates)
+        assert np.all(stats.status == Status.PENDING.value)
+        reference = scalar_trajectories(config, params, theta, 300)
+        np.testing.assert_array_equal(stats.attempts, reference[1])
+        np.testing.assert_array_equal(stats.status, reference[3])
+
+
+def test_trajectory_cells_match_depth_profile():
+    # chi-square of the (iterates, status) cells against the exact tree,
+    # rejected at p = 1e-3; every expected count is above 20
+    theta = ExcitationAngle.from_sin_sq(0.4)
+    config = StrategyConfig.loop(10, rng_seed=2024)
+    n = 200_000
+    tree = run_strategy_exact(
+        plus_state(CLIENT_LABELS), heralded_state(UNBALANCED, theta), config
+    )
+    expected = {
+        (depth, status.value): n * mass
+        for depth, row in tree.depth_profile().items()
+        for status, mass in row.items()
+    }
+    assert len(expected) == 20 and min(expected.values()) > 20.0
+    stats = run_trajectories(config, UNBALANCED, theta, n)
+    cells, counts = np.unique(np.stack([stats.iterates, stats.status]), axis=1, return_counts=True)
+    observed = {(int(d), int(s)): int(c) for (d, s), c in zip(cells.T, counts)}
+    assert set(observed) <= set(expected)
+    stat = sum((observed.get(cell, 0) - e) ** 2 / e for cell, e in expected.items())
+    assert chi2_sf(stat, len(expected) - 1) > 1e-3, stat
+
+
+def test_windows_per_herald_match_click_probability():
+    # z-scores of the mean windows per herald against 1 / p_click over
+    # 20 seeds, each from about 10^4 geometric waits at T = 1e-2; checks
+    # at p = 1e-3: each |z| (Bonferroni), their mean, their sum of squares
+    params = ApparatusParams(t1=1e-2, t2=1e-2)
+    theta = ExcitationAngle.from_sin_sq(0.1)
+    pc = p_click(params, theta)
+    seeds = range(20)
+    z = []
+    for seed in seeds:
+        stats = run_trajectories(StrategyConfig.loop(4, rng_seed=seed), params, theta, 4000)
+        heralds = int(np.sum(stats.iterates))
+        mean = float(np.sum(stats.attempts)) / heralds
+        z.append((mean - 1.0 / pc) / (math.sqrt(1.0 - pc) / pc / math.sqrt(heralds)))
+    alpha = 1e-3
+    normal = NormalDist()
+    assert max(abs(v) for v in z) < normal.inv_cdf(1.0 - alpha / (2 * len(z))), z
+    assert abs(sum(z)) / math.sqrt(len(z)) < normal.inv_cdf(1.0 - alpha / 2), z
+    tail = chi2_sf(sum(v * v for v in z), len(z))
+    assert alpha / 2 < tail < 1.0 - alpha / 2, z
+
+
+def test_sample_stats_record_stream_version():
+    theta = ExcitationAngle.from_sin_sq(0.4)
+    config = StrategyConfig.loop(6, rng_seed=5)
+    left = run_trajectories(config, UNBALANCED, theta, 20)
+    right = run_trajectories(config, UNBALANCED, theta, 20, trial_start=20)
+    assert left.stream == right.stream == STREAM_VERSION
+    assert left.merge(right).stream == STREAM_VERSION
+    older = dataclasses.replace(right, stream=STREAM_VERSION - 1)
+    with pytest.raises(ValueError):
+        left.merge(older)
+    with pytest.raises(ValueError):
+        older.merge(left)
+
+
+def csv_writer_reference(stats, path) -> None:
+    """The row format of ``SampleStats.write_csv``, through ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["seed", "trial", "attempts", "iterates", "status", "fidelity"])
+        for k in range(stats.n_trials):
+            writer.writerow(
+                [
+                    stats.rng_seed,
+                    int(stats.trial[k]),
+                    int(stats.attempts[k]),
+                    int(stats.iterates[k]),
+                    Status(stats.status[k]).name.lower(),
+                    repr(float(stats.fidelity[k])),
+                ]
+            )
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    rng = RNG(151)
+    n = 2 * protocol._CSV_BATCH_ROWS + 300
+    fidelity = rng.uniform(0.0, 1.0, n)
+    fidelity[::7] = np.nan
+    fidelity[1:6] = (1e-300, 5e-324, 1.0 / 3.0, 0.1, 1.0)
+    stats = protocol.SampleStats(
+        StrategyConfig.loop(16, rng_seed=2**63 + 11),
+        UNBALANCED,
+        0.7,
+        np.arange(10**9, 10**9 + 3 * n, 3, dtype=np.int64),
+        rng.integers(1, 10**12, n),
+        rng.integers(2, 17, n),
+        (np.arange(n) % 4).astype(np.int8),
+        fidelity,
+    )
+    stats.write_csv(tmp_path / "batched.csv")
+    csv_writer_reference(stats, tmp_path / "reference.csv")
+    written = (tmp_path / "batched.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.count(b"\n") == n + 1
+    for name in (b",pending,", b",success_parity_even,", b",success_parity_odd,", b",failure,"):
+        assert name in written
