@@ -22,6 +22,9 @@ from .errors import DegenerateParameterError, NonConvergenceError
 from .photonics import (
     ApparatusParams,
     ExcitationAngle,
+    _cos_sq_two_phi,
+    _sin_sq_theta,
+    _sq,
     eta_weight,
     heralded_state_with_dark_counts,
     p_click,
@@ -35,12 +38,6 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 # Success fidelities below 1 - this cutoff make distilled pairs useless
 # for the repeater application regardless of rate.
 DARK_FIDELITY_CUTOFF = 1e-3
-
-
-def _sin_sq(theta) -> float:
-    if isinstance(theta, ExcitationAngle):
-        return theta.sin_sq
-    return ExcitationAngle(float(theta)).sin_sq
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +56,15 @@ class RateComparison:
         return self.rate / self.reference_rate
 
 
+def _rate_bell_form(t, c2, s, tau):
+    """T cos^2(2 phi) s (1 - s)^2 / ((2 - T s cos^2(2 phi)) tau), elementwise.
+
+    ``t`` is the mean transmission, ``c2`` = cos^2(2 phi) and ``s`` =
+    sin^2(theta); floats or broadcastable arrays.
+    """
+    return t * c2 * s * _sq(1.0 - s) / ((2.0 - t * s * c2) * tau)
+
+
 def rate_bell(params: ApparatusParams, theta) -> float:
     """Distilled Bell pairs per unit time for the two-iterate strategy.
 
@@ -66,19 +72,21 @@ def rate_bell(params: ApparatusParams, theta) -> float:
     with s = sin^2(theta); algebraically identical to half the two-pair
     success probability times the click rate.
     """
-    s = _sin_sq(theta)
-    t = params.mean_transmission
-    c2 = params.cos_sq_two_phi
-    return t * c2 * s * (1.0 - s) ** 2 / ((2.0 - t * s * c2) * params.tau)
+    return _rate_bell_form(
+        params.mean_transmission, params.cos_sq_two_phi, _sin_sq_theta(theta), params.tau
+    )
 
 
-def two_photon_reference_rate(transmission: float, tau: float = 1.0) -> float:
-    """Rate of a scheme that needs both photons to survive one window."""
-    if not 0.0 <= transmission <= 1.0:
+def two_photon_reference_rate(transmission, tau: float = 1.0):
+    """Rate of a scheme that needs both photons to survive one window.
+
+    ``transmission`` is a float or an array of them.
+    """
+    if not np.all((0.0 <= transmission) & (transmission <= 1.0)):
         raise DegenerateParameterError(f"transmission must lie in [0, 1], got {transmission}")
     if not tau > 0.0:
         raise DegenerateParameterError(f"tau must be positive, got {tau}")
-    return transmission**2 / (2.0 * tau)
+    return _sq(transmission) / (2.0 * tau)
 
 
 def rate_comparison(params: ApparatusParams, theta) -> RateComparison:
@@ -139,29 +147,40 @@ class RateResult:
         return math.sin(self.optimal_theta) ** 2
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
-) -> float:
-    """Derivative-free maximizer for a unimodal objective on [lo, hi]."""
-    if not hi > lo:
+def golden_section_max(f: Callable, lo, hi, tol: float = 1e-8):
+    """Derivative-free maximizer for a unimodal objective on [lo, hi].
+
+    ``lo`` and ``hi`` are floats, or arrays of brackets searched in
+    lockstep: ``f`` then maps an array of points to their objective
+    values, one array call per step for all brackets.  Every bracket
+    stops at the step where a scalar search on it alone would, so the
+    result is the same either way.  Returns a float for scalar brackets
+    and an array otherwise.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not np.all(hi > lo):
         raise ValueError("need hi > lo")
     width = hi - lo
     c = lo + _INV_PHI_SQ * width
     d = lo + _INV_PHI * width
     fc, fd = f(c), f(d)
+    best = np.full(width.shape, np.nan)
+    searching = np.ones(width.shape, dtype=bool)
     for _ in range(300):
-        if width <= tol:
-            return 0.5 * (lo + hi)
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            width = hi - lo
-            c = lo + _INV_PHI_SQ * width
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            width = hi - lo
-            d = lo + _INV_PHI * width
-            fd = f(d)
+        stops = searching & (width <= tol)
+        if stops.any():
+            best[stops] = (0.5 * (lo + hi))[stops]
+            searching &= ~stops
+            if not searching.any():
+                return float(best) if best.ndim == 0 else best
+        # keep [lo, d] where fc >= fd, else [c, hi]; the kept inner point
+        # is reused and one new point is evaluated per bracket
+        left = fc >= fd
+        lo, hi = np.where(left, (lo, d), (c, hi))
+        width = hi - lo
+        x = lo + np.where(left, _INV_PHI_SQ, _INV_PHI) * width
+        fx = f(x)
+        c, d, fc, fd = np.where(left, (x, c, fx, fc), (d, x, fd, fx))
     raise NonConvergenceError(f"golden section did not reach width {tol:.1e}")
 
 
@@ -192,6 +211,35 @@ def optimize_theta(
         raise ValueError(f"unknown objective {objective!r}")
     theta = golden_section_max(f, 0.0, math.pi / 2.0, tol)
     return RateResult(rate=f(theta), optimal_theta=theta, objective=objective, params=params)
+
+
+def optimize_bell_rate(t1, t2, tau: float = 1.0, *, tol: float = 1e-8):
+    """Best angle and its Bell rate at every point of a transmission grid.
+
+    The array form of ``optimize_theta(params, Objective.BELL_RATE)``:
+    ``t1`` and ``t2`` broadcast to the grid, and one lockstep golden
+    section searches every point, giving the same angles as the scalar
+    search point by point.  The per-point checks of ``ApparatusParams``,
+    ``optimize_theta`` and ``ExcitationAngle`` hold as array checks.
+    Returns ``(theta, rate)`` arrays.
+    """
+    t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
+    if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
+        raise DegenerateParameterError("transmittances must lie in [0, 1]")
+    if not np.all(t1 * t2 > 0.0):
+        raise DegenerateParameterError("objective is identically zero when a path is dark")
+    if not tau > 0.0:
+        raise DegenerateParameterError(f"tau must be positive, got {tau}")
+    t = 0.5 * (t1 + t2)
+    c2 = _cos_sq_two_phi(t1, t2)
+
+    def rate(theta: np.ndarray) -> np.ndarray:
+        if not np.all((0.0 <= theta) & (theta <= math.pi / 2.0)):
+            raise DegenerateParameterError("theta must lie in [0, pi/2]")
+        return _rate_bell_form(t, c2, _sq(np.sin(theta)), tau)
+
+    theta = golden_section_max(rate, np.zeros(t.shape), np.full(t.shape, math.pi / 2.0), tol)
+    return theta, rate(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +317,15 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
     pf = np.zeros(k_max + 1)
     u = np.zeros(k_max + 2)
     u[0] = x * x  # single length-1 prefix, weighted by x^2
+    w = np.empty_like(u)
     for k in range(2, k_max + 1):
         ps[k] = 2.0 * u[0]
         pf[k] = 2.0 * eta * u.sum() / x + (1.0 - eta) * eta ** (k - 1)
-        w = np.zeros_like(u)
-        w[:-1] += u[1:]
-        w[1:] += u[:-1]
-        u = w * x
+        # one step down or up for every walk, in place
+        w[0] = u[1]
+        np.add(u[:-2], u[2:], out=w[1:-1])
+        w[-1] = u[-2]
+        np.multiply(w, x, out=u)
     return ps, pf
 
 
@@ -355,6 +405,14 @@ def chain_growth_rate(
 # Slow parameter drift between the two iterates
 
 
+def _check_drift(d_x, d_t) -> None:
+    """Drift components, floats or arrays: finite and off the d_t = 2 pole."""
+    if not (np.all(np.isfinite(d_x)) and np.all(np.isfinite(d_t))):
+        raise DegenerateParameterError("drift components must be finite")
+    if np.any(np.abs(2.0 - d_t) < 1e-14):
+        raise DegenerateParameterError("transmission drift hits the d_t = 2 pole")
+
+
 @dataclass(frozen=True)
 class DriftParams:
     """Relative drift of the link between consecutive heralds.
@@ -368,10 +426,7 @@ class DriftParams:
     d_t: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_x) and math.isfinite(self.d_t)):
-            raise DegenerateParameterError("drift components must be finite")
-        if abs(2.0 - self.d_t) < 1e-14:
-            raise DegenerateParameterError("transmission drift hits the d_t = 2 pole")
+        _check_drift(self.d_x, self.d_t)
 
     @property
     def delta_delta(self) -> float:
@@ -413,15 +468,25 @@ def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> 
     return num / den
 
 
+def _physical_drift_law(d_x, d_t):
+    """(sin^2 a + cos^2 a u^2) / (1 + u^2), a = pi d_x, u = d_t / (2 - d_t)."""
+    u = d_t / (2.0 - d_t)
+    a = math.pi * d_x
+    return (_sq(np.sin(a)) + _sq(np.cos(a)) * u * u) / (1.0 + u * u)
+
+
+def _quadratic_drift_law(d_x, d_t):
+    """(pi d_x)^2 + (d_t / 2)^2."""
+    return _sq(math.pi * d_x) + _sq(d_t / 2.0)
+
+
 def drift_infidelity_physical(drift: DriftParams) -> float:
     """Delivered-state drift infidelity from the physical drift pair.
 
     Balanced baseline; equal to ``drift_infidelity_exact`` at phi = 0
     with the drift mapped through its angle properties.
     """
-    t = drift.d_t / (2.0 - drift.d_t)
-    dx = math.pi * drift.d_x
-    return (math.sin(dx) ** 2 + math.cos(dx) ** 2 * t * t) / (1.0 + t * t)
+    return float(_physical_drift_law(drift.d_x, drift.d_t))
 
 
 def drift_infidelity_quadratic(drift: DriftParams) -> float:
@@ -432,7 +497,26 @@ def drift_infidelity_quadratic(drift: DriftParams) -> float:
     rule is accurate to third order in d_t and fourth order in d_x.
     The acceptance gate pins the full fourth-order error expansion.
     """
-    return (math.pi * drift.d_x) ** 2 + (drift.d_t / 2.0) ** 2
+    return _quadratic_drift_law(drift.d_x, drift.d_t)
+
+
+def drift_infidelity_surface(d_x, d_t) -> tuple[np.ndarray, np.ndarray]:
+    """Physical and quadratic drift infidelity on broadcast drift arrays.
+
+    The array form of ``drift_infidelity_physical`` and
+    ``drift_infidelity_quadratic``, with the checks of ``DriftParams``
+    as array checks.  Drifts so large that a law is not finite (the
+    quadratic law overflows past ~1e153) raise rather than return inf
+    or nan.
+    """
+    d_x, d_t = np.asarray(d_x, dtype=float), np.asarray(d_t, dtype=float)
+    _check_drift(d_x, d_t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = _physical_drift_law(d_x, d_t)
+        quadratic = _quadratic_drift_law(d_x, d_t)
+    if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(quadratic))):
+        raise DegenerateParameterError("drift too large for a finite infidelity")
+    return exact, quadratic
 
 
 # ---------------------------------------------------------------------------

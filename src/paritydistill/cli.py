@@ -14,7 +14,6 @@ numerical routine signals degeneracy or non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -27,15 +26,15 @@ import numpy as np
 
 from . import __version__
 from .analytics import (
+    DARK_FIDELITY_CUTOFF,
     Objective,
     chain_growth_rate,
     crossover_transmission,
-    drift_infidelity_physical,
-    drift_infidelity_quadratic,
+    drift_infidelity_surface,
+    optimize_bell_rate,
     optimize_theta,
     two_photon_reference_rate,
 )
-from .analytics import DARK_FIDELITY_CUTOFF, DriftParams
 from .errors import (
     ConfigFormatError,
     DegenerateParameterError,
@@ -106,16 +105,30 @@ def _emit_manifest(
     manifest.write(csv_path.with_suffix(".manifest.json"))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
+    """Header plus preformatted rows, each ending in a newline.
+
+    Fields are numbers and bare words, so no field needs quoting.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(value))
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -137,33 +150,25 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
         grid = np.array([args.t_min])
     else:
         grid = np.geomspace(args.t_min, args.t_max, args.points)
-    rows = []
-    previous_gap = None
-    for t in grid:
-        params = ApparatusParams(t1=float(t), t2=float(t), tau=args.tau)
-        best = optimize_theta(params, Objective.BELL_RATE)
-        reference = two_photon_reference_rate(float(t), args.tau)
-        gap = best.rate - reference
-        annotation = ""
-        if previous_gap is not None and previous_gap > 0.0 >= gap:
-            annotation = "crossover"
-        previous_gap = gap
-        rows.append(
-            [
-                _fmt(t),
-                _fmt(best.optimal_theta),
-                _fmt(best.rate),
-                _fmt(reference),
-                _fmt(best.rate / reference),
-                annotation,
-            ]
+    theta, rate = optimize_bell_rate(grid, grid, args.tau)
+    reference = two_photon_reference_rate(grid, args.tau)
+    gap = rate - reference
+    # the first grid point past each sign change from ours to reference
+    crossing = np.zeros(len(grid), dtype=bool)
+    crossing[1:] = (gap[:-1] > 0.0) & (gap[1:] <= 0.0)
+    columns = (grid, theta, rate, reference, rate / reference)
+    lines = [
+        f"{t!r},{th!r},{r!r},{ref!r},{ratio!r},{'crossover' if crossed else ''}\n"
+        for t, th, r, ref, ratio, crossed in zip(
+            *(c.tolist() for c in columns), crossing.tolist()
         )
+    ]
     outdir = _resolve_outdir(args)
     csv_path = outdir / args.output
     _write_csv(
         csv_path,
         ["t", "theta_opt", "rate_ours", "rate_reference", "ratio", "annotation"],
-        rows,
+        lines,
     )
     _emit_manifest(
         args,
@@ -177,7 +182,7 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
         },
         csv_path,
     )
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    print(f"wrote {csv_path} ({len(lines)} rows)")
     print(f"rate crossover at mean transmission {crossover_transmission():.6f}")
     return 0
 
@@ -192,24 +197,27 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
     if not args.d_max > 0.0:
         parser.error("--d-max must be positive")
     grid = np.linspace(0.0, args.d_max, args.points)
-    floor = 1.0 - DARK_FIDELITY_CUTOFF
-    rows = []
-    for dx in grid:
-        for dt in grid:
-            drift = DriftParams(d_x=float(dx), d_t=float(dt))
-            exact = drift_infidelity_physical(drift)
-            quad = drift_infidelity_quadratic(drift)
-            raw = 1.0 - exact
-            shown = max(raw, floor) if args.cutoff else raw
-            rows.append(
-                [_fmt(dx), _fmt(dt), _fmt(exact), _fmt(quad), _fmt(shown), _fmt(raw)]
-            )
+    # rows run over d_t within d_x, so d_x indexes the first axis
+    exact, quad = drift_infidelity_surface(grid[:, None], grid[None, :])
+    raw = 1.0 - exact
+    raw_text = [[repr(v) for v in row] for row in raw.tolist()]
+    if args.cutoff:
+        shown = np.maximum(raw, 1.0 - DARK_FIDELITY_CUTOFF)
+        shown_text = [[repr(v) for v in row] for row in shown.tolist()]
+    else:
+        shown_text = raw_text
+    labels = [repr(v) for v in grid.tolist()]
+    lines = [
+        f"{dx},{dt},{e!r},{q!r},{s},{r}\n"
+        for dx, *cells in zip(labels, exact.tolist(), quad.tolist(), shown_text, raw_text)
+        for dt, e, q, s, r in zip(labels, *cells)
+    ]
     outdir = _resolve_outdir(args)
     csv_path = outdir / args.output
     _write_csv(
         csv_path,
         ["d_x", "d_t", "epsilon_exact", "epsilon_quadratic", "fidelity", "fidelity_raw"],
-        rows,
+        lines,
     )
     _emit_manifest(
         args,
@@ -222,7 +230,7 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
         },
         csv_path,
     )
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    print(f"wrote {csv_path} ({len(lines)} rows)")
     return 0
 
 
@@ -272,7 +280,7 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
         _write_csv(
             csv_path,
             ["quantity", "value"],
-            [[name, _fmt(value)] for name, value in lines],
+            [f"{name},{_fmt(value)}\n" for name, value in lines],
         )
         _emit_manifest(
             args,
@@ -435,12 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--t-min", type=float, default=1e-5)
     rates.add_argument("--t-max", type=float, default=1.0)
     rates.add_argument("--points", type=int, default=200)
-    rates.add_argument("--tau", type=float, default=1.0)
+    rates.add_argument("--tau", type=_finite_float, default=1.0)
     rates.add_argument("--output", default="rates.csv")
     rates.add_argument("--outdir", default=None)
 
     drift = sub.add_parser("drift", help="tabulate the inter-iterate drift surface")
-    drift.add_argument("--d-max", type=float, default=0.1)
+    drift.add_argument("--d-max", type=_finite_float, default=0.1)
     drift.add_argument("--points", type=int, default=11)
     drift.add_argument(
         "--cutoff",
@@ -453,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain = sub.add_parser("chain", help="optimized chain-growth constants")
     chain.add_argument("--t", type=float, default=1e-3)
     chain.add_argument("--k-max", type=int, default=64)
-    chain.add_argument("--tau", type=float, default=1.0)
+    chain.add_argument("--tau", type=_finite_float, default=1.0)
     chain.add_argument("--theta", type=float, default=None)
     chain.add_argument("--csv", action="store_true", help="also write a key,value CSV")
     chain.add_argument("--output", default="chain.csv")
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--x2", type=float, default=None)
     simulate.add_argument("--wavelength", type=float, default=None)
     simulate.add_argument("--p-dark", type=float, default=None)
-    simulate.add_argument("--tau", type=float, default=None)
+    simulate.add_argument("--tau", type=_finite_float, default=None)
     simulate.add_argument("--output", default="simulate.csv")
     simulate.add_argument("--outdir", default=None)
 

@@ -37,6 +37,25 @@ def _reduce_detuning(value: float) -> float:
     return r
 
 
+def _sq(x):
+    """``x ** 2`` for a float or an array, rounded the same way for both.
+
+    A float's ``**`` calls the C library's pow, while numpy's ``**`` on
+    an array multiplies, which differs in the last bit on about 0.1% of
+    inputs.  Arrays go through ``float_power``, which calls pow, so a
+    closed form evaluated on a grid equals it evaluated point by point.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
+
+
+def _cos_sq_two_phi(t1, t2):
+    """cos^2(2 phi) as 4 t1 t2 / (t1 + t2)^2: exact, no trig round-trip.
+
+    Floats or broadcastable arrays.
+    """
+    return 4.0 * t1 * t2 / _sq(t1 + t2)
+
+
 @dataclass(frozen=True)
 class ApparatusParams:
     """Physical parameters of the two collection paths.
@@ -75,8 +94,8 @@ class ApparatusParams:
             raise DegenerateParameterError(f"wavelength must be positive, got {self.wavelength}")
         if not 0.0 <= self.p_dark < 1.0:
             raise DegenerateParameterError(f"p_dark must lie in [0, 1), got {self.p_dark}")
-        if not self.tau > 0.0:
-            raise DegenerateParameterError(f"tau must be positive, got {self.tau}")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise DegenerateParameterError(f"tau must be positive and finite, got {self.tau}")
         for name in ("x1", "x2"):
             if not math.isfinite(getattr(self, name)):
                 raise DegenerateParameterError(f"{name} must be finite")
@@ -96,8 +115,7 @@ class ApparatusParams:
 
     @property
     def cos_sq_two_phi(self) -> float:
-        # Algebraically 4 t1 t2 / (t1 + t2)^2; exact, no trig round-trip.
-        return 4.0 * self.t1 * self.t2 / (self.t1 + self.t2) ** 2
+        return _cos_sq_two_phi(self.t1, self.t2)
 
     @property
     def delta(self) -> float:

@@ -6,11 +6,12 @@ in the X basis, leaving a two-bit outcome record and a transformed
 client state.  A run repeats iterates until its outcome history
 classifies as success or failure, or a strategy-dependent cap is hit.
 
-Two independent evaluation routes are kept side by side on purpose: the
-circuit route evolves the full four-qubit density matrix through the
-gate sequence, while the closed-form route applies the equivalent
-two-qubit branch maps directly.  They are pinned against each other in
-the test suite and must never be merged into one code path.
+One iterate has one closed form: its four outcome masks, a gather of
+the broker matrix (``_outcome_masks``), which the exact trees,
+``iterate_channel`` and the sampler's tables all read.  The circuit
+route (``run_iterate_exact``) evolves the full four-qubit density matrix
+through the gate sequence; no production path calls it, and the test
+suite keeps it as the independent oracle the gather is pinned against.
 
 Exact strategy trees are walked over count classes rather than single
 outcome histories.  Outcome ``k`` acts on the clients as an entrywise
@@ -182,27 +183,35 @@ class DistillationRun:
         return len(self.history)
 
 
-def _branch_map_elements(
-    rho: np.ndarray, eta: float, phi: float, delta: float, i: int, j: int
-) -> np.ndarray:
-    """Closed-form unnormalized branch map for outcome (i, j) on a 4x4 state.
+# Outcome k reads broker entry (a ^ (3 - k), b ^ (3 - k)) into client
+# entry (a, b); row k holds the broker index of each client index.
+_MASK_INDEX = np.arange(4)[None, :] ^ (3 - np.arange(4))[:, None]
 
-    The client pair is projected onto the parity opposite to the measured
-    one, the first client picks up the link distortion with a sign set by
-    the first outcome bit, and the double-excitation component instead
-    collapses the clients onto |i j>.
+
+def _outcome_masks(pair: HeraldedPair | DensityMatrix) -> np.ndarray:
+    """Entrywise client masks of the four outcomes, stacked by outcome index.
+
+    Between iterates the clients meet only the two controlled-Z gates,
+    which are diagonal in the client basis, so outcome ``k`` maps any
+    client state ``rho`` to the unnormalized entrywise product ``M_k *
+    rho``, whatever the broker.  The rotated brokers' X measurement reads
+    out the complement of their computational-basis index, and each
+    controlled-Z flips its broker's outcome when its client bit is set,
+    so ``M_k[a, b] = broker[a ^ (3 - k), b ^ (3 - k)]``: a gather of the
+    broker matrix, for any 4x4 broker.  The masks must sum to one on the
+    diagonal (the broker's trace), or the broker does not define a
+    trace-preserving iterate.
     """
-    sign = 2 * i - 1
-    f0 = (math.cos(sign * phi) + math.sin(sign * phi)) * np.exp(1j * sign * delta)
-    f1 = (math.cos(sign * phi) - math.sin(sign * phi)) * np.exp(-1j * sign * delta)
-    fvec = np.array([f0, f0, f1, f1])
-    a, b = _PROJECTED_INDICES[(i + j) & 1]
-    out = np.zeros((4, 4), dtype=complex)
-    sel = np.ix_((a, b), (a, b))
-    out[sel] = 0.5 * (1.0 - eta) * (np.outer(fvec, fvec.conj()) * rho)[sel]
-    k = 2 * i + j
-    out[k, k] += eta * rho[k, k].real
-    return out
+    broker = pair.expand(BROKER_LABELS) if isinstance(pair, HeraldedPair) else pair
+    if broker.n_qubits != 2:
+        raise ValueError("the broker state must hold exactly two qubits")
+    masks = broker.elements[_MASK_INDEX[:, :, None], _MASK_INDEX[:, None, :]]
+    defect = float(np.max(np.abs(masks.diagonal(axis1=1, axis2=2).sum(axis=0) - 1.0)))
+    if defect > PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(
+            f"outcome masks do not sum to one on the diagonal: defect {defect:.3e}"
+        )
+    return masks
 
 
 def iterate_channel(
@@ -215,9 +224,7 @@ def iterate_channel(
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
-    out = _branch_map_elements(
-        clients.elements, pair.eta, pair.phi, pair.delta, outcome.i, outcome.j
-    )
+    out = _outcome_masks(pair)[outcome.index] * clients.elements
     return DensityMatrix(out, clients.labels, validate=False)
 
 
@@ -371,31 +378,6 @@ def _parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityM
     return out.normalized()
 
 
-def _outcome_masks(labels: tuple, pair: HeraldedPair | DensityMatrix) -> np.ndarray:
-    """Entrywise client masks of the four outcomes, stacked by outcome index.
-
-    Between iterates the clients meet only the two controlled-Z gates,
-    which are diagonal in the client basis, so outcome ``k`` maps any
-    client state ``rho`` to the unnormalized entrywise product
-    ``M_k * rho``, whatever the broker.  One circuit iterate on |++>,
-    whose entries are all 1/4, reads the masks off as ``M_k = 4 p_k
-    sigma_k``; a branch the circuit pruned gets a zero mask.  The masks
-    must sum to one on the diagonal, or the broker does not define a
-    trace-preserving iterate.
-    """
-    reference = DensityMatrix(np.full((4, 4), 0.25, dtype=complex), labels, validate=False)
-    masks = np.zeros((4, 4, 4), dtype=complex)
-    for outcome, branch in run_iterate_exact(reference, pair).items():
-        if branch.state is not None:
-            masks[outcome.index] = 4.0 * branch.probability * branch.state.elements
-    defect = float(np.max(np.abs(masks.diagonal(axis1=1, axis2=2).sum(axis=0) - 1.0)))
-    if defect > PROBABILITY_SUM_ATOL:
-        raise DegenerateParameterError(
-            f"outcome masks do not sum to one on the diagonal: defect {defect:.3e}"
-        )
-    return masks
-
-
 @dataclass
 class _CountClass:
     """Histories sharing a first outcome and four outcome counts.
@@ -421,8 +403,8 @@ def run_strategy_exact(
     """Evaluate every measurement branch of a strategy exactly.
 
     The walk runs depth by depth over count classes: outcome histories
-    keyed by their first outcome and their four outcome counts.  One
-    circuit iterate on |++> gives the outcome masks (``_outcome_masks``).
+    keyed by their first outcome and their four outcome counts, with the
+    outcome masks gathered from the broker (``_outcome_masks``).
     Because the masks commute, all histories of a class share one path
     probability and one client state, so a class only counts how many
     histories reach it.  A class extends while it is pending and the
@@ -433,8 +415,10 @@ def run_strategy_exact(
     weight does, are dropped and accounted in ``pruned_probability``;
     the surviving mass is checked to conserve probability.
     """
+    if clients.n_qubits != 2:
+        raise ValueError("the iterate acts on exactly two client qubits")
     initial = clients.normalized()
-    masks = _outcome_masks(initial.labels, pair)
+    masks = _outcome_masks(pair)
     frontier = [_CountClass((), (), 1.0, 1, initial.elements)]
     leaves: list[Leaf] = []
     pruned = 0.0
@@ -486,10 +470,13 @@ def run_strategy_exact(
 # ---------------------------------------------------------------------------
 # Monte Carlo sampling
 
-# Version of the uniform stream ``run_trajectories`` consumes; bumped by
-# any change that can alter a sampled bit.  Version 0 was numpy's
-# per-trial Generator seeded with (seed, trial).
-STREAM_VERSION = 1
+# Version of the sampled trajectories: bumped by any change that can
+# alter a sampled bit.  Version 0 was numpy's per-trial Generator seeded
+# with (seed, trial); version 1 the counter streams with outcome tables
+# read off the dense branch maps.  Version 2 reads the tables from the
+# gathered outcome masks, whose entries differ from version 1's by up to
+# 2.3e-16, enough to flip an outcome whose uniform sits on a threshold.
+STREAM_VERSION = 2
 
 # Trials evolved together.  Uniforms are keyed by the absolute trial
 # index, so results never depend on this; it only bounds the working
@@ -678,27 +665,24 @@ def _uniforms(streams: np.ndarray, draw: int) -> np.ndarray:
 def _compact_tables(pair: HeraldedPair) -> tuple[np.ndarray, np.ndarray]:
     """Per-outcome multipliers of the compact trajectory state.
 
-    From |++> the branch maps never populate a coherence outside the
+    From |++> the outcome masks never populate a coherence outside the
     opposite-parity pairs, so a trajectory state is carried as eight real
     rows: the diagonal d0..d3, then the real and imaginary parts of
     rho[1,2] and of rho[0,3].  Outcome ``k`` multiplies the state
-    entrywise by its mask, the closed-form branch map applied to the
-    all-ones matrix.  Row ``r`` of the successor is ``scale[r, k] *
-    row_r + twist[r, k] * partner_r``, which is the complex product for
-    a coherence and a plain scaling (``twist`` zero) for the diagonal.
-    Both tables have shape (8, 4): one column per outcome.
+    entrywise by its mask (``_outcome_masks``).  Row ``r`` of the
+    successor is ``scale[r, k] * row_r + twist[r, k] * partner_r``, which
+    is the complex product for a coherence and a plain scaling (``twist``
+    zero) for the diagonal.  Both tables have shape (8, 4): one column
+    per outcome.
     """
-    ones = np.ones((4, 4), dtype=complex)
+    masks = _outcome_masks(pair)
     scale = np.zeros((8, 4))
     twist = np.zeros((8, 4))
-    for oc in OUTCOMES:
-        mask = _branch_map_elements(ones, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
-        k = oc.index
-        scale[:4, k] = mask.diagonal().real
-        for row, (a, b) in ((4, (1, 2)), (6, (0, 3))):
-            scale[row : row + 2, k] = mask[a, b].real
-            twist[row, k] = -mask[a, b].imag
-            twist[row + 1, k] = mask[a, b].imag
+    scale[:4] = masks.diagonal(axis1=1, axis2=2).real.T
+    for row, (a, b) in ((4, (1, 2)), (6, (0, 3))):
+        scale[row] = scale[row + 1] = masks[:, a, b].real
+        twist[row] = -masks[:, a, b].imag
+        twist[row + 1] = masks[:, a, b].imag
     return scale, twist
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from paritydistill import (
     DriftParams,
     ExcitationAngle,
     HeraldedPair,
+    NonConvergenceError,
     Objective,
     RegionLabel,
     SequenceCountVector,
@@ -25,12 +27,14 @@ from paritydistill import (
     drift_infidelity_exact,
     drift_infidelity_physical,
     drift_infidelity_quadratic,
+    drift_infidelity_surface,
     eta_weight,
     fidelity,
     golden_section_max,
     heralded_state,
     loop_interval_probabilities,
     loop_success_probability_closed_form,
+    optimize_bell_rate,
     optimize_theta,
     p_click,
     plus_state,
@@ -166,6 +170,104 @@ def test_optimize_chain_objective():
     assert result.sin_sq_theta == pytest.approx(0.1378509890853362, abs=1e-6)
 
 
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def scalar_golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
+    """The one-bracket golden section, one Python-float step at a time.
+
+    Reference for the lockstep ``golden_section_max``: same points, same
+    comparisons, same stopping rule.
+    """
+    width = hi - lo
+    c = lo + INV_PHI_SQ * width
+    d = lo + INV_PHI * width
+    fc, fd = f(c), f(d)
+    for _ in range(300):
+        if width <= tol:
+            return 0.5 * (lo + hi)
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            width = hi - lo
+            c = lo + INV_PHI_SQ * width
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            width = hi - lo
+            d = lo + INV_PHI * width
+            fd = f(d)
+    raise NonConvergenceError("reference golden section did not converge")
+
+
+def benchmark_rates_grid(seed: int = 101, points: int = 2000) -> np.ndarray:
+    """The ``rates`` sweep of the design-sweep benchmark at one seed."""
+    t_min = 10.0 ** (-5.0 - random.Random(seed).random())
+    return np.geomspace(t_min, 1.0, points)
+
+
+def test_lockstep_golden_section_matches_scalar_reference_per_bracket():
+    # brackets of different widths stop at different steps; one starts
+    # already below the tolerance
+    lo = np.array([0.0, 0.2, 0.29, -3.0, 0.3])
+    hi = np.array([1.0, 0.5, 0.29 + 5e-9, 2.0, 0.300001])
+
+    def f(x):
+        return -((x - 0.3) ** 2) + 0.1 * np.sin(x)
+
+    got = golden_section_max(f, lo, hi)
+    for k in range(len(lo)):
+        assert got[k] == scalar_golden_section(f, float(lo[k]), float(hi[k]))
+    # scalar brackets come back as a float
+    assert isinstance(golden_section_max(f, 0.0, 1.0), float)
+    with pytest.raises(ValueError):
+        golden_section_max(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [benchmark_rates_grid(), np.array([1.0]), np.array([1e-5])],
+    ids=["benchmark_grid", "t=1", "t=1e-5"],
+)
+def test_array_bell_rate_optimizer_matches_scalar_search(grid):
+    # the lockstep search over a grid returns, bit for bit, the angle the
+    # scalar search on the scalar closed form finds point by point; this
+    # holds because numpy's sin and pow round as the C library's do
+    theta, rate = optimize_bell_rate(grid, grid)
+    for k, t in enumerate(grid.tolist()):
+        params = ApparatusParams(t1=t, t2=t)
+        expected = scalar_golden_section(lambda th: rate_bell(params, th), 0.0, math.pi / 2.0)
+        assert theta[k] == expected, (t, theta[k], expected)
+        assert rate[k] == rate_bell(params, expected)
+    if len(grid) == 1:
+        best = optimize_theta(ApparatusParams(t1=grid[0], t2=grid[0]), Objective.BELL_RATE)
+        assert (best.optimal_theta, best.rate) == (theta[0], rate[0])
+
+
+def test_chain_objective_matches_scalar_search():
+    params = ApparatusParams(t1=1e-3, t2=1e-3)
+    result = optimize_theta(params, Objective.CHAIN_RATE, k_max=64)
+    expected = scalar_golden_section(
+        lambda th: chain_growth_rate(params, th, k_max=64).growth_rate, 0.0, math.pi / 2.0
+    )
+    assert result.optimal_theta == expected
+
+
+def test_array_bell_rate_optimizer_checks_every_point():
+    grid = np.array([1e-3, 0.5])
+    with pytest.raises(DegenerateParameterError):
+        optimize_bell_rate(grid, np.array([0.5, 0.0]))
+    with pytest.raises(DegenerateParameterError):
+        optimize_bell_rate(grid, np.array([0.5, 1.5]))
+    with pytest.raises(DegenerateParameterError):
+        optimize_bell_rate(grid, grid, tau=0.0)
+    # unbalanced links broadcast against one shared second arm
+    theta, _ = optimize_bell_rate(grid, 0.2)
+    for k, t in enumerate(grid.tolist()):
+        best = optimize_theta(ApparatusParams(t1=t, t2=0.2), Objective.BELL_RATE)
+        assert theta[k] == best.optimal_theta
+
+
 # ---------------------------------------------------------------------------
 # Loop-interval combinatorics and series
 
@@ -224,6 +326,32 @@ def test_interval_probabilities_small_k_closed_forms():
         loop_interval_probabilities(1.0, 8)
     with pytest.raises(ValueError):
         loop_interval_probabilities(0.3, 1)
+
+
+def allocating_interval_probabilities(eta: float, k_max: int):
+    """The walk recursion with a fresh array per step, as first written."""
+    x = (1.0 - eta) / 2.0
+    ps = np.zeros(k_max + 1)
+    pf = np.zeros(k_max + 1)
+    u = np.zeros(k_max + 2)
+    u[0] = x * x
+    for k in range(2, k_max + 1):
+        ps[k] = 2.0 * u[0]
+        pf[k] = 2.0 * eta * u.sum() / x + (1.0 - eta) * eta ** (k - 1)
+        w = np.zeros_like(u)
+        w[:-1] += u[1:]
+        w[1:] += u[:-1]
+        u = w * x
+    return ps, pf
+
+
+def test_interval_probabilities_match_allocating_recursion_bit_for_bit():
+    for eta in (0.0, 0.05, 0.3, 0.7):
+        for k_max in (2, 3, 7, 258):
+            got = loop_interval_probabilities(eta, k_max)
+            expected = allocating_interval_probabilities(eta, k_max)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
 
 
 def test_interval_probabilities_are_complete():
@@ -476,6 +604,44 @@ def test_drift_params_validation_and_round_trip():
     assert back.d_t == pytest.approx(drift.d_t, abs=1e-12)
     with pytest.raises(DegenerateParameterError):
         DriftParams.from_angles(math.pi / 4.0, 0.0)
+
+
+def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between nonnegative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_drift_surface_matches_per_point_laws():
+    # the benchmark's drift grid, plus negative drifts and d_t near the pole
+    d_max = 0.1 * (1.0 + 0.5 * random.Random(101).random())
+    axes = (
+        np.linspace(0.0, d_max, 151),
+        np.concatenate([np.linspace(-0.3, 0.3, 41), [1.9, 1.999, 2.1, 5.0]]),
+    )
+    for grid in axes:
+        exact, quad = drift_infidelity_surface(grid[:, None], grid[None, :])
+        assert exact.shape == quad.shape == (len(grid), len(grid))
+        per_exact = np.empty_like(exact)
+        per_quad = np.empty_like(quad)
+        for i, dx in enumerate(grid.tolist()):
+            for j, dt in enumerate(grid.tolist()):
+                drift = DriftParams(d_x=dx, d_t=dt)
+                per_exact[i, j] = drift_infidelity_physical(drift)
+                per_quad[i, j] = drift_infidelity_quadratic(drift)
+        assert np.max(ulps_apart(exact, per_exact)) <= 1
+        assert np.max(ulps_apart(quad, per_quad)) <= 1
+
+
+def test_drift_surface_checks_every_point():
+    with pytest.raises(DegenerateParameterError, match="finite"):
+        drift_infidelity_surface(np.array([0.0, np.nan]), 0.1)
+    with pytest.raises(DegenerateParameterError, match="finite"):
+        drift_infidelity_surface(0.1, np.array([0.0, np.inf]))
+    with pytest.raises(DegenerateParameterError, match="pole"):
+        drift_infidelity_surface(0.0, np.linspace(0.0, 4.0, 3))
+    # finite drifts whose quadratic law overflows
+    with pytest.raises(DegenerateParameterError, match="too large"):
+        drift_infidelity_surface(np.array([0.0, 1e200]), 0.0)
 
 
 def test_drift_exact_rejects_annihilating_direction():

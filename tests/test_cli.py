@@ -112,11 +112,13 @@ def test_rates_single_point_near_crossover(tmp_path, capsys):
         ["rates", "--t-min", "0.0", "--t-max", "0.5"],
         ["rates", "--t-min", "0.2", "--t-max", "0.9", "--points", "1"],
         ["rates", "--tau", "0"],
+        ["rates", "--tau", "inf"],
+        ["rates", "--tau", "nan"],
     ],
 )
 def test_rates_usage_errors(argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_drift_surface(tmp_path, capsys):
@@ -160,11 +162,24 @@ def test_drift_cutoff_clips_display_column(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["drift", "--points", "1"], ["drift", "--d-max", "0"]],
+    [
+        ["drift", "--points", "1"],
+        ["drift", "--d-max", "0"],
+        ["drift", "--d-max", "inf"],
+        ["drift", "--d-max", "nan"],
+    ],
 )
 def test_drift_usage_errors(argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
-    capsys.readouterr()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_drift_degeneracy_exits(tmp_path, capsys):
+    # a grid point on the d_t = 2 pole, and drifts whose quadratic law
+    # overflows a double
+    assert main(["drift", "--d-max", "4", "--points", "3", "--outdir", str(tmp_path)]) == 3
+    assert main(["drift", "--d-max", "1e200", "--outdir", str(tmp_path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def parse_report(out: str) -> dict[str, float]:
@@ -228,7 +243,9 @@ def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):
     assert main(["chain", "--t", "0.5", "--theta", "0.0"]) == 3
     # theta = pi/2 drives eta to 1: the series has no support
     assert main(["chain", "--t", "0.5", "--theta", repr(math.pi / 2.0)]) == 3
-    capsys.readouterr()
+    assert main(["chain", "--tau", "inf"]) == 2
+    assert main(["chain", "--tau", "nan"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):
@@ -363,7 +380,11 @@ def test_simulate_usage_errors(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("t1 = 0.5\nt2 = 0.5\nbogus = 1\n")
     assert main(base + ["--config", str(bad_cfg), "--trials", "10"]) == 2
-    capsys.readouterr()
+    assert main(base + ["--t", "0.1", "--tau", "inf"]) == 2
+    infinite_cfg = tmp_path / "infinite.cfg"
+    infinite_cfg.write_text("t1 = 0.5\nt2 = 0.5\ntau = inf\n")
+    assert main(base + ["--config", str(infinite_cfg), "--trials", "10"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_outdir_environment_variable(tmp_path, capsys, monkeypatch):

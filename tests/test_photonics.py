@@ -39,6 +39,9 @@ def test_params_validation():
         ApparatusParams(t1=0.5, t2=0.5, p_dark=1.0)
     with pytest.raises(DegenerateParameterError):
         ApparatusParams(t1=0.5, t2=0.5, tau=0.0)
+    for tau in (math.inf, math.nan):
+        with pytest.raises(DegenerateParameterError):
+            ApparatusParams(t1=0.5, t2=0.5, tau=tau)
     with pytest.raises(DegenerateParameterError):
         ApparatusParams(t1=0.5, t2=0.5, wavelength=0.0)
 

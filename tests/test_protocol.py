@@ -98,6 +98,45 @@ def circuit_tree(clients, pair, config) -> ExactTree:
     return ExactTree(clients.normalized(), config, tuple(leaves), pruned)
 
 
+def branch_map_elements(
+    rho: np.ndarray, eta: float, phi: float, delta: float, i: int, j: int
+) -> np.ndarray:
+    """Closed-form unnormalized branch map for outcome (i, j) on a 4x4 state.
+
+    A second oracle for the gathered masks, written from the physics of
+    a parametric pair: the client pair is projected onto the parity
+    opposite to the measured one, the first client picks up the link
+    distortion with a sign set by the first outcome bit, and the
+    double-excitation component instead collapses the clients onto
+    |i j>.
+    """
+    sign = 2 * i - 1
+    f0 = (math.cos(sign * phi) + math.sin(sign * phi)) * np.exp(1j * sign * delta)
+    f1 = (math.cos(sign * phi) - math.sin(sign * phi)) * np.exp(-1j * sign * delta)
+    fvec = np.array([f0, f0, f1, f1])
+    a, b = ((1, 2), (0, 3))[(i + j) & 1]
+    out = np.zeros((4, 4), dtype=complex)
+    sel = np.ix_((a, b), (a, b))
+    out[sel] = 0.5 * (1.0 - eta) * (np.outer(fvec, fvec.conj()) * rho)[sel]
+    k = 2 * i + j
+    out[k, k] += eta * rho[k, k].real
+    return out
+
+
+def circuit_masks(broker) -> np.ndarray:
+    """Outcome masks read off one circuit iterate on |++>.
+
+    Every entry of |++> is 1/4, so ``M_k = 4 p_k sigma_k``; a branch the
+    circuit pruned gets a zero mask.
+    """
+    reference = DensityMatrix(np.full((4, 4), 0.25, dtype=complex), CLIENT_LABELS, validate=False)
+    masks = np.zeros((4, 4, 4), dtype=complex)
+    for outcome, branch in run_iterate_exact(reference, broker).items():
+        if branch.state is not None:
+            masks[outcome.index] = 4.0 * branch.probability * branch.state.elements
+    return masks
+
+
 # Scalar sampler reference: a per-trial loop over Python floats and
 # integers.  It recomputes the counter uniforms with Python integers and
 # repeats the vectorised sampler's arithmetic in the same order, so the
@@ -315,6 +354,39 @@ def test_explicit_broker_matrix_matches_parametric_pair():
         )
 
 
+def mask_case(kind: str, rng):
+    """A broker of one mask comparison: parametric, dark-count or general."""
+    if kind == "pair":
+        return random_pair(rng)
+    if kind == "dark":
+        params = ApparatusParams(
+            t1=rng.uniform(0.01, 0.9),
+            t2=rng.uniform(0.01, 0.9),
+            x1=rng.uniform(0.0, 1.0),
+            p_dark=rng.uniform(1e-4, 0.2),
+        )
+        theta = ExcitationAngle.from_sin_sq(rng.uniform(0.05, 0.9))
+        return heralded_state_with_dark_counts(params, theta)[0]
+    return DensityMatrix(random_mixed_clients(rng).elements, ("B1", "B2"))
+
+
+@pytest.mark.parametrize("kind", ["pair", "dark", "general"])
+def test_gathered_masks_match_circuit(kind):
+    # the one closed form against the circuit oracle, for any broker
+    rng = RNG(157)
+    for _ in range(50):
+        broker = mask_case(kind, rng)
+        gathered = protocol._outcome_masks(broker)
+        assert np.max(np.abs(gathered - circuit_masks(broker))) < 1e-14
+        if kind == "pair":
+            ones = np.ones((4, 4), dtype=complex)
+            for oc in OUTCOMES:
+                dense = branch_map_elements(
+                    ones, broker.eta, broker.phi, broker.delta, oc.i, oc.j
+                )
+                assert np.max(np.abs(gathered[oc.index] - dense)) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Exact strategy trees
 
@@ -449,24 +521,10 @@ def count_class(history) -> tuple[int, ...]:
 
 def tree_case(kind: str, rng):
     """Clients and broker of one oracle comparison."""
-    clients = plus_state(CLIENT_LABELS)
-    if kind == "pair":
-        return clients, random_pair(rng)
-    if kind == "dark":
-        params = ApparatusParams(
-            t1=rng.uniform(0.01, 0.9),
-            t2=rng.uniform(0.01, 0.9),
-            x1=rng.uniform(0.0, 1.0),
-            p_dark=rng.uniform(1e-4, 0.2),
-        )
-        theta = ExcitationAngle.from_sin_sq(rng.uniform(0.05, 0.9))
-        broker, _ = heralded_state_with_dark_counts(params, theta)
-        return clients, broker
-    # a random mixed two-qubit state, relabelled as the broker
-    broker = DensityMatrix(random_mixed_clients(rng).elements, ("B1", "B2"))
-    if kind == "general":
-        return clients, broker
-    return random_pure_clients(rng), broker
+    if kind == "pure_clients":
+        broker = mask_case("general", rng)
+        return random_pure_clients(rng), broker
+    return plus_state(CLIENT_LABELS), mask_case(kind, rng)
 
 
 @pytest.mark.parametrize("kind", ["pair", "dark", "general", "pure_clients"])
@@ -521,8 +579,9 @@ def test_count_class_tree_matches_circuit_oracle(kind):
 
 
 def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
-    # caps far beyond the per-history oracle: one circuit iterate per
-    # tree, and the success and failure masses still follow the series.
+    # caps far beyond the per-history oracle: no circuit iterate at all
+    # (the masks are gathered), and the success and failure masses still
+    # follow the series.
     # At eta = 0.3, cap 32, pruning single paths instead of whole classes
     # would drop ~3e-6 of failure mass.
     calls = []
@@ -540,7 +599,7 @@ def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
             tree = run_strategy_exact(
                 clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig.loop(cap)
             )
-            assert len(calls) == 1
+            assert len(calls) == 0
             ps, pf = loop_interval_probabilities(eta, cap)
             assert tree.success_probability == pytest.approx(ps.sum(), abs=1e-10)
             assert tree.failure_probability == pytest.approx(pf.sum(), abs=1e-10)
@@ -596,14 +655,12 @@ def compact_of(m) -> tuple:
 
 
 def test_compact_step_matches_dense_branch_map():
-    from paritydistill.protocol import _branch_map_elements
-
     for m, pair in random_compact_states(RNG(139), 50):
         scale, twist = (t.tolist() for t in protocol._compact_tables(pair))
         compact = compact_of(m)
         probs = _outcome_probabilities(compact, scale)
         for oc in OUTCOMES:
-            dense = _branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
+            dense = branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
             weight = dense.trace().real
             assert probs[oc.index] == pytest.approx(weight, abs=1e-13)
             nxt = _compact_step(compact, oc.index, probs[oc.index], scale, twist)
@@ -611,8 +668,6 @@ def test_compact_step_matches_dense_branch_map():
 
 
 def test_vectorised_step_matches_dense_branch_map():
-    from paritydistill.protocol import _branch_map_elements
-
     for m, pair in random_compact_states(RNG(139), 50):
         scale, twist = protocol._compact_tables(pair)
         # one column per outcome, all starting from the same state
@@ -621,7 +676,7 @@ def test_vectorised_step_matches_dense_branch_map():
         probs = protocol._branch_probabilities(states, scale)
         after = protocol._advance(states, outcome, probs, scale, twist)
         for oc in OUTCOMES:
-            dense = _branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
+            dense = branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
             weight = dense.trace().real
             np.testing.assert_allclose(probs[oc.index], weight, atol=1e-13)
             # the dense map populates nothing outside the compact entries
