@@ -84,8 +84,8 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     """
     if not np.all((0.0 <= transmission) & (transmission <= 1.0)):
         raise DegenerateParameterError(f"transmission must lie in [0, 1], got {transmission}")
-    if not tau > 0.0:
-        raise DegenerateParameterError(f"tau must be positive, got {tau}")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
     return _sq(transmission) / (2.0 * tau)
 
 
@@ -195,50 +195,62 @@ def optimize_theta(
 
     The interior of [0, pi/2] is searched; both objectives vanish
     identically when either path is dark, which is rejected rather than
-    returning an arbitrary angle.
+    returning an arbitrary angle.  The Bell objective is the one-point
+    case of ``optimize_bell_rate``.
     """
-    if params.t1 * params.t2 <= 0.0:
-        raise DegenerateParameterError(
-            "objective is identically zero when a path is dark"
-        )
     if objective is Objective.BELL_RATE:
-        def f(theta: float) -> float:
-            return rate_bell(params, theta)
-    elif objective is Objective.CHAIN_RATE:
-        def f(theta: float) -> float:
-            return chain_growth_rate(params, theta, k_max=k_max).growth_rate
-    else:
+        theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau, tol=tol)
+        return RateResult(
+            rate=float(rate), optimal_theta=theta, objective=objective, params=params
+        )
+    if objective is not Objective.CHAIN_RATE:
         raise ValueError(f"unknown objective {objective!r}")
+    if params.t1 * params.t2 <= 0.0:
+        raise DegenerateParameterError("objective is identically zero when a path is dark")
+
+    def f(theta: float) -> float:
+        return chain_growth_rate(params, theta, k_max=k_max).growth_rate
+
     theta = golden_section_max(f, 0.0, math.pi / 2.0, tol)
     return RateResult(rate=f(theta), optimal_theta=theta, objective=objective, params=params)
 
 
-def optimize_bell_rate(t1, t2, tau: float = 1.0, *, tol: float = 1e-8):
-    """Best angle and its Bell rate at every point of a transmission grid.
+def _bell_rate_objective(t1, t2, tau: float):
+    """The Bell rate as a function of the angle alone, on a grid of links.
 
-    The array form of ``optimize_theta(params, Objective.BELL_RATE)``:
-    ``t1`` and ``t2`` broadcast to the grid, and one lockstep golden
-    section searches every point, giving the same angles as the scalar
-    search point by point.  The per-point checks of ``ApparatusParams``,
-    ``optimize_theta`` and ``ExcitationAngle`` hold as array checks.
-    Returns ``(theta, rate)`` arrays.
+    ``t1`` and ``t2`` broadcast to the grid; the per-point checks of
+    ``ApparatusParams``, ``optimize_theta`` and ``ExcitationAngle`` hold
+    as array checks.  Returns the grid shape and the objective, which
+    maps angles of that shape (or a float, for one link) to rates.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
         raise DegenerateParameterError("transmittances must lie in [0, 1]")
     if not np.all(t1 * t2 > 0.0):
         raise DegenerateParameterError("objective is identically zero when a path is dark")
-    if not tau > 0.0:
-        raise DegenerateParameterError(f"tau must be positive, got {tau}")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
     t = 0.5 * (t1 + t2)
     c2 = _cos_sq_two_phi(t1, t2)
 
-    def rate(theta: np.ndarray) -> np.ndarray:
+    def rate(theta):
         if not np.all((0.0 <= theta) & (theta <= math.pi / 2.0)):
             raise DegenerateParameterError("theta must lie in [0, pi/2]")
         return _rate_bell_form(t, c2, _sq(np.sin(theta)), tau)
 
-    theta = golden_section_max(rate, np.zeros(t.shape), np.full(t.shape, math.pi / 2.0), tol)
+    return t.shape, rate
+
+
+def optimize_bell_rate(t1, t2, tau: float = 1.0, *, tol: float = 1e-8):
+    """Best angle and its Bell rate at every point of a transmission grid.
+
+    ``t1`` and ``t2`` broadcast to the grid, and one lockstep golden
+    section searches every point, giving the same angles as a search
+    on each point alone.  Returns ``(theta, rate)``, arrays of the grid's
+    shape, or floats for a single link.
+    """
+    shape, rate = _bell_rate_objective(t1, t2, tau)
+    theta = golden_section_max(rate, np.zeros(shape), np.full(shape, math.pi / 2.0), tol)
     return theta, rate(theta)
 
 

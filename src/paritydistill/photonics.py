@@ -43,7 +43,11 @@ def _sq(x):
     A float's ``**`` calls the C library's pow, while numpy's ``**`` on
     an array multiplies, which differs in the last bit on about 0.1% of
     inputs.  Arrays go through ``float_power``, which calls pow, so a
-    closed form evaluated on a grid equals it evaluated point by point.
+    closed form evaluated on a grid equals it evaluated point by point
+    wherever numpy and the C library round pow alike.  The last bit
+    matters: near the optimum the golden section compares rates that
+    differ only there, and squaring by multiplication moves a few
+    optimal angles by up to the search tolerance.
     """
     return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x**2
 
