@@ -44,18 +44,6 @@ DARK_FIDELITY_CUTOFF = 1e-3
 # Bell-pair rates
 
 
-@dataclass(frozen=True)
-class RateComparison:
-    """Distilled rate next to the two-photon reference scheme."""
-
-    rate: float
-    reference_rate: float
-
-    @property
-    def ratio(self) -> float:
-        return self.rate / self.reference_rate
-
-
 def _rate_bell_form(t, c2, s, tau):
     """T cos^2(2 phi) s (1 - s)^2 / ((2 - T s cos^2(2 phi)) tau), elementwise.
 
@@ -87,13 +75,6 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     if not (tau > 0.0 and math.isfinite(tau)):
         raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
     return _sq(transmission) / (2.0 * tau)
-
-
-def rate_comparison(params: ApparatusParams, theta) -> RateComparison:
-    return RateComparison(
-        rate=rate_bell(params, theta),
-        reference_rate=two_photon_reference_rate(params.mean_transmission, params.tau),
-    )
 
 
 def crossover_transmission(tol: float = 1e-12) -> float:
@@ -450,35 +431,6 @@ class DriftParams:
         """Imbalance angle change on a balanced baseline."""
         return -math.atan(self.d_t / (2.0 - self.d_t))
 
-    @classmethod
-    def from_angles(cls, delta_phi: float, delta_delta: float) -> "DriftParams":
-        tan = math.tan(delta_phi)
-        if abs(1.0 - tan) < 1e-12:
-            raise DegenerateParameterError(
-                "imbalance drift of pi/4 has no finite transmission-drift preimage"
-            )
-        return cls(d_x=-delta_delta / math.pi, d_t=-2.0 * tan / (1.0 - tan))
-
-
-def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> float:
-    """Infidelity of the distilled state when the link drifts mid-run.
-
-    The first iterate consumes a pair at (phi, delta), the second a pair
-    at (phi + delta_phi, delta + delta_delta); returned is the delivered
-    success-leaf infidelity against the ideal Bell state, identical for
-    all four success histories and independent of the baseline detuning.
-    Only at phi = 0 does it coincide with the raw overlap infidelity of
-    the two pairs themselves.  The denominator vanishes only where the
-    delivered state itself vanishes; that direction is rejected.
-    """
-    c = math.cos(2.0 * phi + delta_phi)
-    s = math.sin(delta_phi)
-    num = c * c * math.sin(delta_delta) ** 2 + s * s * math.cos(delta_delta) ** 2
-    den = c * c + s * s
-    if den < 1e-14:
-        raise DegenerateParameterError("drift direction annihilates the pair state")
-    return num / den
-
 
 def _physical_drift_law(d_x, d_t):
     """(sin^2 a + cos^2 a u^2) / (1 + u^2), a = pi d_x, u = d_t / (2 - d_t)."""
@@ -495,8 +447,10 @@ def _quadratic_drift_law(d_x, d_t):
 def drift_infidelity_physical(drift: DriftParams) -> float:
     """Delivered-state drift infidelity from the physical drift pair.
 
-    Balanced baseline; equal to ``drift_infidelity_exact`` at phi = 0
-    with the drift mapped through its angle properties.
+    Balanced baseline: the first iterate consumes a pair at (phi = 0,
+    delta), the second a pair drifted by ``delta_phi`` and
+    ``delta_delta``; the result is the success-leaf infidelity against
+    the ideal Bell state.
     """
     return float(_physical_drift_law(drift.d_x, drift.d_t))
 

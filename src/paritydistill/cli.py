@@ -41,7 +41,13 @@ from .errors import (
     NonConvergenceError,
     SimulationError,
 )
-from .photonics import ApparatusParams, ExcitationAngle, heralded_state, p_click
+from .photonics import (
+    CONFIG_FIELDS,
+    ApparatusParams,
+    ExcitationAngle,
+    heralded_state,
+    p_click,
+)
 from .protocol import (
     CLIENT_LABELS,
     StrategyConfig,
@@ -129,6 +135,21 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _float_in(lo: float, hi: float, shown: str):
+    """argparse type: a finite float in [lo, hi], named ``shown`` in errors."""
+
+    def parse(text: str) -> float:
+        value = _finite_float(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in {shown}, got {text!r}")
+        return value
+
+    return parse
+
+
+_angle = _float_in(0.0, math.pi / 2.0, "[0, pi/2]")
 
 
 # ---------------------------------------------------------------------------
@@ -303,34 +324,22 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _params_from_flags(parser: argparse.ArgumentParser, args) -> ApparatusParams:
+    """The config file's parameters, if any, overridden by the link flags.
+
+    Each flag's destination is the ``ApparatusParams`` field it sets.
+    """
     values: dict[str, float] = {}
     if args.config is not None:
         cfg = ApparatusParams.from_config_file(args.config)
-        values = {
-            "t1": cfg.t1,
-            "t2": cfg.t2,
-            "x1": cfg.x1,
-            "x2": cfg.x2,
-            "wavelength": cfg.wavelength,
-            "p_dark": cfg.p_dark,
-            "tau": cfg.tau,
-        }
+        values = {name: getattr(cfg, name) for name in CONFIG_FIELDS.values()}
     if args.t is not None:
         if args.t1 is not None or args.t2 is not None:
             parser.error("--t conflicts with --t1/--t2")
         values["t1"] = values["t2"] = args.t
-    for flag, key in (
-        ("t1", "t1"),
-        ("t2", "t2"),
-        ("x1", "x1"),
-        ("x2", "x2"),
-        ("wavelength", "wavelength"),
-        ("p_dark", "p_dark"),
-        ("tau", "tau"),
-    ):
-        value = getattr(args, flag)
+    for name in CONFIG_FIELDS.values():
+        value = getattr(args, name)
         if value is not None:
-            values[key] = value
+            values[name] = value
     if "t1" not in values or "t2" not in values:
         parser.error("transmittance required: pass --t, --t1/--t2, or --config")
     try:
@@ -462,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--t", type=float, default=1e-3)
     chain.add_argument("--k-max", type=int, default=64)
     chain.add_argument("--tau", type=_finite_float, default=1.0)
-    chain.add_argument("--theta", type=float, default=None)
+    chain.add_argument("--theta", type=_angle, default=None)
     chain.add_argument("--csv", action="store_true", help="also write a key,value CSV")
     chain.add_argument("--output", default="chain.csv")
     chain.add_argument("--outdir", default=None)
@@ -477,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--max-iterates", type=int, default=None)
     group = simulate.add_mutually_exclusive_group()
-    group.add_argument("--theta", type=float, default=None)
-    group.add_argument("--sin-sq-theta", type=float, default=None)
+    group.add_argument("--theta", type=_angle, default=None)
+    group.add_argument("--sin-sq-theta", type=_float_in(0.0, 1.0, "[0, 1]"), default=None)
     simulate.add_argument("--config", default=None)
     simulate.add_argument("--t", type=float, default=None)
     simulate.add_argument("--t1", type=float, default=None)

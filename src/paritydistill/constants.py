@@ -5,11 +5,9 @@ positivity floors and convergence flags are enforced consistently across
 the state engine, the protocol layer and the analytics layer.
 """
 
-# Operator-algebra comparisons: hermiticity defects, unitarity defects and
-# generic matrix-equality checks on normalized objects.
+# Operator-algebra comparisons: hermiticity and unitarity defects.
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
-ALGEBRAIC_ATOL = 1e-12
 
 # Smallest admissible eigenvalue of a validated density matrix.  Slightly
 # negative values are rounding debris from repeated conjugations.

@@ -11,7 +11,7 @@ with an optional detector dark-count channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -20,9 +20,19 @@ from .constants import TRACE_EPSILON
 from .errors import ConfigFormatError, DegenerateParameterError
 from .qstate import DensityMatrix
 
-CONFIG_KEYS = ("t1", "t2", "x1", "x2", "lambda", "p_dark", "tau")
-_CONFIG_REQUIRED = ("t1", "t2")
-_CONFIG_DEFAULTS = {"x1": 0.0, "x2": 0.0, "lambda": 1.0, "p_dark": 0.0, "tau": 1.0}
+BROKER_LABELS = ("B1", "B2")
+
+# The ApparatusParams field of each config-file key, in file order.  The
+# required keys and the defaults are those of the dataclass.
+CONFIG_FIELDS = {
+    "t1": "t1",
+    "t2": "t2",
+    "x1": "x1",
+    "x2": "x2",
+    "lambda": "wavelength",
+    "p_dark": "p_dark",
+    "tau": "tau",
+}
 
 
 def _reduce_detuning(value: float) -> float:
@@ -126,16 +136,14 @@ class ApparatusParams:
         """Path detuning pi (x1 - x2)/wavelength, reduced to (-pi/2, pi/2]."""
         return _reduce_detuning(math.pi * (self.x1 - self.x2) / self.wavelength)
 
-    def with_dark_counts(self, p_dark: float) -> "ApparatusParams":
-        return replace(self, p_dark=p_dark)
-
     @classmethod
     def from_config_file(cls, path) -> "ApparatusParams":
         """Parse a ``key = value`` config file.
 
-        Recognized keys: t1, t2, x1, x2, lambda, p_dark, tau.  Blank
-        lines and lines starting with ``#`` are ignored.  Unknown or
-        duplicate keys and unparseable values are rejected.
+        The keys are those of ``CONFIG_FIELDS``.  Blank lines and lines
+        starting with ``#`` are ignored.  Unknown, duplicate or missing
+        keys, unparseable values and out-of-range parameters are
+        rejected.
         """
         seen: dict[str, float] = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,7 +156,7 @@ class ApparatusParams:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
-                if key not in CONFIG_KEYS:
+                if key not in CONFIG_FIELDS:
                     raise ConfigFormatError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in seen:
                     raise ConfigFormatError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -158,34 +166,17 @@ class ApparatusParams:
                     raise ConfigFormatError(
                         f"{path}:{lineno}: value for {key!r} is not a number: {value!r}"
                     ) from None
-        missing = [k for k in _CONFIG_REQUIRED if k not in seen]
+        required = {f.name for f in fields(cls) if f.default is MISSING}
+        missing = [k for k, name in CONFIG_FIELDS.items() if name in required and k not in seen]
         if missing:
             raise ConfigFormatError(f"{path}: missing required keys {missing}")
-        merged = {**_CONFIG_DEFAULTS, **seen}
         try:
-            return cls(
-                t1=merged["t1"],
-                t2=merged["t2"],
-                x1=merged["x1"],
-                x2=merged["x2"],
-                wavelength=merged["lambda"],
-                p_dark=merged["p_dark"],
-                tau=merged["tau"],
-            )
+            return cls(**{CONFIG_FIELDS[k]: v for k, v in seen.items()})
         except DegenerateParameterError as exc:
             raise ConfigFormatError(f"{path}: {exc}") from None
 
     def to_config_file(self, path) -> None:
-        values = {
-            "t1": self.t1,
-            "t2": self.t2,
-            "x1": self.x1,
-            "x2": self.x2,
-            "lambda": self.wavelength,
-            "p_dark": self.p_dark,
-            "tau": self.tau,
-        }
-        lines = [f"{key} = {values[key]!r}" for key in CONFIG_KEYS]
+        lines = [f"{key} = {getattr(self, name)!r}" for key, name in CONFIG_FIELDS.items()]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -225,23 +216,20 @@ class HeraldedPair:
 
     ``eta`` is the weight of the double-excitation |11> contamination,
     ``phi`` the transmission imbalance angle and ``delta`` the path
-    detuning carried by the first qubit.  ``detector_id`` records which
-    midpoint detector fired; the phase convention absorbs the detector
-    sign, so both detectors expand to the same matrix.
+    detuning carried by the first qubit.  The phase convention absorbs
+    the sign of the midpoint detector that fired, so a click at either
+    detector gives the same state.
     """
 
     eta: float
     phi: float
     delta: float
-    detector_id: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
             raise DegenerateParameterError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.detector_id not in (0, 1):
-            raise DegenerateParameterError(f"detector_id must be 0 or 1, got {self.detector_id}")
 
-    def expand(self, labels: Sequence[str] = ("B1", "B2")) -> DensityMatrix:
+    def expand(self, labels: Sequence[str] = BROKER_LABELS) -> DensityMatrix:
         """Dense matrix on the given two labels.
 
         The first label carries the distortion.  The distorted Bell
@@ -286,18 +274,13 @@ def eta_weight(params: ApparatusParams, theta) -> float:
     return s * (2.0 - t * c2) / (2.0 - t * s * c2)
 
 
-def heralded_state(params: ApparatusParams, theta, detector_id: int = 0) -> HeraldedPair:
-    """Parametric heralded state for a click at the given detector."""
-    return HeraldedPair(
-        eta=eta_weight(params, theta),
-        phi=params.phi,
-        delta=params.delta,
-        detector_id=detector_id,
-    )
+def heralded_state(params: ApparatusParams, theta) -> HeraldedPair:
+    """Parametric heralded state for a click at either detector."""
+    return HeraldedPair(eta=eta_weight(params, theta), phi=params.phi, delta=params.delta)
 
 
 def heralded_state_with_dark_counts(
-    params: ApparatusParams, theta, labels: Sequence[str] = ("B1", "B2")
+    params: ApparatusParams, theta
 ) -> tuple[DensityMatrix, float]:
     """Heralded state and herald probability with detector dark counts.
 
@@ -309,7 +292,8 @@ def heralded_state_with_dark_counts(
     The false-herald component is diagonal (any surviving photon was
     lost, so its which-path record decoheres the memories).
 
-    Returns the normalized two-qubit state and the herald probability.
+    Returns the normalized state on ``BROKER_LABELS`` and the herald
+    probability.
     With ``p_dark = 0`` this reduces exactly to the clean heralded state
     and click probability.
     """
@@ -319,7 +303,7 @@ def heralded_state_with_dark_counts(
     if p == 0.0:
         if pc < TRACE_EPSILON:
             raise DegenerateParameterError("herald probability vanishes")
-        return heralded_state(params, theta).expand(labels), pc
+        return heralded_state(params, theta).expand(), pc
     w00 = (1.0 - s) ** 2
     w01 = s * (1.0 - s) * (1.0 - params.t2)
     w10 = s * (1.0 - s) * (1.0 - params.t1)
@@ -327,8 +311,8 @@ def heralded_state_with_dark_counts(
     p_herald = (1.0 - p) * pc + 2.0 * p * (1.0 - p) * (w00 + w01 + w10 + w11)
     if p_herald < TRACE_EPSILON:
         raise DegenerateParameterError("herald probability vanishes")
-    true_part = heralded_state(params, theta).expand(labels) if pc > 0.0 else None
+    true_part = heralded_state(params, theta).expand() if pc > 0.0 else None
     m = 2.0 * p * (1.0 - p) * np.diag([w00, w01, w10, w11]).astype(complex)
     if true_part is not None:
         m += (1.0 - p) * pc * true_part.elements
-    return DensityMatrix(m / p_herald, tuple(labels)), p_herald
+    return DensityMatrix(m / p_herald, BROKER_LABELS), p_herald

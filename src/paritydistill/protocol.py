@@ -39,6 +39,7 @@ from .constants import (
 )
 from .errors import DegenerateParameterError
 from .photonics import (
+    BROKER_LABELS,
     ApparatusParams,
     ExcitationAngle,
     HeraldedPair,
@@ -56,7 +57,6 @@ from .qstate import (
 )
 
 CLIENT_LABELS = ("C1", "C2")
-BROKER_LABELS = ("B1", "B2")
 
 # Measured parity -> basis indices of the client subspace the branch
 # projects onto (always the opposite parity).
@@ -159,30 +159,6 @@ def classify(history: Sequence[IterateOutcome]) -> Status:
     return Status.PENDING
 
 
-@dataclass(frozen=True)
-class DistillationRun:
-    """One run's outcome history with its client state and classification."""
-
-    history: tuple[IterateOutcome, ...]
-    client_state: DensityMatrix
-    status: Status
-
-    def __post_init__(self) -> None:
-        if self.status is not classify(self.history):
-            raise ValueError("status inconsistent with history")
-
-    @classmethod
-    def from_history(
-        cls, history: Sequence[IterateOutcome], client_state: DensityMatrix
-    ) -> "DistillationRun":
-        history = tuple(history)
-        return cls(history, client_state, classify(history))
-
-    @property
-    def iterate_count(self) -> int:
-        return len(self.history)
-
-
 # Outcome k reads broker entry (a ^ (3 - k), b ^ (3 - k)) into client
 # entry (a, b); row k holds the broker index of each client index.
 _MASK_INDEX = np.arange(4)[None, :] ^ (3 - np.arange(4))[:, None]
@@ -236,9 +212,7 @@ class IterateBranch:
 
 
 def run_iterate_exact(
-    clients: DensityMatrix,
-    pair: HeraldedPair | DensityMatrix,
-    broker_labels: Sequence[str] = BROKER_LABELS,
+    clients: DensityMatrix, pair: HeraldedPair | DensityMatrix
 ) -> dict[IterateOutcome, IterateBranch]:
     """Circuit route: evolve the four-qubit state through one iterate.
 
@@ -250,7 +224,7 @@ def run_iterate_exact(
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
-    broker = pair.expand(tuple(broker_labels)) if isinstance(pair, HeraldedPair) else pair
+    broker = pair.expand(BROKER_LABELS) if isinstance(pair, HeraldedPair) else pair
     if broker.n_qubits != 2:
         raise ValueError("the broker state must hold exactly two qubits")
     b1, b2 = broker.labels
@@ -277,29 +251,20 @@ def run_iterate_exact(
 class Leaf:
     """One terminal (or cap-truncated) count class of an exact strategy tree.
 
-    ``probability`` is the class mass, summed over every member history;
-    ``history`` is one representative member.  All members share the
-    iterate count, the status and the client state.
+    ``history`` is one representative member; all members share the
+    iterate count, the status (``classify`` of the history) and the
+    normalized client state.  ``probability`` is the class mass, summed
+    over every member history.
     """
 
-    run: DistillationRun
+    history: tuple[IterateOutcome, ...]
+    state: DensityMatrix
+    status: Status
     probability: float
 
     @property
-    def history(self) -> tuple[IterateOutcome, ...]:
-        return self.run.history
-
-    @property
-    def state(self) -> DensityMatrix:
-        return self.run.client_state
-
-    @property
-    def status(self) -> Status:
-        return self.run.status
-
-    @property
     def iterates(self) -> int:
-        return self.run.iterate_count
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -457,7 +422,7 @@ def run_strategy_exact(
                 frontier.append(node)
             else:
                 state = DensityMatrix(node.state, initial.labels, validate=False)
-                leaves.append(Leaf(DistillationRun(node.history, state, status), mass))
+                leaves.append(Leaf(node.history, state, status, mass))
     tree = ExactTree(initial, config, tuple(leaves), pruned)
     defect = abs(tree.total_probability - 1.0)
     if defect > PROBABILITY_SUM_ATOL:

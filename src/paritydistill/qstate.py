@@ -11,7 +11,7 @@ checks hermiticity and positivity but not normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,27 +55,6 @@ class SingleQubitOperator:
             # invariant from callers; keep the tag truthful.
             object.__setattr__(self, "unitary", True)
 
-    @property
-    def dagger(self) -> "SingleQubitOperator":
-        return SingleQubitOperator(self.matrix.conj().T, self.unitary)
-
-
-def identity_op() -> SingleQubitOperator:
-    return SingleQubitOperator(np.eye(2), True)
-
-
-def pauli(axis: str) -> SingleQubitOperator:
-    """Pauli operator for axis "x", "y" or "z"."""
-    mats = {
-        "x": np.array([[0, 1], [1, 0]], dtype=complex),
-        "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    try:
-        return SingleQubitOperator(mats[axis], True)
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
 
 def ry_minus_half_pi() -> SingleQubitOperator:
     """Rotation exp(+i pi Y / 4) = (I + iY)/sqrt(2).
@@ -86,33 +65,6 @@ def ry_minus_half_pi() -> SingleQubitOperator:
     """
     m = _SQRT_HALF * np.array([[1, 1], [-1, 1]], dtype=complex)
     return SingleQubitOperator(m, True)
-
-
-def asymmetry_distortion(phi: float, delta: float, axis: str = "z") -> SingleQubitOperator:
-    """Residual single-qubit distortion left by an unbalanced photonic link.
-
-    The operator multiplies the computational components by
-    ``(cos(phi) + sin(phi)) * exp(+i delta)`` and
-    ``(cos(phi) - sin(phi)) * exp(-i delta)`` respectively: ``phi``
-    encodes the transmission imbalance of the two collection paths and
-    ``delta`` the optical path-length detuning.  It is non-unitary for
-    ``phi != 0`` (the two eigenvalue magnitudes differ), which is what
-    depresses downstream success probabilities by cos^2(2 phi).
-
-    ``axis="x"`` returns the same construction conjugated into the X
-    eigenbasis, which is the form the distortion takes after the broker
-    basis swap.
-    """
-    d0 = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
-    d1 = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
-    mz = np.diag([d0, d1]).astype(complex)
-    unitary = abs(np.sin(phi)) <= UNITARITY_ATOL
-    if axis == "z":
-        return SingleQubitOperator(mz, unitary)
-    if axis == "x":
-        h = _SQRT_HALF * np.array([[1, 1], [1, -1]], dtype=complex)
-        return SingleQubitOperator(h @ mz @ h, unitary)
-    raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
 
 
 class DensityMatrix:
@@ -183,12 +135,6 @@ class DensityMatrix:
             raise VanishingTraceError(f"cannot normalize trace {tr:.3e}")
         return DensityMatrix(self._elements / tr, self._labels, validate=False)
 
-    def diagonal(self) -> np.ndarray:
-        return self._elements.diagonal().real.copy()
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self._elements.copy(), self._labels, validate=False)
-
     @classmethod
     def from_pure(cls, amplitudes, labels: Sequence[str]) -> "DensityMatrix":
         """Projector onto the given (normalized) state vector."""
@@ -201,14 +147,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(labels={self._labels}, trace={self.trace:.6g})"
-
-
-class XMeasurement(NamedTuple):
-    """Result of measuring one qubit in the X basis."""
-
-    outcome: int
-    probability: float
-    post_state: DensityMatrix
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -231,27 +169,15 @@ def _embed(op: np.ndarray, position: int, n: int) -> np.ndarray:
 
 
 def apply_one_qubit(
-    rho: DensityMatrix,
-    op: SingleQubitOperator,
-    target: str,
-    *,
-    normalize: bool = False,
+    rho: DensityMatrix, op: SingleQubitOperator, target: str
 ) -> DensityMatrix:
     """Conjugate the state by a single-qubit operator on the target label.
 
-    For a non-unitary operator the bare result is an unnormalized branch
-    weight; pass ``normalize=True`` to divide by the trace, which raises
-    when that trace vanishes (an impossible conditional state).
+    For a non-unitary operator the result is an unnormalized branch
+    weight; ``normalized()`` divides by its trace.
     """
     big = _embed(op.matrix, rho.index(target), rho.n_qubits)
-    out = DensityMatrix(big @ rho.elements @ big.conj().T, rho.labels, validate=False)
-    if normalize:
-        if out.trace < TRACE_EPSILON:
-            raise VanishingTraceError(
-                f"conditioning on {target!r} leaves trace {out.trace:.3e}"
-            )
-        out = out.normalized()
-    return out
+    return DensityMatrix(big @ rho.elements @ big.conj().T, rho.labels, validate=False)
 
 
 def apply_cz(rho: DensityMatrix, target_a: str, target_b: str) -> DensityMatrix:
@@ -295,39 +221,6 @@ def project_x_unnormalized(
     return out.trace, out
 
 
-def measure_x(
-    rho: DensityMatrix,
-    target: str,
-    *,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> XMeasurement:
-    """Measure one qubit in the X basis and remove it from the state.
-
-    Exactly one of ``rng`` (sample the outcome, consuming one uniform
-    draw) and ``forced`` (postselect a branch) must be given.  The
-    reported probability is the absolute branch weight, so the two
-    outcomes sum to the input trace; the returned state is normalized.
-    """
-    if (rng is None) == (forced is None):
-        raise ValueError("provide exactly one of rng= and forced=")
-    total = rho.trace
-    if total < TRACE_EPSILON:
-        raise VanishingTraceError("cannot measure a state of vanishing trace")
-    w0, post0 = project_x_unnormalized(rho, target, 0)
-    w1, post1 = project_x_unnormalized(rho, target, 1)
-    if forced is not None:
-        outcome = forced
-    else:
-        outcome = 0 if rng.random() < w0 / total else 1
-    weight, post = (w0, post0) if outcome == 0 else (w1, post1)
-    if weight < TRACE_EPSILON:
-        raise VanishingTraceError(
-            f"X outcome {outcome} on {target!r} has vanishing probability"
-        )
-    return XMeasurement(outcome, weight, post.normalized())
-
-
 def fidelity(rho: DensityMatrix, pure: DensityMatrix) -> float:
     """Fidelity <psi| rho |psi> / tr(rho) against a pure reference.
 
@@ -355,26 +248,6 @@ def fidelity(rho: DensityMatrix, pure: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def basis_state(bits: Sequence[int] | str, labels: Sequence[str]) -> DensityMatrix:
-    """Computational basis state |bits> with the given labels.
-
-    ``bits`` may be a bit string like "01" or a sequence of 0/1 ints.
-    """
-    if isinstance(bits, str):
-        bits = tuple(int(c) for c in bits)
-    bits = tuple(bits)
-    if len(bits) != len(labels):
-        raise ValueError("one bit per label required")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bits must be 0/1, got {bits}")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    amps = np.zeros(2 ** len(bits))
-    amps[idx] = 1.0
-    return DensityMatrix.from_pure(amps, labels)
-
-
 def plus_state(labels: Sequence[str]) -> DensityMatrix:
     """Product state |+...+>, the standard client reset."""
     dim = 2 ** len(tuple(labels))
@@ -385,7 +258,3 @@ def bell_odd(labels: Sequence[str]) -> DensityMatrix:
     """Odd-parity Bell state (|01> + |10>)/sqrt(2)."""
     return DensityMatrix.from_pure([0, _SQRT_HALF, _SQRT_HALF, 0], labels)
 
-
-def bell_even(labels: Sequence[str]) -> DensityMatrix:
-    """Even-parity Bell state (|00> + |11>)/sqrt(2)."""
-    return DensityMatrix.from_pure([_SQRT_HALF, 0, 0, _SQRT_HALF], labels)

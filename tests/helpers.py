@@ -1,0 +1,78 @@
+"""Reference states and formulas that the tests use as oracles.
+
+None of these has a consumer in the library: they construct inputs and
+expected values that the library's own routes are checked against.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from paritydistill import DegenerateParameterError, DensityMatrix, SingleQubitOperator
+from paritydistill.constants import UNITARITY_ATOL
+
+
+def asymmetry_distortion(phi: float, delta: float) -> SingleQubitOperator:
+    """Residual single-qubit distortion left by an unbalanced photonic link.
+
+    The operator multiplies the computational components by
+    ``(cos(phi) + sin(phi)) * exp(+i delta)`` and
+    ``(cos(phi) - sin(phi)) * exp(-i delta)`` respectively: ``phi``
+    encodes the transmission imbalance of the two collection paths and
+    ``delta`` the optical path-length detuning.  It is non-unitary for
+    ``phi != 0`` (the two eigenvalue magnitudes differ), which is what
+    depresses downstream success probabilities by cos^2(2 phi).
+    """
+    d0 = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
+    d1 = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
+    unitary = abs(np.sin(phi)) <= UNITARITY_ATOL
+    return SingleQubitOperator(np.diag([d0, d1]).astype(complex), unitary)
+
+
+def basis_state(bits: Sequence[int] | str, labels: Sequence[str]) -> DensityMatrix:
+    """Computational basis state |bits> with the given labels.
+
+    ``bits`` may be a bit string like "01" or a sequence of 0/1 ints.
+    """
+    if isinstance(bits, str):
+        bits = tuple(int(c) for c in bits)
+    bits = tuple(bits)
+    if len(bits) != len(labels):
+        raise ValueError("one bit per label required")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bits must be 0/1, got {bits}")
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | b
+    amps = np.zeros(2 ** len(bits))
+    amps[idx] = 1.0
+    return DensityMatrix.from_pure(amps, labels)
+
+
+def bell_even(labels: Sequence[str]) -> DensityMatrix:
+    """Even-parity Bell state (|00> + |11>)/sqrt(2)."""
+    half = 1.0 / np.sqrt(2.0)
+    return DensityMatrix.from_pure([half, 0, 0, half], labels)
+
+
+def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> float:
+    """Infidelity of the distilled state when the link drifts mid-run.
+
+    The first iterate consumes a pair at (phi, delta), the second a pair
+    at (phi + delta_phi, delta + delta_delta); returned is the delivered
+    success-leaf infidelity against the ideal Bell state, identical for
+    all four success histories and independent of the baseline detuning.
+    Only at phi = 0 does it coincide with the raw overlap infidelity of
+    the two pairs themselves.  The denominator vanishes only where the
+    delivered state itself vanishes; that direction is rejected.
+    """
+    c = math.cos(2.0 * phi + delta_phi)
+    s = math.sin(delta_phi)
+    num = c * c * math.sin(delta_delta) ** 2 + s * s * math.cos(delta_delta) ** 2
+    den = c * c + s * s
+    if den < 1e-14:
+        raise DegenerateParameterError("drift direction annihilates the pair state")
+    return num / den

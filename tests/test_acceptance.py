@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import drift_infidelity_exact
 from paritydistill import (
     ApparatusParams,
     DensityMatrix,
@@ -36,7 +37,6 @@ from paritydistill import (
     chain_growth_rate,
     crossover_transmission,
     dark_count_fidelity_region,
-    drift_infidelity_exact,
     drift_infidelity_physical,
     drift_infidelity_quadratic,
     DriftParams,

@@ -245,6 +245,9 @@ def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):
     assert main(["chain", "--t", "0.5", "--theta", repr(math.pi / 2.0)]) == 3
     assert main(["chain", "--tau", "inf"]) == 2
     assert main(["chain", "--tau", "nan"]) == 2
+    # angles outside [0, pi/2] are usage errors, not degeneracies
+    for theta in ("2.0", "nan", "-0.1"):
+        assert main(["chain", "--t", "0.5", "--theta", theta]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -346,7 +349,9 @@ def test_simulate_loop_successes_need_even_depth(tmp_path, capsys):
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "link.cfg"
-    ApparatusParams(t1=0.8, t2=0.8, tau=2.0).to_config_file(cfg_path)
+    ApparatusParams(t1=0.8, t2=0.8, x1=0.3, x2=0.1, wavelength=1.55, tau=2.0).to_config_file(
+        cfg_path
+    )
     code = main(
         [
             "simulate",
@@ -356,6 +361,8 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
             str(cfg_path),
             "--t2",
             "0.4",
+            "--x2",
+            "0.2",
             "--sin-sq-theta",
             "0.3",
             "--outdir",
@@ -367,6 +374,9 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     manifest = read_manifest(tmp_path / "simulate.csv")
     assert manifest["parameters"]["t1"] == 0.8
     assert manifest["parameters"]["t2"] == 0.4
+    assert manifest["parameters"]["x1"] == 0.3
+    assert manifest["parameters"]["x2"] == 0.2
+    assert manifest["parameters"]["wavelength"] == 1.55
     assert manifest["parameters"]["tau"] == 2.0
 
 
@@ -384,6 +394,8 @@ def test_simulate_usage_errors(tmp_path, capsys):
     infinite_cfg = tmp_path / "infinite.cfg"
     infinite_cfg.write_text("t1 = 0.5\nt2 = 0.5\ntau = inf\n")
     assert main(base + ["--config", str(infinite_cfg), "--trials", "10"]) == 2
+    for angle in (["--theta", "2.0"], ["--sin-sq-theta", "1.5"], ["--sin-sq-theta", "nan"]):
+        assert main(base + ["--t", "0.5", "--trials", "10", *angle]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

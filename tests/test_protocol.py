@@ -10,11 +10,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from helpers import bell_even
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
     DegenerateParameterError,
-    DistillationRun,
     ExactTree,
     HeraldedPair,
     ApparatusParams,
@@ -26,7 +26,6 @@ from paritydistill import (
     Status,
     StrategyConfig,
     StrategyMode,
-    bell_even,
     bell_odd,
     classify,
     eta_weight,
@@ -92,8 +91,7 @@ def circuit_tree(clients, pair, config) -> ExactTree:
                 if status is Status.PENDING and len(new_history) < config.max_iterates:
                     next_frontier.append((new_history, joint, branch.state))
                 else:
-                    run = DistillationRun(new_history, branch.state, status)
-                    leaves.append(Leaf(run, joint))
+                    leaves.append(Leaf(new_history, branch.state, status, joint))
         frontier = next_frontier
     return ExactTree(clients.normalized(), config, tuple(leaves), pruned)
 
@@ -245,16 +243,6 @@ def test_classify_examples():
     assert classify([oc(1, 0), oc(1, 0), oc(1, 1)]) is Status.FAILURE
     assert Status.SUCCESS_PARITY_ODD.is_success
     assert not Status.FAILURE.is_success
-
-
-def test_run_rejects_inconsistent_status():
-    clients = plus_state(CLIENT_LABELS)
-    history = (IterateOutcome(0, 0), IterateOutcome(1, 1))
-    with pytest.raises(ValueError):
-        DistillationRun(history, clients, Status.FAILURE)
-    run = DistillationRun.from_history(history, clients)
-    assert run.status is Status.SUCCESS_PARITY_EVEN
-    assert run.iterate_count == 2
 
 
 def test_strategy_config_validation():

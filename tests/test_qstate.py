@@ -1,4 +1,4 @@
-"""Density-matrix layer: labels, distortions, gates, measurement, fidelity."""
+"""Density-matrix layer: labels, distortions, gates, X projection, fidelity."""
 
 from __future__ import annotations
 
@@ -7,26 +7,22 @@ import math
 import numpy as np
 import pytest
 
+from helpers import asymmetry_distortion, basis_state, bell_even
 from paritydistill import (
     DegenerateParameterError,
     DensityMatrix,
+    SingleQubitOperator,
     UnknownLabelError,
     VanishingTraceError,
     apply_cz,
     apply_one_qubit,
-    asymmetry_distortion,
-    basis_state,
-    bell_even,
     bell_odd,
     fidelity,
-    identity_op,
-    measure_x,
-    pauli,
     plus_state,
+    project_x_unnormalized,
     ry_minus_half_pi,
     tensor,
 )
-from paritydistill.qstate import project_x_unnormalized
 
 
 def test_density_matrix_basic_properties():
@@ -52,7 +48,7 @@ def test_density_matrix_rejects_bad_input():
 def test_unknown_label_raises():
     rho = plus_state(("A",))
     with pytest.raises(UnknownLabelError):
-        apply_one_qubit(rho, pauli("z"), "B")
+        apply_one_qubit(rho, ry_minus_half_pi(), "B")
 
 
 def test_identity_distortion_is_identity():
@@ -78,7 +74,7 @@ def test_distortion_pair_scales_back_to_identity():
         v /= np.linalg.norm(v)
         rho = DensityMatrix.from_pure(v, ("A", "B"))
         out = apply_one_qubit(rho, asymmetry_distortion(phi, delta), "A")
-        out = apply_one_qubit(out, asymmetry_distortion(-phi, -delta), "A", normalize=True)
+        out = apply_one_qubit(out, asymmetry_distortion(-phi, -delta), "A").normalized()
         np.testing.assert_allclose(out.elements, rho.elements, atol=1e-11)
 
 
@@ -109,11 +105,9 @@ def test_normalize_with_vanishing_trace_raises():
     rho = basis_state("1", ("A",))
     # projector onto |0> annihilates |1>
     proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    from paritydistill.qstate import SingleQubitOperator
-
     op = SingleQubitOperator(proj, unitary=False)
     with pytest.raises(VanishingTraceError):
-        apply_one_qubit(rho, op, "A", normalize=True)
+        apply_one_qubit(rho, op, "A").normalized()
 
 
 def test_cz_on_00_unchanged():
@@ -151,40 +145,35 @@ def test_unitary_conjugation_preserves_trace():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     rho = DensityMatrix.from_pure(v, ("A", "B"))
-    for op in (pauli("x"), pauli("y"), pauli("z"), ry_minus_half_pi(), identity_op()):
+    # the three Paulis and the identity
+    mats = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]], np.eye(2))
+    ops = [SingleQubitOperator(np.array(m, dtype=complex), True) for m in mats]
+    for op in ops + [ry_minus_half_pi()]:
         out = apply_one_qubit(rho, op, "B")
         assert out.trace == pytest.approx(1.0, abs=1e-14)
 
 
 def test_measure_plus_state_is_deterministic():
     rho = plus_state(("A",))
-    res = measure_x(rho, "A", forced=0)
-    assert res.outcome == 0
-    assert res.probability == pytest.approx(1.0, abs=1e-12)
+    weight, _ = project_x_unnormalized(rho, "A", 0)
+    assert weight == pytest.approx(1.0, abs=1e-12)
+    _, impossible = project_x_unnormalized(rho, "A", 1)
     with pytest.raises(VanishingTraceError):
-        measure_x(rho, "A", forced=1)
+        impossible.normalized()
 
 
 def test_measure_zero_state_is_even_split():
     rho = basis_state("0", ("A",))
     for outcome in (0, 1):
-        res = measure_x(rho, "A", forced=outcome)
-        assert res.probability == pytest.approx(0.5, abs=1e-12)
+        weight, _ = project_x_unnormalized(rho, "A", outcome)
+        assert weight == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_removes_target_label():
     rho = plus_state(("A", "B"))
-    res = measure_x(rho, "A", forced=0)
-    assert res.post_state.labels == ("B",)
-    assert res.post_state.trace == pytest.approx(1.0, abs=1e-12)
-
-
-def test_measure_requires_exactly_one_mode():
-    rho = plus_state(("A",))
-    with pytest.raises(ValueError):
-        measure_x(rho, "A")
-    with pytest.raises(ValueError):
-        measure_x(rho, "A", rng=np.random.default_rng(0), forced=0)
+    _, post = project_x_unnormalized(rho, "A", 0)
+    assert post.labels == ("B",)
+    assert post.normalized().trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_probabilities_sum_to_trace():
@@ -196,14 +185,6 @@ def test_measure_probabilities_sum_to_trace():
         w0, _ = project_x_unnormalized(rho, "A", 0)
         w1, _ = project_x_unnormalized(rho, "A", 1)
         assert w0 + w1 == pytest.approx(rho.trace, abs=1e-12)
-
-
-def test_measure_sampling_follows_branch_weights():
-    rho = basis_state("0", ("A",))
-    rng = np.random.default_rng(99)
-    outcomes = [measure_x(rho, "A", rng=rng).outcome for _ in range(4000)]
-    frac = sum(outcomes) / len(outcomes)
-    assert abs(frac - 0.5) < 3.0 * math.sqrt(0.25 / 4000)
 
 
 def test_measure_broker_of_distorted_pair_two_routes_agree():
@@ -222,8 +203,8 @@ def test_measure_broker_of_distorted_pair_two_routes_agree():
         d1 = (math.cos(phi) - math.sin(phi)) * np.exp(-1j * delta)
         w_either = (abs(d0) ** 2 + abs(d1) ** 2) / 4.0
         for outcome in (0, 1):
-            res = measure_x(rho, "A", forced=outcome)
-            assert res.probability == pytest.approx(w_either, abs=1e-12)
+            weight, _ = project_x_unnormalized(rho, "A", outcome)
+            assert weight == pytest.approx(w_either, abs=1e-12)
 
 
 def test_fidelity_pure_with_itself():

@@ -1,0 +1,67 @@
+"""The benchmark tracer's bindings into the library.
+
+``bench/tracing.py`` wraps about 35 library attributes, looked up by
+name, for ``bench/run.py --trace 1``.  No other test runs it, so a
+library change that unbinds a traced name would break the per-layer
+benchmark silently; this test installs and uninstalls the tracer.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import paritydistill
+import paritydistill.cli
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_namespaces():
+    """Every namespace the tracer patches, with a snapshot of its entries."""
+    pd = paritydistill
+    owners = [
+        pd.qstate,
+        pd.photonics,
+        pd.protocol,
+        pd.analytics,
+        pd.cli,
+        pd.qstate.DensityMatrix,
+        pd.photonics.HeraldedPair,
+        pd.protocol.SampleStats,
+        pd.protocol.ExactTree,
+    ]
+    snapshot = [(owner, dict(vars(owner))) for owner in owners]
+    snapshot.append((pd.cli._COMMANDS, dict(pd.cli._COMMANDS)))
+    return snapshot
+
+
+def changed(snapshot) -> set[tuple[int, str]]:
+    out = set()
+    for k, (owner, before) in enumerate(snapshot):
+        now = owner if isinstance(owner, dict) else vars(owner)
+        assert now.keys() == before.keys()
+        out |= {(k, name) for name, value in now.items() if value is not before[name]}
+    return out
+
+
+def test_tracer_installs_and_restores_every_binding():
+    tracing = load_tracing()
+    snapshot = traced_namespaces()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(paritydistill)
+        patched = changed(snapshot)
+        installed = len(tracer._patches)
+    finally:
+        tracer.uninstall()
+    assert installed >= 35
+    assert len(patched) == installed
+    assert not changed(snapshot)
