@@ -1,10 +1,11 @@
 """Closed-form rates, optimizers and combinatorics for the distillation link.
 
 Everything here is analytic or semi-analytic: no density matrices are
-evolved except inside the dark-count region classifier, which reuses the
-exact protocol engine point by point.  The closed forms are pinned
-against the exact engine by the test suite, so the two layers act as
-independent oracles for each other.
+evolved.  The dark-count region classifier reads its whole grid off the
+gathered outcome masks of a stack of brokers in closed form, and checks
+one grid point against the exact protocol engine on every call.  The
+closed forms are pinned against the exact engine by the test suite, so
+the two layers act as independent oracles for each other.
 """
 
 from __future__ import annotations
@@ -18,19 +19,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import SERIES_TAIL_TOL, TRACE_EPSILON
-from .errors import DegenerateParameterError, NonConvergenceError
+from .errors import DegenerateParameterError, NonConvergenceError, SimulationError
 from .photonics import (
     ApparatusParams,
     ExcitationAngle,
     _cos_sq_two_phi,
+    _dark_count_brokers,
     _sin_sq_theta,
     _sq,
     eta_weight,
     heralded_state_with_dark_counts,
     p_click,
 )
-from .protocol import CLIENT_LABELS, StrategyConfig, run_strategy_exact
-from .qstate import plus_state
+from .protocol import (
+    CLIENT_LABELS,
+    StrategyConfig,
+    _outcome_masks,
+    _two_iterate_success,
+    run_strategy_exact,
+)
+from .qstate import _check_density, plus_state
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
@@ -38,6 +46,10 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 # Success fidelities below 1 - this cutoff make distilled pairs useless
 # for the repeater application regardless of rate.
 DARK_FIDELITY_CUTOFF = 1e-3
+
+# Largest gap allowed between the closed-form region grid and the exact
+# tree at the grid's cross-check point.
+REGION_CROSS_CHECK_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -517,38 +529,82 @@ def dark_count_fidelity_region(
 ) -> tuple[RegionPoint, ...]:
     """Classify a (transmission, dark-count) grid of operating points.
 
-    Each point runs the exact two-iterate strategy on the dark-count
-    contaminated source.  Points whose delivered fidelity falls below
-    1 - DARK_FIDELITY_CUTOFF are no-go; the rest are labelled by whether
-    the distilled rate beats the two-photon reference.  Ties and
-    undefined fidelities classify conservatively (reference, no-go).
+    Each point runs the two-iterate strategy from |++> clients on the
+    dark-count contaminated source of a balanced link.  Points whose
+    delivered fidelity falls below 1 - DARK_FIDELITY_CUTOFF are no-go;
+    the rest are labelled by whether the distilled rate beats the
+    two-photon reference.  Ties and undefined fidelities classify
+    conservatively (reference, no-go).  Points run transmission-major,
+    and every field is a Python float.
+
+    The whole grid is one array pass: the stack of dark-count brokers
+    (``_dark_count_brokers``), one batched validation, the gathered
+    outcome masks and the closed-form two-iterate tree
+    (``_two_iterate_success``), with the per-point checks as array
+    checks.  One point, at the highest dark-count probability and the
+    lowest transmission, is cross-checked against the exact tree
+    (``run_strategy_exact``) and must agree to ``REGION_CROSS_CHECK_ATOL``.
     """
+    t = np.asarray(transmissions, dtype=float)
+    p = np.asarray(dark_probabilities, dtype=float)
+    if t.ndim != 1 or p.ndim != 1:
+        raise ValueError("transmissions and dark probabilities must be one-dimensional")
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
     theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
-    cfg = StrategyConfig.two_iterates_only()
-    clients = plus_state(CLIENT_LABELS)
-    points: list[RegionPoint] = []
-    for t in transmissions:
-        for p in dark_probabilities:
-            params = ApparatusParams(t1=t, t2=t, p_dark=p, tau=tau)
-            broker, p_herald = heralded_state_with_dark_counts(params, theta)
-            tree = run_strategy_exact(clients, broker, cfg)
-            p_two = tree.success_probability
-            fid = tree.mean_success_fidelity()
-            rate = 0.5 * p_two * p_herald / tau
-            reference = two_photon_reference_rate(t, tau)
-            if not fid >= 1.0 - DARK_FIDELITY_CUTOFF:
-                label = RegionLabel.NO_GO
-            elif rate > reference:
-                label = RegionLabel.OURS_BETTER
-            else:
-                label = RegionLabel.REFERENCE_BETTER
-            points.append(
-                RegionPoint(t, p, p_herald, p_two, fid, rate, reference, label)
-            )
-    result = tuple(points)
+    t_grid, p_grid = (a.reshape(-1) for a in np.meshgrid(t, p, indexing="ij"))
+    brokers, p_herald = _dark_count_brokers(t_grid, t_grid, 0.0, 0.0, theta.sin_sq, p_grid)
+    points: tuple[RegionPoint, ...] = ()
+    if t_grid.size:
+        _check_density(brokers)
+        clients = plus_state(CLIENT_LABELS)
+        p_two, fid = _two_iterate_success(_outcome_masks(brokers), clients)
+        _cross_check_region(t, p, tau, theta, clients, p_herald, p_two, fid)
+        rate = 0.5 * p_two * p_herald / tau
+        reference = two_photon_reference_rate(t_grid, tau)
+        columns = (t_grid, p_grid, p_herald, p_two, fid, rate, reference)
+        points = tuple(
+            RegionPoint(*row, _region_label(*row[4:]))
+            for row in zip(*(c.tolist() for c in columns))
+        )
     if csv_path is not None:
-        _write_region_csv(result, csv_path)
-    return result
+        _write_region_csv(points, csv_path)
+    return points
+
+
+def _region_label(fidelity: float, rate: float, reference: float) -> RegionLabel:
+    if not fidelity >= 1.0 - DARK_FIDELITY_CUTOFF:
+        return RegionLabel.NO_GO
+    if rate > reference:
+        return RegionLabel.OURS_BETTER
+    return RegionLabel.REFERENCE_BETTER
+
+
+def _cross_check_region(t, p, tau, theta, clients, p_herald, p_two, fid) -> None:
+    """Hold the region grid's corner point to the exact two-iterate tree.
+
+    The corner is the highest dark-count probability at the lowest
+    transmission; the grid is transmission-major.  Raises when the herald
+    probability, the success probability or the mean success fidelity
+    differs by more than ``REGION_CROSS_CHECK_ATOL`` (NaN only matches NaN).
+    """
+    i, j = int(np.argmin(t)), int(np.argmax(p))
+    params = ApparatusParams(t1=float(t[i]), t2=float(t[i]), p_dark=float(p[j]), tau=tau)
+    broker, herald = heralded_state_with_dark_counts(params, theta)
+    tree = run_strategy_exact(clients, broker, StrategyConfig.two_iterates_only())
+    k = i * len(p) + j
+    pairs = (
+        ("herald probability", float(p_herald[k]), herald),
+        ("success probability", float(p_two[k]), tree.success_probability),
+        ("success fidelity", float(fid[k]), tree.mean_success_fidelity()),
+    )
+    for name, grid, exact in pairs:
+        same_nan = math.isnan(grid) and math.isnan(exact)
+        if not (same_nan or abs(grid - exact) <= REGION_CROSS_CHECK_ATOL):
+            raise SimulationError(
+                f"region grid {name} {grid!r} differs from the exact tree's {exact!r} "
+                f"at t={params.t1!r}, p_dark={params.p_dark!r}"
+            )
 
 
 def _write_region_csv(points: Sequence[RegionPoint], path) -> None:

@@ -45,6 +45,7 @@ from .photonics import (
     CONFIG_FIELDS,
     ApparatusParams,
     ExcitationAngle,
+    eta_weight,
     heralded_state,
     p_click,
 )
@@ -379,6 +380,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             else Objective.CHAIN_RATE
         )
         theta = optimize_theta(params, objective).optimal_theta
+    if eta_weight(params, theta) == 1.0:
+        raise DegenerateParameterError(
+            "contamination weight is 1: every heralded pair is |11>, so no run can classify"
+        )
     stats = run_trajectories(config, params, theta, args.trials)
     outdir = _resolve_outdir(args)
     csv_path = outdir / args.output

@@ -133,8 +133,18 @@ class ApparatusParams:
 
     @property
     def delta(self) -> float:
-        """Path detuning pi (x1 - x2)/wavelength, reduced to (-pi/2, pi/2]."""
-        return _reduce_detuning(math.pi * (self.x1 - self.x2) / self.wavelength)
+        """Path detuning pi (x1 - x2)/wavelength, reduced to (-pi/2, pi/2].
+
+        Raises when the unreduced phase overflows, which valid fields
+        allow (a huge length difference or a tiny wavelength).
+        """
+        phase = math.pi * (self.x1 - self.x2) / self.wavelength
+        if not math.isfinite(phase):
+            raise DegenerateParameterError(
+                "path detuning pi (x1 - x2) / wavelength overflows: "
+                f"x1={self.x1!r}, x2={self.x2!r}, wavelength={self.wavelength!r}"
+            )
+        return _reduce_detuning(phase)
 
     @classmethod
     def from_config_file(cls, path) -> "ApparatusParams":
@@ -279,6 +289,63 @@ def heralded_state(params: ApparatusParams, theta) -> HeraldedPair:
     return HeraldedPair(eta=eta_weight(params, theta), phi=params.phi, delta=params.delta)
 
 
+def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.ndarray]:
+    """Dark-count heralded broker matrices and herald probabilities.
+
+    Elementwise over broadcast arrays: ``t1``, ``t2`` and ``p_dark`` as
+    in ``ApparatusParams``, ``phi`` and ``delta`` the link's imbalance
+    and detuning angles (``ApparatusParams.phi`` and ``.delta``), and
+    ``s`` = sin^2(theta).  Returns the stack of 4x4 broker matrices on
+    ``BROKER_LABELS``, shape ``broadcast + (4, 4)``, and the herald
+    probabilities; see ``heralded_state_with_dark_counts``.  The range
+    checks of ``ApparatusParams`` and the herald floor hold as array
+    checks.  The true-herald part is the matrix ``HeraldedPair.expand``
+    builds, from the closed forms of ``p_click`` and ``eta_weight``; it
+    enters with weight exactly one and the false-herald part with weight
+    exactly zero at ``p_dark = 0``, so that column reduces to the clean
+    heralded state wherever numpy and the C library round ``pow``, ``sin``
+    and ``cos`` alike (see ``_sq``).
+    """
+    t1, t2, phi, delta, s, p = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (t1, t2, phi, delta, s, p_dark))
+    )
+    if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
+        raise DegenerateParameterError("transmittances must lie in [0, 1]")
+    if not np.all(t1 + t2 > 0.0):
+        raise DegenerateParameterError("at least one transmittance must be positive")
+    if not np.all((0.0 <= p) & (p < 1.0)):
+        raise DegenerateParameterError("p_dark must lie in [0, 1)")
+    t = 0.5 * (t1 + t2)
+    c2 = _cos_sq_two_phi(t1, t2)
+    pc = t * s * (2.0 - t * s * c2)
+    eta = s * (2.0 - t * c2) / (2.0 - t * s * c2)
+    # no-detection weights of the four photon-survival patterns
+    w = np.stack(
+        [
+            _sq(1.0 - s),
+            s * (1.0 - s) * (1.0 - t2),
+            s * (1.0 - s) * (1.0 - t1),
+            s * s * (1.0 - t1) * (1.0 - t2),
+        ],
+        axis=-1,
+    )
+    dark = 2.0 * p * (1.0 - p)
+    p_herald = (1.0 - p) * pc + dark * (w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3])
+    if not np.all(p_herald >= TRACE_EPSILON):
+        raise DegenerateParameterError("herald probability vanishes")
+    v = np.zeros(t.shape + (4,), dtype=complex)
+    v[..., 1] = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
+    v[..., 2] = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
+    v /= math.sqrt(2.0)
+    true = (1.0 - eta)[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
+    true[..., 3, 3] += eta
+    false = np.zeros_like(true)
+    false[..., range(4), range(4)] = w
+    brokers = ((1.0 - p) * pc / p_herald)[..., None, None] * true
+    brokers += (dark / p_herald)[..., None, None] * false
+    return brokers, p_herald
+
+
 def heralded_state_with_dark_counts(
     params: ApparatusParams, theta
 ) -> tuple[DensityMatrix, float]:
@@ -293,26 +360,11 @@ def heralded_state_with_dark_counts(
     lost, so its which-path record decoheres the memories).
 
     Returns the normalized state on ``BROKER_LABELS`` and the herald
-    probability.
+    probability: the one-point case of ``_dark_count_brokers``.
     With ``p_dark = 0`` this reduces exactly to the clean heralded state
     and click probability.
     """
-    s = _sin_sq_theta(theta)
-    p = params.p_dark
-    pc = p_click(params, theta)
-    if p == 0.0:
-        if pc < TRACE_EPSILON:
-            raise DegenerateParameterError("herald probability vanishes")
-        return heralded_state(params, theta).expand(), pc
-    w00 = (1.0 - s) ** 2
-    w01 = s * (1.0 - s) * (1.0 - params.t2)
-    w10 = s * (1.0 - s) * (1.0 - params.t1)
-    w11 = s * s * (1.0 - params.t1) * (1.0 - params.t2)
-    p_herald = (1.0 - p) * pc + 2.0 * p * (1.0 - p) * (w00 + w01 + w10 + w11)
-    if p_herald < TRACE_EPSILON:
-        raise DegenerateParameterError("herald probability vanishes")
-    true_part = heralded_state(params, theta).expand() if pc > 0.0 else None
-    m = 2.0 * p * (1.0 - p) * np.diag([w00, w01, w10, w11]).astype(complex)
-    if true_part is not None:
-        m += (1.0 - p) * pc * true_part.elements
-    return DensityMatrix(m / p_herald, BROKER_LABELS), p_herald
+    brokers, p_herald = _dark_count_brokers(
+        params.t1, params.t2, params.phi, params.delta, _sin_sq_theta(theta), params.p_dark
+    )
+    return DensityMatrix(brokers, BROKER_LABELS), float(p_herald)

@@ -35,6 +35,7 @@ import numpy as np
 from .constants import (
     BRANCH_PRUNE_EPSILON,
     PROBABILITY_SUM_ATOL,
+    RANK_ONE_RTOL,
     TRACE_EPSILON,
 )
 from .errors import DegenerateParameterError
@@ -164,7 +165,7 @@ def classify(history: Sequence[IterateOutcome]) -> Status:
 _MASK_INDEX = np.arange(4)[None, :] ^ (3 - np.arange(4))[:, None]
 
 
-def _outcome_masks(pair: HeraldedPair | DensityMatrix) -> np.ndarray:
+def _outcome_masks(pair: HeraldedPair | DensityMatrix | np.ndarray) -> np.ndarray:
     """Entrywise client masks of the four outcomes, stacked by outcome index.
 
     Between iterates the clients meet only the two controlled-Z gates,
@@ -174,15 +175,20 @@ def _outcome_masks(pair: HeraldedPair | DensityMatrix) -> np.ndarray:
     out the complement of their computational-basis index, and each
     controlled-Z flips its broker's outcome when its client bit is set,
     so ``M_k[a, b] = broker[a ^ (3 - k), b ^ (3 - k)]``: a gather of the
-    broker matrix, for any 4x4 broker.  The masks must sum to one on the
-    diagonal (the broker's trace), or the broker does not define a
-    trace-preserving iterate.
+    broker matrix, for any 4x4 broker.  ``pair`` may also be a stack of
+    broker matrices, shape ``(..., 4, 4)``, which gives masks of shape
+    ``(..., 4, 4, 4)``.  The masks must sum to one on the diagonal (the
+    broker's trace), or the broker does not define a trace-preserving
+    iterate.
     """
-    broker = pair.expand(BROKER_LABELS) if isinstance(pair, HeraldedPair) else pair
-    if broker.n_qubits != 2:
+    if isinstance(pair, HeraldedPair):
+        pair = pair.expand(BROKER_LABELS)
+    brokers = pair.elements if isinstance(pair, DensityMatrix) else pair
+    if brokers.shape[-2:] != (4, 4):
         raise ValueError("the broker state must hold exactly two qubits")
-    masks = broker.elements[_MASK_INDEX[:, :, None], _MASK_INDEX[:, None, :]]
-    defect = float(np.max(np.abs(masks.diagonal(axis1=1, axis2=2).sum(axis=0) - 1.0)))
+    masks = brokers[..., _MASK_INDEX[:, :, None], _MASK_INDEX[:, None, :]]
+    diagonal_sum = masks.diagonal(axis1=-2, axis2=-1).sum(axis=-2)
+    defect = float(np.max(np.abs(diagonal_sum - 1.0)))
     if defect > PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(
             f"outcome masks do not sum to one on the diagonal: defect {defect:.3e}"
@@ -430,6 +436,65 @@ def run_strategy_exact(
             f"strategy tree lost probability mass: defect {defect:.3e}"
         )
     return tree
+
+
+# Success histories of the two-iterate strategy, read off ``classify``:
+# (first outcome index, second outcome index, measured parity).
+_TWO_ITERATE_SUCCESSES = tuple(
+    (a.index, b.index, 0 if status is Status.SUCCESS_PARITY_EVEN else 1)
+    for a in OUTCOMES
+    for b in OUTCOMES
+    if (status := classify((a, b))).is_success
+)
+
+
+def _two_iterate_success(
+    masks: np.ndarray, clients: DensityMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Success probability and mean success fidelity of two-iterate trees.
+
+    The closed form of ``run_strategy_exact`` under
+    ``StrategyConfig.two_iterates_only()`` followed by
+    ``success_probability`` and ``mean_success_fidelity``, for a stack of
+    outcome masks of shape ``(..., 4, 4, 4)`` (``_outcome_masks``).  Every
+    two-outcome history is its own count class, so outcome pair (j, k)
+    leaves the clients in ``M_j * M_k * rho`` with mass ``sum_a M_j[a, a]
+    M_k[a, a] rho[a, a]``; pairs lighter than the pruning epsilon are
+    dropped, as the tree drops them.  The clients must be pure, so each
+    delivered-parity target ``T`` (``_parity_projection``) is rank one
+    and a success fidelity is ``Re sum(conj(T) * M_j * M_k * rho)`` over
+    the pair's mass, clipped to [0, 1] as ``fidelity`` clips it.  Checks
+    that the pair masses conserve probability.  The fidelity is NaN
+    where no success mass survives.
+    """
+    if clients.n_qubits != 2:
+        raise ValueError("the iterate acts on exactly two client qubits")
+    initial = clients.normalized()
+    rho = initial.elements
+    purity = float(np.vdot(rho, rho).real)
+    if abs(purity - 1.0) > RANK_ONE_RTOL:
+        raise DegenerateParameterError(f"the closed form needs pure clients, purity {purity:.6g}")
+    diagonal = masks.diagonal(axis1=-2, axis2=-1).real
+    mass = np.einsum("...ja,...ka,a->...jk", diagonal, diagonal, rho.diagonal().real)
+    defect = float(np.max(np.abs(mass.sum(axis=(-2, -1)) - 1.0)))
+    if defect > PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(
+            f"strategy tree lost probability mass: defect {defect:.3e}"
+        )
+    targets = [_parity_projection(initial, parity).elements.conj() * rho for parity in (0, 1)]
+    p_success = np.zeros(mass.shape[:-2])
+    weighted = np.zeros(mass.shape[:-2])
+    for j, k, parity in _TWO_ITERATE_SUCCESSES:
+        m = mass[..., j, k]
+        kept = m >= BRANCH_PRUNE_EPSILON
+        pair = masks[..., j, :, :] * masks[..., k, :, :]
+        overlap = np.sum(targets[parity] * pair, axis=(-2, -1))
+        fid = np.clip(np.divide(overlap.real, m, out=np.zeros_like(m), where=kept), 0.0, 1.0)
+        p_success += np.where(kept, m, 0.0)
+        weighted += np.where(kept, m * fid, 0.0)
+    fidelity = np.full(p_success.shape, np.nan)
+    np.divide(weighted, p_success, out=fidelity, where=p_success > TRACE_EPSILON)
+    return p_success, fidelity
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,25 @@ def ry_minus_half_pi() -> SingleQubitOperator:
     return SingleQubitOperator(m, True)
 
 
+def _check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless ``m`` is a valid density matrix.
+
+    Checks hermiticity, a finite nonnegative trace and the eigenvalue
+    floor.  ``m`` is one square matrix or a stack of them along leading
+    axes; one batched ``eigvalsh`` checks a whole stack.
+    """
+    defect = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
+    if defect > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not hermitian (defect {defect:.3e})")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = ~np.isfinite(tr) | (tr.real < -TRACE_EPSILON)
+    if bad.any():
+        raise ValueError(f"trace must be finite and nonnegative, got {tr[bad].flat[0]}")
+    lo = np.min(np.linalg.eigvalsh(m)[..., 0])
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {lo:.3e} below the floor")
+
+
 class DensityMatrix:
     """Labelled dense density matrix.
 
@@ -95,15 +114,7 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)} for labels {labels}, got {m.shape}")
         if validate:
-            defect = np.max(np.abs(m - m.conj().T))
-            if defect > HERMITICITY_ATOL:
-                raise ValueError(f"matrix is not hermitian (defect {defect:.3e})")
-            tr = m.trace()
-            if not np.isfinite(tr) or tr.real < -TRACE_EPSILON:
-                raise ValueError(f"trace must be finite and nonnegative, got {tr}")
-            lo = np.linalg.eigvalsh(m)[0]
-            if lo < EIGENVALUE_FLOOR:
-                raise ValueError(f"matrix has eigenvalue {lo:.3e} below the floor")
+            _check_density(m)
         self._elements = m
         self._labels = labels
 

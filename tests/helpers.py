@@ -11,8 +11,22 @@ from typing import Sequence
 
 import numpy as np
 
-from paritydistill import DegenerateParameterError, DensityMatrix, SingleQubitOperator
+from paritydistill import (
+    ApparatusParams,
+    DegenerateParameterError,
+    DensityMatrix,
+    ExcitationAngle,
+    RegionLabel,
+    SingleQubitOperator,
+    StrategyConfig,
+    heralded_state_with_dark_counts,
+    plus_state,
+    run_strategy_exact,
+    two_photon_reference_rate,
+)
+from paritydistill.analytics import DARK_FIDELITY_CUTOFF
 from paritydistill.constants import UNITARITY_ATOL
+from paritydistill.protocol import CLIENT_LABELS
 
 
 def asymmetry_distortion(phi: float, delta: float) -> SingleQubitOperator:
@@ -76,3 +90,41 @@ def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> 
     if den < 1e-14:
         raise DegenerateParameterError("drift direction annihilates the pair state")
     return num / den
+
+
+def region_by_tree(
+    transmissions: Sequence[float],
+    dark_probabilities: Sequence[float],
+    *,
+    tau: float = 1.0,
+    sin_sq_theta: float = 1.0 / 3.0,
+) -> tuple[np.ndarray, list[RegionLabel]]:
+    """The dark-count region grid point by point, through the exact tree.
+
+    Per point: one dark-count broker, one two-iterate ``run_strategy_exact``
+    from |++> and its ``mean_success_fidelity``, classified as
+    ``dark_count_fidelity_region`` classifies.  Returns the seven numeric
+    ``RegionPoint`` fields as an (N, 7) array, transmission-major, and the
+    labels.
+    """
+    theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
+    cfg = StrategyConfig.two_iterates_only()
+    clients = plus_state(CLIENT_LABELS)
+    rows, labels = [], []
+    for t in transmissions:
+        for p in dark_probabilities:
+            params = ApparatusParams(t1=float(t), t2=float(t), p_dark=float(p), tau=tau)
+            broker, p_herald = heralded_state_with_dark_counts(params, theta)
+            tree = run_strategy_exact(clients, broker, cfg)
+            p_two = tree.success_probability
+            fid = tree.mean_success_fidelity()
+            rate = 0.5 * p_two * p_herald / tau
+            reference = two_photon_reference_rate(float(t), tau)
+            if not fid >= 1.0 - DARK_FIDELITY_CUTOFF:
+                labels.append(RegionLabel.NO_GO)
+            elif rate > reference:
+                labels.append(RegionLabel.OURS_BETTER)
+            else:
+                labels.append(RegionLabel.REFERENCE_BETTER)
+            rows.append((float(t), float(p), p_herald, p_two, fid, rate, reference))
+    return np.array(rows), labels

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import drift_infidelity_exact
+from helpers import drift_infidelity_exact, region_by_tree
 from paritydistill import (
     ApparatusParams,
     DegenerateParameterError,
@@ -19,7 +19,9 @@ from paritydistill import (
     NonConvergenceError,
     Objective,
     RegionLabel,
+    RegionPoint,
     SequenceCountVector,
+    SimulationError,
     Status,
     StrategyConfig,
     chain_growth_rate,
@@ -43,6 +45,7 @@ from paritydistill import (
     sequence_counts,
     two_photon_reference_rate,
 )
+from paritydistill import analytics
 from paritydistill.analytics import _bell_rate_objective
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -703,3 +706,130 @@ def test_region_csv_output(tmp_path):
     assert lines[0] == "t,p_dark,p_herald,p_success,fidelity,rate,reference_rate,region"
     assert len(lines) == 5
     assert lines[1].split(",")[0] == repr(0.1)
+
+
+def test_region_fields_are_floats_and_csv_parses(tmp_path):
+    # array inputs, as np.geomspace and the benchmark pass them, give the
+    # same points and the same file as list inputs
+    t = np.geomspace(0.01, 0.5, 4)
+    darks = np.array([0.0, *np.geomspace(1e-6, 1e-2, 3)])
+    from_arrays = dark_count_fidelity_region(t, darks, csv_path=tmp_path / "arrays.csv")
+    from_lists = dark_count_fidelity_region(
+        t.tolist(), darks.tolist(), csv_path=tmp_path / "lists.csv"
+    )
+    assert from_arrays == from_lists
+    for point in from_arrays:
+        fields = [getattr(point, name) for name in RegionPoint.__dataclass_fields__]
+        assert all(type(value) is float for value in fields[:-1])
+    lines = (tmp_path / "arrays.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(t) * len(darks)
+    for line in lines[1:]:
+        *numbers, label = line.split(",")
+        assert len(numbers) == 7
+        for field in numbers:
+            float(field)
+        RegionLabel(label)
+    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+
+
+def _benchmark_region_grid(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 15x15 region grid of the benchmark's design_sweep workload."""
+    rng = random.Random(seed)
+    rng.random()  # rates --t-min
+    rng.random()  # drift --d-max
+    t = np.geomspace(10.0 ** (-3.0 - 0.5 * rng.random()), 0.5, 15)
+    darks = np.geomspace(10.0 ** (-8.0 + rng.random()), 1e-2, 15)
+    return t, darks
+
+
+_REGION_ORACLE_GRIDS = {
+    **{
+        f"benchmark_seed{seed}": (*_benchmark_region_grid(seed), 1.0 / 3.0)
+        for seed in (101, 202, 7)
+    },
+    "wide": (
+        np.geomspace(1e-6, 1.0, 25),
+        np.array([0.0, *np.geomspace(1e-9, 0.5, 24)]),
+        1.0 / 3.0,
+    ),
+    "lossless_heavy_dark": (
+        np.array([1.0, 0.999999]),
+        np.array([0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999]),
+        1.0 / 3.0,
+    ),
+    **{
+        f"sin_sq_{s}": (
+            np.geomspace(1e-4, 1.0, 12),
+            np.array([0.0, *np.geomspace(1e-9, 0.9, 11)]),
+            s,
+        )
+        for s in (1.0 / 3.0, 0.05, 0.9)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_ORACLE_GRIDS))
+def test_region_grid_matches_exact_tree_per_point(name):
+    t, darks, sin_sq = _REGION_ORACLE_GRIDS[name]
+    points = dark_count_fidelity_region(t, darks, sin_sq_theta=sin_sq)
+    expect, labels = region_by_tree(t, darks, sin_sq_theta=sin_sq)
+    got = np.array(
+        [
+            (
+                pt.transmission,
+                pt.p_dark,
+                pt.herald_probability,
+                pt.success_probability,
+                pt.fidelity,
+                pt.rate,
+                pt.reference_rate,
+            )
+            for pt in points
+        ]
+    )
+    assert [pt.label for pt in points] == labels
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "t, darks, kwargs",
+    [
+        ([0.1, 0.2], [0.0, 1e-3, 1.0], {}),  # p_dark = 1
+        ([0.1, 0.2], [0.0, 1e-3, -1e-3], {}),  # p_dark < 0
+        ([0.1, 0.2], [0.0, math.nan], {}),  # p_dark not a number
+        ([0.1, 1.5], [0.0, 1e-3], {}),  # t > 1
+        ([0.1, -0.1], [0.0, 1e-3], {}),  # t < 0
+        ([0.1, 0.0], [0.0, 1e-3], {}),  # dark link
+        ([0.1, math.nan], [0.0, 1e-3], {}),  # t not a number
+        ([0.1, 0.2], [0.0, 1e-3], {"tau": math.inf}),
+        ([0.1, 0.2], [0.0, 1e-3], {"tau": math.nan}),
+        # no emission: only a dark count heralds, and at p_dark = 0 none does
+        ([0.1], [1e-3, 0.0, 1e-2], {"sin_sq_theta": 0.0}),
+    ],
+)
+def test_region_grid_rejects_a_single_bad_point(t, darks, kwargs):
+    with pytest.raises(DegenerateParameterError):
+        dark_count_fidelity_region(t, darks, **kwargs)
+
+
+def test_region_grid_cross_check_catches_a_wrong_closed_form(monkeypatch):
+    # the grid's corner point is held to the exact tree, so a closed form
+    # that drifts from the tree raises instead of labelling the grid
+    closed_form = analytics._two_iterate_success
+
+    def drifted(masks, clients):
+        p_two, fid = closed_form(masks, clients)
+        return p_two, fid - 1e-11
+
+    monkeypatch.setattr(analytics, "_two_iterate_success", drifted)
+    with pytest.raises(SimulationError, match="success fidelity"):
+        dark_count_fidelity_region([0.05, 0.1], [0.0, 1e-3])
+
+
+def test_region_grid_empty_writes_header_only(tmp_path):
+    path = tmp_path / "empty.csv"
+    assert dark_count_fidelity_region([], [0.0, 1e-3], csv_path=path) == ()
+    assert path.read_text().splitlines() == [
+        "t,p_dark,p_herald,p_success,fidelity,rate,reference_rate,region"
+    ]

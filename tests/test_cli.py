@@ -399,6 +399,31 @@ def test_simulate_usage_errors(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # theta = pi/2 drives eta to 1: every pair is |11>, nothing classifies
+        ["--theta", repr(math.pi / 2.0)],
+        ["--sin-sq-theta", "1"],
+        ["--theta", repr(math.pi / 2.0), "--strategy", "loop"],
+        ["--sin-sq-theta", "1", "--strategy", "loop"],
+        # valid fields whose detuning phase overflows
+        ["--sin-sq-theta", "0.3", "--x1", "1", "--wavelength", "1e-320"],
+        ["--sin-sq-theta", "0.3", "--x1", "1e308", "--x2=-1e308"],
+    ],
+)
+def test_simulate_degenerate_links_exit_3(argv, tmp_path, capsys):
+    base = ["simulate", "--t", "0.1", "--trials", "10", "--outdir", str(tmp_path)]
+    assert main(base + argv) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line] == [
+        line for line in err.splitlines() if line.startswith("error: ")
+    ]
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_outdir_environment_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(OUTDIR_ENV_VAR, str(tmp_path / "nested"))
     assert main(["drift", "--points", "2"]) == 0

@@ -22,6 +22,7 @@ from paritydistill import (
     heralded_state_with_dark_counts,
     p_click,
 )
+from paritydistill.photonics import _dark_count_brokers
 
 
 def test_params_derived_quantities():
@@ -221,6 +222,52 @@ def test_dark_counts_reduce_exactly_at_zero():
     clean = heralded_state(params, theta).expand(("B1", "B2"))
     np.testing.assert_array_equal(state.elements, clean.elements)
     assert p_herald == p_click(params, theta)
+
+
+def test_dark_count_brokers_match_pointwise_mixture():
+    # the stacked builder against the mixture written out per point from
+    # the clean heralded pair, on unbalanced and detuned links
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        t1, t2 = rng.uniform(0.01, 1.0, size=(2, 6))
+        x1 = rng.uniform(0.0, 2.0, size=6)
+        p = np.append(rng.uniform(0.0, 0.9, size=5), 0.0)
+        s = rng.uniform(0.05, 1.0)
+        links = [ApparatusParams(a, b, x1=x, p_dark=d) for a, b, x, d in zip(t1, t2, x1, p)]
+        phi = [link.phi for link in links]
+        delta = [link.delta for link in links]
+        brokers, p_herald = _dark_count_brokers(t1, t2, phi, delta, s, p)
+        assert brokers.shape == (6, 4, 4)
+        theta = ExcitationAngle.from_sin_sq(s)
+        for link, broker, herald in zip(links, brokers, p_herald):
+            pc = p_click(link, theta)
+            w = np.array(
+                [
+                    (1 - s) ** 2,
+                    s * (1 - s) * (1 - link.t2),
+                    s * (1 - s) * (1 - link.t1),
+                    s * s * (1 - link.t1) * (1 - link.t2),
+                ]
+            )
+            dark = 2.0 * link.p_dark * (1.0 - link.p_dark)
+            expect_herald = (1.0 - link.p_dark) * pc + dark * w.sum()
+            clean = heralded_state(link, theta).expand().elements
+            expect = ((1.0 - link.p_dark) * pc * clean + dark * np.diag(w)) / expect_herald
+            assert herald == pytest.approx(expect_herald, rel=1e-14)
+            np.testing.assert_allclose(broker, expect, rtol=0.0, atol=1e-15)
+            state, one_herald = heralded_state_with_dark_counts(link, theta)
+            np.testing.assert_allclose(state.elements, broker, rtol=0.0, atol=1e-15)
+            assert one_herald == pytest.approx(herald, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "lengths", [{"x1": 1.0, "wavelength": 1e-320}, {"x1": 1e308, "x2": -1e308}]
+)
+def test_detuning_overflow_is_degenerate(lengths):
+    # every field is valid, but pi (x1 - x2) / wavelength is not finite
+    params = ApparatusParams(t1=0.1, t2=0.1, **lengths)
+    with pytest.raises(DegenerateParameterError, match="overflows"):
+        params.delta
 
 
 def test_dark_counts_false_herald_at_zero_excitation():

@@ -600,6 +600,74 @@ def test_tree_rejects_broker_that_does_not_conserve_probability():
         run_strategy_exact(plus_state(CLIENT_LABELS), half, StrategyConfig.loop(4))
 
 
+def broker_stack(rng, n: int) -> np.ndarray:
+    """Dark-count, parametric and general brokers, stacked (n, 4, 4)."""
+    kinds = ("pair", "dark", "general")
+    cases = [mask_case(kinds[i % 3], rng) for i in range(n)]
+    return np.stack(
+        [(b.expand() if isinstance(b, HeraldedPair) else b).elements for b in cases]
+    )
+
+
+def test_stacked_masks_gather_each_broker():
+    brokers = broker_stack(RNG(23), 12)
+    masks = protocol._outcome_masks(brokers)
+    assert masks.shape == (12, 4, 4, 4)
+    for broker, gathered in zip(brokers, masks):
+        one = protocol._outcome_masks(DensityMatrix(broker, ("B1", "B2")))
+        np.testing.assert_array_equal(gathered, one)
+    grid = protocol._outcome_masks(brokers.reshape(3, 4, 4, 4))
+    np.testing.assert_array_equal(grid.reshape(masks.shape), masks)
+
+
+def test_stacked_masks_reject_a_single_bad_broker():
+    brokers = broker_stack(RNG(29), 6)
+    brokers[4] *= 0.5
+    with pytest.raises(DegenerateParameterError, match="masks"):
+        protocol._outcome_masks(brokers)
+    with pytest.raises(ValueError, match="two qubits"):
+        protocol._outcome_masks(np.zeros((3, 2, 2), dtype=complex))
+
+
+def test_two_iterate_successes_read_off_classify():
+    # (first, second, measured parity): two distinct signatures of one parity
+    assert protocol._TWO_ITERATE_SUCCESSES == ((0, 3, 0), (1, 2, 1), (2, 1, 1), (3, 0, 0))
+
+
+@pytest.mark.parametrize("clients_kind", ["plus", "pure"])
+def test_two_iterate_closed_form_matches_tree(clients_kind):
+    rng = RNG(31)
+    cfg = StrategyConfig.two_iterates_only()
+    for _ in range(5):
+        clients = plus_state(CLIENT_LABELS) if clients_kind == "plus" else random_pure_clients(rng)
+        brokers = broker_stack(rng, 9)
+        p_two, fid = protocol._two_iterate_success(protocol._outcome_masks(brokers), clients)
+        for broker, got_p, got_f in zip(brokers, p_two, fid):
+            tree = run_strategy_exact(clients, DensityMatrix(broker, ("B1", "B2")), cfg)
+            assert got_p == pytest.approx(tree.success_probability, rel=1e-13, abs=1e-15)
+            assert got_f == pytest.approx(tree.mean_success_fidelity(), rel=1e-13, nan_ok=True)
+
+
+def test_two_iterate_closed_form_is_nan_without_success_mass():
+    # |11> brokers only ever repeat one outcome: no success mass survives
+    contaminated = np.zeros((2, 4, 4), dtype=complex)
+    contaminated[:, 3, 3] = 1.0
+    masks = protocol._outcome_masks(contaminated)
+    p_two, fid = protocol._two_iterate_success(masks, plus_state(CLIENT_LABELS))
+    np.testing.assert_array_equal(p_two, 0.0)
+    assert np.isnan(fid).all()
+
+
+def test_two_iterate_closed_form_checks_mass_and_purity():
+    masks = protocol._outcome_masks(broker_stack(RNG(37), 6))
+    masks[2] *= 1.0 + 1e-9
+    with pytest.raises(DegenerateParameterError, match="lost probability mass"):
+        protocol._two_iterate_success(masks, plus_state(CLIENT_LABELS))
+    masks[2] /= 1.0 + 1e-9
+    with pytest.raises(DegenerateParameterError, match="pure clients"):
+        protocol._two_iterate_success(masks, random_mixed_clients(RNG(41)))
+
+
 def test_fully_contaminated_tree_never_classifies():
     clients = plus_state(CLIENT_LABELS)
     tree = run_strategy_exact(

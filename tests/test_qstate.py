@@ -23,6 +23,7 @@ from paritydistill import (
     ry_minus_half_pi,
     tensor,
 )
+from paritydistill.qstate import _check_density
 
 
 def test_density_matrix_basic_properties():
@@ -43,6 +44,25 @@ def test_density_matrix_rejects_bad_input():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         DensityMatrix(m, ("A",))
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), "hermitian"),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), "trace"),
+        (np.array([[-0.5, 0.0], [0.0, 0.1]]), "trace"),
+        (np.array([[1.5, 0.0], [0.0, -0.5]]), "eigenvalue"),
+    ],
+)
+def test_density_check_rejects_a_single_bad_matrix_in_a_stack(defect, message):
+    stack = np.stack([np.eye(2) / 2.0] * 5).astype(complex)
+    _check_density(stack)
+    stack[3] = defect
+    with pytest.raises(ValueError, match=message):
+        _check_density(stack)
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(defect, ("A",))
 
 
 def test_unknown_label_raises():
