@@ -51,6 +51,10 @@ DARK_FIDELITY_CUTOFF = 1e-3
 # tree at the grid's cross-check point.
 REGION_CROSS_CHECK_ATOL = 1e-12
 
+# Memory budget, in doubles, of the block of walk vectors in
+# ``loop_interval_probabilities``; it keeps the series O(k_max) in memory.
+_SERIES_BLOCK_DOUBLES = 2**17
+
 
 # ---------------------------------------------------------------------------
 # Bell-pair rates
@@ -312,6 +316,17 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
     zero below k = 2.  The walk-count recursion is carried with weights
     ((1 - eta)/2)^k folded in, which keeps every term bounded however
     large k_max grows.
+
+    The walk vectors u_k (length k_max + 2, one per k) fill the rows of
+    a block with a zero column on each side, at most 64 rows and 2**17
+    doubles.  One step is one add of the row's two shifted views and
+    one multiply by the weight; the zero columns stand in for the
+    one-sided sums at the ends, exact because adding zero rounds
+    nothing.  The last row steps into row 0 of the next block.  Each
+    block yields p_success from its first interior column and the
+    walk sums from one row-wise sum, with numpy's pairwise grouping
+    over the same k_max + 2 terms as a per-step ``u.sum()``.  So every
+    output is bit for bit that of the step-by-step recursion.
     """
     if not 0.0 <= eta < 1.0:
         raise DegenerateParameterError(f"eta must lie in [0, 1), got {eta}")
@@ -319,18 +334,26 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
         raise ValueError("k_max must be at least 2")
     x = (1.0 - eta) / 2.0
     ps = np.zeros(k_max + 1)
-    pf = np.zeros(k_max + 1)
-    u = np.zeros(k_max + 2)
-    u[0] = x * x  # single length-1 prefix, weighted by x^2
-    w = np.empty_like(u)
-    for k in range(2, k_max + 1):
-        ps[k] = 2.0 * u[0]
-        pf[k] = 2.0 * eta * u.sum() / x + (1.0 - eta) * eta ** (k - 1)
-        # one step down or up for every walk, in place
-        w[0] = u[1]
-        np.add(u[:-2], u[2:], out=w[1:-1])
-        w[-1] = u[-2]
-        np.multiply(w, x, out=u)
+    sums = np.zeros(k_max + 1)
+    rows = min(64, max(1, _SERIES_BLOCK_DOUBLES // (k_max + 4)))
+    block = np.zeros((rows, k_max + 4))
+    block[0, 1] = x * x  # single length-1 prefix, weighted by x^2
+    # (u_r with its left and right neighbours, u_{r+1}) for every row r
+    steps = list(zip(block[:-1, :-2], block[:-1, 2:], block[1:, 1:-1]))
+    for start in range(2, k_max + 1, rows):
+        if start > 2:
+            np.add(block[-1, :-2], block[-1, 2:], out=block[0, 1:-1])
+            np.multiply(block[0, 1:-1], x, out=block[0, 1:-1])
+        n = min(rows, k_max + 1 - start)
+        for left, right, out in steps[: n - 1]:
+            np.add(left, right, out=out)
+            np.multiply(out, x, out=out)
+        ps[start : start + n] = 2.0 * block[:n, 1]
+        sums[start : start + n] = block[:n, 1:-1].sum(axis=1)
+    # Python's ** on each power: numpy's power does not promise libm rounding
+    powers = np.zeros(k_max + 1)
+    powers[2:] = [eta ** (k - 1) for k in range(2, k_max + 1)]
+    pf = 2.0 * eta * sums / x + (1.0 - eta) * powers
     return ps, pf
 
 

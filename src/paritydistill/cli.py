@@ -35,6 +35,7 @@ from .analytics import (
     optimize_theta,
     two_photon_reference_rate,
 )
+from .constants import SERIES_TAIL_TOL
 from .errors import (
     ConfigFormatError,
     DegenerateParameterError,
@@ -292,7 +293,7 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
         print(f"{name} = {value!r}")
     if not result.converged:
         print(
-            f"warning: series tail bound {result.tail_bound:.3e} exceeds 1e-09 "
+            f"warning: series tail bound {result.tail_bound:.3e} exceeds {SERIES_TAIL_TOL:.0e} "
             f"at k_max={args.k_max}; raise --k-max for a tighter truncation",
             file=sys.stderr,
         )

@@ -70,17 +70,19 @@ def ry_minus_half_pi() -> SingleQubitOperator:
 def _check_density(m: np.ndarray) -> None:
     """Raise ValueError unless ``m`` is a valid density matrix.
 
-    Checks hermiticity, a finite nonnegative trace and the eigenvalue
-    floor.  ``m`` is one square matrix or a stack of them along leading
-    axes; one batched ``eigvalsh`` checks a whole stack.
+    Checks a finite nonnegative trace, hermiticity and the eigenvalue
+    floor, in that order.  ``m`` is one square matrix or a stack of them
+    along leading axes; one batched ``eigvalsh`` checks a whole stack.
     """
-    defect = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not hermitian (defect {defect:.3e})")
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = ~np.isfinite(tr) | (tr.real < -TRACE_EPSILON)
     if bad.any():
         raise ValueError(f"trace must be finite and nonnegative, got {tr[bad].flat[0]}")
+    # an infinite off-diagonal entry makes inf - inf; the NaN defect fails
+    with np.errstate(invalid="ignore"):
+        defect = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
+    if not defect <= HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not hermitian (defect {defect:.3e})")
     lo = np.min(np.linalg.eigvalsh(m)[..., 0])
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"matrix has eigenvalue {lo:.3e} below the floor")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,12 +361,82 @@ def allocating_interval_probabilities(eta: float, k_max: int):
 
 
 def test_interval_probabilities_match_allocating_recursion_bit_for_bit():
-    for eta in (0.0, 0.05, 0.3, 0.7):
-        for k_max in (2, 3, 7, 258):
+    # k_max 63-66 and 129-130 put the last walk vector on either side of
+    # one and two 64-row block seams; 2000 runs many blocks of 64 rows
+    etas = (0.0, 1e-300, 0.05, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, np.float64(0.3337))
+    for eta in etas:
+        for k_max in (2, 3, 7, 63, 64, 65, 66, 129, 130, 258, 2000):
             got = loop_interval_probabilities(eta, k_max)
             expected = allocating_interval_probabilities(eta, k_max)
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("budget", [1, 140, 210])
+def test_interval_probabilities_bit_for_bit_on_small_blocks(monkeypatch, budget):
+    # a small memory budget gives blocks of 1, 2 or 3 rows at k_max 66, so
+    # nearly every step crosses a seam; one row steps onto itself
+    monkeypatch.setattr(analytics, "_SERIES_BLOCK_DOUBLES", budget)
+    for eta in (0.3, np.float64(0.01)):
+        for k_max in (2, 3, 5, 66, 67):
+            got = loop_interval_probabilities(eta, k_max)
+            expected = allocating_interval_probabilities(eta, k_max)
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+
+def test_interval_probabilities_memory_stays_linear_in_k_max():
+    # the block budget keeps the series at O(k_max) doubles: ~1.4 MiB here,
+    # where a constant 64-row block would take ~4 MiB and the full
+    # lattice of walk vectors ~490 MiB
+    tracemalloc.start()
+    try:
+        loop_interval_probabilities(0.3, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def reference_chain_growth(params, theta, k_max):
+    """``chain_growth_rate``'s fields rebuilt on the allocating recursion."""
+    pc = p_click(params, theta)
+    eta = eta_weight(params, theta)
+    ps, pf = allocating_interval_probabilities(eta, k_max + 2)
+    ks = np.arange(k_max + 3)
+    p_loop = float(ps[: k_max + 1].sum())
+    p_fail = float(pf[: k_max + 1].sum())
+    mean_iterates = float((ks[: k_max + 1] * (ps + pf)[: k_max + 1]).sum())
+    ratio = max(eta, 1.0 - eta)
+    tail_bound = float(ps[k_max + 1] + pf[k_max + 1] + ps[k_max + 2] + pf[k_max + 2])
+    tail_bound /= 1.0 - ratio**2
+    growth = (3.0 * p_loop - 1.0) * pc / (mean_iterates * params.tau)
+    return {
+        "p_loop": p_loop,
+        "p_fail": p_fail,
+        "mean_iterates": mean_iterates,
+        "tail_bound": tail_bound,
+        "growth_rate": growth,
+    }
+
+
+def test_chain_growth_matches_allocating_series():
+    theta = ExcitationAngle.from_sin_sq(0.2)
+    for t in (1e-3, 0.5):
+        params = ApparatusParams(t1=t, t2=t)
+        for k_max in (64, 256):
+            got = chain_growth_rate(params, theta, k_max=k_max)
+            expected = reference_chain_growth(params, theta, k_max)
+            assert {name: getattr(got, name) for name in expected} == expected
+    # the CHAIN_RATE search lands on the same angle as one on the reference
+    params = ApparatusParams(t1=1e-3, t2=1e-3)
+    best = optimize_theta(params, Objective.CHAIN_RATE, k_max=256)
+    theta_ref = golden_section_max(
+        lambda th: reference_chain_growth(params, th, 256)["growth_rate"],
+        0.0,
+        math.pi / 2.0,
+    )
+    assert best.optimal_theta == theta_ref
 
 
 def test_interval_probabilities_are_complete():

@@ -206,6 +206,7 @@ def test_chain_report_constants(capsys):
     assert values["mean_iterates"] == pytest.approx(3.83550985, rel=1e-6)
     # the k_max=64 truncation honestly reports its unconverged tail
     assert "raise --k-max" in captured.err
+    assert "exceeds 1e-09 at k_max=64;" in captured.err
 
 
 def test_chain_csv_round_trips_exact_values(tmp_path, capsys):

@@ -53,6 +53,8 @@ def test_density_matrix_rejects_bad_input():
         (np.array([[np.nan, 0.0], [0.0, 0.5]]), "trace"),
         (np.array([[-0.5, 0.0], [0.0, 0.1]]), "trace"),
         (np.array([[1.5, 0.0], [0.0, -0.5]]), "eigenvalue"),
+        (np.array([[np.inf, 0.0], [0.0, 0.5]]), "trace"),
+        (np.array([[0.5, np.inf], [np.inf, 0.5]]), "hermitian"),
     ],
 )
 def test_density_check_rejects_a_single_bad_matrix_in_a_stack(defect, message):
