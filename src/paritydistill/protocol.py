@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -513,7 +514,9 @@ STREAM_VERSION = 2
 # arrays, which stay near 1 MB.
 _CHUNK_TRIALS = 2048
 
-# CSV rows formatted per write.
+# CSV rows formatted per write.  Each batch formats its distinct
+# (iterates, status, fidelity) tails once and fills its rows with one
+# %-format, so the working data, tail table included, stays per batch.
 _CSV_BATCH_ROWS = 1024
 
 _STATUS_NAMES = {s.value: s.name.lower() for s in Status}
@@ -631,25 +634,32 @@ class SampleStats:
         }
 
     def write_csv(self, path) -> None:
-        """One row per trial, in trial order, formatted in batches."""
-        seed = self.rng_seed
+        """One row per trial, in trial order, formatted in batches.
+
+        Over a batch the tail of a row (iterates, status, fidelity) takes
+        few distinct values, so each distinct tail is formatted once.  A
+        fidelity is keyed by its bit pattern, which keeps ``-0.0`` apart
+        from ``0.0``; each is printed by ``repr``.
+        """
+        row = f"{self.rng_seed},%d,%d,%s\n"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("seed,trial,attempts,iterates,status,fidelity\n")
             for lo in range(0, self.n_trials, _CSV_BATCH_ROWS):
                 rows = slice(lo, lo + _CSV_BATCH_ROWS)
-                columns = zip(
+                bits, fid_code = np.unique(self.fidelity[rows].view(np.int64), return_inverse=True)
+                fids = bits.view(np.float64).tolist()
+                cells = self.iterates[rows] * 4 + self.status[rows]
+                keys, tail_code = np.unique(cells * len(fids) + fid_code, return_inverse=True)
+                tails = []
+                for key in keys.tolist():
+                    cell, f = divmod(key, len(fids))
+                    tails.append(f"{cell // 4},{_STATUS_NAMES[cell % 4]},{fids[f]!r}")
+                values = zip(
                     self.trial[rows].tolist(),
                     self.attempts[rows].tolist(),
-                    self.iterates[rows].tolist(),
-                    self.status[rows].tolist(),
-                    self.fidelity[rows].tolist(),
+                    map(tails.__getitem__, tail_code.tolist()),
                 )
-                fh.write(
-                    "".join(
-                        f"{seed},{t},{a},{k},{_STATUS_NAMES[c]},{f!r}\n"
-                        for t, a, k, c, f in columns
-                    )
-                )
+                fh.write((row * len(tail_code)) % tuple(chain.from_iterable(values)))
 
 
 # Per-trial uniforms come from nested SplitMix64 streams (Steele, Lea and
@@ -744,21 +754,28 @@ def _pick_outcome(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= first).astype(np.intp) + (r >= second) + (r >= third)
 
 
+def _positive(weight: np.ndarray) -> np.ndarray:
+    """The chosen branch weights, which successor states are divided by.
+
+    Raises rather than return a weight that is not positive.
+    """
+    if not np.all(weight > 0.0):
+        raise DegenerateParameterError("sampled an outcome of zero probability")
+    return weight
+
+
 def _advance(
     states: np.ndarray,
     outcome: np.ndarray,
-    probs: np.ndarray,
+    weight: np.ndarray,
     scale: np.ndarray,
     twist: np.ndarray,
 ) -> np.ndarray:
-    """Apply each column's chosen branch map and renormalize.
+    """Apply each column's chosen branch map and renormalize by its weight.
 
-    Raises rather than divide by a chosen branch weight that is not
-    positive.
+    Every operation is elementwise per column, so advancing a subset of
+    the columns gives the same bits as advancing all and then selecting.
     """
-    weight = probs[outcome, np.arange(len(outcome))]
-    if not np.all(weight > 0.0):
-        raise DegenerateParameterError("sampled an outcome of zero probability")
     grown = scale[:, outcome] * states + twist[:, outcome] * states[_PARTNER]
     return grown * (1.0 / weight)
 
@@ -777,6 +794,14 @@ def _sample_chunk(
     working arrays as soon as their history classifies; those left at
     the cap stay pending.  ``log_miss`` is ln(1 - p_click), or None when
     every window heralds.
+
+    Only states that are read are advanced.  Every trial starts in |++>,
+    so depth 0 reads the branch weights off that one column and advances
+    it once per distinct picked outcome.  From depth 1 a history is
+    classified from its outcomes alone, so a trial that fails there is
+    not advanced, nor is one left pending at the cap; a success is, for
+    its fidelity.  The weight of every picked outcome is checked, the
+    failing trials' included.
     """
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
@@ -784,7 +809,7 @@ def _sample_chunk(
     status = np.full(n, Status.PENDING.value, dtype=np.int8)
     fidelity = np.full(n, np.nan)
     live = np.arange(n)
-    states = np.repeat(_PLUS_COMPACT[:, None], n, axis=1)
+    states = _PLUS_COMPACT[:, None]
     windows = np.zeros(n, dtype=np.int64)
     first = balance = None
     for depth in range(cap):
@@ -795,20 +820,25 @@ def _sample_chunk(
             windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
         probs = _branch_probabilities(states, scale)
         outcome = _pick_outcome(probs, _uniforms(streams, 2 * depth + 1))
-        states = _advance(states, outcome, probs, scale, twist)
         parity = (outcome ^ (outcome >> 1)) & 1
         # +1 for j = 0 and -1 for j = 1: the two signatures of one parity
         step = 1 - 2 * (outcome & 1)
         if depth == 0:
+            picked, column = np.unique(outcome, return_inverse=True)
+            weight = _positive(probs[picked, 0])
+            states = _advance(states, picked, weight, scale, twist)[:, column]
             first, balance = parity, step
             continue
+        weight = _positive(probs[outcome, np.arange(len(outcome))])
         balance += step
         failed = parity != first
         succeeded = ~failed & (balance == 0)
         status[live[failed]] = Status.FAILURE.value
         won = live[succeeded]
         status[won] = 1 + first[succeeded]
-        kept = states[:, succeeded]
+        kept = _advance(
+            states[:, succeeded], outcome[succeeded], weight[succeeded], scale, twist
+        )
         fidelity[won] = np.where(
             first[succeeded] == 0,
             0.5 * (kept[1] + kept[2]) + kept[4],
@@ -818,10 +848,11 @@ def _sample_chunk(
         iterates[live[done]] = depth + 1
         attempts[live[done]] = windows[done]
         keep = ~done
-        live, streams, states = live[keep], streams[keep], states[:, keep]
-        windows, first, balance = windows[keep], first[keep], balance[keep]
-        if not len(live):
+        live, streams, windows = live[keep], streams[keep], windows[keep]
+        first, balance = first[keep], balance[keep]
+        if not len(live) or depth + 1 == cap:
             break
+        states = _advance(states[:, keep], outcome[keep], weight[keep], scale, twist)
     attempts[live] = windows
     return attempts, iterates, status, fidelity
 

@@ -266,8 +266,3 @@ def plus_state(labels: Sequence[str]) -> DensityMatrix:
     dim = 2 ** len(tuple(labels))
     return DensityMatrix.from_pure(np.full(dim, 1.0 / np.sqrt(dim)), labels)
 
-
-def bell_odd(labels: Sequence[str]) -> DensityMatrix:
-    """Odd-parity Bell state (|01> + |10>)/sqrt(2)."""
-    return DensityMatrix.from_pure([0, _SQRT_HALF, _SQRT_HALF, 0], labels)
-

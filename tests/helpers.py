@@ -72,6 +72,12 @@ def bell_even(labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix.from_pure([half, 0, 0, half], labels)
 
 
+def bell_odd(labels: Sequence[str]) -> DensityMatrix:
+    """Odd-parity Bell state (|01> + |10>)/sqrt(2)."""
+    half = 1.0 / np.sqrt(2.0)
+    return DensityMatrix.from_pure([0, half, half, 0], labels)
+
+
 def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> float:
     """Infidelity of the distilled state when the link drifts mid-run.
 

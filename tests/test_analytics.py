@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import drift_infidelity_exact, region_by_tree
+from helpers import bell_odd, drift_infidelity_exact, region_by_tree
 from paritydistill import (
     ApparatusParams,
     DegenerateParameterError,
@@ -555,7 +555,7 @@ def test_drift_exact_against_delivered_state():
     baseline detuning must drop out.
     """
     from helpers import bell_even
-    from paritydistill import IterateOutcome, bell_odd, run_iterate_exact
+    from paritydistill import IterateOutcome, run_iterate_exact
 
     rng = np.random.default_rng(53)
     clients = plus_state(CLIENT_LABELS)
@@ -584,7 +584,7 @@ def test_drift_exact_against_distortion_pair_overlap():
     # second window's, and take the normalized overlap with the ideal
     # Bell state through the density-matrix layer
     from helpers import asymmetry_distortion
-    from paritydistill import apply_one_qubit, bell_odd
+    from paritydistill import apply_one_qubit
 
     rng = np.random.default_rng(59)
     labels = ("B1", "B2")

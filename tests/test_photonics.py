@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import bell_odd
 from paritydistill import (
     ApparatusParams,
     ConfigFormatError,
     DegenerateParameterError,
     ExcitationAngle,
     HeraldedPair,
-    bell_odd,
     eta_weight,
     fidelity,
     heralded_state,

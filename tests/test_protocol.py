@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from helpers import bell_even
+from helpers import bell_even, bell_odd
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
@@ -26,7 +26,6 @@ from paritydistill import (
     Status,
     StrategyConfig,
     StrategyMode,
-    bell_odd,
     classify,
     eta_weight,
     heralded_state,
@@ -730,7 +729,7 @@ def test_vectorised_step_matches_dense_branch_map():
         states = np.repeat(np.array(compact_of(m))[:, None], 4, axis=1)
         outcome = np.arange(4)
         probs = protocol._branch_probabilities(states, scale)
-        after = protocol._advance(states, outcome, probs, scale, twist)
+        after = protocol._advance(states, outcome, probs[outcome, outcome], scale, twist)
         for oc in OUTCOMES:
             dense = branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
             weight = dense.trace().real
@@ -750,7 +749,7 @@ def test_vectorised_step_rejects_zero_weight():
     states = np.zeros((8, 1))
     probs = protocol._branch_probabilities(states, scale)
     with pytest.raises(DegenerateParameterError):
-        protocol._advance(states, np.array([2]), probs, scale, twist)
+        protocol._positive(probs[[2], 0])
 
 
 def test_pick_outcome_never_chooses_zero_probability():
@@ -947,6 +946,7 @@ def test_chi2_sf_known_values():
 
 
 UNBALANCED = ApparatusParams(t1=0.6, t2=0.3, x1=0.2)
+BALANCED = ApparatusParams(t1=0.2, t2=0.2)
 
 
 def test_counter_stream_known_answers():
@@ -965,17 +965,23 @@ def test_counter_stream_known_answers():
 
 
 @pytest.mark.parametrize(
-    "config",
-    [StrategyConfig.two_iterates_only(rng_seed=17), StrategyConfig.loop(10, rng_seed=17)],
-    ids=["two_iterates", "loop"],
+    "config, params",
+    [
+        (StrategyConfig.two_iterates_only(rng_seed=17), UNBALANCED),
+        (StrategyConfig.loop(10, rng_seed=17), UNBALANCED),
+        # survivors of the last depth are never advanced
+        (StrategyConfig.loop(3, rng_seed=17), UNBALANCED),
+        (StrategyConfig.loop(10, rng_seed=17), BALANCED),
+    ],
+    ids=["two_iterates", "loop", "loop_cap3", "loop_balanced"],
 )
-def test_vectorised_sampler_matches_scalar_reference(config):
+def test_vectorised_sampler_matches_scalar_reference(config, params):
     theta = ExcitationAngle.from_sin_sq(0.4)
     chunk = protocol._CHUNK_TRIALS
     start, n = chunk - 37, chunk + 100  # two chunks, off the chunk grid
-    stats = run_trajectories(config, UNBALANCED, theta, n, trial_start=start)
-    reference = scalar_trajectories(config, UNBALANCED, theta, n, trial_start=start)
-    whole = run_trajectories(config, UNBALANCED, theta, start + n)
+    stats = run_trajectories(config, params, theta, n, trial_start=start)
+    reference = scalar_trajectories(config, params, theta, n, trial_start=start)
+    whole = run_trajectories(config, params, theta, start + n)
     for column, expected in zip(
         (stats.trial, stats.attempts, stats.iterates, stats.status, stats.fidelity), reference
     ):
@@ -983,6 +989,9 @@ def test_vectorised_sampler_matches_scalar_reference(config):
     for name in ("attempts", "iterates", "status", "fidelity"):
         np.testing.assert_array_equal(getattr(stats, name), getattr(whole, name)[start:])
     assert set(stats.status.tolist()) == {s.value for s in Status}
+    if params is BALANCED:
+        success = np.isin(stats.status, [s.value for s in Status if s.is_success])
+        assert np.all(stats.fidelity[success] == 1.0)
 
 
 @pytest.mark.parametrize("t1, t2", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
@@ -1002,6 +1011,31 @@ def test_trajectories_at_certain_click(t1, t2):
         reference = scalar_trajectories(config, params, theta, 300)
         np.testing.assert_array_equal(stats.attempts, reference[1])
         np.testing.assert_array_equal(stats.status, reference[3])
+
+
+def test_sampler_rejects_zero_weight_of_a_failing_trial(monkeypatch):
+    # on the certain-click link every trial repeats its first outcome,
+    # the other three weights being exactly zero; trial 0 is handed an
+    # other-parity outcome at depth 1, which would end it as a failure,
+    # and its zero weight must raise although its state is never read
+    params = ApparatusParams(t1=1.0, t2=1.0)
+    theta = ExcitationAngle.from_sin_sq(1.0)
+    pick = protocol._pick_outcome
+    for config in (StrategyConfig.two_iterates_only(rng_seed=3), StrategyConfig.loop(6, rng_seed=3)):
+        depths = []
+
+        def other_parity_at_depth_one(probs, u):
+            outcome = pick(probs, u)
+            depths.append(len(depths))
+            if depths[-1] == 1:
+                outcome[0] ^= 1
+                assert probs[outcome[0], 0] == 0.0
+            return outcome
+
+        monkeypatch.setattr(protocol, "_pick_outcome", other_parity_at_depth_one)
+        with pytest.raises(DegenerateParameterError):
+            run_trajectories(config, params, theta, 300)
+        assert depths == [0, 1]
 
 
 def test_trajectory_cells_match_depth_profile():
@@ -1086,15 +1120,22 @@ def test_write_csv_matches_csv_writer(tmp_path):
     n = 2 * protocol._CSV_BATCH_ROWS + 300
     fidelity = rng.uniform(0.0, 1.0, n)
     fidelity[::7] = np.nan
-    fidelity[1:6] = (1e-300, 5e-324, 1.0 / 3.0, 0.1, 1.0)
+    # signed zeros and a NaN of either sign share the first batch
+    fidelity[1:10] = (1e-300, 5e-324, 1.0 / 3.0, 0.1, 1.0, -0.0, 0.0, -np.nan, 0.0)
+    assert np.signbit(fidelity[6]) and np.signbit(fidelity[8]) and not np.signbit(fidelity[7])
+    iterates = rng.integers(2, 17, n)
+    status = (np.arange(n) % 4).astype(np.int8)
+    # every row of the last batch has the same tail
+    last = slice(2 * protocol._CSV_BATCH_ROWS, n)
+    iterates[last], status[last], fidelity[last] = 5, Status.SUCCESS_PARITY_ODD.value, -0.0
     stats = protocol.SampleStats(
         StrategyConfig.loop(16, rng_seed=2**63 + 11),
         UNBALANCED,
         0.7,
         np.arange(10**9, 10**9 + 3 * n, 3, dtype=np.int64),
         rng.integers(1, 10**12, n),
-        rng.integers(2, 17, n),
-        (np.arange(n) % 4).astype(np.int8),
+        iterates,
+        status,
         fidelity,
     )
     stats.write_csv(tmp_path / "batched.csv")
@@ -1104,3 +1145,5 @@ def test_write_csv_matches_csv_writer(tmp_path):
     assert written.count(b"\n") == n + 1
     for name in (b",pending,", b",success_parity_even,", b",success_parity_odd,", b",failure,"):
         assert name in written
+    assert b",-0.0\n" in written and b",0.0\n" in written
+    assert written.endswith(b",5,success_parity_odd,-0.0\n")

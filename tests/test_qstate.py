@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import asymmetry_distortion, basis_state, bell_even
+from helpers import asymmetry_distortion, basis_state, bell_even, bell_odd
 from paritydistill import (
     DegenerateParameterError,
     DensityMatrix,
@@ -16,7 +16,6 @@ from paritydistill import (
     VanishingTraceError,
     apply_cz,
     apply_one_qubit,
-    bell_odd,
     fidelity,
     plus_state,
     project_x_unnormalized,
