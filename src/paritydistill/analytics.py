@@ -1,11 +1,12 @@
 """Closed-form rates, optimizers and combinatorics for the distillation link.
 
 Everything here is analytic or semi-analytic: no density matrices are
-evolved.  The dark-count region classifier reads its whole grid off the
-gathered outcome masks of a stack of brokers in closed form, and checks
-one grid point against the exact protocol engine on every call.  The
-closed forms are pinned against the exact engine by the test suite, so
-the two layers act as independent oracles for each other.
+evolved.  The dark-count region classifier reads its whole grid off one
+cap-2 walk of the protocol engine over the gathered outcome masks of a
+stack of brokers, and checks one grid point against the engine's
+single-broker tree on every call.  The closed forms are pinned against
+the exact engine by the test suite, so the two layers act as
+independent oracles for each other.
 """
 
 from __future__ import annotations
@@ -562,11 +563,12 @@ def dark_count_fidelity_region(
 
     The whole grid is one array pass: the stack of dark-count brokers
     (``_dark_count_brokers``), one batched validation, the gathered
-    outcome masks and the closed-form two-iterate tree
+    outcome masks and one cap-2 walk over the stack
     (``_two_iterate_success``), with the per-point checks as array
     checks.  One point, at the highest dark-count probability and the
     lowest transmission, is cross-checked against the exact tree
-    (``run_strategy_exact``) and must agree to ``REGION_CROSS_CHECK_ATOL``.
+    (``run_strategy_exact``), whose leaves are normalized one by one and
+    scored by ``fidelity``, and must agree to ``REGION_CROSS_CHECK_ATOL``.
     """
     t = np.asarray(transmissions, dtype=float)
     p = np.asarray(dark_probabilities, dtype=float)

@@ -13,14 +13,15 @@ route (``run_iterate_exact``) evolves the full four-qubit density matrix
 through the gate sequence; no production path calls it, and the test
 suite keeps it as the independent oracle the gather is pinned against.
 
-Exact strategy trees are walked over count classes rather than single
-outcome histories.  Outcome ``k`` acts on the clients as an entrywise
-mask, and entrywise masks commute, so every history with the same first
-outcome and the same four outcome counts ends in the same client state
-with the same path probability.  A tree leaf is therefore a class: its
-probability is the class mass (the number of member histories times
-their common path probability) and its history is one representative
-member.
+Exact results come from one walk (``_walk``).  A pending run is known
+by its first outcome ``j`` and its balance: the count of ``j`` less the
+count of its same-parity partner ``3 - j``.  Outcome ``k`` acts on the
+clients as an entrywise mask, so the walk carries, per (first outcome,
+balance), the summed unnormalized client matrix of all histories there,
+and one mask product moves them all.  The exact tree
+(``run_strategy_exact``) turns each terminal or cap-pending class into
+one leaf, and the dark-count region grid reads the cap-2 walk of a
+whole stack of brokers (``_two_iterate_success``).
 """
 
 from __future__ import annotations
@@ -256,12 +257,13 @@ def run_iterate_exact(
 
 @dataclass(frozen=True)
 class Leaf:
-    """One terminal (or cap-truncated) count class of an exact strategy tree.
+    """One terminal (or cap-truncated) class of an exact strategy tree.
 
-    ``history`` is one representative member; all members share the
-    iterate count, the status (``classify`` of the history) and the
-    normalized client state.  ``probability`` is the class mass, summed
-    over every member history.
+    A class holds the histories with one first outcome ``j`` and one
+    count of each outcome; they share the status, the iterate count and
+    the normalized client state.  ``history`` is one member: its ``j``s,
+    then its partners ``3 - j``, then any failing outcome.
+    ``probability`` is the class mass, summed over every member history.
     """
 
     history: tuple[IterateOutcome, ...]
@@ -276,11 +278,10 @@ class Leaf:
 
 @dataclass(frozen=True)
 class ExactTree:
-    """All leaves of the exact strategy evolution, one per count class.
+    """All leaves of the exact strategy evolution, one per class.
 
-    Each leaf stands for every outcome history with its first outcome and
-    its four outcome counts (see ``Leaf``), so leaf masses, not leaf
-    counts, are the physical quantities.
+    Each leaf stands for every history of its class (see ``Leaf``), so
+    leaf masses, not leaf counts, are the physical quantities.
     """
 
     initial_clients: DensityMatrix
@@ -350,21 +351,82 @@ def _parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityM
     return out.normalized()
 
 
-@dataclass
-class _CountClass:
-    """Histories sharing a first outcome and four outcome counts.
+# The two outcomes of the other parity, which fail a run begun with j.
+_FAILING = ((1, 2), (0, 3), (0, 3), (1, 2))
 
-    The masks commute, so every member has the same path probability and
-    the same normalized client state; ``history`` is one member, kept as
-    the class representative.  ``key`` is (first outcome index, n0, n1,
-    n2, n3).
+
+def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero the classes lighter than the pruning epsilon, in place.
+
+    Returns their mass and that of the rest, summed over the class axes.
     """
+    mass = np.trace(classes, axis1=-2, axis2=-1).real
+    light = mass < BRANCH_PRUNE_EPSILON
+    classes[light] = 0.0
+    axes = tuple(range(batch, mass.ndim))
+    return np.where(light, mass, 0.0).sum(axis=axes), np.where(light, 0.0, mass).sum(axis=axes)
 
-    key: tuple[int, ...]
-    history: tuple[IterateOutcome, ...]
-    path_probability: float
-    multiplicity: int
-    state: np.ndarray
+
+def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
+    """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``.
+
+    ``classify`` reads a pending history by its first outcome ``j`` and
+    its balance ``b``, the count of ``j`` less that of its partner
+    ``3 - j``.  Class (j, b) carries the summed unnormalized client
+    matrix of its histories, whose trace is its mass; the masks act
+    entrywise, so one product moves a whole class.  Outcome ``j`` moves it
+    to ``b + 1``, the partner to ``b - 1`` (success at 0), and the other
+    parity (``_FAILING[j]``) fails it.  Returns, for depths 2 to ``cap``,
+    the success classes ``(..., j)`` and the failure classes ``(..., j,
+    b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``;
+    then the classes pending at the cap ``(..., j, b - 1)`` and the pruned
+    mass ``(...)``.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is
+    zeroed where it is reached and its mass pruned.  Raises unless the
+    kept and the pruned mass sum to one.
+    """
+    batch = masks.ndim - 3
+    grow = masks[..., :, None, :, :]
+    close = masks[..., ::-1, None, :, :]
+    fail = masks[..., _FAILING, :, :][..., :, None, :, :, :]
+    pending = grow * rho
+    pruned, waiting = _drop_light(pending, batch)
+    settled = np.zeros_like(pruned)
+    successes, failures = [], []
+    for depth in range(2, cap + 1):
+        lost = pending[..., None, :, :] * fail
+        closed = pending * close
+        grown = pending * grow
+        pending = np.zeros(grown.shape[:-3] + (depth,) + grown.shape[-2:], dtype=grown.dtype)
+        pending[..., 1:, :, :] = grown
+        pending[..., : depth - 2, :, :] += closed[..., 1:, :, :]
+        successes.append(closed[..., 0, :, :])
+        failures.append(lost)
+        for classes in (successes[-1], lost):
+            dropped, kept = _drop_light(classes, batch)
+            pruned, settled = pruned + dropped, settled + kept
+        dropped, waiting = _drop_light(pending, batch)
+        pruned = pruned + dropped
+    defect = float(np.max(np.abs(settled + waiting + pruned - 1.0)))
+    if defect > PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(
+            f"strategy tree lost probability mass: defect {defect:.3e}"
+        )
+    return successes, failures, pending, pruned
+
+
+def _representative(j: int, length: int, balance: int) -> tuple[IterateOutcome, ...]:
+    """A pending history of ``length`` outcomes: ``j``, then its partner."""
+    ahead = (length + balance) // 2
+    return (OUTCOMES[j],) * ahead + (OUTCOMES[3 - j],) * (length - ahead)
+
+
+def _kept(classes: np.ndarray, labels):
+    """Index, normalized state and mass of each class the walk kept."""
+    mass = np.trace(classes, axis1=-2, axis2=-1).real
+    kept = mass > 0.0  # pruned classes are zero
+    states = classes[kept] / mass[kept][:, None, None]
+    for index, state, p in zip(np.argwhere(kept).tolist(), states, mass[kept].tolist()):
+        yield index, DensityMatrix(state, labels, validate=False), p
 
 
 def run_strategy_exact(
@@ -374,79 +436,28 @@ def run_strategy_exact(
 ) -> ExactTree:
     """Evaluate every measurement branch of a strategy exactly.
 
-    The walk runs depth by depth over count classes: outcome histories
-    keyed by their first outcome and their four outcome counts, with the
-    outcome masks gathered from the broker (``_outcome_masks``).
-    Because the masks commute, all histories of a class share one path
-    probability and one client state, so a class only counts how many
-    histories reach it.  A class extends while it is pending and the
-    iterate cap is not reached; otherwise it becomes one leaf, whose
-    probability is the class mass (multiplicity times path probability)
-    and whose history is a representative member.  Classes whose mass
-    falls below the pruning epsilon, and branches whose conditional
-    weight does, are dropped and accounted in ``pruned_probability``;
-    the surviving mass is checked to conserve probability.
+    Walks the classes (``_walk``) under the outcome masks gathered from
+    the broker (``_outcome_masks``) and makes each success, failure and
+    cap-pending class one ``Leaf``.  Classes lighter than the pruning
+    epsilon are dropped into ``pruned_probability``, and the walk checks
+    that probability is conserved.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
     initial = clients.normalized()
-    masks = _outcome_masks(pair)
-    frontier = [_CountClass((), (), 1.0, 1, initial.elements)]
-    leaves: list[Leaf] = []
-    pruned = 0.0
-    for depth in range(1, config.max_iterates + 1):
-        reached: dict[tuple[int, ...], _CountClass] = {}
-        for node in frontier:
-            for outcome in OUTCOMES:
-                k = outcome.index
-                key = list(node.key) if node.key else [k, 0, 0, 0, 0]
-                key[1 + k] += 1
-                key = tuple(key)
-                known = reached.get(key)
-                if known is not None:
-                    known.multiplicity += node.multiplicity
-                    continue
-                unnormalized = masks[k] * node.state
-                weight = float(unnormalized.trace().real)
-                if weight < BRANCH_PRUNE_EPSILON:
-                    pruned += node.multiplicity * node.path_probability * max(weight, 0.0)
-                    continue
-                reached[key] = _CountClass(
-                    key,
-                    node.history + (outcome,),
-                    node.path_probability * weight,
-                    node.multiplicity,
-                    unnormalized / weight,
-                )
-        frontier = []
-        for node in reached.values():
-            mass = node.multiplicity * node.path_probability
-            if mass < BRANCH_PRUNE_EPSILON:
-                pruned += mass
-                continue
-            status = classify(node.history)
-            if status is Status.PENDING and depth < config.max_iterates:
-                frontier.append(node)
-            else:
-                state = DensityMatrix(node.state, initial.labels, validate=False)
-                leaves.append(Leaf(node.history, state, status, mass))
-    tree = ExactTree(initial, config, tuple(leaves), pruned)
-    defect = abs(tree.total_probability - 1.0)
-    if defect > PROBABILITY_SUM_ATOL:
-        raise DegenerateParameterError(
-            f"strategy tree lost probability mass: defect {defect:.3e}"
-        )
-    return tree
-
-
-# Success histories of the two-iterate strategy, read off ``classify``:
-# (first outcome index, second outcome index, measured parity).
-_TWO_ITERATE_SUCCESSES = tuple(
-    (a.index, b.index, 0 if status is Status.SUCCESS_PARITY_EVEN else 1)
-    for a in OUTCOMES
-    for b in OUTCOMES
-    if (status := classify((a, b))).is_success
-)
+    cap, labels = config.max_iterates, initial.labels
+    successes, failures, pending, pruned = _walk(_outcome_masks(pair), initial.elements, cap)
+    leaves = []
+    for depth, (won, lost) in enumerate(zip(successes, failures), start=2):
+        for (j,), state, p in _kept(won, labels):
+            status = Status(1 + OUTCOMES[j].parity)
+            leaves.append(Leaf(_representative(j, depth, 0), state, status, p))
+        for (j, b, f), state, p in _kept(lost, labels):
+            history = _representative(j, depth - 1, b + 1) + (OUTCOMES[_FAILING[j][f]],)
+            leaves.append(Leaf(history, state, Status.FAILURE, p))
+    for (j, b), state, p in _kept(pending, labels):
+        leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
+    return ExactTree(initial, config, tuple(leaves), float(pruned))
 
 
 def _two_iterate_success(
@@ -454,19 +465,12 @@ def _two_iterate_success(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Success probability and mean success fidelity of two-iterate trees.
 
-    The closed form of ``run_strategy_exact`` under
-    ``StrategyConfig.two_iterates_only()`` followed by
-    ``success_probability`` and ``mean_success_fidelity``, for a stack of
-    outcome masks of shape ``(..., 4, 4, 4)`` (``_outcome_masks``).  Every
-    two-outcome history is its own count class, so outcome pair (j, k)
-    leaves the clients in ``M_j * M_k * rho`` with mass ``sum_a M_j[a, a]
-    M_k[a, a] rho[a, a]``; pairs lighter than the pruning epsilon are
-    dropped, as the tree drops them.  The clients must be pure, so each
-    delivered-parity target ``T`` (``_parity_projection``) is rank one
-    and a success fidelity is ``Re sum(conj(T) * M_j * M_k * rho)`` over
-    the pair's mass, clipped to [0, 1] as ``fidelity`` clips it.  Checks
-    that the pair masses conserve probability.  The fidelity is NaN
-    where no success mass survives.
+    The cap-2 walk (``_walk``) over a stack of outcome masks ``(..., 4,
+    4, 4)``, read as ``success_probability`` and ``mean_success_fidelity``
+    read the tree.  The clients must be pure, so each delivered-parity
+    target ``T`` (``_parity_projection``) is rank one, and a success
+    class's fidelity is ``Re sum(conj(T) * S) / tr S``, clipped to [0, 1]
+    as ``fidelity`` clips it.  NaN where no success mass survives.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
@@ -474,27 +478,15 @@ def _two_iterate_success(
     rho = initial.elements
     purity = float(np.vdot(rho, rho).real)
     if abs(purity - 1.0) > RANK_ONE_RTOL:
-        raise DegenerateParameterError(f"the closed form needs pure clients, purity {purity:.6g}")
-    diagonal = masks.diagonal(axis1=-2, axis2=-1).real
-    mass = np.einsum("...ja,...ka,a->...jk", diagonal, diagonal, rho.diagonal().real)
-    defect = float(np.max(np.abs(mass.sum(axis=(-2, -1)) - 1.0)))
-    if defect > PROBABILITY_SUM_ATOL:
-        raise DegenerateParameterError(
-            f"strategy tree lost probability mass: defect {defect:.3e}"
-        )
-    targets = [_parity_projection(initial, parity).elements.conj() * rho for parity in (0, 1)]
-    p_success = np.zeros(mass.shape[:-2])
-    weighted = np.zeros(mass.shape[:-2])
-    for j, k, parity in _TWO_ITERATE_SUCCESSES:
-        m = mass[..., j, k]
-        kept = m >= BRANCH_PRUNE_EPSILON
-        pair = masks[..., j, :, :] * masks[..., k, :, :]
-        overlap = np.sum(targets[parity] * pair, axis=(-2, -1))
-        fid = np.clip(np.divide(overlap.real, m, out=np.zeros_like(m), where=kept), 0.0, 1.0)
-        p_success += np.where(kept, m, 0.0)
-        weighted += np.where(kept, m * fid, 0.0)
+        raise DegenerateParameterError(f"the overlap needs pure clients, purity {purity:.6g}")
+    (won,), _, _, _ = _walk(masks, rho, 2)
+    targets = np.stack([_parity_projection(initial, o.parity).elements.conj() for o in OUTCOMES])
+    mass = np.trace(won, axis1=-2, axis2=-1).real
+    overlap = np.sum(targets * won, axis=(-2, -1)).real
+    fid = np.clip(np.divide(overlap, mass, out=np.zeros_like(mass), where=mass > 0.0), 0.0, 1.0)
+    p_success = mass.sum(axis=-1)
     fidelity = np.full(p_success.shape, np.nan)
-    np.divide(weighted, p_success, out=fidelity, where=p_success > TRACE_EPSILON)
+    np.divide((mass * fid).sum(axis=-1), p_success, out=fidelity, where=p_success > TRACE_EPSILON)
     return p_success, fidelity
 
 

@@ -7,26 +7,37 @@ expected values that the library's own routes are checked against.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from paritydistill import (
+    OUTCOMES,
     ApparatusParams,
     DegenerateParameterError,
     DensityMatrix,
+    ExactTree,
     ExcitationAngle,
+    IterateOutcome,
+    Leaf,
     RegionLabel,
     SingleQubitOperator,
+    Status,
     StrategyConfig,
+    classify,
     heralded_state_with_dark_counts,
     plus_state,
     run_strategy_exact,
     two_photon_reference_rate,
 )
 from paritydistill.analytics import DARK_FIDELITY_CUTOFF
-from paritydistill.constants import UNITARITY_ATOL
-from paritydistill.protocol import CLIENT_LABELS
+from paritydistill.constants import (
+    BRANCH_PRUNE_EPSILON,
+    PROBABILITY_SUM_ATOL,
+    UNITARITY_ATOL,
+)
+from paritydistill.protocol import CLIENT_LABELS, _outcome_masks
 
 
 def asymmetry_distortion(phi: float, delta: float) -> SingleQubitOperator:
@@ -134,3 +145,93 @@ def region_by_tree(
                 labels.append(RegionLabel.REFERENCE_BETTER)
             rows.append((float(t), float(p), p_herald, p_two, fid, rate, reference))
     return np.array(rows), labels
+
+
+@dataclass
+class _CountClass:
+    """Histories sharing a first outcome and four outcome counts.
+
+    The masks commute, so every member has the same path probability and
+    the same normalized client state; ``history`` is one member, kept as
+    the class representative.  ``key`` is (first outcome index, n0, n1,
+    n2, n3).
+    """
+
+    key: tuple[int, ...]
+    history: tuple[IterateOutcome, ...]
+    path_probability: float
+    multiplicity: int
+    state: np.ndarray
+
+
+def count_class_tree(
+    clients: DensityMatrix,
+    pair,
+    config: StrategyConfig,
+) -> ExactTree:
+    """Reference tree: a dynamic program over count classes.
+
+    The walk runs depth by depth over count classes: outcome histories
+    keyed by their first outcome and their four outcome counts, with the
+    outcome masks gathered from the broker.  Because the masks commute,
+    all histories of a class share one path probability and one client
+    state, so a class only counts how many histories reach it.  A class
+    extends while it is pending and the iterate cap is not reached;
+    otherwise it becomes one leaf, whose probability is the class mass
+    (multiplicity times path probability) and whose history is a
+    representative member.  Classes whose mass falls below the pruning
+    epsilon, and branches whose conditional weight does, are dropped and
+    accounted in ``pruned_probability``; the surviving mass is checked
+    to conserve probability.  Polynomial in the cap, so it reaches the
+    caps the per-history circuit expansion cannot.
+    """
+    if clients.n_qubits != 2:
+        raise ValueError("the iterate acts on exactly two client qubits")
+    initial = clients.normalized()
+    masks = _outcome_masks(pair)
+    frontier = [_CountClass((), (), 1.0, 1, initial.elements)]
+    leaves: list[Leaf] = []
+    pruned = 0.0
+    for depth in range(1, config.max_iterates + 1):
+        reached: dict[tuple[int, ...], _CountClass] = {}
+        for node in frontier:
+            for outcome in OUTCOMES:
+                k = outcome.index
+                key = list(node.key) if node.key else [k, 0, 0, 0, 0]
+                key[1 + k] += 1
+                key = tuple(key)
+                known = reached.get(key)
+                if known is not None:
+                    known.multiplicity += node.multiplicity
+                    continue
+                unnormalized = masks[k] * node.state
+                weight = float(unnormalized.trace().real)
+                if weight < BRANCH_PRUNE_EPSILON:
+                    pruned += node.multiplicity * node.path_probability * max(weight, 0.0)
+                    continue
+                reached[key] = _CountClass(
+                    key,
+                    node.history + (outcome,),
+                    node.path_probability * weight,
+                    node.multiplicity,
+                    unnormalized / weight,
+                )
+        frontier = []
+        for node in reached.values():
+            mass = node.multiplicity * node.path_probability
+            if mass < BRANCH_PRUNE_EPSILON:
+                pruned += mass
+                continue
+            status = classify(node.history)
+            if status is Status.PENDING and depth < config.max_iterates:
+                frontier.append(node)
+            else:
+                state = DensityMatrix(node.state, initial.labels, validate=False)
+                leaves.append(Leaf(node.history, state, status, mass))
+    tree = ExactTree(initial, config, tuple(leaves), pruned)
+    defect = abs(tree.total_probability - 1.0)
+    if defect > PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(
+            f"strategy tree lost probability mass: defect {defect:.3e}"
+        )
+    return tree

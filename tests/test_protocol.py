@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from helpers import bell_even, bell_odd
+from helpers import bell_even, bell_odd, count_class_tree
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
@@ -71,7 +71,7 @@ def circuit_tree(clients, pair, config) -> ExactTree:
     """Reference tree: one circuit iterate per outcome history.
 
     Expands every history separately, with per-path pruning, so it is
-    exponential in the iterate cap; the count-class tree of
+    exponential in the iterate cap; the class walk of
     ``run_strategy_exact`` must reproduce its masses.
     """
     frontier = [((), 1.0, clients.normalized())]
@@ -592,6 +592,48 @@ def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
             assert tree.failure_probability == pytest.approx(pf.sum(), abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["pair", "dark", "general"])
+def test_walk_matches_count_class_tree_at_large_caps(kind):
+    # an unbalanced link beyond the circuit oracle's reach, leaf by leaf
+    # against the count-class dynamic program
+    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    params = ApparatusParams(t1=0.02, t2=0.005, p_dark=1e-3)
+    broker = {
+        "pair": lambda: heralded_state(params, theta),
+        "dark": lambda: heralded_state_with_dark_counts(params, theta)[0],
+        "general": lambda: mask_case("general", RNG(151)),
+    }[kind]()
+    clients = plus_state(CLIENT_LABELS)
+    for cap in (16, 32):
+        cfg = StrategyConfig.loop(cap)
+        tree = run_strategy_exact(clients, broker, cfg)
+        reference = count_class_tree(clients, broker, cfg)
+        classes = {count_class(leaf.history): leaf for leaf in tree.leaves}
+        expect = {count_class(leaf.history): leaf for leaf in reference.leaves}
+        assert len(classes) == len(tree.leaves)
+        assert set(classes) == set(expect)
+        for key, leaf in expect.items():
+            got = classes[key]
+            assert got.status is leaf.status
+            assert got.probability == pytest.approx(leaf.probability, abs=1e-12)
+            assert np.max(np.abs(got.state.elements - leaf.state.elements)) < 1e-12
+        assert tree.pruned_probability == pytest.approx(reference.pruned_probability, abs=1e-12)
+
+
+def test_representative_histories_are_frontier_form():
+    # each leaf's history is a well-formed run of its own class
+    rng = RNG(163)
+    kinds = ("pair", "dark", "general")
+    for cap in range(2, 13):
+        cfg = StrategyConfig.two_iterates_only() if cap == 2 else StrategyConfig.loop(cap)
+        tree = run_strategy_exact(plus_state(CLIENT_LABELS), mask_case(kinds[cap % 3], rng), cfg)
+        for leaf in tree.leaves:
+            assert classify(leaf.history) is leaf.status
+            assert len(leaf.history) == leaf.iterates
+            for end in range(1, len(leaf.history)):
+                assert classify(leaf.history[:end]) is Status.PENDING
+
+
 def test_tree_rejects_broker_that_does_not_conserve_probability():
     pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
     half = DensityMatrix(0.5 * pair.expand().elements, ("B1", "B2"))
@@ -628,13 +670,10 @@ def test_stacked_masks_reject_a_single_bad_broker():
         protocol._outcome_masks(np.zeros((3, 2, 2), dtype=complex))
 
 
-def test_two_iterate_successes_read_off_classify():
-    # (first, second, measured parity): two distinct signatures of one parity
-    assert protocol._TWO_ITERATE_SUCCESSES == ((0, 3, 0), (1, 2, 1), (2, 1, 1), (3, 0, 0))
-
-
 @pytest.mark.parametrize("clients_kind", ["plus", "pure"])
 def test_two_iterate_closed_form_matches_tree(clients_kind):
+    # the cap-2 walk over a stack, scored by rank-one overlaps, against
+    # one tree per broker, scored leaf by leaf with ``fidelity``
     rng = RNG(31)
     cfg = StrategyConfig.two_iterates_only()
     for _ in range(5):
@@ -645,6 +684,25 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
             tree = run_strategy_exact(clients, DensityMatrix(broker, ("B1", "B2")), cfg)
             assert got_p == pytest.approx(tree.success_probability, rel=1e-13, abs=1e-15)
             assert got_f == pytest.approx(tree.mean_success_fidelity(), rel=1e-13, nan_ok=True)
+
+
+def test_stacked_walk_equals_its_flattened_form():
+    # a 2-D stack of brokers walks exactly as the same brokers in a row
+    masks = protocol._outcome_masks(broker_stack(RNG(43), 12))
+    grid = masks.reshape(3, 4, 4, 4, 4)
+    clients = plus_state(CLIENT_LABELS)
+    p_flat, fid_flat = protocol._two_iterate_success(masks, clients)
+    p_grid, fid_grid = protocol._two_iterate_success(grid, clients)
+    assert p_grid.shape == fid_grid.shape == (3, 4)
+    np.testing.assert_array_equal(p_grid.reshape(-1), p_flat)
+    np.testing.assert_array_equal(fid_grid.reshape(-1), fid_flat)
+    flat = protocol._walk(masks, clients.elements, 6)
+    stacked = protocol._walk(grid, clients.elements, 6)
+    for a, b in zip(flat[:2], stacked[:2]):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(y.reshape(x.shape), x)
+    for x, y in zip(flat[2:], stacked[2:]):
+        np.testing.assert_array_equal(y.reshape(x.shape), x)
 
 
 def test_two_iterate_closed_form_is_nan_without_success_mass():
