@@ -11,7 +11,6 @@ independent oracles for each other.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -94,32 +93,16 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     return _sq(transmission) / (2.0 * tau)
 
 
-def crossover_transmission(tol: float = 1e-12) -> float:
+def crossover_transmission() -> float:
     """Mean transmission where the distilled and reference rates meet.
 
-    Solved by bisection at the loss-limit operating point
-    sin^2(theta) = 1/3 on a balanced link; below the root the distilled
-    scheme wins, above it the two-photon scheme does.
+    At the loss-limit operating point sin^2(theta) = 1/3 on a balanced
+    link the distilled rate is 4 T / (54 - 9 T) per tau, so the tie with
+    T^2 / 2 is 9 T^2 - 54 T + 8 = 0, whose root in (0, 1] is
+    3 - sqrt(73)/3; below it the distilled scheme wins, above it the
+    two-photon scheme does.
     """
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
-
-    def gap(t: float) -> float:
-        params = ApparatusParams(t1=t, t2=t)
-        return rate_bell(params, theta) - two_photon_reference_rate(t)
-
-    lo, hi = 1e-9, 1.0
-    glo = gap(lo)
-    if not glo > 0.0:
-        raise NonConvergenceError("no sign change bracketed for the crossover")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
-            return mid
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NonConvergenceError("crossover bisection failed to converge")
+    return 3.0 - math.sqrt(73.0) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +532,6 @@ def dark_count_fidelity_region(
     *,
     tau: float = 1.0,
     sin_sq_theta: float = 1.0 / 3.0,
-    csv_path=None,
 ) -> tuple[RegionPoint, ...]:
     """Classify a (transmission, dark-count) grid of operating points.
 
@@ -592,8 +574,6 @@ def dark_count_fidelity_region(
             RegionPoint(*row, _region_label(*row[4:]))
             for row in zip(*(c.tolist() for c in columns))
         )
-    if csv_path is not None:
-        _write_region_csv(points, csv_path)
     return points
 
 
@@ -629,34 +609,4 @@ def _cross_check_region(t, p, tau, theta, clients, p_herald, p_two, fid) -> None
             raise SimulationError(
                 f"region grid {name} {grid!r} differs from the exact tree's {exact!r} "
                 f"at t={params.t1!r}, p_dark={params.p_dark!r}"
-            )
-
-
-def _write_region_csv(points: Sequence[RegionPoint], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "t",
-                "p_dark",
-                "p_herald",
-                "p_success",
-                "fidelity",
-                "rate",
-                "reference_rate",
-                "region",
-            ]
-        )
-        for pt in points:
-            writer.writerow(
-                [
-                    repr(pt.transmission),
-                    repr(pt.p_dark),
-                    repr(pt.herald_probability),
-                    repr(pt.success_probability),
-                    repr(pt.fidelity),
-                    repr(pt.rate),
-                    repr(pt.reference_rate),
-                    pt.label.value,
-                ]
             )

@@ -7,7 +7,8 @@ constants and ``simulate`` runs seeded Monte Carlo trajectories.  Every
 output CSV is paired with a JSON manifest echoing the full parameter
 set, so any file can be reproduced bit for bit from its manifest alone.
 
-Exit codes: 0 on success, 2 for usage or config errors, 3 when a
+Exit codes: 0 on success, 2 for usage errors, an unreadable or
+malformed config and an output that cannot be written, 3 when a
 numerical routine signals degeneracy or non-convergence.
 """
 
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,65 +62,52 @@ from .qstate import plus_state
 OUTDIR_ENV_VAR = "PARITYDISTILL_OUTDIR"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every output file."""
+def _publish(args, parameters: dict, write, seed: int | None = None) -> Path:
+    """Write ``args.output`` through ``write(path)``, then its manifest.
 
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    outputs: tuple[dict, ...]
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _resolve_outdir(args) -> Path:
-    if args.outdir is not None:
-        out = Path(args.outdir)
-    else:
-        out = Path(os.environ.get(OUTDIR_ENV_VAR, "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit_manifest(
-    args, command: str, parameters: dict, csv_path: Path, seed: int | None = None
-) -> None:
-    manifest = RunManifest(
-        command=command,
-        parameters=parameters,
-        seed=seed,
-        version=__version__,
-        outputs=({"file": csv_path.name, "sha256": _sha256(csv_path)},),
-    )
-    manifest.write(csv_path.with_suffix(".manifest.json"))
-
-
-def _write_csv(path: Path, header: list[str], lines: list[str]) -> None:
-    """Header plus preformatted rows, each ending in a newline.
-
-    Fields are numbers and bare words, so no field needs quoting.
+    The file goes to ``--outdir``, else ``$PARITYDISTILL_OUTDIR``, else
+    the working directory.  The manifest next to it records the command,
+    ``parameters``, the seed, the package version and the file's sha256.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+    outdir = Path(os.environ.get(OUTDIR_ENV_VAR, ".") if args.outdir is None else args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / args.output
+    write(path)
+    manifest = {
+        "command": args.command,
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+        "outputs": [{"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}],
+    }
+    with open(path.with_suffix(".manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _flags(args) -> dict:
+    """The parsed flags, as a manifest's parameters.
+
+    Leaves out the subcommand, which the manifest records at its top
+    level, ``--outdir`` and ``chain``'s ``--csv`` switch.
+    """
+    return {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "csv")}
+
+
+def _csv_writer(header: list[str], lines: list[str]):
+    """A ``write(path)`` for ``_publish``: header plus preformatted rows.
+
+    Each row ends in a newline.  Fields are numbers and bare words, so
+    no field needs quoting.
+    """
+
+    def write(path: Path) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(lines)
+
+    return write
 
 
 def _fmt(value: float) -> str:
@@ -175,6 +162,10 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
         grid = np.geomspace(args.t_min, args.t_max, args.points)
     theta, rate = optimize_bell_rate(grid, grid, args.tau)
     reference = two_photon_reference_rate(grid, args.tau)
+    if not np.all(reference > 0.0):
+        raise DegenerateParameterError(
+            "reference rate T^2 / (2 tau) underflows to zero; raise --t-min or lower --tau"
+        )
     gap = rate - reference
     # the first grid point past each sign change from ours to reference
     crossing = np.zeros(len(grid), dtype=bool)
@@ -186,25 +177,8 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
             *(c.tolist() for c in columns), crossing.tolist()
         )
     ]
-    outdir = _resolve_outdir(args)
-    csv_path = outdir / args.output
-    _write_csv(
-        csv_path,
-        ["t", "theta_opt", "rate_ours", "rate_reference", "ratio", "annotation"],
-        lines,
-    )
-    _emit_manifest(
-        args,
-        "rates",
-        {
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "points": args.points,
-            "tau": args.tau,
-            "output": args.output,
-        },
-        csv_path,
-    )
+    header = ["t", "theta_opt", "rate_ours", "rate_reference", "ratio", "annotation"]
+    csv_path = _publish(args, _flags(args), _csv_writer(header, lines))
     print(f"wrote {csv_path} ({len(lines)} rows)")
     print(f"rate crossover at mean transmission {crossover_transmission():.6f}")
     return 0
@@ -235,24 +209,8 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
         for dx, *cells in zip(labels, exact.tolist(), quad.tolist(), shown_text, raw_text)
         for dt, e, q, s, r in zip(labels, *cells)
     ]
-    outdir = _resolve_outdir(args)
-    csv_path = outdir / args.output
-    _write_csv(
-        csv_path,
-        ["d_x", "d_t", "epsilon_exact", "epsilon_quadratic", "fidelity", "fidelity_raw"],
-        lines,
-    )
-    _emit_manifest(
-        args,
-        "drift",
-        {
-            "d_max": args.d_max,
-            "points": args.points,
-            "cutoff": bool(args.cutoff),
-            "output": args.output,
-        },
-        csv_path,
-    )
+    header = ["d_x", "d_t", "epsilon_exact", "epsilon_quadratic", "fidelity", "fidelity_raw"]
+    csv_path = _publish(args, _flags(args), _csv_writer(header, lines))
     print(f"wrote {csv_path} ({len(lines)} rows)")
     return 0
 
@@ -298,25 +256,8 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
             file=sys.stderr,
         )
     if args.csv:
-        outdir = _resolve_outdir(args)
-        csv_path = outdir / args.output
-        _write_csv(
-            csv_path,
-            ["quantity", "value"],
-            [f"{name},{_fmt(value)}\n" for name, value in lines],
-        )
-        _emit_manifest(
-            args,
-            "chain",
-            {
-                "t": args.t,
-                "k_max": args.k_max,
-                "tau": args.tau,
-                "theta": args.theta,
-                "output": args.output,
-            },
-            csv_path,
-        )
+        rows = [f"{name},{_fmt(value)}\n" for name, value in lines]
+        csv_path = _publish(args, _flags(args), _csv_writer(["quantity", "value"], rows))
         print(f"wrote {csv_path}")
     return 0
 
@@ -386,12 +327,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "contamination weight is 1: every heralded pair is |11>, so no run can classify"
         )
     stats = run_trajectories(config, params, theta, args.trials)
-    outdir = _resolve_outdir(args)
-    csv_path = outdir / args.output
-    stats.write_csv(csv_path)
-    _emit_manifest(
+    csv_path = _publish(
         args,
-        "simulate",
         {
             "trials": args.trials,
             "strategy": mode.value,
@@ -406,7 +343,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "output": args.output,
             "rng_stream": stats.stream,
         },
-        csv_path,
+        stats.write_csv,
         seed=args.seed,
     )
     pair = heralded_state(params, theta)
@@ -530,6 +467,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     except ConfigFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # only _publish touches the file system: the config reader
+        # raises ConfigFormatError for a file it cannot read
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (DegenerateParameterError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,4 +26,4 @@ class NonConvergenceError(SimulationError):
 
 
 class ConfigFormatError(SimulationError):
-    """An apparatus config file is malformed or carries unknown keys."""
+    """An apparatus config file is unreadable, malformed or carries unknown keys."""

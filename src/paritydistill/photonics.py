@@ -65,9 +65,16 @@ def _sq(x):
 def _cos_sq_two_phi(t1, t2):
     """cos^2(2 phi) as 4 t1 t2 / (t1 + t2)^2: exact, no trig round-trip.
 
-    Floats or broadcastable arrays.
+    Floats or broadcastable arrays.  Raises where (t1 + t2)^2 underflows
+    to zero (t1 + t2 below about 2e-162), which would divide zero by zero.
     """
-    return 4.0 * t1 * t2 / _sq(t1 + t2)
+    total_sq = _sq(t1 + t2)
+    underflow = total_sq == 0.0
+    if underflow.any() if isinstance(underflow, np.ndarray) else underflow:
+        raise DegenerateParameterError(
+            "(t1 + t2)^2 underflows to zero: transmissions too small for a double"
+        )
+    return 4.0 * t1 * t2 / total_sq
 
 
 @dataclass(frozen=True)
@@ -152,30 +159,34 @@ class ApparatusParams:
 
         The keys are those of ``CONFIG_FIELDS``.  Blank lines and lines
         starting with ``#`` are ignored.  Unknown, duplicate or missing
-        keys, unparseable values and out-of-range parameters are
-        rejected.
+        keys, unparseable values, out-of-range parameters and a file that
+        cannot be read or decoded as UTF-8 raise ``ConfigFormatError``.
         """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigFormatError(f"{path}: cannot read config: {exc}") from None
         seen: dict[str, float] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key not in CONFIG_FIELDS:
-                    raise ConfigFormatError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in seen:
-                    raise ConfigFormatError(f"{path}:{lineno}: duplicate key {key!r}")
-                try:
-                    seen[key] = float(value)
-                except ValueError:
-                    raise ConfigFormatError(
-                        f"{path}:{lineno}: value for {key!r} is not a number: {value!r}"
-                    ) from None
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigFormatError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in CONFIG_FIELDS:
+                raise ConfigFormatError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigFormatError(f"{path}:{lineno}: duplicate key {key!r}")
+            try:
+                seen[key] = float(value)
+            except ValueError:
+                raise ConfigFormatError(
+                    f"{path}:{lineno}: value for {key!r} is not a number: {value!r}"
+                ) from None
         required = {f.name for f in fields(cls) if f.default is MISSING}
         missing = [k for k, name in CONFIG_FIELDS.items() if name in required and k not in seen]
         if missing:

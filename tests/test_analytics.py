@@ -769,38 +769,22 @@ def test_region_no_go_wins_over_rate():
     assert point.label is RegionLabel.NO_GO
 
 
-def test_region_csv_output(tmp_path):
-    path = tmp_path / "region.csv"
-    points = dark_count_fidelity_region([0.1, 0.3], [0.0, 1e-3], csv_path=path)
+def test_region_csv_output():
+    points = dark_count_fidelity_region([0.1, 0.3], [0.0, 1e-3])
     assert len(points) == 4
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,p_dark,p_herald,p_success,fidelity,rate,reference_rate,region"
-    assert len(lines) == 5
-    assert lines[1].split(",")[0] == repr(0.1)
 
 
-def test_region_fields_are_floats_and_csv_parses(tmp_path):
+def test_region_fields_are_floats_and_csv_parses():
     # array inputs, as np.geomspace and the benchmark pass them, give the
-    # same points and the same file as list inputs
+    # same points as list inputs
     t = np.geomspace(0.01, 0.5, 4)
     darks = np.array([0.0, *np.geomspace(1e-6, 1e-2, 3)])
-    from_arrays = dark_count_fidelity_region(t, darks, csv_path=tmp_path / "arrays.csv")
-    from_lists = dark_count_fidelity_region(
-        t.tolist(), darks.tolist(), csv_path=tmp_path / "lists.csv"
-    )
+    from_arrays = dark_count_fidelity_region(t, darks)
+    from_lists = dark_count_fidelity_region(t.tolist(), darks.tolist())
     assert from_arrays == from_lists
     for point in from_arrays:
         fields = [getattr(point, name) for name in RegionPoint.__dataclass_fields__]
         assert all(type(value) is float for value in fields[:-1])
-    lines = (tmp_path / "arrays.csv").read_text().splitlines()
-    assert len(lines) == 1 + len(t) * len(darks)
-    for line in lines[1:]:
-        *numbers, label = line.split(",")
-        assert len(numbers) == 7
-        for field in numbers:
-            float(field)
-        RegionLabel(label)
-    assert (tmp_path / "arrays.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
 
 
 def _benchmark_region_grid(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -898,9 +882,5 @@ def test_region_grid_cross_check_catches_a_wrong_closed_form(monkeypatch):
         dark_count_fidelity_region([0.05, 0.1], [0.0, 1e-3])
 
 
-def test_region_grid_empty_writes_header_only(tmp_path):
-    path = tmp_path / "empty.csv"
-    assert dark_count_fidelity_region([], [0.0, 1e-3], csv_path=path) == ()
-    assert path.read_text().splitlines() == [
-        "t,p_dark,p_herald,p_success,fidelity,rate,reference_rate,region"
-    ]
+def test_region_grid_empty_writes_header_only():
+    assert dark_count_fidelity_region([], [0.0, 1e-3]) == ()

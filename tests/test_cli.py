@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paritydistill
 from paritydistill import (
@@ -42,6 +46,11 @@ def read_csv(path):
 def read_manifest(csv_path):
     with open(csv_path.with_suffix(".manifest.json")) as fh:
         return json.load(fh)
+
+
+def assert_one_error_line(err: str) -> None:
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_version_flag(capsys):
@@ -119,6 +128,20 @@ def test_rates_single_point_near_crossover(tmp_path, capsys):
 def test_rates_usage_errors(argv, tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t-min", "2e-162", "--t-max", "2e-162", "--points", "1"],
+        ["--t-min", "1e-12", "--tau", "1e300"],
+    ],
+)
+def test_rates_underflowing_reference_exits_3(argv, tmp_path, capsys):
+    # T^2 / (2 tau) rounds to zero, so the ratio column would divide by it
+    assert main(["rates", *argv, "--outdir", str(tmp_path)]) == 3
+    assert_one_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_drift_surface(tmp_path, capsys):
@@ -398,6 +421,12 @@ def test_simulate_usage_errors(tmp_path, capsys):
     for angle in (["--theta", "2.0"], ["--sin-sq-theta", "1.5"], ["--sin-sq-theta", "nan"]):
         assert main(base + ["--t", "0.5", "--trials", "10", *angle]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # a config that cannot be read: missing, a directory, not UTF-8
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(b"t1 = 0.5\nt2 = 0.5\n# caf\xe9\n")
+    for unreadable in (tmp_path / "missing.cfg", tmp_path, undecodable):
+        assert main(base + ["--config", str(unreadable), "--trials", "10"]) == 2
+        assert_one_error_line(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -411,6 +440,8 @@ def test_simulate_usage_errors(tmp_path, capsys):
         # valid fields whose detuning phase overflows
         ["--sin-sq-theta", "0.3", "--x1", "1", "--wavelength", "1e-320"],
         ["--sin-sq-theta", "0.3", "--x1", "1e308", "--x2=-1e308"],
+        # (t1 + t2)^2 underflows to zero
+        ["--sin-sq-theta", "0.3", "--t", "1e-300"],
     ],
 )
 def test_simulate_degenerate_links_exit_3(argv, tmp_path, capsys):
@@ -423,6 +454,180 @@ def test_simulate_degenerate_links_exit_3(argv, tmp_path, capsys):
     ]
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--points", "3"],
+        ["drift", "--points", "2"],
+        ["chain", "--t", "1e-3", "--theta", "0.38", "--k-max", "128", "--csv"],
+        ["simulate", "--t", "0.5", "--sin-sq-theta", "0.3", "--trials", "10"],
+    ],
+    ids=["rates", "drift", "chain", "simulate"],
+)
+@pytest.mark.parametrize("target", ["missing_subdir", "output_is_dir", "outdir_is_file"])
+def test_unwritable_output_exits_2(argv, target, tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "blocker").write_text("")
+    flags = {
+        "missing_subdir": ["--outdir", str(tmp_path), "--output", "sub/x.csv"],
+        "output_is_dir": ["--outdir", str(tmp_path), "--output", "taken"],
+        "outdir_is_file": ["--outdir", str(tmp_path / "blocker")],
+    }[target]
+    assert main(argv + flags) == 2
+    assert_one_error_line(capsys.readouterr().err)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "taken"]
+
+
+def test_chain_underflowing_transmission_exits_3(capsys):
+    assert main(["chain", "--t", "1e-300", "--theta", "0.18"]) == 3
+    assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (
+            ["rates", "--t-min", "0.01", "--points", "3", "--tau", "2"],
+            {"t_min": 0.01, "t_max": 1.0, "points": 3, "tau": 2.0, "output": "rates.csv"},
+        ),
+        (
+            ["drift", "--points", "2", "--output", "d.csv"],
+            {"d_max": 0.1, "points": 2, "cutoff": False, "output": "d.csv"},
+        ),
+        (
+            ["chain", "--theta", "0.38", "--k-max", "128", "--csv"],
+            {"t": 1e-3, "k_max": 128, "tau": 1.0, "theta": 0.38, "output": "chain.csv"},
+        ),
+    ],
+    ids=["rates", "drift", "chain"],
+)
+def test_manifest_parameters_echo_the_flags(argv, parameters, tmp_path, capsys):
+    # the subcommand is recorded once, at the top level; --outdir and
+    # chain's --csv switch do not change the numbers, so they are left out
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    manifest = read_manifest(tmp_path / parameters["output"])
+    assert manifest["command"] == argv[0]
+    assert manifest["seed"] is None
+    # repr tells 2 from 2.0, which == does not
+    assert {k: repr(v) for k, v in manifest["parameters"].items()} == {
+        k: repr(v) for k, v in parameters.items()
+    }
+
+
+_SPECIAL = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "5e-324", "1", "2"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def _mostly(valid, special=_SPECIAL):
+    """A flag value: three times in four from ``valid``, else from ``special``.
+
+    Hypothesis shrinks toward 0, so 0 picks ``valid``.
+    """
+    return st.integers(0, 3).flatmap(lambda i: special if i == 3 else valid)
+
+
+def _in(low: float, high: float):
+    return _mostly(st.floats(low, high).map(repr))
+
+
+def _count(low: int, high: int, bad: list[str]):
+    return _mostly(st.integers(low, high).map(str), st.sampled_from(bad))
+
+
+# subnormal windows overflow the rates (rates writes inf rows, simulate
+# warns), a known defect, so --tau stays at 1e-300 or above
+_TAU = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0"]),
+    st.floats(1e-300, 1e300).map(repr),
+    st.floats(0.1, 10.0).map(repr),
+)
+# path values name fixtures under the test's root, resolved per example:
+# "taken" is a directory, "blocker" a file, "latin1.cfg" not UTF-8
+_OUTPUT = {
+    "--outdir": _mostly(st.just("@fresh"), st.sampled_from(["@nested/deeper", "@blocker"])),
+    "--output": _mostly(st.just("x.csv"), st.sampled_from(["sub/x.csv", "../taken", "y"])),
+}
+_FUZZ_FLAGS = {
+    "rates": {
+        "--t-min": _in(1e-6, 1.0),
+        "--t-max": _in(1e-6, 1.0),
+        "--points": _count(2, 20, ["-1", "0", "1"]),
+        "--tau": _TAU,
+    },
+    "drift": {
+        "--d-max": _in(0.0, 4.0),
+        "--points": _count(2, 20, ["-1", "0", "1"]),
+        "--cutoff": None,
+    },
+    "chain": {
+        "--t": _in(0.0, 1.0),
+        "--k-max": _count(4, 128, ["0", "3"]),
+        "--tau": _TAU,
+        "--theta": _in(0.0, math.pi / 2.0),
+        "--csv": None,
+    },
+    "simulate": {
+        "--trials": _count(1, 50, ["-1", "0"]),
+        "--seed": st.sampled_from(["-1", "0", "7", str(2**64), str(2**70)]),
+        "--strategy": st.sampled_from(["two_iterates_only", "loop"]),
+        "--max-iterates": _count(2, 16, ["-1", "0", "1"]),
+        "--theta": _in(0.0, math.pi / 2.0),
+        "--sin-sq-theta": _in(0.0, 1.0),
+        "--x1": _in(-10.0, 10.0),
+        "--x2": _in(-10.0, 10.0),
+        "--wavelength": _in(0.1, 10.0),
+        "--p-dark": st.sampled_from(["0", "1e-3"]),
+        "--tau": _TAU,
+    },
+}
+# flags most runs set, so that most runs get past argument checking
+_USUAL = {"--points", "--t", "--trials"}
+# simulate's link: one transmission, a pair, a config file or none
+_LINK = st.one_of(
+    _in(0.0, 1.0).map(lambda t: [f"--t={t}"]),
+    st.tuples(_in(0.0, 1.0), _in(0.0, 1.0)).map(lambda t: [f"--t1={t[0]}", f"--t2={t[1]}"]),
+    _mostly(
+        st.just("@link.cfg"),
+        st.sampled_from(["@bad.cfg", "@latin1.cfg", "@missing.cfg", "@taken"]),
+    ).map(lambda path: [f"--config={path}"]),
+    st.just([]),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in {**_FUZZ_FLAGS[command], **_OUTPUT}.items():
+        if flag == "--outdir" or draw(st.integers(0, 3)) >= (1 if flag in _USUAL else 3):
+            argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if command == "simulate":
+        argv += draw(_LINK)
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_argv())
+def test_cli_flags_fuzz_exit_cleanly(tmp_path_factory, argv):
+    root = tmp_path_factory.getbasetemp() / "cli_fuzz"
+    if not root.exists():
+        (root / "taken").mkdir(parents=True)
+        (root / "blocker").write_text("")
+        (root / "link.cfg").write_text("t1 = 0.1\nt2 = 0.05\n")
+        (root / "bad.cfg").write_text("t1 = 0.1\nt2 = 0.1\nbogus = 1\n")
+        (root / "latin1.cfg").write_bytes(b"t1 = 0.1\nt2 = 0.1\n# caf\xe9\n")
+    # --outdir is always given, so no example writes to the working directory
+    argv = [arg.replace("=@", f"={root}/") for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_outdir_environment_variable(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from paritydistill import (
     heralded_state_with_dark_counts,
     p_click,
 )
-from paritydistill.photonics import _dark_count_brokers
+from paritydistill.photonics import _cos_sq_two_phi, _dark_count_brokers
 
 
 def test_params_derived_quantities():
@@ -47,6 +47,23 @@ def test_params_validation():
             ApparatusParams(t1=0.5, t2=0.5, tau=tau)
     with pytest.raises(DegenerateParameterError):
         ApparatusParams(t1=0.5, t2=0.5, wavelength=0.0)
+
+
+def test_cos_sq_two_phi_rejects_an_underflowing_sum():
+    # (t1 + t2)^2 underflows to zero below t1 + t2 ~ 2e-162; the quotient
+    # would be 0/0 (ZeroDivisionError on floats, a warning and nan on arrays)
+    for t1, t2 in ((1e-300, 1e-300), (5e-324, 0.0), (1e-163, 1e-163)):
+        with pytest.raises(DegenerateParameterError, match="underflows"):
+            ApparatusParams(t1=t1, t2=t2).cos_sq_two_phi
+        with pytest.raises(DegenerateParameterError, match="underflows"):
+            _cos_sq_two_phi(np.array([0.5, t1]), np.array([0.5, t2]))
+    # every sum whose square stays nonzero, subnormal ones included, keeps
+    # its bits on floats and on arrays
+    t1 = np.array([1e-161, 3e-162, 1e-100, 1e-5, 0.3, 1.0, 0.0, 5e-324])
+    t2 = np.array([1e-161, 1e-300, 1e-120, 1e-7, 0.1, 1.0, 0.5, 1.0])
+    expect = [4.0 * a * b / (a + b) ** 2 for a, b in zip(t1.tolist(), t2.tolist())]
+    assert [_cos_sq_two_phi(a, b) for a, b in zip(t1.tolist(), t2.tolist())] == expect
+    assert _cos_sq_two_phi(t1, t2).tolist() == expect
 
 
 def test_detuning_reduction():
