@@ -60,6 +60,21 @@ _SERIES_BLOCK_DOUBLES = 2**17
 # Bell-pair rates
 
 
+def _check_tau(tau: float) -> None:
+    """Raise unless ``tau`` is a window length whose rates stay finite.
+
+    A Bell-pair rate, the reference rate and a sampled rate are each at
+    most one event per window, 1/tau, so they are finite wherever 1/tau
+    is.  Below about 5.6e-309 it is not, and a rate could overflow to inf.
+    """
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(1.0 / tau):
+        raise DegenerateParameterError(
+            f"rates overflow: 1/tau is not a finite double at tau={tau!r}"
+        )
+
+
 def _rate_bell_form(t, c2, s, tau):
     """T cos^2(2 phi) s (1 - s)^2 / ((2 - T s cos^2(2 phi)) tau), elementwise.
 
@@ -88,8 +103,7 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     """
     if not np.all((0.0 <= transmission) & (transmission <= 1.0)):
         raise DegenerateParameterError(f"transmission must lie in [0, 1], got {transmission}")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     return _sq(transmission) / (2.0 * tau)
 
 
@@ -169,7 +183,7 @@ def optimize_theta(
     params: ApparatusParams,
     objective: Objective,
     *,
-    k_max: int = 64,
+    k_max: int | None = None,
     tol: float = 1e-8,
 ) -> RateResult:
     """Best excitation angle for a rate objective at fixed apparatus.
@@ -177,7 +191,11 @@ def optimize_theta(
     The interior of [0, pi/2] is searched; both objectives vanish
     identically when either path is dark, which is rejected rather than
     returning an arbitrary angle.  The Bell objective is the one-point
-    case of ``optimize_bell_rate``.
+    case of ``optimize_bell_rate``.  The chain objective is
+    ``chain_growth_rate`` with the given ``k_max``.  Its loop success
+    probability 1 - R never exceeds 1 - |sin 2phi|, so where
+    |sin 2phi| >= 2/3 the chain shrinks at every angle, and that link
+    is rejected too.
     """
     if objective is Objective.BELL_RATE:
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau, tol=tol)
@@ -188,6 +206,11 @@ def optimize_theta(
         raise ValueError(f"unknown objective {objective!r}")
     if params.t1 * params.t2 <= 0.0:
         raise DegenerateParameterError("objective is identically zero when a path is dark")
+    if abs(params.sin_two_phi) >= 2.0 / 3.0:
+        raise DegenerateParameterError(
+            f"chain growth is negative at every angle when |sin 2phi| >= 2/3, "
+            f"got |t1 - t2| / (t1 + t2) = {abs(params.sin_two_phi)!r}"
+        )
 
     def f(theta: float) -> float:
         return chain_growth_rate(params, theta, k_max=k_max).growth_rate
@@ -209,8 +232,7 @@ def _bell_rate_objective(t1, t2, tau: float):
         raise DegenerateParameterError("transmittances must lie in [0, 1]")
     if not np.all(t1 * t2 > 0.0):
         raise DegenerateParameterError("objective is identically zero when a path is dark")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     t = 0.5 * (t1 + t2)
     c2 = _cos_sq_two_phi(t1, t2)
 
@@ -341,16 +363,13 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
     return ps, pf
 
 
-def loop_success_probability_closed_form(eta: float) -> float:
-    """Infinite-series total success probability, 1 - sqrt(eta (2 - eta))."""
-    if not 0.0 <= eta <= 1.0:
-        raise DegenerateParameterError(f"eta must lie in [0, 1], got {eta}")
-    return 1.0 - math.sqrt(eta * (2.0 - eta))
-
-
 @dataclass(frozen=True)
 class ChainGrowthResult:
-    """Truncated-series evaluation of the repeater-chain growth rate."""
+    """Repeater-chain growth rate and the run statistics it is built from.
+
+    ``k_max`` is None and ``tail_bound`` zero for the exact sums;
+    otherwise they describe the truncated run-length series.
+    """
 
     growth_rate: float
     p_loop: float
@@ -358,7 +377,7 @@ class ChainGrowthResult:
     mean_iterates: float
     p_click: float
     eta: float
-    k_max: int
+    k_max: int | None
     tail_bound: float
 
     @property
@@ -366,41 +385,77 @@ class ChainGrowthResult:
         return self.tail_bound <= SERIES_TAIL_TOL
 
 
-def chain_growth_rate(
-    params: ApparatusParams, theta, k_max: int = 64
-) -> ChainGrowthResult:
-    """Net qubit-pair growth rate of a chain fed by loop distillation.
+def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
+    """(p_loop, p_fail, mean_iterates, tail_bound) summed to ``k_max``.
 
-    A success extends the chain by two pairs, anything else costs the
-    one pair under construction; runs average <I> iterates of expected
-    duration 1/p_click windows each.  The series over run lengths is
-    truncated at ``k_max``; the neglected mass is bounded by a geometric
-    envelope and reported through ``tail_bound`` and ``converged``.
+    The walk series of ``loop_interval_probabilities``, which models a
+    balanced link; the neglected mass is bounded by two extra terms and
+    a geometric envelope.
     """
-    if k_max < 4:
-        raise ValueError("k_max below 4 cannot resolve the series")
     if params.sin_two_phi != 0.0:
         raise DegenerateParameterError(
-            "the run-length series assumes a balanced link (t1 == t2)"
-        )
-    pc = p_click(params, theta)
-    if pc < TRACE_EPSILON:
-        raise DegenerateParameterError("click probability vanishes")
-    eta = eta_weight(params, theta)
-    if not 0.0 < eta < 1.0:
-        raise DegenerateParameterError(
-            f"series needs contamination weight strictly inside (0, 1), got {eta}"
+            "the truncated run-length series (k_max) needs t1 == t2; "
+            "leave k_max unset for the exact sums on any link"
         )
     ps, pf = loop_interval_probabilities(eta, k_max + 2)
     ks = np.arange(k_max + 3)
     p_loop = float(ps[: k_max + 1].sum())
     p_fail = float(pf[: k_max + 1].sum())
     mean_iterates = float((ks[: k_max + 1] * (ps + pf)[: k_max + 1]).sum())
-    # Two extra terms plus a geometric envelope bound the neglected mass.
     ratio = max(eta, 1.0 - eta)
     tail_bound = float(ps[k_max + 1] + pf[k_max + 1] + ps[k_max + 2] + pf[k_max + 2])
     tail_bound /= 1.0 - ratio**2
+    return p_loop, p_fail, mean_iterates, tail_bound
+
+
+def chain_growth_rate(
+    params: ApparatusParams, theta, k_max: int | None = None
+) -> ChainGrowthResult:
+    """Net qubit-pair growth rate of a chain fed by loop distillation.
+
+    A success extends the chain by two pairs, anything else costs the
+    one pair under construction; runs average <I> iterates of expected
+    duration 1/p_click windows each.
+
+    By default the sums over run lengths are exact, on any link.  After
+    the first outcome each diagonal entry of the |++> clients runs a
+    walk on the signature imbalance, starting at one.  For half of the
+    (first outcome, entry) pairs it steps up and down with weights
+    (1 - eta)(1 +- sin 2phi)/2 and fails with weight eta; the walk's
+    first passage to zero (Feller, vol. 1, ch. XIV) gives p_loop = 1 - R
+    with R = sqrt(1 - (1 - eta)^2 cos^2 2phi).  For the other half it
+    can only step up, with weight eta, and fails otherwise.  Every run
+    ends, so p_fail = R, and the mass leaving the walks per step gives
+    <I> = R / eta + eta / (1 - eta).
+
+    ``k_max`` selects the run-length series truncated there instead, on
+    balanced links only; its neglected mass is reported through
+    ``tail_bound`` and ``converged``.  A growth rate that overflows
+    raises.
+    """
+    if k_max is not None and k_max < 4:
+        raise ValueError("k_max below 4 cannot resolve the series")
+    pc = p_click(params, theta)
+    if pc < TRACE_EPSILON:
+        raise DegenerateParameterError("click probability vanishes")
+    eta = eta_weight(params, theta)
+    if not 0.0 < eta < 1.0:
+        raise DegenerateParameterError(
+            f"run statistics need contamination weight strictly inside (0, 1), got {eta}"
+        )
+    if k_max is None:
+        # 1 - (1 - eta)^2 cos^2 2phi, without its cancellation at small eta
+        r = math.sqrt(params.sin_two_phi**2 + params.cos_sq_two_phi * eta * (2.0 - eta))
+        p_loop, p_fail = 1.0 - r, r
+        mean_iterates = r / eta + eta / (1.0 - eta)
+        tail_bound = 0.0
+    else:
+        p_loop, p_fail, mean_iterates, tail_bound = _run_length_series(params, eta, k_max)
     growth = (3.0 * p_loop - 1.0) * pc / (mean_iterates * params.tau)
+    if not math.isfinite(growth):
+        raise DegenerateParameterError(
+            f"growth rate overflows at tau={params.tau!r}: raise tau"
+        )
     return ChainGrowthResult(
         growth_rate=growth,
         p_loop=p_loop,
@@ -556,8 +611,7 @@ def dark_count_fidelity_region(
     p = np.asarray(dark_probabilities, dtype=float)
     if t.ndim != 1 or p.ndim != 1:
         raise ValueError("transmissions and dark probabilities must be one-dimensional")
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
     t_grid, p_grid = (a.reshape(-1) for a in np.meshgrid(t, p, indexing="ij"))
     brokers, p_herald = _dark_count_brokers(t_grid, t_grid, 0.0, 0.0, theta.sin_sq, p_grid)

@@ -28,6 +28,7 @@ from . import __version__
 from .analytics import (
     DARK_FIDELITY_CUTOFF,
     Objective,
+    _check_tau,
     chain_growth_rate,
     crossover_transmission,
     drift_infidelity_surface,
@@ -218,15 +219,25 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # chain
 
+CHAIN_DEFAULT_T = 1e-3
+
 
 def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
-    if not 0.0 < args.t <= 1.0:
-        parser.error("--t must lie in (0, 1]")
-    if args.k_max < 4:
+    if args.t is not None and (args.t1 is not None or args.t2 is not None):
+        parser.error("--t conflicts with --t1/--t2")
+    if (args.t1 is None) != (args.t2 is None):
+        parser.error("--t1 and --t2 go together")
+    if args.t1 is None and args.t is None:
+        args.t = CHAIN_DEFAULT_T  # so the manifest echoes the link used
+    for flag, value in (("--t", args.t), ("--t1", args.t1), ("--t2", args.t2)):
+        if value is not None and not 0.0 < value <= 1.0:
+            parser.error(f"{flag} must lie in (0, 1]")
+    if args.k_max is not None and args.k_max < 4:
         parser.error("--k-max must be at least 4")
     if not args.tau > 0.0:
         parser.error("--tau must be positive")
-    params = ApparatusParams(t1=args.t, t2=args.t, tau=args.tau)
+    t1, t2 = (args.t1, args.t2) if args.t is None else (args.t, args.t)
+    params = ApparatusParams(t1=t1, t2=t2, tau=args.tau)
     if args.theta is not None:
         theta = args.theta
     else:
@@ -234,10 +245,11 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
         theta = best.optimal_theta
     result = chain_growth_rate(params, theta, k_max=args.k_max)
     sin_sq = math.sin(theta) ** 2
-    per_t = result.growth_rate * args.tau / args.t
+    t = params.mean_transmission
+    per_t = result.growth_rate * args.tau / t
     lines = [
-        ("t", args.t),
-        ("k_max", args.k_max),
+        ("t", t),
+        ("k_max", math.inf if args.k_max is None else args.k_max),
         ("theta_opt", theta),
         ("sin_sq_theta_opt", sin_sq),
         ("growth_rate", result.growth_rate),
@@ -249,6 +261,11 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
     ]
     for name, value in lines:
         print(f"{name} = {value!r}")
+    if args.k_max is not None:
+        # the series' measured error, beside the mass bound it reports
+        exact = chain_growth_rate(params, theta).growth_rate
+        gap = abs(result.growth_rate - exact) / abs(exact) if exact else math.inf
+        print(f"closed_form_gap = {gap!r}")
     if not result.converged:
         print(
             f"warning: series tail bound {result.tail_bound:.3e} exceeds {SERIES_TAIL_TOL:.0e} "
@@ -296,6 +313,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     params = _params_from_flags(parser, args)
+    _check_tau(params.tau)
     if params.p_dark != 0.0:
         parser.error(
             "trajectory sampling models the dark-free link; set p_dark to 0"
@@ -411,8 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     drift.add_argument("--outdir", default=None)
 
     chain = sub.add_parser("chain", help="optimized chain-growth constants")
-    chain.add_argument("--t", type=float, default=1e-3)
-    chain.add_argument("--k-max", type=int, default=64)
+    chain.add_argument("--t", type=float, default=None, help=f"default {CHAIN_DEFAULT_T}")
+    chain.add_argument("--t1", type=float, default=None)
+    chain.add_argument("--t2", type=float, default=None)
+    chain.add_argument(
+        "--k-max",
+        type=int,
+        default=None,
+        help="sum the run-length series to this length (balanced links only); "
+        "default: the exact sums",
+    )
     chain.add_argument("--tau", type=_finite_float, default=1.0)
     chain.add_argument("--theta", type=_angle, default=None)
     chain.add_argument("--csv", action="store_true", help="also write a key,value CSV")

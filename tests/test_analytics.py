@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import bell_odd, drift_infidelity_exact, region_by_tree
+from helpers import bell_odd, count_class_tree, drift_infidelity_exact, region_by_tree
 from paritydistill import (
     ApparatusParams,
     DegenerateParameterError,
@@ -36,7 +36,6 @@ from paritydistill import (
     golden_section_max,
     heralded_state,
     loop_interval_probabilities,
-    loop_success_probability_closed_form,
     optimize_bell_rate,
     optimize_theta,
     p_click,
@@ -445,22 +444,129 @@ def test_interval_probabilities_are_complete():
         assert ps.sum() + pf.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def balanced_angle(t: float, eta: float) -> ExcitationAngle:
+    """The angle whose heralded pair on a balanced link t has weight eta."""
+    return ExcitationAngle.from_sin_sq(2.0 * eta / (2.0 - t + eta * t))
+
+
 def test_loop_success_series_matches_closed_form():
+    # on a balanced link the exact loop success is 1 - sqrt(eta (2 - eta))
+    params = ApparatusParams(t1=0.5, t2=0.5)
     for eta in (0.05, 0.2, 0.5, 0.9):
-        ps, _ = loop_interval_probabilities(eta, 2000)
-        assert ps.sum() == pytest.approx(
-            loop_success_probability_closed_form(eta), abs=1e-9
+        exact = chain_growth_rate(params, balanced_angle(0.5, eta))
+        assert exact.eta == pytest.approx(eta, rel=1e-12)
+        ps, _ = loop_interval_probabilities(exact.eta, 2000)
+        assert ps.sum() == pytest.approx(exact.p_loop, abs=1e-9)
+        assert exact.p_loop == pytest.approx(
+            1.0 - math.sqrt(exact.eta * (2.0 - exact.eta)), rel=1e-14
         )
-    assert loop_success_probability_closed_form(0.0) == 1.0
-    assert loop_success_probability_closed_form(1.0) == 0.0
-    with pytest.raises(DegenerateParameterError):
-        loop_success_probability_closed_form(1.2)
 
 
-def test_chain_growth_rejects_unbalanced_link():
+def test_chain_growth_closed_form_matches_long_series_on_balanced_links():
+    for t in (1e-1, 1e-3, 1e-5):
+        params = ApparatusParams(t1=t, t2=t)
+        for s in (0.05, 0.138, 0.3, 0.6):
+            theta = ExcitationAngle.from_sin_sq(s)
+            exact = chain_growth_rate(params, theta)
+            series = chain_growth_rate(params, theta, k_max=2000)
+            assert (exact.k_max, exact.tail_bound, exact.converged) == (None, 0.0, True)
+            for name in ("growth_rate", "p_loop", "p_fail", "mean_iterates"):
+                assert getattr(exact, name) == pytest.approx(
+                    getattr(series, name), rel=1e-14
+                ), (t, s, name)
+            assert (exact.eta, exact.p_click) == (series.eta, series.p_click)
+
+
+@pytest.mark.parametrize("t1, t2", [(0.02, 0.005), (0.5, 0.05), (0.3, 0.1), (0.05, 0.04)])
+def test_chain_growth_closed_form_on_unbalanced_links(t1, t2):
+    # the exact sums against the cap-64 walk tree and the count-class
+    # tree: the success mass agrees to the trees' pruning; the failure
+    # mass and the mean iterate count differ by the trees' pending and
+    # pruned mass and the iterates it has still to run
+    params = ApparatusParams(t1=t1, t2=t2)
+    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    exact = chain_growth_rate(params, theta)
+    assert exact.p_loop + exact.p_fail == pytest.approx(1.0, abs=1e-15)
+    pair = heralded_state(params, theta)
+    clients = plus_state(CLIENT_LABELS)
+    config = StrategyConfig.loop(64)
+    for tree in (
+        run_strategy_exact(clients, pair, config),
+        count_class_tree(clients, pair, config),
+    ):
+        assert exact.p_loop == pytest.approx(tree.success_probability, abs=1e-13)
+        assert tree.failure_probability - 1e-13 <= exact.p_fail
+        unresolved = tree.pending_probability + tree.pruned_probability
+        assert exact.p_fail <= tree.failure_probability + unresolved + 1e-13
+        mean_tree = sum(l.probability * l.iterates for l in tree.leaves)
+        assert mean_tree - 1e-13 <= exact.mean_iterates <= mean_tree + 1e-8
+
+
+def test_chain_growth_roadmap_figures_on_unbalanced_links():
+    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    for (t1, t2), p_loop in (
+        ((0.02, 0.005), 0.154544195538),
+        ((0.5, 0.05), 0.078848161236),
+        ((0.9, 0.001), 9.866064565e-4),
+    ):
+        result = chain_growth_rate(ApparatusParams(t1=t1, t2=t2), theta)
+        assert result.p_loop == pytest.approx(p_loop, abs=1e-12)
+
+
+def test_loop_distillation_tolerates_asymmetry_at_a_rate_cost():
+    # paper claim: an unbalanced link still distills perfect pairs; the
+    # asymmetry costs only rate.  At fixed mean transmission the success
+    # fidelity stays 1 while p_loop and the optimal growth rate fall
+    t_mean = 0.05
+    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    p_loops, growth = [], []
+    for sigma in (0.0, 0.2, 0.4, 0.6):
+        params = ApparatusParams(t1=t_mean * (1.0 + sigma), t2=t_mean * (1.0 - sigma))
+        assert params.sin_two_phi == pytest.approx(sigma, abs=1e-15)
+        tree = run_strategy_exact(
+            plus_state(CLIENT_LABELS), heralded_state(params, theta), StrategyConfig.loop(16)
+        )
+        assert tree.mean_success_fidelity() == pytest.approx(1.0, abs=1e-12)
+        p_loops.append(chain_growth_rate(params, theta).p_loop)
+        growth.append(optimize_theta(params, Objective.CHAIN_RATE).rate)
+    assert all(a > b for a, b in zip(p_loops, p_loops[1:]))
+    assert all(a > b > 0.0 for a, b in zip(growth, growth[1:]))
+
+
+def test_chain_growth_limit_at_two_thirds_imbalance():
+    # p_loop = 1 - R with R >= |sin 2phi|, so growth needs |sin 2phi| < 2/3
+    grid = [ExcitationAngle.from_sin_sq(s) for s in np.linspace(1e-6, 0.99, 60)]
+    for t1, t2 in ((0.9, 0.001), (0.5, 0.1), (0.12, 0.02)):
+        params = ApparatusParams(t1=t1, t2=t2)
+        bound = 1.0 - abs(params.sin_two_phi)
+        assert bound <= 1.0 / 3.0
+        results = [chain_growth_rate(params, th) for th in grid]
+        assert all(r.p_loop <= bound and r.growth_rate < 0.0 for r in results)
+        with pytest.raises(DegenerateParameterError, match="2/3"):
+            optimize_theta(params, Objective.CHAIN_RATE)
+    # just inside the limit the chain still grows, at a small angle
+    params = ApparatusParams(t1=0.08, t2=0.02)
+    assert abs(params.sin_two_phi) < 2.0 / 3.0
+    best = optimize_theta(params, Objective.CHAIN_RATE)
+    assert best.rate > 0.0
+
+
+def test_truncated_series_needs_a_balanced_link():
     params = ApparatusParams(t1=0.6, t2=0.3)
-    with pytest.raises(DegenerateParameterError):
-        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.3))
+    theta = ExcitationAngle.from_sin_sq(0.3)
+    with pytest.raises(DegenerateParameterError, match="t1 == t2"):
+        chain_growth_rate(params, theta, k_max=64)
+    with pytest.raises(DegenerateParameterError, match="t1 == t2"):
+        optimize_theta(params, Objective.CHAIN_RATE, k_max=64)
+    assert chain_growth_rate(params, theta).k_max is None
+
+
+def test_chain_growth_overflow_raises():
+    params = ApparatusParams(t1=0.5, t2=0.5, tau=5e-324)
+    with pytest.raises(DegenerateParameterError, match="overflows"):
+        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.2))
+    with pytest.raises(DegenerateParameterError, match="overflows"):
+        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.2), k_max=64)
 
 
 def test_chain_growth_input_validation():

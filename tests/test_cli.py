@@ -218,18 +218,104 @@ def parse_report(out: str) -> dict[str, float]:
 
 
 def test_chain_report_constants(capsys):
+    # the default sums the run-length series exactly: nothing to warn of
     assert main(["chain"]) == 0
     captured = capsys.readouterr()
+    assert captured.err == ""
     values = parse_report(captured.out)
     assert values["t"] == 1e-3
-    assert values["growth_rate_tau_over_t"] == pytest.approx(0.0345250185, rel=1e-6)
-    assert values["reciprocal_t_over_tau"] == pytest.approx(28.9645029, rel=1e-6)
-    assert values["sin_sq_theta_opt"] == pytest.approx(0.13785099, rel=1e-4)
-    assert values["p_loop"] == pytest.approx(0.49344605, rel=1e-6)
-    assert values["mean_iterates"] == pytest.approx(3.83550985, rel=1e-6)
-    # the k_max=64 truncation honestly reports its unconverged tail
-    assert "raise --k-max" in captured.err
-    assert "exceeds 1e-09 at k_max=64;" in captured.err
+    assert values["k_max"] == math.inf
+    assert values["tail_bound"] == 0.0
+    assert "closed_form_gap" not in values
+    assert values["growth_rate_tau_over_t"] == pytest.approx(0.03452028860417055, rel=1e-9)
+    assert values["reciprocal_t_over_tau"] == pytest.approx(28.968471598443866, rel=1e-9)
+    assert values["sin_sq_theta_opt"] == pytest.approx(0.13791799579553402, rel=1e-6)
+    assert values["p_loop"] == pytest.approx(0.49333234878754617, rel=1e-9)
+    assert values["mean_iterates"] == pytest.approx(3.835174513144102, rel=1e-9)
+
+
+def test_chain_series_reports_its_gap_to_the_closed_form(capsys):
+    exact = chain_growth_rate(ApparatusParams(t1=1e-3, t2=1e-3), 0.38)
+    for k_max, converged in (("64", False), ("256", True)):
+        assert main(["chain", "--theta", "0.38", "--k-max", k_max]) == 0
+        captured = capsys.readouterr()
+        values = parse_report(captured.out)
+        gap = abs(values["growth_rate"] - exact.growth_rate) / exact.growth_rate
+        assert values["closed_form_gap"] == gap
+        assert ("warning" in captured.err) is not converged
+
+
+def test_chain_on_an_unbalanced_link(tmp_path, capsys):
+    argv = ["chain", "--t1", "0.02", "--t2", "0.005", "--csv", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = parse_report(captured.out)
+    params = ApparatusParams(t1=0.02, t2=0.005)
+    result = chain_growth_rate(params, values["theta_opt"])
+    assert values["t"] == params.mean_transmission
+    assert values["growth_rate"] == result.growth_rate > 0.0
+    _, rows = read_csv(tmp_path / "chain.csv")
+    assert len(rows) == 10
+    parameters = read_manifest(tmp_path / "chain.csv")["parameters"]
+    assert (parameters["t"], parameters["t1"], parameters["t2"]) == (None, 0.02, 0.005)
+    # the truncated series models a balanced link only
+    assert main(argv[:5] + ["--k-max", "64"]) == 3
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_chain_link_flag_usage(capsys):
+    assert main(["chain", "--t", "0.1", "--t1", "0.1", "--t2", "0.1"]) == 2
+    assert "--t conflicts with --t1/--t2" in capsys.readouterr().err
+    assert main(["chain", "--t1", "0.1"]) == 2
+    assert main(["chain", "--t1", "0.1", "--t2", "0"]) == 2
+    assert main(["chain", "--t1", "nan", "--t2", "0.1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--strategy", "loop", "--trials", "10"],
+        ["chain"],
+    ],
+    ids=["simulate", "chain"],
+)
+def test_loop_search_rejects_links_past_two_thirds_imbalance(argv, tmp_path, capsys):
+    # |sin 2phi| = 0.998: the chain shrinks at every angle
+    assert main(argv + ["--t1", "0.9", "--t2", "0.001", "--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "|sin 2phi| >= 2/3" in err
+
+
+def test_simulate_loop_on_an_unbalanced_link(tmp_path, capsys):
+    argv = ["simulate", "--strategy", "loop", "--t1", "0.02", "--t2", "0.005"]
+    assert main(argv + ["--trials", "400", "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    theta = read_manifest(tmp_path / "simulate.csv")["parameters"]["theta"]
+    best = paritydistill.optimize_theta(
+        ApparatusParams(t1=0.02, t2=0.005), paritydistill.Objective.CHAIN_RATE
+    )
+    assert theta == best.optimal_theta
+
+
+@pytest.mark.parametrize("tau", ["5e-324", "1.3e-320"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--points", "3"],
+        ["simulate", "--t", "0.1", "--trials", "10"],
+        ["simulate", "--t", "0.1", "--trials", "10", "--theta", "0.5"],
+        ["chain"],
+        ["chain", "--theta", "0.38", "--k-max", "64"],
+    ],
+    ids=["rates", "simulate", "simulate-theta", "chain", "chain-series"],
+)
+def test_overflowing_rates_exit_3(argv, tau, tmp_path, capsys):
+    assert main(argv + ["--tau", tau, "--outdir", str(tmp_path)]) == 3
+    assert_one_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chain_csv_round_trips_exact_values(tmp_path, capsys):
@@ -498,7 +584,15 @@ def test_chain_underflowing_transmission_exits_3(capsys):
         ),
         (
             ["chain", "--theta", "0.38", "--k-max", "128", "--csv"],
-            {"t": 1e-3, "k_max": 128, "tau": 1.0, "theta": 0.38, "output": "chain.csv"},
+            {
+                "t": 1e-3,
+                "t1": None,
+                "t2": None,
+                "k_max": 128,
+                "tau": 1.0,
+                "theta": 0.38,
+                "output": "chain.csv",
+            },
         ),
     ],
     ids=["rates", "drift", "chain"],
@@ -539,10 +633,8 @@ def _count(low: int, high: int, bad: list[str]):
     return _mostly(st.integers(low, high).map(str), st.sampled_from(bad))
 
 
-# subnormal windows overflow the rates (rates writes inf rows, simulate
-# warns), a known defect, so --tau stays at 1e-300 or above
 _TAU = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "-1", "0"]),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1.3e-320"]),
     st.floats(1e-300, 1e300).map(repr),
     st.floats(0.1, 10.0).map(repr),
 )
@@ -566,6 +658,8 @@ _FUZZ_FLAGS = {
     },
     "chain": {
         "--t": _in(0.0, 1.0),
+        "--t1": _in(0.0, 1.0),
+        "--t2": _in(0.0, 1.0),
         "--k-max": _count(4, 128, ["0", "3"]),
         "--tau": _TAU,
         "--theta": _in(0.0, math.pi / 2.0),
