@@ -51,6 +51,9 @@ DARK_FIDELITY_CUTOFF = 1e-3
 # tree at the grid's cross-check point.
 REGION_CROSS_CHECK_ATOL = 1e-12
 
+# Bracket width, in radians, at which a golden-section search stops.
+GOLDEN_SECTION_TOL = 1e-8
+
 # Memory budget, in doubles, of the block of walk vectors in
 # ``loop_interval_probabilities``; it keeps the series O(k_max) in memory.
 _SERIES_BLOCK_DOUBLES = 2**17
@@ -130,27 +133,26 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class RateResult:
-    """Optimized rate with the angle achieving it and the parameter echo."""
+    """Optimized rate with the angle achieving it."""
 
     rate: float
     optimal_theta: float
-    objective: Objective
-    params: ApparatusParams
 
     @property
     def sin_sq_theta(self) -> float:
         return math.sin(self.optimal_theta) ** 2
 
 
-def golden_section_max(f: Callable, lo, hi, tol: float = 1e-8):
+def golden_section_max(f: Callable, lo, hi):
     """Derivative-free maximizer for a unimodal objective on [lo, hi].
 
     ``lo`` and ``hi`` are floats, or arrays of brackets searched in
     lockstep: ``f`` then maps an array of points to their objective
     values, one array call per step for all brackets.  Every bracket
     stops at the step where a scalar search on it alone would, so the
-    result is the same either way.  Returns a float for scalar brackets
-    and an array otherwise.
+    result is the same either way.  Returns the midpoint of each bracket
+    once it is no wider than ``GOLDEN_SECTION_TOL``: a float for scalar
+    brackets and an array otherwise.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if not np.all(hi > lo):
@@ -162,7 +164,7 @@ def golden_section_max(f: Callable, lo, hi, tol: float = 1e-8):
     best = np.full(width.shape, np.nan)
     searching = np.ones(width.shape, dtype=bool)
     for _ in range(300):
-        stops = searching & (width <= tol)
+        stops = searching & (width <= GOLDEN_SECTION_TOL)
         if stops.any():
             best[stops] = (0.5 * (lo + hi))[stops]
             searching &= ~stops
@@ -176,7 +178,7 @@ def golden_section_max(f: Callable, lo, hi, tol: float = 1e-8):
         x = lo + np.where(left, _INV_PHI_SQ, _INV_PHI) * width
         fx = f(x)
         c, d, fc, fd = np.where(left, (x, c, fx, fc), (d, x, fd, fx))
-    raise NonConvergenceError(f"golden section did not reach width {tol:.1e}")
+    raise NonConvergenceError(f"golden section did not reach width {GOLDEN_SECTION_TOL:.1e}")
 
 
 def optimize_theta(
@@ -184,7 +186,6 @@ def optimize_theta(
     objective: Objective,
     *,
     k_max: int | None = None,
-    tol: float = 1e-8,
 ) -> RateResult:
     """Best excitation angle for a rate objective at fixed apparatus.
 
@@ -198,10 +199,8 @@ def optimize_theta(
     is rejected too.
     """
     if objective is Objective.BELL_RATE:
-        theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau, tol=tol)
-        return RateResult(
-            rate=float(rate), optimal_theta=theta, objective=objective, params=params
-        )
+        theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
+        return RateResult(rate=float(rate), optimal_theta=theta)
     if objective is not Objective.CHAIN_RATE:
         raise ValueError(f"unknown objective {objective!r}")
     if params.t1 * params.t2 <= 0.0:
@@ -215,8 +214,8 @@ def optimize_theta(
     def f(theta: float) -> float:
         return chain_growth_rate(params, theta, k_max=k_max).growth_rate
 
-    theta = golden_section_max(f, 0.0, math.pi / 2.0, tol)
-    return RateResult(rate=f(theta), optimal_theta=theta, objective=objective, params=params)
+    theta = golden_section_max(f, 0.0, math.pi / 2.0)
+    return RateResult(rate=f(theta), optimal_theta=theta)
 
 
 def _bell_rate_objective(t1, t2, tau: float):
@@ -244,7 +243,7 @@ def _bell_rate_objective(t1, t2, tau: float):
     return t.shape, rate
 
 
-def optimize_bell_rate(t1, t2, tau: float = 1.0, *, tol: float = 1e-8):
+def optimize_bell_rate(t1, t2, tau: float = 1.0):
     """Best angle and its Bell rate at every point of a transmission grid.
 
     ``t1`` and ``t2`` broadcast to the grid, and one lockstep golden
@@ -253,7 +252,7 @@ def optimize_bell_rate(t1, t2, tau: float = 1.0, *, tol: float = 1e-8):
     shape, or floats for a single link.
     """
     shape, rate = _bell_rate_objective(t1, t2, tau)
-    theta = golden_section_max(rate, np.zeros(shape), np.full(shape, math.pi / 2.0), tol)
+    theta = golden_section_max(rate, np.zeros(shape), np.full(shape, math.pi / 2.0))
     return theta, rate(theta)
 
 

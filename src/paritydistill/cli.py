@@ -53,8 +53,8 @@ from .photonics import (
 )
 from .protocol import (
     CLIENT_LABELS,
+    STREAM_VERSION,
     StrategyConfig,
-    StrategyMode,
     run_strategy_exact,
     run_trajectories,
 )
@@ -221,6 +221,10 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
 
 CHAIN_DEFAULT_T = 1e-3
 
+# Largest --k-max: the truncated series costs O(k_max^2) time per call,
+# about 50 ms at 4096, and an angle search makes ~45 calls.
+CHAIN_K_MAX_LIMIT = 4096
+
 
 def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
     if args.t is not None and (args.t1 is not None or args.t2 is not None):
@@ -234,6 +238,8 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
             parser.error(f"{flag} must lie in (0, 1]")
     if args.k_max is not None and args.k_max < 4:
         parser.error("--k-max must be at least 4")
+    if args.k_max is not None and args.k_max > CHAIN_K_MAX_LIMIT:
+        parser.error(f"--k-max must be at most {CHAIN_K_MAX_LIMIT}")
     if not args.tau > 0.0:
         parser.error("--tau must be positive")
     t1, t2 = (args.t1, args.t2) if args.t is None else (args.t, args.t)
@@ -282,6 +288,11 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
+# Largest --max-iterates: the exact cross-check holds O(cap^2) class
+# matrices where its walk cannot stop early, about 250 MB and 2 s at
+# 256 (t = 0.5, sin^2 theta = 1e-3).
+SIMULATE_CAP_LIMIT = 256
+
 
 def _params_from_flags(parser: argparse.ArgumentParser, args) -> ApparatusParams:
     """The config file's parameters, if any, overridden by the link flags.
@@ -318,13 +329,17 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         parser.error(
             "trajectory sampling models the dark-free link; set p_dark to 0"
         )
-    mode = StrategyMode(args.strategy)
-    if args.max_iterates is None:
-        max_iterates = 2 if mode is StrategyMode.TWO_ITERATES_ONLY else 16
-    else:
-        max_iterates = args.max_iterates
+    # the two-iterate strategy is the loop capped at two
+    loop = args.strategy == "loop"
+    max_iterates = args.max_iterates
+    if max_iterates is None:
+        max_iterates = 16 if loop else 2
+    if not loop and max_iterates > 2:
+        parser.error("the two-iterate strategy stops at exactly two iterates")
+    if max_iterates > SIMULATE_CAP_LIMIT:
+        parser.error(f"--max-iterates must be at most {SIMULATE_CAP_LIMIT}")
     try:
-        config = StrategyConfig(mode=mode, max_iterates=max_iterates, rng_seed=args.seed)
+        config = StrategyConfig(max_iterates=max_iterates, rng_seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
@@ -334,11 +349,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     elif args.theta is not None:
         theta = args.theta
     else:
-        objective = (
-            Objective.BELL_RATE
-            if mode is StrategyMode.TWO_ITERATES_ONLY
-            else Objective.CHAIN_RATE
-        )
+        objective = Objective.CHAIN_RATE if loop else Objective.BELL_RATE
         theta = optimize_theta(params, objective).optimal_theta
     if eta_weight(params, theta) == 1.0:
         raise DegenerateParameterError(
@@ -349,7 +360,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         args,
         {
             "trials": args.trials,
-            "strategy": mode.value,
+            "strategy": args.strategy,
             "max_iterates": max_iterates,
             "theta": theta,
             "t1": params.t1,
@@ -359,7 +370,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
             "wavelength": params.wavelength,
             "tau": params.tau,
             "output": args.output,
-            "rng_stream": stats.stream,
+            "rng_stream": STREAM_VERSION,
         },
         stats.write_csv,
         seed=args.seed,
@@ -374,7 +385,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     )
     summary = stats.summary()
     print(f"wrote {csv_path} ({stats.n_trials} rows)")
-    print(f"strategy = {mode.value} (max_iterates = {max_iterates})")
+    print(f"strategy = {args.strategy} (max_iterates = {max_iterates})")
     print(f"sin_sq_theta = {math.sin(theta) ** 2!r}")
     print(
         f"successes = {summary['successes']}  failures = {summary['failures']}  "
@@ -450,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument(
         "--strategy",
-        choices=[m.value for m in StrategyMode],
-        default=StrategyMode.TWO_ITERATES_ONLY.value,
+        choices=["two_iterates_only", "loop"],
+        default="two_iterates_only",
     )
     simulate.add_argument("--max-iterates", type=int, default=None)
     group = simulate.add_mutually_exclusive_group()

@@ -196,11 +196,6 @@ class ApparatusParams:
         except DegenerateParameterError as exc:
             raise ConfigFormatError(f"{path}: {exc}") from None
 
-    def to_config_file(self, path) -> None:
-        lines = [f"{key} = {getattr(self, name)!r}" for key, name in CONFIG_FIELDS.items()]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 @dataclass(frozen=True)
 class ExcitationAngle:

@@ -79,11 +79,6 @@ class Status(Enum):
         return self in (Status.SUCCESS_PARITY_EVEN, Status.SUCCESS_PARITY_ODD)
 
 
-class StrategyMode(Enum):
-    TWO_ITERATES_ONLY = "two_iterates_only"
-    LOOP = "loop"
-
-
 @dataclass(frozen=True)
 class IterateOutcome:
     """Two-bit X-measurement record of one iterate."""
@@ -114,27 +109,28 @@ OUTCOMES = (
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Run-control policy for a distillation attempt sequence."""
+    """Run-control policy for a distillation attempt sequence.
 
-    mode: StrategyMode
+    A run repeats iterates until it classifies or reaches
+    ``max_iterates``; the two-iterate strategy is the cap of two.
+    """
+
     max_iterates: int = 2
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterates < 2:
             raise ValueError("a run needs at least two iterates to classify")
-        if self.mode is StrategyMode.TWO_ITERATES_ONLY and self.max_iterates != 2:
-            raise ValueError("the two-iterate strategy stops at exactly two iterates")
         if not 0 <= self.rng_seed < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
 
     @classmethod
     def two_iterates_only(cls, rng_seed: int = 0) -> "StrategyConfig":
-        return cls(StrategyMode.TWO_ITERATES_ONLY, 2, rng_seed)
+        return cls(2, rng_seed)
 
     @classmethod
     def loop(cls, max_iterates: int = 16, rng_seed: int = 0) -> "StrategyConfig":
-        return cls(StrategyMode.LOOP, max_iterates, rng_seed)
+        return cls(max_iterates, rng_seed)
 
 
 def classify(history: Sequence[IterateOutcome]) -> Status:
@@ -381,8 +377,10 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``;
     then the classes pending at the cap ``(..., j, b - 1)`` and the pruned
     mass ``(...)``.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is
-    zeroed where it is reached and its mass pruned.  Raises unless the
-    kept and the pruned mass sum to one.
+    zeroed where it is reached and its mass pruned.  The walk stops at
+    the first depth that leaves no class pending in any stack member,
+    so the lists may end before ``cap``, with every pending class zero;
+    the depths it skips would add only zeros.  Raises unless the kept and the pruned mass sum to one.
     """
     batch = masks.ndim - 3
     grow = masks[..., :, None, :, :]
@@ -406,6 +404,10 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
             pruned, settled = pruned + dropped, settled + kept
         dropped, waiting = _drop_light(pending, batch)
         pruned = pruned + dropped
+        # a kept class weighs at least the pruning epsilon, so no waiting
+        # mass means every class is zero and no later depth adds anything
+        if not waiting.any():
+            break
     defect = float(np.max(np.abs(settled + waiting + pruned - 1.0)))
     if defect > PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(
@@ -520,10 +522,8 @@ class SampleStats:
 
     Arrays are aligned by row and sorted by trial index.  ``config``,
     ``params`` and ``theta`` (the excitation angle in radians) record
-    what the trials were drawn from, and ``stream`` the version of the
-    uniform stream.  Merging two disjoint batches drawn from the same
-    strategy, seed, link parameters, angle and stream is exact:
-    aggregates never depend on how trials were partitioned.
+    what the trials were drawn from; every uniform comes from stream
+    version ``STREAM_VERSION``.
     """
 
     config: StrategyConfig
@@ -534,7 +534,6 @@ class SampleStats:
     iterates: np.ndarray
     status: np.ndarray
     fidelity: np.ndarray
-    stream: int = STREAM_VERSION
 
     def __post_init__(self) -> None:
         n = len(self.trial)
@@ -555,38 +554,6 @@ class SampleStats:
     @property
     def tau(self) -> float:
         return self.params.tau
-
-    def merge(self, other: "SampleStats") -> "SampleStats":
-        """Combine two disjoint batches; order-insensitive by construction.
-
-        Raises ValueError when the batches were drawn from different
-        strategies, seeds, caps, link parameters, angles or stream
-        versions.
-        """
-        mine = (self.config, self.params, self.theta, self.stream)
-        theirs = (other.config, other.params, other.theta, other.stream)
-        if mine != theirs:
-            raise ValueError(f"batches come from different configurations: {mine} vs {theirs}")
-        trial = np.concatenate([self.trial, other.trial])
-        order = np.argsort(trial, kind="stable")
-        trial = trial[order]
-        if len(trial) and np.any(np.diff(trial) == 0):
-            raise ValueError("batches overlap in trial indices")
-
-        def pick(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            return np.concatenate([a, b])[order]
-
-        return SampleStats(
-            self.config,
-            self.params,
-            self.theta,
-            trial,
-            pick(self.attempts, other.attempts),
-            pick(self.iterates, other.iterates),
-            pick(self.status, other.status),
-            pick(self.fidelity, other.fidelity),
-            self.stream,
-        )
 
     def counts(self) -> dict[Status, int]:
         return {s: int(np.sum(self.status == s.value)) for s in Status}

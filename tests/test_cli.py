@@ -361,6 +361,35 @@ def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chain", "--t", "0.5", "--k-max", "4097"], "--k-max must be at most 4096"),
+        (
+            ["simulate", "--t", "0.5", "--strategy", "loop", "--max-iterates", "257"],
+            "--max-iterates must be at most 256",
+        ),
+    ],
+)
+def test_costly_sizes_are_usage_errors(argv, message, tmp_path, capsys):
+    # one past each bound: the work grows with the square of the size
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"paritydistill: error: {message}"
+    ]
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_sizes_are_accepted(tmp_path, capsys):
+    assert main(["chain", "--t", "0.5", "--k-max", "4096", "--theta", "0.6"]) == 0
+    argv = ["simulate", "--t", "0.5", "--strategy", "loop", "--max-iterates", "256"]
+    argv += ["--sin-sq-theta", "0.3", "--trials", "100", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "max_iterates = 256" in capsys.readouterr().out
+
+
 def test_simulate_is_reproducible(tmp_path, capsys):
     argv = [
         "simulate",
@@ -459,9 +488,7 @@ def test_simulate_loop_successes_need_even_depth(tmp_path, capsys):
 
 def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "link.cfg"
-    ApparatusParams(t1=0.8, t2=0.8, x1=0.3, x2=0.1, wavelength=1.55, tau=2.0).to_config_file(
-        cfg_path
-    )
+    cfg_path.write_text("t1 = 0.8\nt2 = 0.8\nx1 = 0.3\nx2 = 0.1\nlambda = 1.55\ntau = 2.0\n")
     code = main(
         [
             "simulate",
@@ -660,7 +687,7 @@ _FUZZ_FLAGS = {
         "--t": _in(0.0, 1.0),
         "--t1": _in(0.0, 1.0),
         "--t2": _in(0.0, 1.0),
-        "--k-max": _count(4, 128, ["0", "3"]),
+        "--k-max": _count(4, 128, ["0", "3", "4097"]),
         "--tau": _TAU,
         "--theta": _in(0.0, math.pi / 2.0),
         "--csv": None,
@@ -669,7 +696,7 @@ _FUZZ_FLAGS = {
         "--trials": _count(1, 50, ["-1", "0"]),
         "--seed": st.sampled_from(["-1", "0", "7", str(2**64), str(2**70)]),
         "--strategy": st.sampled_from(["two_iterates_only", "loop"]),
-        "--max-iterates": _count(2, 16, ["-1", "0", "1"]),
+        "--max-iterates": _count(2, 16, ["-1", "0", "1", "257"]),
         "--theta": _in(0.0, math.pi / 2.0),
         "--sin-sq-theta": _in(0.0, 1.0),
         "--x1": _in(-10.0, 10.0),

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -22,16 +22,16 @@ from paritydistill import (
     IterateOutcome,
     Leaf,
     OUTCOMES,
-    STREAM_VERSION,
+    Objective,
     Status,
     StrategyConfig,
-    StrategyMode,
     classify,
     eta_weight,
     heralded_state,
     heralded_state_with_dark_counts,
     iterate_channel,
     loop_interval_probabilities,
+    optimize_theta,
     p_click,
     plus_state,
     run_iterate_exact,
@@ -246,14 +246,14 @@ def test_classify_examples():
 
 def test_strategy_config_validation():
     with pytest.raises(ValueError):
-        StrategyConfig(StrategyMode.LOOP, max_iterates=1)
+        StrategyConfig(max_iterates=1)
     with pytest.raises(ValueError):
-        StrategyConfig(StrategyMode.TWO_ITERATES_ONLY, max_iterates=3)
+        StrategyConfig(max_iterates=8, rng_seed=-1)
     with pytest.raises(ValueError):
-        StrategyConfig(StrategyMode.LOOP, max_iterates=8, rng_seed=-1)
-    with pytest.raises(ValueError):
-        StrategyConfig(StrategyMode.LOOP, max_iterates=8, rng_seed=2**64)
+        StrategyConfig(max_iterates=8, rng_seed=2**64)
     assert StrategyConfig.loop(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+    # the two-iterate strategy is the loop capped at two
+    assert StrategyConfig.two_iterates_only(rng_seed=3) == StrategyConfig.loop(2, rng_seed=3)
     assert StrategyConfig.two_iterates_only().max_iterates == 2
     assert StrategyConfig.loop(max_iterates=12).max_iterates == 12
 
@@ -592,6 +592,43 @@ def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
             assert tree.failure_probability == pytest.approx(pf.sum(), abs=1e-10)
 
 
+def walk_peak(masks: np.ndarray, cap: int) -> tuple[int, int]:
+    """Depths ``_walk`` steps through to ``cap``, and its ``tracemalloc`` peak."""
+    tracemalloc.start()
+    try:
+        successes, _, _, _ = protocol._walk(masks, plus_state(CLIENT_LABELS).elements, cap)
+        return len(successes), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_stops_once_nothing_is_pending():
+    # At T = 1e-2 and the chain-rate angle every pending class is pruned
+    # before depth 200, so a cap of 400 adds nothing: the same leaves,
+    # and the same memory.  A walk that kept stepping to the cap would
+    # hold failure classes for every depth, O(cap^2) of them: about four
+    # times the cap-200 peak at cap 400.
+    params = ApparatusParams(t1=1e-2, t2=1e-2)
+    pair = heralded_state(params, optimize_theta(params, Objective.CHAIN_RATE).optimal_theta)
+    clients = plus_state(CLIENT_LABELS)
+    short = run_strategy_exact(clients, pair, StrategyConfig.loop(200))
+    long = run_strategy_exact(clients, pair, StrategyConfig.loop(400))
+    assert short.pending_probability == 0.0
+    assert [(l.history, l.status, l.probability) for l in long.leaves] == [
+        (l.history, l.status, l.probability) for l in short.leaves
+    ]
+    np.testing.assert_array_equal(
+        np.stack([l.state.elements for l in long.leaves]),
+        np.stack([l.state.elements for l in short.leaves]),
+    )
+    assert long.pruned_probability == short.pruned_probability
+    masks = protocol._outcome_masks(pair)
+    short_depths, short_peak = walk_peak(masks, 200)
+    long_depths, long_peak = walk_peak(masks, 400)
+    assert long_depths == short_depths < 199
+    assert long_peak <= 1.25 * short_peak, (long_peak, short_peak)
+
+
 @pytest.mark.parametrize("kind", ["pair", "dark", "general"])
 def test_walk_matches_count_class_tree_at_large_caps(kind):
     # an unbalanced link beyond the circuit oracle's reach, leaf by leaf
@@ -914,51 +951,20 @@ def test_trajectories_replay_bit_identical():
     np.testing.assert_array_equal(a.fidelity, b.fidelity)
 
 
-def test_trajectories_merge_is_partition_invariant():
+def test_trajectories_are_partition_invariant():
     params = ApparatusParams(t1=0.6, t2=0.3)
     theta = ExcitationAngle.from_sin_sq(0.4)
     cfg = StrategyConfig.loop(max_iterates=6, rng_seed=5)
     whole = run_trajectories(cfg, params, theta, 400)
     left = run_trajectories(cfg, params, theta, 250)
     right = run_trajectories(cfg, params, theta, 150, trial_start=250)
-    for merged in (left.merge(right), right.merge(left)):
-        np.testing.assert_array_equal(merged.trial, whole.trial)
-        np.testing.assert_array_equal(merged.attempts, whole.attempts)
-        np.testing.assert_array_equal(merged.status, whole.status)
-        np.testing.assert_array_equal(merged.fidelity, whole.fidelity)
-    with pytest.raises(ValueError):
-        left.merge(left)
-    # batches drawn from any other configuration never merge
-    mismatched = (
-        (StrategyConfig.loop(max_iterates=6, rng_seed=6), params, theta),
-        (StrategyConfig.loop(max_iterates=8, rng_seed=5), params, theta),
-        (StrategyConfig.two_iterates_only(rng_seed=5), params, theta),
-        (cfg, params, ExcitationAngle.from_sin_sq(0.5)),
-        (cfg, ApparatusParams(t1=0.6, t2=0.4), theta),
-        (cfg, ApparatusParams(t1=0.6, t2=0.3, tau=2.0), theta),
-        (cfg, ApparatusParams(t1=0.6, t2=0.3, x1=0.2), theta),
-    )
-    for other_cfg, other_params, other_theta in mismatched:
-        other = run_trajectories(other_cfg, other_params, other_theta, 10, trial_start=1000)
-        with pytest.raises(ValueError):
-            left.merge(other)
-        with pytest.raises(ValueError):
-            other.merge(left)
-    two = run_trajectories(
-        StrategyConfig.two_iterates_only(rng_seed=5), params, ExcitationAngle(0.3), 10
-    )
-    loop16 = run_trajectories(
-        StrategyConfig.loop(max_iterates=16, rng_seed=5),
-        params,
-        ExcitationAngle(0.9),
-        10,
-        trial_start=10,
-    )
-    with pytest.raises(ValueError):
-        two.merge(loop16)
-    # the same angle given as a float or as an ExcitationAngle is one config
+    # the same angle given as a float or as an ExcitationAngle is one run
     as_float = run_trajectories(cfg, params, theta.theta, 150, trial_start=250)
-    np.testing.assert_array_equal(left.merge(as_float).status, whole.status)
+    assert as_float.theta == right.theta == whole.theta
+    for column in ("trial", "attempts", "iterates", "status", "fidelity"):
+        joined = np.concatenate([getattr(left, column), getattr(right, column)])
+        np.testing.assert_array_equal(joined, getattr(whole, column))
+        np.testing.assert_array_equal(getattr(as_float, column), getattr(right, column))
 
 
 def test_sample_stats_csv_format(tmp_path):
@@ -1139,20 +1145,6 @@ def test_windows_per_herald_match_click_probability():
     assert abs(sum(z)) / math.sqrt(len(z)) < normal.inv_cdf(1.0 - alpha / 2), z
     tail = chi2_sf(sum(v * v for v in z), len(z))
     assert alpha / 2 < tail < 1.0 - alpha / 2, z
-
-
-def test_sample_stats_record_stream_version():
-    theta = ExcitationAngle.from_sin_sq(0.4)
-    config = StrategyConfig.loop(6, rng_seed=5)
-    left = run_trajectories(config, UNBALANCED, theta, 20)
-    right = run_trajectories(config, UNBALANCED, theta, 20, trial_start=20)
-    assert left.stream == right.stream == STREAM_VERSION
-    assert left.merge(right).stream == STREAM_VERSION
-    older = dataclasses.replace(right, stream=STREAM_VERSION - 1)
-    with pytest.raises(ValueError):
-        left.merge(older)
-    with pytest.raises(ValueError):
-        older.merge(left)
 
 
 def csv_writer_reference(stats, path) -> None:
