@@ -143,42 +143,47 @@ class RateResult:
         return math.sin(self.optimal_theta) ** 2
 
 
-def golden_section_max(f: Callable, lo, hi):
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Derivative-free maximizer for a unimodal objective on [lo, hi].
 
-    ``lo`` and ``hi`` are floats, or arrays of brackets searched in
-    lockstep: ``f`` then maps an array of points to their objective
-    values, one array call per step for all brackets.  Every bracket
-    stops at the step where a scalar search on it alone would, so the
-    result is the same either way.  Returns the midpoint of each bracket
-    once it is no wider than ``GOLDEN_SECTION_TOL``: a float for scalar
-    brackets and an array otherwise.
+    Each step keeps [lo, d] where f(c) >= f(d), else [c, hi], reuses the
+    kept inner point and evaluates one new one.  Returns the midpoint of
+    the bracket once it is no wider than ``GOLDEN_SECTION_TOL``.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if not np.all(hi > lo):
+    if not hi > lo:
         raise ValueError("need hi > lo")
     width = hi - lo
     c = lo + _INV_PHI_SQ * width
     d = lo + _INV_PHI * width
     fc, fd = f(c), f(d)
-    best = np.full(width.shape, np.nan)
-    searching = np.ones(width.shape, dtype=bool)
     for _ in range(300):
-        stops = searching & (width <= GOLDEN_SECTION_TOL)
-        if stops.any():
-            best[stops] = (0.5 * (lo + hi))[stops]
-            searching &= ~stops
-            if not searching.any():
-                return float(best) if best.ndim == 0 else best
-        # keep [lo, d] where fc >= fd, else [c, hi]; the kept inner point
-        # is reused and one new point is evaluated per bracket
-        left = fc >= fd
-        lo, hi = np.where(left, (lo, d), (c, hi))
-        width = hi - lo
-        x = lo + np.where(left, _INV_PHI_SQ, _INV_PHI) * width
-        fx = f(x)
-        c, d, fc, fd = np.where(left, (x, c, fx, fc), (d, x, fd, fx))
+        if width <= GOLDEN_SECTION_TOL:
+            return 0.5 * (lo + hi)
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            width = hi - lo
+            c = lo + _INV_PHI_SQ * width
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            width = hi - lo
+            d = lo + _INV_PHI * width
+            fd = f(d)
     raise NonConvergenceError(f"golden section did not reach width {GOLDEN_SECTION_TOL:.1e}")
+
+
+def _check_lit(t1, t2) -> None:
+    """Raise where a path is dark or ``t1 * t2`` underflows; floats or arrays.
+
+    Either way both rate objectives vanish at every angle in doubles, so
+    no angle is better than another.
+    """
+    if not np.all((t1 > 0.0) & (t2 > 0.0)):
+        raise DegenerateParameterError("objective is identically zero when a path is dark")
+    if not np.all(t1 * t2 > 0.0):
+        raise DegenerateParameterError(
+            "t1 * t2 underflows to zero: transmissions too small for a double"
+        )
 
 
 def optimize_theta(
@@ -189,22 +194,20 @@ def optimize_theta(
 ) -> RateResult:
     """Best excitation angle for a rate objective at fixed apparatus.
 
-    The interior of [0, pi/2] is searched; both objectives vanish
-    identically when either path is dark, which is rejected rather than
-    returning an arbitrary angle.  The Bell objective is the one-point
-    case of ``optimize_bell_rate``.  The chain objective is
-    ``chain_growth_rate`` with the given ``k_max``.  Its loop success
-    probability 1 - R never exceeds 1 - |sin 2phi|, so where
-    |sin 2phi| >= 2/3 the chain shrinks at every angle, and that link
-    is rejected too.
+    Both objectives vanish identically when either path is dark, which
+    is rejected rather than returning an arbitrary angle.  The Bell
+    objective is the one-point case of ``optimize_bell_rate``.  The chain
+    objective is ``chain_growth_rate`` with the given ``k_max``, searched
+    on the interior of [0, pi/2].  Its loop success probability 1 - R
+    never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the chain
+    shrinks at every angle, and that link is rejected too.
     """
     if objective is Objective.BELL_RATE:
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
-        return RateResult(rate=float(rate), optimal_theta=theta)
+        return RateResult(rate=rate, optimal_theta=theta)
     if objective is not Objective.CHAIN_RATE:
         raise ValueError(f"unknown objective {objective!r}")
-    if params.t1 * params.t2 <= 0.0:
-        raise DegenerateParameterError("objective is identically zero when a path is dark")
+    _check_lit(params.t1, params.t2)
     if abs(params.sin_two_phi) >= 2.0 / 3.0:
         raise DegenerateParameterError(
             f"chain growth is negative at every angle when |sin 2phi| >= 2/3, "
@@ -218,42 +221,29 @@ def optimize_theta(
     return RateResult(rate=f(theta), optimal_theta=theta)
 
 
-def _bell_rate_objective(t1, t2, tau: float):
-    """The Bell rate as a function of the angle alone, on a grid of links.
+def optimize_bell_rate(t1, t2, tau: float = 1.0):
+    """Best angle and its Bell rate at every point of a transmission grid.
 
-    ``t1`` and ``t2`` broadcast to the grid; the per-point checks of
-    ``ApparatusParams``, ``optimize_theta`` and ``ExcitationAngle`` hold
-    as array checks.  Returns the grid shape and the objective, which
-    maps angles of that shape (or a float, for one link) to rates.
+    With s = sin^2(theta) and a = T cos^2(2 phi), the Bell rate is
+    proportional to s (1 - s)^2 / (2 - a s), whose derivative in s
+    vanishes where a s^2 - 3 s + 1 = 0.  For a in (0, 1] the root in
+    (0, 1) is s* = 2 / (3 + sqrt(9 - 4 a)), between 1/3 and (3 - sqrt 5)/2,
+    and 1/3 + a/27 + O(a^2) in deep loss.  ``t1`` and ``t2`` broadcast to
+    the grid, and the per-point checks of ``ApparatusParams`` and
+    ``optimize_theta`` hold as array checks.  Returns ``(theta, rate)``
+    with theta = arcsin(sqrt(s*)) and the Bell rate at that angle: arrays
+    of the grid's shape, or floats for a single link.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
     if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
         raise DegenerateParameterError("transmittances must lie in [0, 1]")
-    if not np.all(t1 * t2 > 0.0):
-        raise DegenerateParameterError("objective is identically zero when a path is dark")
+    _check_lit(t1, t2)
     _check_tau(tau)
     t = 0.5 * (t1 + t2)
     c2 = _cos_sq_two_phi(t1, t2)
-
-    def rate(theta):
-        if not np.all((0.0 <= theta) & (theta <= math.pi / 2.0)):
-            raise DegenerateParameterError("theta must lie in [0, pi/2]")
-        return _rate_bell_form(t, c2, _sq(np.sin(theta)), tau)
-
-    return t.shape, rate
-
-
-def optimize_bell_rate(t1, t2, tau: float = 1.0):
-    """Best angle and its Bell rate at every point of a transmission grid.
-
-    ``t1`` and ``t2`` broadcast to the grid, and one lockstep golden
-    section searches every point, giving the same angles as a search
-    on each point alone.  Returns ``(theta, rate)``, arrays of the grid's
-    shape, or floats for a single link.
-    """
-    shape, rate = _bell_rate_objective(t1, t2, tau)
-    theta = golden_section_max(rate, np.zeros(shape), np.full(shape, math.pi / 2.0))
-    return theta, rate(theta)
+    theta = np.arcsin(np.sqrt(2.0 / (3.0 + np.sqrt(9.0 - 4.0 * t * c2))))
+    rate = _rate_bell_form(t, c2, _sq(np.sin(theta)), tau)
+    return (float(theta), float(rate)) if theta.ndim == 0 else (theta, rate)
 
 
 # ---------------------------------------------------------------------------

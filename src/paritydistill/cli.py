@@ -37,12 +37,7 @@ from .analytics import (
     two_photon_reference_rate,
 )
 from .constants import SERIES_TAIL_TOL
-from .errors import (
-    ConfigFormatError,
-    DegenerateParameterError,
-    NonConvergenceError,
-    SimulationError,
-)
+from .errors import ConfigFormatError, DegenerateParameterError, SimulationError
 from .photonics import (
     CONFIG_FIELDS,
     ApparatusParams,
@@ -510,9 +505,6 @@ def main(argv=None) -> int:
         # raises ConfigFormatError for a file it cannot read
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateParameterError, NonConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -281,7 +281,6 @@ class ExactTree:
     """
 
     initial_clients: DensityMatrix
-    config: StrategyConfig
     leaves: tuple[Leaf, ...]
     pruned_probability: float
 
@@ -303,17 +302,6 @@ class ExactTree:
     @property
     def total_probability(self) -> float:
         return sum(l.probability for l in self.leaves) + self.pruned_probability
-
-    def leaves_with(self, status: Status) -> tuple[Leaf, ...]:
-        return tuple(l for l in self.leaves if l.status is status)
-
-    def depth_profile(self) -> dict[int, dict[Status, float]]:
-        """Leaf probability mass by iterate count and status."""
-        profile: dict[int, dict[Status, float]] = {}
-        for leaf in self.leaves:
-            row = profile.setdefault(leaf.iterates, {})
-            row[leaf.status] = row.get(leaf.status, 0.0) + leaf.probability
-        return profile
 
     def mean_success_fidelity(self) -> float:
         """Probability-weighted fidelity of success leaves.
@@ -459,7 +447,7 @@ def run_strategy_exact(
             leaves.append(Leaf(history, state, Status.FAILURE, p))
     for (j, b), state, p in _kept(pending, labels):
         leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
-    return ExactTree(initial, config, tuple(leaves), float(pruned))
+    return ExactTree(initial, tuple(leaves), float(pruned))
 
 
 def _two_iterate_success(
@@ -798,10 +786,16 @@ def _sample_chunk(
         kept = _advance(
             states[:, succeeded], outcome[succeeded], weight[succeeded], scale, twist
         )
-        fidelity[won] = np.where(
-            first[succeeded] == 0,
-            0.5 * (kept[1] + kept[2]) + kept[4],
-            0.5 * (kept[0] + kept[3]) + kept[6],
+        # clipped to [0, 1] as ``fidelity`` clips it: roundoff can carry a
+        # perfect pair one ulp past 1
+        fidelity[won] = np.clip(
+            np.where(
+                first[succeeded] == 0,
+                0.5 * (kept[1] + kept[2]) + kept[4],
+                0.5 * (kept[0] + kept[3]) + kept[6],
+            ),
+            0.0,
+            1.0,
         )
         done = failed | succeeded
         iterates[live[done]] = depth + 1

@@ -164,6 +164,15 @@ class _CountClass:
     state: np.ndarray
 
 
+def depth_profile(tree: ExactTree) -> dict[int, dict[Status, float]]:
+    """Leaf probability mass of a tree by iterate count and status."""
+    profile: dict[int, dict[Status, float]] = {}
+    for leaf in tree.leaves:
+        row = profile.setdefault(leaf.iterates, {})
+        row[leaf.status] = row.get(leaf.status, 0.0) + leaf.probability
+    return profile
+
+
 def count_class_tree(
     clients: DensityMatrix,
     pair,
@@ -228,7 +237,7 @@ def count_class_tree(
             else:
                 state = DensityMatrix(node.state, initial.labels, validate=False)
                 leaves.append(Leaf(node.history, state, status, mass))
-    tree = ExactTree(initial, config, tuple(leaves), pruned)
+    tree = ExactTree(initial, tuple(leaves), pruned)
     defect = abs(tree.total_probability - 1.0)
     if defect > PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(

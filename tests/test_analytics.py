@@ -46,7 +46,7 @@ from paritydistill import (
     two_photon_reference_rate,
 )
 from paritydistill import analytics
-from paritydistill.analytics import _bell_rate_objective
+from paritydistill.analytics import GOLDEN_SECTION_TOL
 from paritydistill.protocol import CLIENT_LABELS
 
 
@@ -181,8 +181,9 @@ INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 def scalar_golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     """The one-bracket golden section, one Python-float step at a time.
 
-    Reference for the lockstep ``golden_section_max``: same points, same
-    comparisons, same stopping rule.
+    Reference for ``golden_section_max``, and the search that the
+    closed-form Bell optimum replaced: same points, same comparisons,
+    same stopping rule.
     """
     width = hi - lo
     c = lo + INV_PHI_SQ * width
@@ -210,49 +211,66 @@ def benchmark_rates_grid(seed: int = 101, points: int = 2000) -> np.ndarray:
     return np.geomspace(t_min, 1.0, points)
 
 
-def test_lockstep_golden_section_matches_scalar_reference_per_bracket():
+def test_golden_section_matches_scalar_reference():
     # brackets of different widths stop at different steps; one starts
     # already below the tolerance
-    lo = np.array([0.0, 0.2, 0.29, -3.0, 0.3])
-    hi = np.array([1.0, 0.5, 0.29 + 5e-9, 2.0, 0.300001])
+    seen = []
 
     def f(x):
-        return -((x - 0.3) ** 2) + 0.1 * np.sin(x)
+        seen.append(type(x))
+        return -((x - 0.3) ** 2) + 0.1 * math.sin(x)
 
-    got = golden_section_max(f, lo, hi)
-    for k in range(len(lo)):
-        assert got[k] == scalar_golden_section(f, float(lo[k]), float(hi[k]))
-    # scalar brackets come back as a float
-    assert isinstance(golden_section_max(f, 0.0, 1.0), float)
-    with pytest.raises(ValueError):
-        golden_section_max(f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    for lo, hi in ((0.0, 1.0), (0.2, 0.5), (0.29, 0.29 + 5e-9), (-3.0, 2.0), (0.3, 0.300001)):
+        assert golden_section_max(f, lo, hi) == scalar_golden_section(f, lo, hi)
+    assert set(seen) == {float}
 
 
 @pytest.mark.parametrize(
-    "grid",
-    [benchmark_rates_grid(), np.array([1.0]), np.array([1e-5])],
-    ids=["benchmark_grid", "t=1", "t=1e-5"],
+    "t1, t2",
+    [
+        (benchmark_rates_grid(), None),
+        (benchmark_rates_grid(), 0.2),
+        (np.array([1.0]), None),
+        (np.array([1e-5]), None),
+    ],
+    ids=["benchmark_grid", "benchmark_grid_vs_0.2", "t=1", "t=1e-5"],
 )
-def test_array_bell_rate_optimizer_matches_scalar_search(grid):
-    # the lockstep search over a grid returns, bit for bit, the angle the
-    # one-bracket reference finds on the same objective point by point
-    theta, rate = optimize_bell_rate(grid, grid)
-    for k, t in enumerate(grid.tolist()):
-        _, objective = _bell_rate_objective(t, t, 1.0)
-        expected = scalar_golden_section(objective, 0.0, math.pi / 2.0)
-        assert theta[k] == expected, (t, theta[k], expected)
-        assert rate[k] == objective(expected)
-    # the searched objective is the scalar closed form, with numpy's sin
-    # and float_power in place of the C library's sin and pow; those
-    # agree to the last bit on common builds, which numpy does not
-    # promise, so the rates are held to the one ulp of the CSV contract
-    per_point = np.array(
-        [rate_bell(ApparatusParams(t1=t, t2=t), th) for t, th in zip(grid.tolist(), theta.tolist())]
-    )
+def test_bell_rate_optimum_in_closed_form(t1, t2):
+    t2 = t1 if t2 is None else np.full_like(t1, t2)
+    theta, rate = optimize_bell_rate(t1, t2)
+    links = [ApparatusParams(t1=a, t2=b) for a, b in zip(t1.tolist(), t2.tolist())]
+    # the returned angle is the root of a s^2 - 3 s + 1, a = T cos^2(2 phi)
+    a = np.array([p.mean_transmission * p.cos_sq_two_phi for p in links])
+    s = np.sin(theta) ** 2
+    assert np.max(np.abs(a * s * s - 3.0 * s + 1.0)) <= 1e-14
+    # the golden section it replaced lands within its tolerance, on a
+    # rate the closed form's beats or trails by a few ulps at most
+    ref_theta, ref_rate = [], []
+    for params in links:
+        th = scalar_golden_section(lambda x: rate_bell(params, x), 0.0, math.pi / 2.0)
+        ref_theta.append(th)
+        ref_rate.append(rate_bell(params, th))
+    assert np.max(np.abs(theta - ref_theta)) <= 2.0 * GOLDEN_SECTION_TOL
+    below = np.array(ref_rate).view(np.int64) - rate.view(np.int64)
+    assert np.max(below) <= 8
+    # the grid is evaluated with numpy's sin and float_power, the scalar
+    # rate with the C library's sin and pow; those agree to the last bit
+    # on common builds, which numpy does not promise, so the rates are
+    # held to the one ulp of the CSV contract
+    per_point = np.array([rate_bell(p, th) for p, th in zip(links, theta.tolist())])
     assert np.max(ulps_apart(rate, per_point)) <= 1
-    if len(grid) == 1:
-        best = optimize_theta(ApparatusParams(t1=grid[0], t2=grid[0]), Objective.BELL_RATE)
-        assert (best.optimal_theta, best.rate) == (theta[0], rate[0])
+    # each grid point is, bit for bit, the one-link optimum
+    for k, params in enumerate(links):
+        best = optimize_theta(params, Objective.BELL_RATE)
+        assert (best.optimal_theta, best.rate) == (theta[k], rate[k])
+
+
+def test_bell_rate_optimum_deep_loss_limit():
+    # s* = 2 / (3 + sqrt(9 - 4 a)) = 1/3 + a/27 + O(a^2): the operating
+    # point sin^2(theta) = 1/3 of the deep-loss criterion
+    t = np.geomspace(1e-5, 1e-2, 61)
+    theta, _ = optimize_bell_rate(t, t)
+    assert np.all(np.abs(np.sin(theta) ** 2 - (1.0 / 3.0 + t / 27.0)) <= t * t)
 
 
 def test_chain_objective_matches_scalar_search():

@@ -289,6 +289,29 @@ def test_loop_search_rejects_links_past_two_thirds_imbalance(argv, tmp_path, cap
     assert "|sin 2phi| >= 2/3" in err
 
 
+UNDERFLOW = "t1 * t2 underflows to zero"
+DARK = "objective is identically zero when a path is dark"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", "--t-min", "1e-320", "--t-max", "1e-320", "--points", "1"], UNDERFLOW),
+        (["simulate", "--t", "1e-300", "--trials", "10"], UNDERFLOW),
+        (["chain", "--t", "1e-300"], UNDERFLOW),
+        (["simulate", "--t1", "0.5", "--t2", "0", "--trials", "10"], DARK),
+    ],
+    ids=["rates-tiny", "simulate-tiny", "chain-tiny", "simulate-dark"],
+)
+def test_dark_path_is_told_apart_from_an_underflowing_product(argv, message, tmp_path, capsys):
+    # both leave the rate objectives zero at every angle in doubles, but
+    # only a zero transmission is a dark path
+    assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert message in err
+
+
 def test_simulate_loop_on_an_unbalanced_link(tmp_path, capsys):
     argv = ["simulate", "--strategy", "loop", "--t1", "0.02", "--t2", "0.005"]
     assert main(argv + ["--trials", "400", "--outdir", str(tmp_path)]) == 0

@@ -10,7 +10,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from helpers import bell_even, bell_odd, count_class_tree
+from helpers import bell_even, bell_odd, count_class_tree, depth_profile
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
@@ -92,7 +92,7 @@ def circuit_tree(clients, pair, config) -> ExactTree:
                 else:
                     leaves.append(Leaf(new_history, branch.state, status, joint))
         frontier = next_frontier
-    return ExactTree(clients.normalized(), config, tuple(leaves), pruned)
+    return ExactTree(clients.normalized(), tuple(leaves), pruned)
 
 
 def branch_map_elements(
@@ -209,9 +209,9 @@ def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
             status = classify(history)
         fid = float("nan")
         if status is Status.SUCCESS_PARITY_EVEN:
-            fid = 0.5 * (state[1] + state[2]) + state[4]
+            fid = min(max(0.5 * (state[1] + state[2]) + state[4], 0.0), 1.0)
         elif status is Status.SUCCESS_PARITY_ODD:
-            fid = 0.5 * (state[0] + state[3]) + state[6]
+            fid = min(max(0.5 * (state[0] + state[3]) + state[6], 0.0), 1.0)
         rows.append((trial, windows, len(history), status.value, fid))
     return tuple(np.array(col) for col in zip(*rows))
 
@@ -423,7 +423,7 @@ def test_tree_conserves_probability_and_profiles():
     for cfg in (StrategyConfig.two_iterates_only(), StrategyConfig.loop(max_iterates=7)):
         tree = run_strategy_exact(clients, random_pair(rng), cfg)
         assert tree.total_probability == pytest.approx(1.0, abs=1e-10)
-        profile = tree.depth_profile()
+        profile = depth_profile(tree)
         for status in Status:
             mass = sum(row.get(status, 0.0) for row in profile.values())
             assert mass == pytest.approx(tree.status_probability(status), abs=1e-14)
@@ -439,7 +439,7 @@ def test_loop_tree_matches_interval_series():
         clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig.loop(cap)
     )
     ps, pf = loop_interval_probabilities(eta, cap)
-    profile = tree.depth_profile()
+    profile = depth_profile(tree)
     for k in range(2, cap + 1):
         row = profile.get(k, {})
         success = row.get(Status.SUCCESS_PARITY_EVEN, 0.0) + row.get(
@@ -482,7 +482,7 @@ def test_failure_leaves_are_diagonal_product_states():
     for cfg in (StrategyConfig.two_iterates_only(), StrategyConfig.loop(max_iterates=6)):
         for _ in range(5):
             tree = run_strategy_exact(clients, random_pair(rng), cfg)
-            failures = tree.leaves_with(Status.FAILURE)
+            failures = [leaf for leaf in tree.leaves if leaf.status is Status.FAILURE]
             assert failures
             for leaf in failures:
                 off = np.max(
@@ -536,7 +536,7 @@ def test_count_class_tree_matches_circuit_oracle(kind):
             assert tree.pruned_probability == pytest.approx(
                 oracle.pruned_probability, abs=1e-12
             )
-            profile, expect = tree.depth_profile(), oracle.depth_profile()
+            profile, expect = depth_profile(tree), depth_profile(oracle)
             assert set(profile) == set(expect)
             for depth, row in expect.items():
                 for status in set(row) | set(profile[depth]):
@@ -1058,6 +1058,17 @@ def test_vectorised_sampler_matches_scalar_reference(config, params):
         assert np.all(stats.fidelity[success] == 1.0)
 
 
+def test_sampled_success_fidelity_never_exceeds_one():
+    # on this link and angle the unclipped overlap of 6,884 successes
+    # rounds to 1 + 2^-52; the sampler clips it as ``fidelity`` does
+    params = ApparatusParams(t1=0.3, t2=0.1, x1=0.3)
+    theta = ExcitationAngle(0.6215643307802488)
+    stats = run_trajectories(StrategyConfig.two_iterates_only(rng_seed=5), params, theta, 40_000)
+    success = np.isin(stats.status, [s.value for s in Status if s.is_success])
+    assert np.count_nonzero(success) == 6884
+    assert np.all(stats.fidelity[success] == 1.0)
+
+
 @pytest.mark.parametrize("t1, t2", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
 def test_trajectories_at_certain_click(t1, t2):
     # p_click = 1 and eta = 1: one window per herald; after the first
@@ -1113,7 +1124,7 @@ def test_trajectory_cells_match_depth_profile():
     )
     expected = {
         (depth, status.value): n * mass
-        for depth, row in tree.depth_profile().items()
+        for depth, row in depth_profile(tree).items()
         for status, mass in row.items()
     }
     assert len(expected) == 20 and min(expected.values()) > 20.0
