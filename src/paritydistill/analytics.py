@@ -273,15 +273,6 @@ class SequenceCountVector:
         """Prefixes one step from balance: distinct successes at iterate k."""
         return self.v[0]
 
-    @property
-    def n_failure(self) -> int:
-        """Prefixes at imbalance two or more, still live at iterate k."""
-        return sum(self.v[1:])
-
-    @property
-    def n_live(self) -> int:
-        return sum(self.v)
-
 
 def sequence_counts(k: int) -> SequenceCountVector:
     """Count loop histories of length k by walk combinatorics.
@@ -356,8 +347,8 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
 class ChainGrowthResult:
     """Repeater-chain growth rate and the run statistics it is built from.
 
-    ``k_max`` is None and ``tail_bound`` zero for the exact sums;
-    otherwise they describe the truncated run-length series.
+    ``tail_bound`` is zero for the exact sums; otherwise it bounds the
+    mass the truncated run-length series leaves out.
     """
 
     growth_rate: float
@@ -366,7 +357,6 @@ class ChainGrowthResult:
     mean_iterates: float
     p_click: float
     eta: float
-    k_max: int | None
     tail_bound: float
 
     @property
@@ -452,7 +442,6 @@ def chain_growth_rate(
         mean_iterates=mean_iterates,
         p_click=pc,
         eta=eta,
-        k_max=k_max,
         tail_bound=tail_bound,
     )
 

@@ -106,11 +106,6 @@ def _csv_writer(header: list[str], lines: list[str]):
     return write
 
 
-def _fmt(value: float) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(value))
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor nan."""
     try:
@@ -140,10 +135,16 @@ _angle = _float_in(0.0, math.pi / 2.0, "[0, pi/2]")
 # ---------------------------------------------------------------------------
 # rates
 
+# Largest --points: each point holds ~420 bytes of grids and rows, so
+# the largest sweep peaks at ~440 MiB and takes ~5 s.
+RATES_POINTS_LIMIT = 1_000_000
+
 
 def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
     if args.points < 1:
         parser.error("--points must be at least 1")
+    if args.points > RATES_POINTS_LIMIT:
+        parser.error(f"--points must be at most {RATES_POINTS_LIMIT}")
     if not 0.0 < args.t_min <= 1.0 or not 0.0 < args.t_max <= 1.0:
         parser.error("transmissions must lie in (0, 1]")
     if args.t_min > args.t_max:
@@ -183,10 +184,16 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # drift
 
+# Largest --points: the surface has points^2 cells of ~430 bytes each,
+# so the largest one peaks at ~460 MiB and takes ~4 s.
+DRIFT_POINTS_LIMIT = 1000
+
 
 def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
+    if args.points > DRIFT_POINTS_LIMIT:
+        parser.error(f"--points must be at most {DRIFT_POINTS_LIMIT}")
     if not args.d_max > 0.0:
         parser.error("--d-max must be positive")
     grid = np.linspace(0.0, args.d_max, args.points)
@@ -274,7 +281,7 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
             file=sys.stderr,
         )
     if args.csv:
-        rows = [f"{name},{_fmt(value)}\n" for name, value in lines]
+        rows = [f"{name},{float(value)!r}\n" for name, value in lines]
         csv_path = _publish(args, _flags(args), _csv_writer(["quantity", "value"], rows))
         print(f"wrote {csv_path}")
     return 0
@@ -287,6 +294,11 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # matrices where its walk cannot stop early, about 250 MB and 2 s at
 # 256 (t = 0.5, sin^2 theta = 1e-3).
 SIMULATE_CAP_LIMIT = 256
+
+# Largest --trials: each trial holds ~60 bytes of samples, so the
+# largest run peaks at ~640 MiB, plus the exact tree's ~250 MB at the
+# largest cap.
+SIMULATE_TRIALS_LIMIT = 10_000_000
 
 
 def _params_from_flags(parser: argparse.ArgumentParser, args) -> ApparatusParams:
@@ -318,6 +330,8 @@ def _params_from_flags(parser: argparse.ArgumentParser, args) -> ApparatusParams
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.trials > SIMULATE_TRIALS_LIMIT:
+        parser.error(f"--trials must be at most {SIMULATE_TRIALS_LIMIT}")
     params = _params_from_flags(parser, args)
     _check_tau(params.tau)
     if params.p_dark != 0.0:

@@ -5,9 +5,8 @@ positivity floors and convergence flags are enforced consistently across
 the state engine, the protocol layer and the analytics layer.
 """
 
-# Operator-algebra comparisons: hermiticity and unitarity defects.
+# Operator-algebra comparisons: the hermiticity defect.
 HERMITICITY_ATOL = 1e-12
-UNITARITY_ATOL = 1e-12
 
 # Smallest admissible eigenvalue of a validated density matrix.  Slightly
 # negative values are rounding debris from repeated conjugations.

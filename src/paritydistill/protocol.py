@@ -731,7 +731,7 @@ def _sample_chunk(
     streams: np.ndarray,
     scale: np.ndarray,
     twist: np.ndarray,
-    log_miss: float | None,
+    log_miss: float,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evolve one chunk of trials together, one iterate depth at a time.
@@ -739,8 +739,8 @@ def _sample_chunk(
     Draw ``2 d`` of a trial gives the attempt windows of its herald at
     depth ``d`` and draw ``2 d + 1`` its outcome.  Trials leave the
     working arrays as soon as their history classifies; those left at
-    the cap stay pending.  ``log_miss`` is ln(1 - p_click), or None when
-    every window heralds.
+    the cap stay pending.  ``log_miss`` is ln(1 - p_click), -inf when
+    every window heralds, which makes every wait one window.
 
     Only states that are read are advanced.  Every trial starts in |++>,
     so depth 0 reads the branch weights off that one column and advances
@@ -761,10 +761,7 @@ def _sample_chunk(
     first = balance = None
     for depth in range(cap):
         wait = _uniforms(streams, 2 * depth)
-        if log_miss is None:
-            windows += 1
-        else:
-            windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
+        windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
         probs = _branch_probabilities(states, scale)
         outcome = _pick_outcome(probs, _uniforms(streams, 2 * depth + 1))
         parity = (outcome ^ (outcome >> 1)) & 1
@@ -838,8 +835,8 @@ def run_trajectories(
     pc = p_click(params, theta)
     if pc < TRACE_EPSILON:
         raise DegenerateParameterError("click probability vanishes, nothing to sample")
-    # at p_click = 1 every herald takes exactly one window
-    log_miss = math.log1p(-pc) if pc < 1.0 else None
+    # at p_click = 1, log1p(-u) / -inf is +0.0: every herald takes one window
+    log_miss = math.log1p(-pc) if pc < 1.0 else -math.inf
     scale, twist = _compact_tables(pair)
     trials = np.arange(trial_start, trial_start + n_trials, dtype=np.int64)
     attempts = np.empty(n_trials, dtype=np.int64)

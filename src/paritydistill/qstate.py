@@ -10,7 +10,6 @@ checks hermiticity and positivity but not normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +19,6 @@ from .constants import (
     HERMITICITY_ATOL,
     RANK_ONE_RTOL,
     TRACE_EPSILON,
-    UNITARITY_ATOL,
 )
 from .errors import DegenerateParameterError, UnknownLabelError, VanishingTraceError
 
@@ -31,40 +29,14 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _AXES = "abcdefgh"
 
 
-@dataclass(frozen=True)
-class SingleQubitOperator:
-    """A 2x2 operator tagged with whether it is unitary.
-
-    The tag is checked at construction time so downstream code can trust
-    it when deciding whether an application preserves the trace.
-    """
-
-    matrix: np.ndarray
-    unitary: bool
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-        if self.unitary and defect > UNITARITY_ATOL:
-            raise ValueError(f"operator tagged unitary has defect {defect:.3e}")
-        if not self.unitary and defect <= UNITARITY_ATOL:
-            # Tagging a unitary as non-unitary is harmless but hides an
-            # invariant from callers; keep the tag truthful.
-            object.__setattr__(self, "unitary", True)
-
-
-def ry_minus_half_pi() -> SingleQubitOperator:
+def ry_minus_half_pi() -> np.ndarray:
     """Rotation exp(+i pi Y / 4) = (I + iY)/sqrt(2).
 
     Maps |1> to |+> and |0> to -|->, i.e. swaps the roles of the Z and X
     bases; conjugation sends Z to -X.  This is the local rotation applied
     to a broker qubit before it is entangled with its client.
     """
-    m = _SQRT_HALF * np.array([[1, 1], [-1, 1]], dtype=complex)
-    return SingleQubitOperator(m, True)
+    return _SQRT_HALF * np.array([[1, 1], [-1, 1]], dtype=complex)
 
 
 def _check_density(m: np.ndarray) -> None:
@@ -181,15 +153,16 @@ def _embed(op: np.ndarray, position: int, n: int) -> np.ndarray:
     return out
 
 
-def apply_one_qubit(
-    rho: DensityMatrix, op: SingleQubitOperator, target: str
-) -> DensityMatrix:
-    """Conjugate the state by a single-qubit operator on the target label.
+def apply_one_qubit(rho: DensityMatrix, op, target: str) -> DensityMatrix:
+    """Conjugate the state by a 2x2 operator on the target label.
 
     For a non-unitary operator the result is an unnormalized branch
     weight; ``normalized()`` divides by its trace.
     """
-    big = _embed(op.matrix, rho.index(target), rho.n_qubits)
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {op.shape}")
+    big = _embed(op, rho.index(target), rho.n_qubits)
     return DensityMatrix(big @ rho.elements @ big.conj().T, rho.labels, validate=False)
 
 

@@ -22,7 +22,6 @@ from paritydistill import (
     IterateOutcome,
     Leaf,
     RegionLabel,
-    SingleQubitOperator,
     Status,
     StrategyConfig,
     classify,
@@ -32,15 +31,11 @@ from paritydistill import (
     two_photon_reference_rate,
 )
 from paritydistill.analytics import DARK_FIDELITY_CUTOFF
-from paritydistill.constants import (
-    BRANCH_PRUNE_EPSILON,
-    PROBABILITY_SUM_ATOL,
-    UNITARITY_ATOL,
-)
+from paritydistill.constants import BRANCH_PRUNE_EPSILON, PROBABILITY_SUM_ATOL
 from paritydistill.protocol import CLIENT_LABELS, _outcome_masks
 
 
-def asymmetry_distortion(phi: float, delta: float) -> SingleQubitOperator:
+def asymmetry_distortion(phi: float, delta: float) -> np.ndarray:
     """Residual single-qubit distortion left by an unbalanced photonic link.
 
     The operator multiplies the computational components by
@@ -53,8 +48,7 @@ def asymmetry_distortion(phi: float, delta: float) -> SingleQubitOperator:
     """
     d0 = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
     d1 = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
-    unitary = abs(np.sin(phi)) <= UNITARITY_ATOL
-    return SingleQubitOperator(np.diag([d0, d1]).astype(complex), unitary)
+    return np.diag([d0, d1]).astype(complex)
 
 
 def basis_state(bits: Sequence[int] | str, labels: Sequence[str]) -> DensityMatrix:

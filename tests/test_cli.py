@@ -32,7 +32,7 @@ from paritydistill import (
     plus_state,
     run_strategy_exact,
 )
-from paritydistill import __version__
+from paritydistill import __version__, cli
 from paritydistill.cli import OUTDIR_ENV_VAR, main
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -392,10 +392,23 @@ def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):
             ["simulate", "--t", "0.5", "--strategy", "loop", "--max-iterates", "257"],
             "--max-iterates must be at most 256",
         ),
+        (["rates", "--points", "1000001"], "--points must be at most 1000000"),
+        (["drift", "--points", "1001"], "--points must be at most 1000"),
+        (
+            ["simulate", "--t", "0.5", "--trials", "10000001"],
+            "--trials must be at most 10000000",
+        ),
+        (["rates", "--points", "1000000000000"], "--points must be at most 1000000"),
+        (["drift", "--points", "10000000"], "--points must be at most 1000"),
+        (
+            ["simulate", "--t", "0.5", "--trials", "1000000000000"],
+            "--trials must be at most 10000000",
+        ),
     ],
 )
 def test_costly_sizes_are_usage_errors(argv, message, tmp_path, capsys):
-    # one past each bound: the work grows with the square of the size
+    # one past each bound, and sizes far past it that would not allocate:
+    # each is rejected before any work
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -411,6 +424,24 @@ def test_largest_sizes_are_accepted(tmp_path, capsys):
     argv += ["--sin-sq-theta", "0.3", "--trials", "100", "--outdir", str(tmp_path)]
     assert main(argv) == 0
     assert "max_iterates = 256" in capsys.readouterr().out
+
+
+def test_size_bounds_pass_the_usage_checks(tmp_path, capsys, monkeypatch):
+    # a run at each bound takes seconds and hundreds of MiB, so each stops
+    # at its first costly step: exit 3, not the usage error's 2
+    def stop(*args, **kwargs):
+        raise paritydistill.DegenerateParameterError("past the usage checks")
+
+    for name in ("optimize_bell_rate", "drift_infidelity_surface", "run_trajectories"):
+        monkeypatch.setattr(cli, name, stop)
+    for argv in (
+        ["rates", "--points", str(cli.RATES_POINTS_LIMIT)],
+        ["drift", "--points", str(cli.DRIFT_POINTS_LIMIT)],
+        ["simulate", "--t", "0.5", "--trials", str(cli.SIMULATE_TRIALS_LIMIT)],
+    ):
+        assert main(argv + ["--outdir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: past the usage checks\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):
@@ -698,12 +729,12 @@ _FUZZ_FLAGS = {
     "rates": {
         "--t-min": _in(1e-6, 1.0),
         "--t-max": _in(1e-6, 1.0),
-        "--points": _count(2, 20, ["-1", "0", "1"]),
+        "--points": _count(2, 20, ["-1", "0", "1", "1000001"]),
         "--tau": _TAU,
     },
     "drift": {
         "--d-max": _in(0.0, 4.0),
-        "--points": _count(2, 20, ["-1", "0", "1"]),
+        "--points": _count(2, 20, ["-1", "0", "1", "1001"]),
         "--cutoff": None,
     },
     "chain": {
@@ -716,7 +747,7 @@ _FUZZ_FLAGS = {
         "--csv": None,
     },
     "simulate": {
-        "--trials": _count(1, 50, ["-1", "0"]),
+        "--trials": _count(1, 50, ["-1", "0", "10000001"]),
         "--seed": st.sampled_from(["-1", "0", "7", str(2**64), str(2**70)]),
         "--strategy": st.sampled_from(["two_iterates_only", "loop"]),
         "--max-iterates": _count(2, 16, ["-1", "0", "1", "257"]),
@@ -797,3 +828,13 @@ def test_module_entry_point(monkeypatch):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_star_import_binds_every_exported_name():
+    names = paritydistill.__all__
+    assert len(names) == len(set(names))
+    namespace: dict = {}
+    exec("from paritydistill import *", namespace)
+    for name in names:
+        assert namespace[name] is getattr(paritydistill, name), name
+    assert set(namespace) - {"__builtins__"} == set(names)

@@ -1208,3 +1208,25 @@ def test_write_csv_matches_csv_writer(tmp_path):
         assert name in written
     assert b",-0.0\n" in written and b",0.0\n" in written
     assert written.endswith(b",5,success_parity_odd,-0.0\n")
+
+
+def test_sample_stats_rejects_misaligned_or_unsorted_columns():
+    def stats(trial, fidelity):
+        n = len(trial)
+        return protocol.SampleStats(
+            StrategyConfig.loop(4),
+            UNBALANCED,
+            0.7,
+            np.asarray(trial, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
+            np.full(n, 2, dtype=np.int64),
+            np.zeros(n, dtype=np.int8),
+            np.asarray(fidelity, dtype=float),
+        )
+
+    assert stats([0, 1, 5], [0.5, 0.5, 0.5]).n_trials == 3
+    with pytest.raises(ValueError, match="column 'fidelity' length mismatch"):
+        stats([0, 1, 5], [0.5, 0.5])
+    for trial in ([0, 1, 1], [0, 5, 2]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            stats(trial, [0.5, 0.5, 0.5])

@@ -11,7 +11,6 @@ from helpers import asymmetry_distortion, basis_state, bell_even, bell_odd
 from paritydistill import (
     DegenerateParameterError,
     DensityMatrix,
-    SingleQubitOperator,
     UnknownLabelError,
     VanishingTraceError,
     apply_cz,
@@ -72,6 +71,12 @@ def test_unknown_label_raises():
         apply_one_qubit(rho, ry_minus_half_pi(), "B")
 
 
+@pytest.mark.parametrize("op", [np.eye(4), np.ones(2), 1.0])
+def test_one_qubit_operator_must_be_2x2(op):
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        apply_one_qubit(plus_state(("A", "B")), op, "A")
+
+
 def test_identity_distortion_is_identity():
     op = asymmetry_distortion(0.0, 0.0)
     rho = plus_state(("A", "B"))
@@ -86,8 +91,8 @@ def test_distortion_pair_scales_back_to_identity():
     for _ in range(20):
         phi = rng.uniform(-0.7, 0.7)
         delta = rng.uniform(-1.5, 1.5)
-        fwd = asymmetry_distortion(phi, delta).matrix
-        bwd = asymmetry_distortion(-phi, -delta).matrix
+        fwd = asymmetry_distortion(phi, delta)
+        bwd = asymmetry_distortion(-phi, -delta)
         np.testing.assert_allclose(
             fwd @ bwd, math.cos(2.0 * phi) * np.eye(2), atol=1e-12
         )
@@ -126,9 +131,8 @@ def test_normalize_with_vanishing_trace_raises():
     rho = basis_state("1", ("A",))
     # projector onto |0> annihilates |1>
     proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    op = SingleQubitOperator(proj, unitary=False)
     with pytest.raises(VanishingTraceError):
-        apply_one_qubit(rho, op, "A").normalized()
+        apply_one_qubit(rho, proj, "A").normalized()
 
 
 def test_cz_on_00_unchanged():
@@ -168,8 +172,7 @@ def test_unitary_conjugation_preserves_trace():
     rho = DensityMatrix.from_pure(v, ("A", "B"))
     # the three Paulis and the identity
     mats = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]], np.eye(2))
-    ops = [SingleQubitOperator(np.array(m, dtype=complex), True) for m in mats]
-    for op in ops + [ry_minus_half_pi()]:
+    for op in [*mats, ry_minus_half_pi()]:
         out = apply_one_qubit(rho, op, "B")
         assert out.trace == pytest.approx(1.0, abs=1e-14)
 
@@ -291,7 +294,7 @@ def test_operators_preserve_hermiticity_and_positivity():
 
 def test_broker_rotation_matrix():
     # (1 + iY)/sqrt(2) in real form: rows [1, 1], [-1, 1] over sqrt(2)
-    r = ry_minus_half_pi().matrix
+    r = ry_minus_half_pi()
     np.testing.assert_allclose(
         r, np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0), atol=1e-15
     )
