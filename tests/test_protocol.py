@@ -1210,18 +1210,26 @@ def test_write_csv_matches_csv_writer(tmp_path):
     assert written.endswith(b",5,success_parity_odd,-0.0\n")
 
 
+def sample_stats(n, seed=0, **columns):
+    """A ``SampleStats`` of ``n`` rows: trials 0.., one attempt, two
+    iterates, pending, fidelity 0.5, with any column replaced by keyword."""
+    values = {
+        "trial": np.arange(n, dtype=np.int64),
+        "attempts": np.ones(n, dtype=np.int64),
+        "iterates": np.full(n, 2, dtype=np.int64),
+        "status": np.zeros(n, dtype=np.int8),
+        "fidelity": np.full(n, 0.5),
+    }
+    values.update(columns)
+    return protocol.SampleStats(StrategyConfig.loop(4, rng_seed=seed), UNBALANCED, 0.7, **values)
+
+
 def test_sample_stats_rejects_misaligned_or_unsorted_columns():
     def stats(trial, fidelity):
-        n = len(trial)
-        return protocol.SampleStats(
-            StrategyConfig.loop(4),
-            UNBALANCED,
-            0.7,
-            np.asarray(trial, dtype=np.int64),
-            np.ones(n, dtype=np.int64),
-            np.full(n, 2, dtype=np.int64),
-            np.zeros(n, dtype=np.int8),
-            np.asarray(fidelity, dtype=float),
+        return sample_stats(
+            len(trial),
+            trial=np.asarray(trial, dtype=np.int64),
+            fidelity=np.asarray(fidelity, dtype=float),
         )
 
     assert stats([0, 1, 5], [0.5, 0.5, 0.5]).n_trials == 3
@@ -1230,3 +1238,108 @@ def test_sample_stats_rejects_misaligned_or_unsorted_columns():
     for trial in ([0, 1, 1], [0, 5, 2]):
         with pytest.raises(ValueError, match="strictly increasing"):
             stats(trial, [0.5, 0.5, 0.5])
+    # an unsigned column cannot hide a decrease in a wrapped difference
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_stats(3, trial=np.array([0, 5, 2], dtype=np.uint64))
+
+
+def test_sample_stats_checks_the_csv_kernels_preconditions():
+    """Columns the byte writer would misprint raise before any file exists."""
+    assert sample_stats(0).n_trials == 0
+    big = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert sample_stats(3, trial=big, attempts=big).n_trials == 3
+    bad = {
+        "trial": [
+            np.array([-1, 0, 1], dtype=np.int64),
+            np.array([0.0, 1.0, 2.0]),
+        ],
+        "attempts": [
+            np.array([1, -1, 1], dtype=np.int64),
+            np.array([1.0, 1.0, 1.0]),
+        ],
+        "iterates": [
+            np.array([2, 2, -2], dtype=np.int64),
+            np.array([2.0, 2.0, 2.0]),
+        ],
+    }
+    for name, columns in bad.items():
+        for column in columns:
+            with pytest.raises(ValueError, match=f"column '{name}' must hold nonnegative integers"):
+                sample_stats(3, **{name: column})
+    limit = protocol._ITERATES_LIMIT
+    assert sample_stats(1, iterates=np.array([limit - 1])).n_trials == 1
+    with pytest.raises(ValueError, match="column 'iterates' must stay below"):
+        sample_stats(1, iterates=np.array([limit]))
+    for status in (
+        np.array([0, 4, 1], dtype=np.int8),
+        np.array([0, -1, 1], dtype=np.int8),
+        np.array([0.0, 1.0, 2.0]),
+    ):
+        with pytest.raises(ValueError, match="column 'status' must hold Status values"):
+            sample_stats(3, status=status)
+    with pytest.raises(ValueError, match="column 'fidelity' must be float64"):
+        sample_stats(3, fidelity=np.full(3, 0.5, dtype=np.float32))
+
+
+def test_write_csv_matches_csv_writer_at_the_kernels_edges(tmp_path):
+    def check(stats):
+        stats.write_csv(tmp_path / "bytes.csv")
+        csv_writer_reference(stats, tmp_path / "reference.csv")
+        written = (tmp_path / "bytes.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        return written
+
+    # one batch crossing every digit width up to 10**18 in both columns
+    widths = sorted({v for k in range(19) for v in (10**k - 1, 10**k, 10**k + 1)})
+    trial = np.array(widths + [2**63 - 1], dtype=np.int64)
+    n = len(trial)
+    assert n <= protocol._CSV_BATCH_ROWS
+    # attempts around 2**32, where the kernel leaves uint32, and at 2**63 - 1
+    attempts = np.array(
+        widths[::-1][: n - 4] + [2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1], dtype=np.int64
+    )
+    # tails of different widths in the batch
+    fidelity = np.resize([np.nan, 1.0, 0.12345678901234566, -0.0, 5e-324], n)
+    status = (np.arange(n) % 4).astype(np.int8)
+    iterates = np.resize([2, 16, 1000], n)
+    columns = dict(
+        trial=trial, attempts=attempts, iterates=iterates, status=status, fidelity=fidelity
+    )
+    for seed in (0, 2**64 - 1):
+        written = check(sample_stats(n, seed, **columns))
+        assert written.count(b"\n") == n + 1
+        assert f"\n{seed},0,{10**18 + 1},".encode() in written
+        assert f"\n{seed},{2**63 - 1},{2**63 - 1},".encode() in written
+    # batches whose largest attempts sit on either side of 2**32
+    for top in (2**32 - 1, 2**32, 2**32 + 1):
+        check(sample_stats(4, attempts=np.array([0, 9, top - 1, top], dtype=np.int64)))
+    # unsigned columns up to 2**64 - 1
+    big = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
+    check(sample_stats(3, trial=big, attempts=big))
+    one = check(sample_stats(1, 7, fidelity=np.array([np.nan])))
+    assert one == b"seed,trial,attempts,iterates,status,fidelity\n7,0,1,2,pending,nan\n"
+    assert check(sample_stats(0)) == b"seed,trial,attempts,iterates,status,fidelity\n"
+
+
+def test_write_csv_holds_one_batch_at_a_time(tmp_path):
+    """The writer's working set is a batch, not the file: 200,000 rows
+    here, and ``simulate --trials 10000000`` writes ~300 MB."""
+    n = 200_000
+    rng = RNG(17)
+    stats = sample_stats(
+        n,
+        trial=np.arange(10**12, 10**12 + n, dtype=np.int64),
+        attempts=rng.integers(1, 10**6, n),
+        iterates=rng.integers(1, 17, n),
+        status=rng.integers(0, 4, n).astype(np.int8),
+        fidelity=np.where(rng.random(n) < 0.5, np.nan, rng.random(n)),
+    )
+    tracemalloc.start()
+    try:
+        stats.write_csv(tmp_path / "big.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 8 * 2**20
+    assert peak < 4 * 2**20, peak
