@@ -27,6 +27,7 @@ whole stack of brokers (``_two_iterate_success``).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -118,9 +119,10 @@ class StrategyConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterates < 2:
+        # operator.index raises TypeError on a non-integer before any work
+        if operator.index(self.max_iterates) < 2:
             raise ValueError("a run needs at least two iterates to classify")
-        if not 0 <= self.rng_seed < 2**64:
+        if not 0 <= operator.index(self.rng_seed) < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
 
     @classmethod
@@ -560,40 +562,46 @@ class SampleStats:
     def tau(self) -> float:
         return self.params.tau
 
-    def counts(self) -> dict[Status, int]:
-        return {s: int(np.sum(self.status == s.value)) for s in Status}
-
     def summary(self) -> dict:
-        """Aggregate estimators; all fields deterministic for fixed inputs."""
+        """Aggregate estimators; all fields deterministic for fixed inputs.
+
+        Its temporaries peak near ten bytes a trial: the success mask
+        and the rate residuals, squared in place, or the sorted copy of
+        ``iterates`` that ``np.unique`` makes.
+        """
         n = self.n_trials
-        counts = self.counts()
-        successes = counts[Status.SUCCESS_PARITY_EVEN] + counts[Status.SUCCESS_PARITY_ODD]
-        success_flag = np.isin(
-            self.status,
-            [Status.SUCCESS_PARITY_EVEN.value, Status.SUCCESS_PARITY_ODD.value],
-        ).astype(float)
+        counts = np.bincount(self.status, minlength=len(Status)).tolist()
+        even, odd = Status.SUCCESS_PARITY_EVEN.value, Status.SUCCESS_PARITY_ODD.value
+        successes = counts[even] + counts[odd]
+        success = np.isin(self.status, [even, odd])
         p_hat = successes / n if n else float("nan")
-        time = float(np.sum(self.attempts)) * self.tau
+        total_attempts = int(np.sum(self.attempts))
+        time = float(total_attempts) * self.tau
         rate = successes / time if time > 0 else float("nan")
         if time > 0 and n > 1:
-            resid = success_flag - rate * self.attempts * self.tau
-            rate_se = float(np.sqrt(np.sum(resid**2))) / time
+            resid = rate * self.attempts
+            resid *= self.tau
+            np.subtract(success, resid, out=resid)
+            np.square(resid, out=resid)
+            rate_se = float(np.sqrt(np.sum(resid))) / time
+            del resid
         else:
             rate_se = float("nan")
-        good = self.fidelity[success_flag.astype(bool)]
+        mean_fidelity = float(np.mean(self.fidelity[success])) if successes else float("nan")
+        del success
         hist = {int(k): int(c) for k, c in zip(*np.unique(self.iterates, return_counts=True))}
         return {
             "n_trials": n,
             "successes": successes,
-            "failures": counts[Status.FAILURE],
-            "pending": counts[Status.PENDING],
+            "failures": counts[Status.FAILURE.value],
+            "pending": counts[Status.PENDING.value],
             "success_rate": p_hat,
             "success_rate_se": math.sqrt(p_hat * (1.0 - p_hat) / n) if n else float("nan"),
-            "total_attempts": int(np.sum(self.attempts)),
+            "total_attempts": total_attempts,
             "simulated_time": time,
             "bell_rate": rate,
             "bell_rate_se": rate_se,
-            "mean_success_fidelity": float(np.mean(good)) if len(good) else float("nan"),
+            "mean_success_fidelity": mean_fidelity,
             "iterate_histogram": hist,
         }
 
@@ -879,6 +887,7 @@ def run_trajectories(
     evolved together in fixed chunks, and the chunking cannot change a
     result either.
     """
+    n_trials, trial_start = operator.index(n_trials), operator.index(trial_start)
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     if trial_start < 0:

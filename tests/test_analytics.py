@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bell_odd, count_class_tree, drift_infidelity_exact, region_by_tree
 from paritydistill import (
@@ -22,7 +24,6 @@ from paritydistill import (
     RegionLabel,
     RegionPoint,
     SequenceCountVector,
-    SimulationError,
     Status,
     StrategyConfig,
     chain_growth_rate,
@@ -943,11 +944,9 @@ _REGION_ORACLE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_REGION_ORACLE_GRIDS))
-def test_region_grid_matches_exact_tree_per_point(name):
-    t, darks, sin_sq = _REGION_ORACLE_GRIDS[name]
-    points = dark_count_fidelity_region(t, darks, sin_sq_theta=sin_sq)
-    expect, labels = region_by_tree(t, darks, sin_sq_theta=sin_sq)
+def assert_region_matches_tree(t, darks, **kwargs):
+    points = dark_count_fidelity_region(t, darks, **kwargs)
+    expect, labels = region_by_tree(t, darks, **kwargs)
     got = np.array(
         [
             (
@@ -965,6 +964,23 @@ def test_region_grid_matches_exact_tree_per_point(name):
     assert [pt.label for pt in points] == labels
     np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(_REGION_ORACLE_GRIDS))
+def test_region_grid_matches_exact_tree_per_point(name):
+    t, darks, sin_sq = _REGION_ORACLE_GRIDS[name]
+    assert_region_matches_tree(t, darks, sin_sq_theta=sin_sq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3),
+    darks=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.1)), min_size=1, max_size=3),
+    sin_sq=st.floats(0.05, 0.95),
+    tau=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_region_grid_matches_exact_tree_on_random_grids(t, darks, sin_sq, tau):
+    assert_region_matches_tree(t, darks, sin_sq_theta=sin_sq, tau=tau)
 
 
 @pytest.mark.parametrize(
@@ -986,20 +1002,6 @@ def test_region_grid_matches_exact_tree_per_point(name):
 def test_region_grid_rejects_a_single_bad_point(t, darks, kwargs):
     with pytest.raises(DegenerateParameterError):
         dark_count_fidelity_region(t, darks, **kwargs)
-
-
-def test_region_grid_cross_check_catches_a_wrong_closed_form(monkeypatch):
-    # the grid's corner point is held to the exact tree, so a closed form
-    # that drifts from the tree raises instead of labelling the grid
-    closed_form = analytics._two_iterate_success
-
-    def drifted(masks, clients):
-        p_two, fid = closed_form(masks, clients)
-        return p_two, fid - 1e-11
-
-    monkeypatch.setattr(analytics, "_two_iterate_success", drifted)
-    with pytest.raises(SimulationError, match="success fidelity"):
-        dark_count_fidelity_region([0.05, 0.1], [0.0, 1e-3])
 
 
 def test_region_grid_empty_writes_header_only():

@@ -258,6 +258,14 @@ def test_strategy_config_validation():
     assert StrategyConfig.loop(max_iterates=12).max_iterates == 12
 
 
+@pytest.mark.parametrize("field", ["max_iterates", "rng_seed"])
+def test_strategy_config_takes_integers_only(field):
+    with pytest.raises(TypeError):
+        StrategyConfig(**{field: 2.5})
+    # numpy integers are integers
+    assert getattr(StrategyConfig(**{field: np.uint64(3)}), field) == 3
+
+
 # ---------------------------------------------------------------------------
 # Single-iterate physics
 
@@ -877,6 +885,22 @@ def test_trajectory_input_validation():
         run_trajectories(cfg, params, ExcitationAngle(0.0), 10)
 
 
+@pytest.mark.parametrize("count", ["n_trials", "trial_start"])
+def test_trajectory_counts_take_integers_only(count):
+    # arange would truncate trial_start=1.5 and quietly run trials 1..n
+    params = ApparatusParams(t1=0.5, t2=0.5)
+    cfg = StrategyConfig.two_iterates_only(rng_seed=1)
+    counts = {"n_trials": 10, "trial_start": 1}
+    dark = ExcitationAngle(0.0)  # nothing to sample: the type check comes first
+    with pytest.raises(TypeError):
+        run_trajectories(cfg, params, dark, **{**counts, count: counts[count] + 0.5})
+    theta = ExcitationAngle.from_sin_sq(0.3)
+    as_numpy = run_trajectories(cfg, params, theta, **{**counts, count: np.int64(counts[count])})
+    as_int = run_trajectories(cfg, params, theta, **counts)
+    np.testing.assert_array_equal(as_numpy.trial, as_int.trial)
+    np.testing.assert_array_equal(as_numpy.attempts, as_int.attempts)
+
+
 def test_trajectories_near_lossless_balanced_point():
     # t1 = t2 = 1 with a weak drive: eta is tiny and the two-iterate
     # success probability sits just below 1/2
@@ -1343,3 +1367,24 @@ def test_write_csv_holds_one_batch_at_a_time(tmp_path):
     size = (tmp_path / "big.csv").stat().st_size
     assert size > 8 * 2**20
     assert peak < 4 * 2**20, peak
+
+
+def test_summary_holds_about_ten_bytes_a_trial():
+    """``summary``'s temporaries stay near ten bytes a trial, so that at
+    ``simulate --trials 10000000`` they are a small share of the peak."""
+    n = 200_000
+    rng = RNG(18)
+    stats = sample_stats(
+        n,
+        attempts=rng.integers(1, 10**6, n),
+        iterates=rng.integers(1, 17, n),
+        status=rng.integers(0, 4, n).astype(np.int8),
+    )
+    tracemalloc.start()
+    try:
+        summary = stats.summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["n_trials"] == n and math.isfinite(summary["bell_rate_se"])
+    assert peak < 12 * n, peak

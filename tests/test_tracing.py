@@ -3,12 +3,16 @@
 ``bench/tracing.py`` wraps about 35 library attributes, looked up by
 name, for ``bench/run.py --trace 1``.  No other test runs it, so a
 library change that unbinds a traced name would break the per-layer
-benchmark silently; this test installs and uninstalls the tracer.
+benchmark silently; this test installs and uninstalls the tracer.  The
+names it patches are also the only imports a library module may keep
+without reading them.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import types
 from pathlib import Path
 
 import paritydistill
@@ -65,3 +69,42 @@ def test_tracer_installs_and_restores_every_binding():
     assert installed >= 35
     assert len(patched) == installed
     assert not changed(snapshot)
+
+
+def imported_but_unread(path: Path) -> set[str]:
+    """Names a module binds by ``import`` and never loads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return imported - read
+
+
+def test_library_modules_read_every_import_the_tracer_does_not_patch():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(paritydistill)
+        patched = {
+            (owner.__name__, attr)
+            for owner, attr, _ in tracer._patches
+            if isinstance(owner, types.ModuleType)
+        }
+    finally:
+        tracer.uninstall()
+    package = Path(paritydistill.__file__).parent
+    unread = {
+        (f"paritydistill.{path.stem}", name)
+        for path in package.glob("*.py")
+        if path.name != "__init__.py"
+        for name in imported_but_unread(path)
+    }
+    assert unread - patched == set()
