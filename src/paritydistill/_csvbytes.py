@@ -1,0 +1,288 @@
+"""Numbers as CSV bytes: integer digits, shortest float reprs, column rows.
+
+Every kernel here returns a ``uint8`` text matrix, one row per value,
+whose row bytes less their NUL padding are the value's text.  A CSV
+batch is then one ``np.concatenate`` of such matrices and separator
+columns, and deleting its NULs leaves the batch's bytes, with no Python
+string made per value.
+
+``float_repr`` gives exactly ``repr(float(v))`` for every float64.  Its
+digits are the shortest decimal that rounds back to ``v``, the one
+closest to ``v`` among them, ties to an even last digit: the Schubfach
+algorithm (R. Giulietti, "The Schubfach way to render doubles", 2020;
+the same output as Ryu, Adams, PLDI 2018), in uint64 numpy arithmetic.
+It departs from the Java reference in two places.  It tries one digit
+fewer whenever ``s >= 10``, not ``s >= 100``: Java prints two digits
+where one would do (``4.9E-324``), Python prints one (``5e-324``).  And
+it has no ``C_TINY`` path, which serves only that two-digit rule.  The
+digits are laid out as Python does: scientific notation when the
+decimal point falls 4 or more places left of the first digit or more
+than 16 right of it, an exponent of at least two digits, and ``.0``
+after an integer.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from typing import Sequence
+
+import numpy as np
+
+# Rows formatted per batch: a float column holds ~25 bytes a row of text
+# and ~220 bytes a row of kernel temporaries (tracemalloc, 4,096 normal
+# deviates), so a batch's working set stays near 1 MB.
+BATCH_ROWS = 4096
+
+
+def ascii_digits(values: np.ndarray) -> np.ndarray:
+    """Nonnegative integers as a right-aligned uint8 matrix of ASCII digits.
+
+    One row per value, as wide as the largest value; the places left of
+    a value's leading digit hold NUL.  Each digit is ``q - (q // 10) * 10``
+    in uint32 when every value fits, in uint64 otherwise.
+    """
+    top = int(values.max())
+    q = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    places = []
+    for place in range(len(str(top))):
+        quotient = q // 10
+        digit = (q - quotient * 10).astype(np.uint8)
+        digit += ord("0")
+        if place:
+            digit *= q != 0
+        places.append(digit)
+        q = quotient
+    return np.stack(places[::-1], axis=1)
+
+
+def text_table(words: Sequence[str]) -> np.ndarray:
+    """ASCII words as a NUL-padded uint8 matrix, one row per word."""
+    table = np.array([w.encode() for w in words], dtype=bytes)
+    return table.view(np.uint8).reshape(len(words), table.itemsize)
+
+
+# Decimal exponents k of the scaled value v / 10^k, over every float64.
+_K_MIN, _K_MAX = -324, 292
+_LOW63 = np.uint64(2**63 - 1)
+_LOW32 = np.uint64(2**32 - 1)
+
+
+def _flog10_pow2(e):
+    """floor(log10(2^e)), exact for |e| <= 6,432,162."""
+    return (e * 661_971_961_083) >> 41
+
+
+def _flog10_three_quarters_pow2(e):
+    """floor(log10(3/4 * 2^e)), exact for -3,606,689 <= e <= 3,150,619."""
+    return (e * 661_971_961_083 - 274_743_187_321) >> 41
+
+
+def _flog2_pow10(e):
+    """floor(log2(10^e)), exact for |e| <= 1,838,394."""
+    return (e * 913_124_641_741) >> 38
+
+
+@cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """The 126-bit scaled powers g(k) = floor(10^-k 2^-r) + 1, as (g >> 63, g mod 2^63).
+
+    ``r`` puts g in [2^125, 2^126]; one row per k in [_K_MIN, _K_MAX].
+    Built with Python integers on first use, not at import.
+    """
+    g = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        r = _flog2_pow10(-k) - 125
+        if k <= 0:
+            power = 10**-k
+            g.append((power >> r if r >= 0 else power << -r) + 1)
+        else:
+            g.append((1 << -r) // 10**k + 1)
+    return (
+        np.array([x >> 63 for x in g], dtype=np.uint64),
+        np.array([x & (2**63 - 1) for x in g], dtype=np.uint64),
+    )
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """floor(a * b / 2^64) for uint64 arrays below 2^63, from 32-bit limbs."""
+    a1, a0 = a >> 32, a & _LOW32
+    b1, b0 = b >> 32, b & _LOW32
+    mid = ((a0 * b0) >> 32) + a1 * b0
+    low = (mid & _LOW32) + a0 * b1
+    return a1 * b1 + (mid >> 32) + (low >> 32)
+
+
+def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """cp * g / 2^127 for g = g1 2^63 + g0, truncated, its last bit set if inexact."""
+    x1 = _mul_high(g0, cp)
+    y0 = g1 * cp  # wraps mod 2^64
+    y1 = _mul_high(g1, cp)
+    z = (y0 >> 1) + x1
+    vbp = y1 + (z >> 63)
+    return vbp | (((z & _LOW63) + _LOW63) >> 63)
+
+
+def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) with f * 10^k the shortest decimal that rounds to each value.
+
+    ``bits`` are the uint64 patterns of finite nonzero doubles; the sign
+    bit is ignored.  f has at most 17 digits, or is 10^17.
+    """
+    g1_table, g0_table = _powers_of_ten()
+    t = bits & np.uint64(2**52 - 1)
+    bq = ((bits >> 52) & np.uint64(0x7FF)).astype(np.int64)
+    normal = bq != 0
+    c = np.where(normal, t | np.uint64(2**52), t)
+    q = np.where(normal, bq - 1075, -1074)
+    # a power of two above the smallest normal has a narrower interval below it
+    irregular = (t == 0) & (bq > 1)
+    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10_pow2(q))
+    h = (q + _flog2_pow10(-k) + 2).astype(np.uint64)
+    g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
+    cb = c << np.uint64(2)
+    vb = _round_to_odd(g1, g0, cb << h)
+    vbl = _round_to_odd(g1, g0, (cb - np.uint64(2) + irregular) << h)
+    vbr = _round_to_odd(g1, g0, (cb + np.uint64(2)) << h)
+    # the rounding interval is closed when c is even
+    out = c & np.uint64(1)
+    vbl += out
+    vbr -= out
+    s = vb >> np.uint64(2)
+    # one digit fewer: the multiples of ten next to s, when exactly one rounds to v
+    sp10 = s // np.uint64(10) * np.uint64(10)
+    upin = vbl <= sp10 << np.uint64(2)
+    wpin = (sp10 + np.uint64(10)) << np.uint64(2) <= vbr
+    shorter = (s >= 10) & (upin != wpin)
+    # else s or s + 1, whichever rounds to v, or the closer, ties to even
+    uin = vbl <= s << np.uint64(2)
+    win = (s + np.uint64(1)) << np.uint64(2) <= vbr
+    twice_mid = (s << np.uint64(2)) + np.uint64(2)
+    closer = (vb < twice_mid) | ((vb == twice_mid) & (s & np.uint64(1) == 0))
+    up = np.where(shorter, ~upin, np.where(uin != win, win, ~closer))
+    f = np.where(shorter, sp10, s) + np.where(shorter, np.uint64(10), np.uint64(1)) * up
+    return f, k
+
+
+_POWERS = np.array([10**i for i in range(19)], dtype=np.uint64)
+# fixed notation runs from decpt -3 ("0.000d") to 16 digits before the point
+_DECPT_MIN, _DECPT_MAX = -3, 16
+
+
+@cache
+def _layout() -> tuple[np.ndarray, ...]:
+    """The tables ``float_repr`` gathers each row's text from, by row code.
+
+    - ``leads``, by sign + 2 * (1 - decpt) for a fixed value below 1
+      (decpt from 0 to -3), by the sign alone for other values, and by
+      sign + 10, 12 or 14 for a zero, an infinity or a NaN: the sign,
+      "0." and zeros, or the whole special value.
+    - ``left``, ``right`` and ``dots``, by 19 * point + end: masks that
+      put digit j, digit j - 1 or "." in body column j, for the point
+      after digit ``point`` and the ``end`` columns shown.
+    - ``suffixes``, by 0 for none and by e - _K_MIN + 1 for exponent e.
+    """
+    leads = ["", "-"] + [s + "0." + "0" * z for z in range(1 - _DECPT_MIN) for s in ("", "-")]
+    leads += ["0.0", "-0.0", "inf", "-inf", "nan", "nan"]
+    point = np.arange(19)[:, None, None]
+    end = np.arange(19)[None, :, None]
+    column = np.arange(18)
+    masks = [
+        (column < point) & (column < end),
+        (column > point) & (column < end),
+        (column == point) & (column < end),
+    ]
+    left, right, dots = (m.reshape(19 * 19, 18).astype(np.uint8) for m in masks)
+    dots *= ord(".")
+    suffixes = [""] + [f"e{e:+03d}" for e in range(_K_MIN, _K_MAX + 18)]
+    return text_table(leads), left, right, dots, text_table(suffixes)
+
+
+def _gather(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Rows ``codes`` of a table of words, less the columns none of them fills."""
+    width = np.count_nonzero(table, axis=1)[codes].max()
+    return np.take(table[:, :width], codes, axis=0)
+
+
+def float_repr(values: np.ndarray) -> np.ndarray:
+    """Float64 values as a NUL-padded uint8 matrix of their ``repr`` bytes.
+
+    Row ``i`` less its NULs is ``repr(float(values[i])).encode()``, for
+    every float64 including signed zeros, subnormals, infinities and NaN.
+    """
+    leads, left, right, dots, suffixes = _layout()
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    n = len(bits)
+    if not n:
+        return np.zeros((0, 0), dtype=np.uint8)
+    negative = (bits >> np.uint64(63)).astype(np.intp)
+    magnitude = bits & _LOW63
+    special = (magnitude == 0) | (magnitude >= np.uint64(0x7FF0000000000000))
+    f, k = _shortest_decimal(np.where(special, np.uint64(0x3FF0000000000000), magnitude))
+    # f as 18 digits, f * 10^(18 - len(f)); the point sits decpt digits in
+    length = np.searchsorted(_POWERS, f, side="right")
+    f *= _POWERS[18 - length]
+    decpt = k + length
+    # each 9-digit half through the digit kernel, a leading 1 keeping its zeros
+    halves = ascii_digits(np.concatenate(np.divmod(f, np.uint64(10**9))) + np.uint64(10**9))
+    # the digits, and beside them the same digits shifted one column right
+    flat = np.zeros(18 * n + 1, dtype=np.uint8)
+    digits = flat[1:].reshape(n, 18)
+    digits[:, :9], digits[:, 9:] = halves[:n, 1:], halves[n:, 1:]
+    shifted = flat[:-1].reshape(n, 18)
+    # digits up to the last nonzero one
+    significant = 18 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+
+    scientific = (decpt < _DECPT_MIN) | (decpt > _DECPT_MAX)
+    small = ~scientific & (decpt <= 0)
+    # the point follows digit 1 in scientific notation; below 1 in fixed
+    # notation the lead holds it (point 18); an integer shows ".0"
+    point = np.where(scientific, 1, np.where(small, 18, decpt))
+    shown = np.where(scientific | small, significant, np.maximum(significant, point + 1))
+    end = np.where(special, 0, shown + (point < shown))
+    body = 19 * point + end
+    infinite_or_nan = 2 * (magnitude != 0) + 2 * (magnitude > 0x7FF0000000000000)
+    lead = np.where(special, 10 + infinite_or_nan, np.where(small, 2 * (1 - decpt), 0))
+    lead += negative
+    suffix = np.where(scientific & ~special, decpt - _K_MIN, 0)
+    # body columns that no row fills are left out
+    width = int(end.max())
+    text = [
+        _gather(leads, lead),
+        digits[:, :width] * np.take(left[:, :width], body, axis=0)
+        + shifted[:, :width] * np.take(right[:, :width], body, axis=0)
+        + np.take(dots[:, :width], body, axis=0),
+        _gather(suffixes, suffix),
+    ]
+    return np.concatenate(text, axis=1)
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write a CSV of equal-length columns as bytes, batch by batch.
+
+    A column is a float64 array, formatted per batch by ``float_repr``,
+    or a ``(table, codes)`` pair: a text matrix with one row per distinct
+    value, and each row's index into it.  A column passed twice, as the
+    same object, is formatted once a batch.  Fields are numbers and bare
+    words, so none needs quoting.
+    """
+    n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    comma = np.frombuffer(b",", dtype=np.uint8)
+    newline = np.frombuffer(b"\n", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        for lo in range(0, n_rows, BATCH_ROWS):
+            rows = slice(lo, lo + BATCH_ROWS)
+            n = min(BATCH_ROWS, n_rows - lo)
+            formatted: dict[int, np.ndarray] = {}
+            parts = []
+            for column in columns:
+                if isinstance(column, tuple):
+                    table, codes = column
+                    text = np.take(table, codes[rows], axis=0)
+                else:
+                    text = formatted.get(id(column))
+                    if text is None:
+                        text = formatted[id(column)] = float_repr(column[rows])
+                parts += [text, np.broadcast_to(comma, (n, 1))]
+            parts[-1] = np.broadcast_to(newline, (n, 1))
+            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))

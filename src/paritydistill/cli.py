@@ -20,11 +20,13 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._csvbytes import float_repr, text_table, write_columns
 from .analytics import (
     DARK_FIDELITY_CUTOFF,
     Objective,
@@ -96,21 +98,6 @@ def _flags(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "csv")}
 
 
-def _csv_writer(header: list[str], lines: list[str]):
-    """A ``write(path)`` for ``_publish``: header plus preformatted rows.
-
-    Each row ends in a newline.  Fields are numbers and bare words, so
-    no field needs quoting.
-    """
-
-    def write(path: Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(lines)
-
-    return write
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor nan."""
     try:
@@ -140,8 +127,9 @@ _angle = _float_in(0.0, math.pi / 2.0, "[0, pi/2]")
 # ---------------------------------------------------------------------------
 # rates
 
-# Largest --points: each point holds ~420 bytes of grids and rows, so
-# the largest sweep peaks at ~440 MiB and takes ~5 s.
+# Largest --points: each point holds ~60 bytes of grids and optimizer
+# arrays, and rows are formatted a batch at a time, so the largest sweep
+# peaks at ~95 MiB RSS (~35 MiB of it the interpreter) and takes ~3 s.
 RATES_POINTS_LIMIT = 1_000_000
 
 
@@ -172,16 +160,11 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
     # the first grid point past each sign change from ours to reference
     crossing = np.zeros(len(grid), dtype=bool)
     crossing[1:] = (gap[:-1] > 0.0) & (gap[1:] <= 0.0)
-    columns = (grid, theta, rate, reference, rate / reference)
-    lines = [
-        f"{t!r},{th!r},{r!r},{ref!r},{ratio!r},{'crossover' if crossed else ''}\n"
-        for t, th, r, ref, ratio, crossed in zip(
-            *(c.tolist() for c in columns), crossing.tolist()
-        )
-    ]
+    annotation = (text_table(["", "crossover"]), crossing.view(np.uint8))
     header = ["t", "theta_opt", "rate_ours", "rate_reference", "ratio", "annotation"]
-    csv_path = _publish(args, _flags(args), _csv_writer(header, lines))
-    print(f"wrote {csv_path} ({len(lines)} rows)")
+    columns = [grid, theta, rate, reference, rate / reference, annotation]
+    csv_path = _publish(args, _flags(args), partial(write_columns, header=header, columns=columns))
+    print(f"wrote {csv_path} ({len(grid)} rows)")
     print(f"rate crossover at mean transmission {crossover_transmission():.6f}")
     return 0
 
@@ -189,8 +172,9 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # drift
 
-# Largest --points: the surface has points^2 cells of ~430 bytes each,
-# so the largest one peaks at ~460 MiB and takes ~4 s.
+# Largest --points: the surface has points^2 cells of ~30 bytes each,
+# and rows are formatted a batch at a time, so the largest one peaks at
+# ~64 MiB RSS (~35 MiB of it the interpreter) and takes ~2 s.
 DRIFT_POINTS_LIMIT = 1000
 
 
@@ -203,23 +187,18 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--d-max must be positive")
     grid = np.linspace(0.0, args.d_max, args.points)
     # rows run over d_t within d_x, so d_x indexes the first axis
-    exact, quad = drift_infidelity_surface(grid[:, None], grid[None, :])
+    exact, quad = (a.ravel() for a in drift_infidelity_surface(grid[:, None], grid[None, :]))
     raw = 1.0 - exact
-    raw_text = [[repr(v) for v in row] for row in raw.tolist()]
-    if args.cutoff:
-        shown = np.maximum(raw, 1.0 - DARK_FIDELITY_CUTOFF)
-        shown_text = [[repr(v) for v in row] for row in shown.tolist()]
-    else:
-        shown_text = raw_text
-    labels = [repr(v) for v in grid.tolist()]
-    lines = [
-        f"{dx},{dt},{e!r},{q!r},{s},{r}\n"
-        for dx, *cells in zip(labels, exact.tolist(), quad.tolist(), shown_text, raw_text)
-        for dt, e, q, s, r in zip(labels, *cells)
-    ]
+    # without the cutoff one column object, formatted once a batch
+    shown = np.maximum(raw, 1.0 - DARK_FIDELITY_CUTOFF) if args.cutoff else raw
+    labels = float_repr(grid)
+    index = np.arange(args.points, dtype=np.int16)
+    d_x = (labels, np.repeat(index, args.points))
+    d_t = (labels, np.tile(index, args.points))
     header = ["d_x", "d_t", "epsilon_exact", "epsilon_quadratic", "fidelity", "fidelity_raw"]
-    csv_path = _publish(args, _flags(args), _csv_writer(header, lines))
-    print(f"wrote {csv_path} ({len(lines)} rows)")
+    columns = [d_x, d_t, exact, quad, shown, raw]
+    csv_path = _publish(args, _flags(args), partial(write_columns, header=header, columns=columns))
+    print(f"wrote {csv_path} ({len(exact)} rows)")
     return 0
 
 
@@ -286,8 +265,10 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
             file=sys.stderr,
         )
     if args.csv:
-        rows = [f"{name},{float(value)!r}\n" for name, value in lines]
-        csv_path = _publish(args, _flags(args), _csv_writer(["quantity", "value"], rows))
+        names = (text_table([name for name, _ in lines]), np.arange(len(lines)))
+        values = np.array([value for _, value in lines], dtype=np.float64)
+        write = partial(write_columns, header=["quantity", "value"], columns=[names, values])
+        csv_path = _publish(args, _flags(args), write)
         print(f"wrote {csv_path}")
     return 0
 

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._csvbytes import ascii_digits, text_table
 from .constants import (
     BRANCH_PRUNE_EPSILON,
     PROBABILITY_SUM_ATOL,
@@ -543,6 +544,10 @@ class SampleStats:
                 raise ValueError(f"column {name!r} must hold nonnegative integers")
         if n and self.iterates.max() >= _ITERATES_LIMIT:
             raise ValueError(f"column 'iterates' must stay below {_ITERATES_LIMIT}")
+        # summary's histogram has a bin per iterate count up to the
+        # largest, so the cap bounds its size
+        if n and self.iterates.max() > self.config.max_iterates:
+            raise ValueError("column 'iterates' must not exceed config.max_iterates")
         if self.status.dtype.kind not in "iu" or not np.all(
             np.isin(self.status, list(_STATUS_NAMES))
         ):
@@ -565,9 +570,9 @@ class SampleStats:
     def summary(self) -> dict:
         """Aggregate estimators; all fields deterministic for fixed inputs.
 
-        Its temporaries peak near ten bytes a trial: the success mask
-        and the rate residuals, squared in place, or the sorted copy of
-        ``iterates`` that ``np.unique`` makes.
+        Its temporaries peak near nine bytes a trial: the success mask
+        and the rate residuals, squared in place.  The iterate histogram
+        has one bin per iterate count up to the largest, at most the cap.
         """
         n = self.n_trials
         counts = np.bincount(self.status, minlength=len(Status)).tolist()
@@ -589,7 +594,8 @@ class SampleStats:
             rate_se = float("nan")
         mean_fidelity = float(np.mean(self.fidelity[success])) if successes else float("nan")
         del success
-        hist = {int(k): int(c) for k, c in zip(*np.unique(self.iterates, return_counts=True))}
+        bins = np.bincount(self.iterates.astype(np.intp, copy=False))
+        hist = {int(k): int(bins[k]) for k in np.flatnonzero(bins)}
         return {
             "n_trials": n,
             "successes": successes,
@@ -610,7 +616,7 @@ class SampleStats:
 
         A batch is one uint8 matrix, a row per trial: the seed prefix,
         ``trial`` and ``attempts`` as right-aligned ASCII digits (see
-        ``_ascii_digits``), and the tail (iterates, status, fidelity).
+        ``ascii_digits``), and the tail (iterates, status, fidelity).
         Over a batch the tail takes few distinct values, so each distinct
         tail is formatted once, with ``repr`` for the fidelity, into a
         NUL-padded table that the rows gather by code.  A fidelity is
@@ -631,42 +637,20 @@ class SampleStats:
                 tails = []
                 for key in keys.tolist():
                     cell, f = divmod(key, len(fids))
-                    tails.append(f",{cell // 4},{_STATUS_NAMES[cell % 4]},{fids[f]!r}\n".encode())
-                table = np.array(tails, dtype=bytes)
-                table = table.view(np.uint8).reshape(len(tails), table.itemsize)
+                    tails.append(f",{cell // 4},{_STATUS_NAMES[cell % 4]},{fids[f]!r}\n")
+                table = text_table(tails)
                 n = len(tail_code)
                 batch = np.concatenate(
                     [
                         np.broadcast_to(prefix, (n, len(prefix))),
-                        _ascii_digits(self.trial[rows]),
+                        ascii_digits(self.trial[rows]),
                         np.broadcast_to(comma, (n, 1)),
-                        _ascii_digits(self.attempts[rows]),
+                        ascii_digits(self.attempts[rows]),
                         np.take(table, tail_code, axis=0),
                     ],
                     axis=1,
                 )
                 fh.write(batch.tobytes().translate(None, b"\0"))
-
-
-def _ascii_digits(values: np.ndarray) -> np.ndarray:
-    """Nonnegative integers as a right-aligned uint8 matrix of ASCII digits.
-
-    One row per value, as wide as the largest value; the places left of
-    a value's leading digit hold NUL.  Each digit is ``q - (q // 10) * 10``
-    in uint32 when every value fits, in uint64 otherwise.
-    """
-    top = int(values.max())
-    q = values.astype(np.uint32 if top < 2**32 else np.uint64)
-    places = []
-    for place in range(len(str(top))):
-        quotient = q // 10
-        digit = (q - quotient * 10).astype(np.uint8)
-        digit += ord("0")
-        if place:
-            digit *= q != 0
-        places.append(digit)
-        q = quotient
-    return np.stack(places[::-1], axis=1)
 
 
 # Per-trial uniforms come from nested SplitMix64 streams (Steele, Lea and

@@ -25,7 +25,9 @@ from paritydistill import (
     Status,
     StrategyConfig,
     classify,
+    drift_infidelity_surface,
     heralded_state_with_dark_counts,
+    optimize_bell_rate,
     plus_state,
     run_strategy_exact,
     two_photon_reference_rate,
@@ -238,3 +240,42 @@ def count_class_tree(
             f"strategy tree lost probability mass: defect {defect:.3e}"
         )
     return tree
+
+
+def rates_csv_by_repr(t_min: float, t_max: float, points: int, tau: float) -> bytes:
+    """The ``rates`` CSV, one f-string of ``repr`` fields per row.
+
+    The sweep's numbers come from the library; only the text is made
+    here, as the command made it before its byte writer.
+    """
+    grid = np.array([t_min]) if points == 1 else np.geomspace(t_min, t_max, points)
+    theta, rate = optimize_bell_rate(grid, grid, tau)
+    reference = two_photon_reference_rate(grid, tau)
+    gap = rate - reference
+    crossing = np.zeros(len(grid), dtype=bool)
+    crossing[1:] = (gap[:-1] > 0.0) & (gap[1:] <= 0.0)
+    columns = (grid, theta, rate, reference, rate / reference)
+    lines = [
+        f"{t!r},{th!r},{r!r},{ref!r},{ratio!r},{'crossover' if crossed else ''}\n"
+        for t, th, r, ref, ratio, crossed in zip(
+            *(c.tolist() for c in columns), crossing.tolist()
+        )
+    ]
+    header = "t,theta_opt,rate_ours,rate_reference,ratio,annotation\n"
+    return (header + "".join(lines)).encode()
+
+
+def drift_csv_by_repr(d_max: float, points: int, cutoff: bool) -> bytes:
+    """The ``drift`` CSV, one f-string of ``repr`` fields per row."""
+    grid = np.linspace(0.0, d_max, points)
+    exact, quad = drift_infidelity_surface(grid[:, None], grid[None, :])
+    raw = 1.0 - exact
+    shown = np.maximum(raw, 1.0 - DARK_FIDELITY_CUTOFF) if cutoff else raw
+    labels = [repr(v) for v in grid.tolist()]
+    lines = [
+        f"{dx},{dt},{e!r},{q!r},{s!r},{r!r}\n"
+        for dx, *cells in zip(labels, exact.tolist(), quad.tolist(), shown.tolist(), raw.tolist())
+        for dt, e, q, s, r in zip(labels, *cells)
+    ]
+    header = "d_x,d_t,epsilon_exact,epsilon_quadratic,fidelity,fidelity_raw\n"
+    return (header + "".join(lines)).encode()

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paritydistill
+from helpers import drift_csv_by_repr, rates_csv_by_repr
 from paritydistill import (
     ApparatusParams,
     ExcitationAngle,
@@ -32,7 +33,7 @@ from paritydistill import (
     plus_state,
     run_strategy_exact,
 )
-from paritydistill import __version__, cli
+from paritydistill import __version__, _csvbytes, cli
 from paritydistill.cli import OUTDIR_ENV_VAR, main
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -181,6 +182,30 @@ def test_drift_cutoff_clips_display_column(tmp_path, capsys):
     assert clipped > 0
     manifest = read_manifest(tmp_path / "drift.csv")
     assert manifest["parameters"]["cutoff"] is True
+
+
+@pytest.mark.parametrize("cutoff", [False, True])
+@pytest.mark.parametrize("d_max, points", [(0.1, 6), (1.5, 70)])
+def test_drift_csv_is_byte_equal_to_the_repr_formatter(d_max, points, cutoff, tmp_path, capsys):
+    # 70 points make 4,900 rows, past one batch of the byte writer
+    argv = ["drift", "--d-max", repr(d_max), "--points", str(points), "--outdir", str(tmp_path)]
+    assert main(argv + ["--cutoff"] * cutoff) == 0
+    assert f"({points**2} rows)" in capsys.readouterr().out
+    assert points != 70 or points**2 > _csvbytes.BATCH_ROWS
+    assert (tmp_path / "drift.csv").read_bytes() == drift_csv_by_repr(d_max, points, cutoff)
+
+
+def test_rates_csv_is_byte_equal_to_the_repr_formatter(tmp_path, capsys):
+    # from T = 1e-12 at tau = 1e-17 the fields run from 5e-08 to 5e+16,
+    # across both of repr's switches between fixed and scientific notation
+    argv = ["rates", "--t-min", "1e-12", "--t-max", "1.0", "--points", "300", "--tau", "1e-17"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert "(300 rows)" in capsys.readouterr().out
+    written = (tmp_path / "rates.csv").read_bytes()
+    assert written == rates_csv_by_repr(1e-12, 1.0, 300, 1e-17)
+    fields = [f for row in written.splitlines()[1:] for f in row.split(b",")[:5]]
+    assert {b"1e-12", b"5e+16", b"9016994374947424.0"} <= set(fields)
+    assert any(f.startswith(b"0.000") for f in fields) and any(b"e-05" in f for f in fields)
 
 
 @pytest.mark.parametrize(
@@ -357,7 +382,7 @@ def test_chain_csv_round_trips_exact_values(tmp_path, capsys):
         ]
     )
     assert code == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     _, rows = read_csv(tmp_path / "chain.csv")
     values = {name: float(text) for name, text in rows}
     result = chain_growth_rate(ApparatusParams(t1=0.5, t2=0.5), 0.6, k_max=50)
@@ -367,6 +392,11 @@ def test_chain_csv_round_trips_exact_values(tmp_path, capsys):
     assert values["tail_bound"] == result.tail_bound
     assert values["sin_sq_theta_opt"] == math.sin(0.6) ** 2
     assert read_manifest(tmp_path / "chain.csv")["parameters"]["k_max"] == 50
+    # each row is the reported line's name and its value's float repr
+    reported = re.findall(r"^(\w+) = (\S+)$", out, flags=re.M)
+    lines = [f"{name},{float(text)!r}\n" for name, text in reported if name != "closed_form_gap"]
+    assert len(lines) == 10
+    assert (tmp_path / "chain.csv").read_text() == "quantity,value\n" + "".join(lines)
 
 
 def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):

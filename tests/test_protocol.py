@@ -1236,7 +1236,8 @@ def test_write_csv_matches_csv_writer(tmp_path):
 
 def sample_stats(n, seed=0, **columns):
     """A ``SampleStats`` of ``n`` rows: trials 0.., one attempt, two
-    iterates, pending, fidelity 0.5, with any column replaced by keyword."""
+    iterates, pending, fidelity 0.5, with any column replaced by keyword.
+    The iterate cap is 4, or the largest iterate count if that is more."""
     values = {
         "trial": np.arange(n, dtype=np.int64),
         "attempts": np.ones(n, dtype=np.int64),
@@ -1245,7 +1246,8 @@ def sample_stats(n, seed=0, **columns):
         "fidelity": np.full(n, 0.5),
     }
     values.update(columns)
-    return protocol.SampleStats(StrategyConfig.loop(4, rng_seed=seed), UNBALANCED, 0.7, **values)
+    cap = max(4, int(values["iterates"].max(initial=0)))
+    return protocol.SampleStats(StrategyConfig.loop(cap, rng_seed=seed), UNBALANCED, 0.7, **values)
 
 
 def test_sample_stats_rejects_misaligned_or_unsorted_columns():
@@ -1388,3 +1390,67 @@ def test_summary_holds_about_ten_bytes_a_trial():
         tracemalloc.stop()
     assert summary["n_trials"] == n and math.isfinite(summary["bell_rate_se"])
     assert peak < 12 * n, peak
+
+
+@pytest.mark.parametrize("cap", [2, 3, 8])
+def test_sampler_never_passes_the_iterate_cap(cap):
+    # sin^2 theta = 0.5 on a lossy link keeps many runs pending, so the
+    # cap is reached and, if the sampler ran past it, passed
+    stats = run_trajectories(
+        StrategyConfig.loop(cap, rng_seed=cap), UNBALANCED, ExcitationAngle.from_sin_sq(0.5), 4000
+    )
+    assert stats.iterates.max() == cap
+    assert np.all(stats.iterates[stats.status == Status.PENDING.value] == cap)
+
+
+def test_sample_stats_rejects_iterates_past_the_cap():
+    def stats(cap, iterates):
+        values = sample_stats(len(iterates), iterates=np.array(iterates))
+        return protocol.SampleStats(
+            StrategyConfig.loop(cap),
+            UNBALANCED,
+            0.7,
+            values.trial,
+            values.attempts,
+            values.iterates,
+            values.status,
+            values.fidelity,
+        )
+
+    assert stats(4, [2, 4, 3]).n_trials == 3
+    with pytest.raises(ValueError, match="must not exceed config.max_iterates"):
+        stats(4, [2, 5, 3])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32])
+def test_summary_histogram_counts_each_iterate(dtype):
+    rng = RNG(19)
+    iterates = rng.integers(2, 40, 5000).astype(dtype)
+    iterates[:3] = 60  # a gap between bins
+    summary = sample_stats(5000, iterates=iterates).summary()
+    keys, counts = np.unique(iterates, return_counts=True)
+    assert summary["iterate_histogram"] == dict(zip(keys.tolist(), counts.tolist()))
+    assert all(type(k) is int and type(v) is int for k, v in summary["iterate_histogram"].items())
+    assert sample_stats(0).summary()["iterate_histogram"] == {}
+
+
+def test_summary_sorts_no_copy_of_the_iterates():
+    """``summary``'s peak at a million trials is the rate residuals and
+    the success mask, nine bytes a trial; a sorted histogram of the
+    iterates would make it ten."""
+    n = 1_000_000
+    rng = RNG(20)
+    stats = sample_stats(
+        n,
+        attempts=rng.integers(1, 10**6, n),
+        iterates=rng.integers(1, 17, n),
+        status=rng.integers(0, 4, n).astype(np.int8),
+    )
+    tracemalloc.start()
+    try:
+        summary = stats.summary()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(summary["iterate_histogram"].values()) == n
+    assert peak < 9.5 * n, peak
