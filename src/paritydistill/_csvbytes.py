@@ -1,10 +1,10 @@
 """Numbers as CSV bytes: integer digits, shortest float reprs, column rows.
 
-Every kernel here returns a ``uint8`` text matrix, one row per value,
-whose row bytes less their NUL padding are the value's text.  A CSV
-batch is then one ``np.concatenate`` of such matrices and separator
-columns, and deleting its NULs leaves the batch's bytes, with no Python
-string made per value.
+``write_columns`` is the package's one CSV writer.  Every kernel here
+returns a ``uint8`` text matrix, one row per value, whose row bytes less
+their NUL padding are the value's text.  A CSV batch is then one
+``np.concatenate`` of such matrices and separator columns, and deleting
+its NULs leaves the batch's bytes, with no Python string made per row.
 
 ``float_repr`` gives exactly ``repr(float(v))`` for every float64.  Its
 digits are the shortest decimal that rounds back to ``v``, the one
@@ -32,6 +32,12 @@ import numpy as np
 # and ~220 bytes a row of kernel temporaries (tracemalloc, 4,096 normal
 # deviates), so a batch's working set stays near 1 MB.
 BATCH_ROWS = 4096
+
+# A batch's distinct floats go through repr up to this many, float_repr
+# above.  repr costs ~1 us a value, float_repr ~400-650 us for any count
+# up to ~1,000; they cross near 450-600 (best of 25, 2-vCPU Xeon VM).
+# simulate's fidelity batches hold ~2 distinct values, the sweeps' ~4,096.
+_REPR_MAX_DISTINCT = 384
 
 
 def ascii_digits(values: np.ndarray) -> np.ndarray:
@@ -256,16 +262,39 @@ def float_repr(values: np.ndarray) -> np.ndarray:
     return np.concatenate(text, axis=1)
 
 
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """A float64 batch as text rows, each distinct bit pattern formatted once."""
+    bits, codes = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    if len(distinct) <= _REPR_MAX_DISTINCT:
+        table = text_table([repr(v) for v in distinct.tolist()])
+    else:
+        table = float_repr(distinct)
+    return np.take(table, codes, axis=0)
+
+
 def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV of equal-length columns as bytes, batch by batch.
 
-    A column is a float64 array, formatted per batch by ``float_repr``,
-    or a ``(table, codes)`` pair: a text matrix with one row per distinct
-    value, and each row's index into it.  A column passed twice, as the
-    same object, is formatted once a batch.  Fields are numbers and bare
-    words, so none needs quoting.
+    A column is a float64 array, each batch's distinct bit patterns
+    (``-0.0`` apart from ``0.0``) formatted once, by ``repr`` when few
+    and by ``float_repr`` otherwise; a nonnegative integer array, by
+    ``ascii_digits``; or a ``(table, codes)`` pair: a text matrix with
+    one row per distinct value, and each row's index into it.  Any other
+    column, or a negative integer, raises ``ValueError`` before the file
+    is opened.  A column passed twice, as the same object, is formatted
+    once a batch.  Fields are numbers and bare words, so none needs quoting.
     """
     n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
+    for column in columns:
+        if isinstance(column, tuple):
+            continue
+        if not isinstance(column, np.ndarray) or (
+            column.dtype != np.float64 and column.dtype.kind not in "iu"
+        ):
+            raise ValueError("a column is a float64 array, integer array or (table, codes) pair")
+        if column.dtype.kind == "i" and len(column) and column.min() < 0:
+            raise ValueError("integer columns must be nonnegative")
     comma = np.frombuffer(b",", dtype=np.uint8)
     newline = np.frombuffer(b"\n", dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -282,7 +311,8 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
                 else:
                     text = formatted.get(id(column))
                     if text is None:
-                        text = formatted[id(column)] = float_repr(column[rows])
+                        kernel = _float_text if column.dtype.kind == "f" else ascii_digits
+                        text = formatted[id(column)] = kernel(column[rows])
                 parts += [text, np.broadcast_to(comma, (n, 1))]
             parts[-1] = np.broadcast_to(newline, (n, 1))
             fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))

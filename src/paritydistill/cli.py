@@ -281,11 +281,11 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # 256 (t = 0.5, sin^2 theta = 1e-3).
 SIMULATE_CAP_LIMIT = 256
 
-# Largest --trials: each trial holds ~45 bytes of samples and summary
+# Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
-# ~465 MiB RSS and takes ~9 s on a 2-vCPU Xeon VM, plus the exact
-# tree's ~250 MB at the largest cap.  Its ~310 MB CSV is written and
-# hashed in blocks.
+# ~437 MiB RSS and takes 8-9 s on a 2-vCPU Xeon VM (resource.getrusage),
+# plus the exact tree's ~250 MB at the largest cap.  Its ~300 MB CSV is
+# written and hashed in blocks.
 SIMULATE_TRIALS_LIMIT = 10_000_000
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._csvbytes import ascii_digits, text_table
+from ._csvbytes import text_table, write_columns
 from .constants import (
     BRANCH_PRUNE_EPSILON,
     PROBABILITY_SUM_ATOL,
@@ -498,18 +498,6 @@ STREAM_VERSION = 2
 # arrays, which stay near 1 MB.
 _CHUNK_TRIALS = 2048
 
-# CSV rows written per batch.  A batch is one uint8 matrix of digits and
-# gathered tail bytes, a row per trial of ~40 bytes at T = 1e-2, so the
-# writer holds ~1 MB at most (its tracemalloc peak is 0.6 MiB on 40,000
-# rows) whatever the number of trials.
-_CSV_BATCH_ROWS = 4096
-
-# Tails are keyed by (iterates * 4 + status) * fidelities + fidelity code,
-# which stays inside int64 for iterates below this bound.
-_ITERATES_LIMIT = 2**32
-
-_STATUS_NAMES = {s.value: s.name.lower() for s in Status}
-
 
 @dataclass(frozen=True)
 class SampleStats:
@@ -537,19 +525,17 @@ class SampleStats:
                 raise ValueError(f"column {name!r} length mismatch")
         if n and np.any(self.trial[1:] <= self.trial[:-1]):
             raise ValueError("trial indices must be strictly increasing")
-        # preconditions of write_csv's digit kernel and tail keys
+        # preconditions of write_csv's column writer
         for name in ("trial", "attempts", "iterates"):
             column = getattr(self, name)
             if column.dtype.kind not in "iu" or (n and column.min() < 0):
                 raise ValueError(f"column {name!r} must hold nonnegative integers")
-        if n and self.iterates.max() >= _ITERATES_LIMIT:
-            raise ValueError(f"column 'iterates' must stay below {_ITERATES_LIMIT}")
         # summary's histogram has a bin per iterate count up to the
         # largest, so the cap bounds its size
         if n and self.iterates.max() > self.config.max_iterates:
             raise ValueError("column 'iterates' must not exceed config.max_iterates")
-        if self.status.dtype.kind not in "iu" or not np.all(
-            np.isin(self.status, list(_STATUS_NAMES))
+        if self.status.dtype.kind not in "iu" or (
+            n and not 0 <= self.status.min() <= self.status.max() < len(Status)
         ):
             raise ValueError("column 'status' must hold Status values")
         if self.fidelity.dtype != np.float64:
@@ -612,45 +598,16 @@ class SampleStats:
         }
 
     def write_csv(self, path) -> None:
-        """One row per trial, in trial order, written as bytes per batch.
-
-        A batch is one uint8 matrix, a row per trial: the seed prefix,
-        ``trial`` and ``attempts`` as right-aligned ASCII digits (see
-        ``ascii_digits``), and the tail (iterates, status, fidelity).
-        Over a batch the tail takes few distinct values, so each distinct
-        tail is formatted once, with ``repr`` for the fidelity, into a
-        NUL-padded table that the rows gather by code.  A fidelity is
-        keyed by its bit pattern, which keeps ``-0.0`` apart from
-        ``0.0``.  Deleting the NUL padding leaves the batch's CSV bytes.
-        """
-        prefix = np.frombuffer(f"{self.rng_seed},".encode(), dtype=np.uint8)
-        comma = np.frombuffer(b",", dtype=np.uint8)
-        with open(path, "wb") as fh:
-            fh.write(b"seed,trial,attempts,iterates,status,fidelity\n")
-            for lo in range(0, self.n_trials, _CSV_BATCH_ROWS):
-                rows = slice(lo, lo + _CSV_BATCH_ROWS)
-                bits, fid_code = np.unique(self.fidelity[rows].view(np.int64), return_inverse=True)
-                fids = bits.view(np.float64).tolist()
-                status = self.status[rows].astype(np.int64)
-                cells = self.iterates[rows].astype(np.int64) * 4 + status
-                keys, tail_code = np.unique(cells * len(fids) + fid_code, return_inverse=True)
-                tails = []
-                for key in keys.tolist():
-                    cell, f = divmod(key, len(fids))
-                    tails.append(f",{cell // 4},{_STATUS_NAMES[cell % 4]},{fids[f]!r}\n")
-                table = text_table(tails)
-                n = len(tail_code)
-                batch = np.concatenate(
-                    [
-                        np.broadcast_to(prefix, (n, len(prefix))),
-                        ascii_digits(self.trial[rows]),
-                        np.broadcast_to(comma, (n, 1)),
-                        ascii_digits(self.attempts[rows]),
-                        np.take(table, tail_code, axis=0),
-                    ],
-                    axis=1,
-                )
-                fh.write(batch.tobytes().translate(None, b"\0"))
+        """One row per trial, in trial order, through ``write_columns``:
+        the integer columns as digits, ``fidelity`` as its ``repr``, and the
+        seed and status gathered from small text tables."""
+        seed = (text_table([str(self.rng_seed)]), np.broadcast_to(np.intp(0), (self.n_trials,)))
+        status = (text_table([Status(v).name.lower() for v in range(len(Status))]), self.status)
+        write_columns(
+            path,
+            ["seed", "trial", "attempts", "iterates", "status", "fidelity"],
+            [seed, self.trial, self.attempts, self.iterates, status, self.fidelity],
+        )
 
 
 # Per-trial uniforms come from nested SplitMix64 streams (Steele, Lea and

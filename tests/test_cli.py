@@ -33,7 +33,7 @@ from paritydistill import (
     plus_state,
     run_strategy_exact,
 )
-from paritydistill import __version__, _csvbytes, cli
+from paritydistill import __version__, _csvbytes, cli, protocol
 from paritydistill.cli import OUTDIR_ENV_VAR, main
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -206,6 +206,31 @@ def test_rates_csv_is_byte_equal_to_the_repr_formatter(tmp_path, capsys):
     fields = [f for row in written.splitlines()[1:] for f in row.split(b",")[:5]]
     assert {b"1e-12", b"5e+16", b"9016994374947424.0"} <= set(fields)
     assert any(f.startswith(b"0.000") for f in fields) and any(b"e-05" in f for f in fields)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--points", "5"],
+        ["drift", "--points", "3"],
+        ["chain", "--csv"],
+        ["simulate", "--t", "0.1", "--trials", "50"],
+        ["simulate", "--t", "0.1", "--trials", "50", "--strategy", "loop", "--max-iterates", "4"],
+    ],
+    ids=["rates", "drift", "chain", "simulate-two-iterate", "simulate-loop"],
+)
+def test_every_csv_goes_through_the_one_column_writer(argv, tmp_path, capsys, monkeypatch):
+    paths = []
+
+    def counting(path, *args, **kwargs):
+        paths.append(path)
+        _csvbytes.write_columns(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_columns", counting)
+    monkeypatch.setattr(protocol, "write_columns", counting)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert paths == [tmp_path / f"{argv[0]}.csv"]
 
 
 @pytest.mark.parametrize(

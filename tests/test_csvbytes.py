@@ -1,4 +1,4 @@
-"""Byte kernels of the CSV writers: shortest float reprs and column rows."""
+"""Byte kernels of the CSV writer: shortest float reprs, integer digits, column rows."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,15 +112,46 @@ def test_power_table_is_built_on_first_use_not_at_import():
 
 
 def test_write_columns_joins_float_and_word_columns(tmp_path):
-    n = 2 * _csvbytes.BATCH_ROWS + 17
+    """Float, integer and word columns, byte-equal to per-row str and repr."""
+    rows = _csvbytes.BATCH_ROWS
+    n = 3 * rows + 17
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     x[::97] = -0.0
+    # the first batch holds exactly as many distinct bit patterns as repr
+    # formats, specials among them; the second one more
+    few = _csvbytes._REPR_MAX_DISTINCT
+    special = [0.0, -0.0, math.nan, -math.nan, 5e-324, math.inf]
+    for batch, count in ((0, few), (1, few + 1)):
+        pool = np.concatenate([special, rng.random(count - len(special))])
+        x[batch * rows : (batch + 1) * rows] = rng.permutation(np.resize(pool, rows))
+        assert len(np.unique(x[batch * rows : (batch + 1) * rows].view(np.uint64))) == count
+    # integers below 2**32 in the first batch, around it in the second
+    # and up to the top of each type in the last
+    signed = rng.integers(0, 2**32, n, dtype=np.int64)
+    signed[rows : rows + 3] = (2**32 - 1, 2**32, 2**32 + 1)
+    signed[-1] = 2**63 - 1
+    unsigned = signed.astype(np.uint64)
+    unsigned[-3:] = (2**63, 2**64 - 2, 2**64 - 1)
     words = text_table(["", "a", "bb"])
     codes = rng.integers(0, 3, n)
-    write_columns(tmp_path / "out.csv", ["x", "w", "y"], [x, (words, codes), x])
+    columns = [x, (words, codes), signed, unsigned, x]
+    write_columns(tmp_path / "out.csv", ["x", "w", "i", "u", "y"], columns)
     names = ["", "a", "bb"]
-    want = "x,w,y\n" + "".join(
-        f"{v!r},{names[c]},{v!r}\n" for v, c in zip(x.tolist(), codes.tolist())
+    want = "x,w,i,u,y\n" + "".join(
+        f"{v!r},{names[c]},{i},{u},{v!r}\n"
+        for v, c, i, u in zip(x.tolist(), codes.tolist(), signed.tolist(), unsigned.tolist())
     )
     assert (tmp_path / "out.csv").read_text() == want
+
+
+def test_write_columns_rejects_columns_it_would_misprint(tmp_path):
+    path = tmp_path / "out.csv"
+    for column, message in (
+        (np.array([1, -1, 2]), "must be nonnegative"),
+        (np.full(3, 0.5, dtype=np.float32), "a column is a float64 array"),
+        ([0.5, 0.5, 0.5], "a column is a float64 array"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            write_columns(path, ["x", "y"], [np.zeros(3), column])
+        assert not path.exists()

@@ -38,7 +38,7 @@ from paritydistill import (
     run_strategy_exact,
     run_trajectories,
 )
-from paritydistill import protocol
+from paritydistill import _csvbytes, protocol
 from paritydistill.constants import BRANCH_PRUNE_EPSILON
 
 RNG = np.random.default_rng
@@ -1202,7 +1202,7 @@ def csv_writer_reference(stats, path) -> None:
 
 def test_write_csv_matches_csv_writer(tmp_path):
     rng = RNG(151)
-    n = 2 * protocol._CSV_BATCH_ROWS + 300
+    n = 2 * _csvbytes.BATCH_ROWS + 300
     fidelity = rng.uniform(0.0, 1.0, n)
     fidelity[::7] = np.nan
     # signed zeros and a NaN of either sign share the first batch
@@ -1211,7 +1211,7 @@ def test_write_csv_matches_csv_writer(tmp_path):
     iterates = rng.integers(2, 17, n)
     status = (np.arange(n) % 4).astype(np.int8)
     # every row of the last batch has the same tail
-    last = slice(2 * protocol._CSV_BATCH_ROWS, n)
+    last = slice(2 * _csvbytes.BATCH_ROWS, n)
     iterates[last], status[last], fidelity[last] = 5, Status.SUCCESS_PARITY_ODD.value, -0.0
     stats = protocol.SampleStats(
         StrategyConfig.loop(16, rng_seed=2**63 + 11),
@@ -1269,7 +1269,7 @@ def test_sample_stats_rejects_misaligned_or_unsorted_columns():
         sample_stats(3, trial=np.array([0, 5, 2], dtype=np.uint64))
 
 
-def test_sample_stats_checks_the_csv_kernels_preconditions():
+def test_sample_stats_checks_the_csv_kernels_preconditions(tmp_path):
     """Columns the byte writer would misprint raise before any file exists."""
     assert sample_stats(0).n_trials == 0
     big = np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)
@@ -1292,10 +1292,12 @@ def test_sample_stats_checks_the_csv_kernels_preconditions():
         for column in columns:
             with pytest.raises(ValueError, match=f"column '{name}' must hold nonnegative integers"):
                 sample_stats(3, **{name: column})
-    limit = protocol._ITERATES_LIMIT
-    assert sample_stats(1, iterates=np.array([limit - 1])).n_trials == 1
-    with pytest.raises(ValueError, match="column 'iterates' must stay below"):
-        sample_stats(1, iterates=np.array([limit]))
+    # iterate counts past 32 bits are written as digits under a cap that allows them
+    for top in (2**32, 2**63 - 1):
+        stats = sample_stats(3, iterates=np.array([2, top - 1, top], dtype=np.int64))
+        stats.write_csv(tmp_path / "bytes.csv")
+        csv_writer_reference(stats, tmp_path / "reference.csv")
+        assert (tmp_path / "bytes.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     for status in (
         np.array([0, 4, 1], dtype=np.int8),
         np.array([0, -1, 1], dtype=np.int8),
@@ -1319,7 +1321,7 @@ def test_write_csv_matches_csv_writer_at_the_kernels_edges(tmp_path):
     widths = sorted({v for k in range(19) for v in (10**k - 1, 10**k, 10**k + 1)})
     trial = np.array(widths + [2**63 - 1], dtype=np.int64)
     n = len(trial)
-    assert n <= protocol._CSV_BATCH_ROWS
+    assert n <= _csvbytes.BATCH_ROWS
     # attempts around 2**32, where the kernel leaves uint32, and at 2**63 - 1
     attempts = np.array(
         widths[::-1][: n - 4] + [2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1], dtype=np.int64
