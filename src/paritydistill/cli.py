@@ -283,7 +283,7 @@ SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
-# ~437 MiB RSS and takes 8-9 s on a 2-vCPU Xeon VM (resource.getrusage),
+# ~447 MiB RSS and takes 6.5-7.6 s on a 2-vCPU Xeon VM (resource.getrusage),
 # plus the exact tree's ~250 MB at the largest cap.  Its ~300 MB CSV is
 # written and hashed in blocks.
 SIMULATE_TRIALS_LIMIT = 10_000_000

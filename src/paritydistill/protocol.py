@@ -22,6 +22,9 @@ and one mask product moves them all.  The exact tree
 (``run_strategy_exact``) turns each terminal or cap-pending class into
 one leaf, and the dark-count region grid reads the cap-2 walk of a
 whole stack of brokers (``_two_iterate_success``).
+
+By the same masks a sampled trial's state is a function of its outcome
+history, so the sampler keeps one per distinct history (``_sample_chunk``).
 """
 
 from __future__ import annotations
@@ -494,9 +497,10 @@ def _two_iterate_success(
 STREAM_VERSION = 2
 
 # Trials evolved together.  Uniforms are keyed by the absolute trial
-# index, so results never depend on this; it only bounds the working
-# arrays, which stay near 1 MB.
-_CHUNK_TRIALS = 2048
+# index, so results never depend on this; it bounds the working arrays
+# (~0.8 MB).  Of 2,048 to 16,384 it samples cap 2 fastest; deeper caps
+# spread their per-depth work over more trials in larger chunks.
+_CHUNK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -564,7 +568,7 @@ class SampleStats:
         counts = np.bincount(self.status, minlength=len(Status)).tolist()
         even, odd = Status.SUCCESS_PARITY_EVEN.value, Status.SUCCESS_PARITY_ODD.value
         successes = counts[even] + counts[odd]
-        success = np.isin(self.status, [even, odd])
+        success = (self.status == even) | (self.status == odd)
         p_hat = successes / n if n else float("nan")
         total_attempts = int(np.sum(self.attempts))
         time = float(total_attempts) * self.tau
@@ -702,14 +706,11 @@ def _pick_outcome(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= first).astype(np.intp) + (r >= second) + (r >= third)
 
 
-def _positive(weight: np.ndarray) -> np.ndarray:
-    """The chosen branch weights, which successor states are divided by.
-
-    Raises rather than return a weight that is not positive.
-    """
-    if not np.all(weight > 0.0):
+def _positive(weight: np.ndarray) -> None:
+    """Raise unless every chosen branch weight, which a successor state
+    is divided by, is positive."""
+    if not (weight > 0.0).all():
         raise DegenerateParameterError("sampled an outcome of zero probability")
-    return weight
 
 
 def _advance(
@@ -743,13 +744,14 @@ def _sample_chunk(
     the cap stay pending.  ``log_miss`` is ln(1 - p_click), -inf when
     every window heralds, which makes every wait one window.
 
-    Only states that are read are advanced.  Every trial starts in |++>,
-    so depth 0 reads the branch weights off that one column and advances
-    it once per distinct picked outcome.  From depth 1 a history is
-    classified from its outcomes alone, so a trial that fails there is
-    not advanced, nor is one left pending at the cap; a success is, for
-    its fidelity.  The weight of every picked outcome is checked, the
-    failing trials' included.
+    A trial's state is a function of its outcome history alone, so the
+    chunk keeps one column per distinct live history (``table``) and each
+    trial the index of its column (``node``); depth 0 is the column |++>.
+    Weights are computed per column and checked per trial, a failing
+    trial's too.  Each successor key ``4 node + k`` that is read is
+    advanced once: a trial's that did not fail, and at the cap only a
+    success's, for its fidelity.  Every step is elementwise per column,
+    so the bits are those of advancing each trial alone.
     """
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
@@ -757,53 +759,46 @@ def _sample_chunk(
     status = np.full(n, Status.PENDING.value, dtype=np.int8)
     fidelity = np.full(n, np.nan)
     live = np.arange(n)
-    states = _PLUS_COMPACT[:, None]
     windows = np.zeros(n, dtype=np.int64)
-    first = balance = None
+    table = _PLUS_COMPACT[:, None]
+    node, balance = np.zeros((2, n), dtype=np.intp)
     for depth in range(cap):
         wait = _uniforms(streams, 2 * depth)
         windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
-        probs = _branch_probabilities(states, scale)
-        outcome = _pick_outcome(probs, _uniforms(streams, 2 * depth + 1))
+        probs = _branch_probabilities(table, scale)
+        outcome = _pick_outcome(probs[:, node], _uniforms(streams, 2 * depth + 1))
+        _positive(probs[outcome, node])
         parity = (outcome ^ (outcome >> 1)) & 1
-        # +1 for j = 0 and -1 for j = 1: the two signatures of one parity
-        step = 1 - 2 * (outcome & 1)
         if depth == 0:
-            picked, column = np.unique(outcome, return_inverse=True)
-            weight = _positive(probs[picked, 0])
-            states = _advance(states, picked, weight, scale, twist)[:, column]
-            first, balance = parity, step
-            continue
-        weight = _positive(probs[outcome, np.arange(len(outcome))])
-        balance += step
+            first = parity
+        # +1 for j = 0 and -1 for j = 1: the two signatures of one parity
+        balance += 1 - 2 * (outcome & 1)
         failed = parity != first
         succeeded = ~failed & (balance == 0)
+        last = depth + 1 == cap
+        key = node * 4 + outcome
+        counts = np.bincount(key[succeeded if last else ~failed])
+        need = counts.nonzero()[0]
+        parent, picked = need >> 2, need & 3
+        table = _advance(table[:, parent], picked, probs[picked, parent], scale, twist)
+        column = np.empty(len(counts), dtype=np.intp)
+        column[need] = np.arange(len(need))
         status[live[failed]] = Status.FAILURE.value
-        won = live[succeeded]
-        status[won] = 1 + first[succeeded]
-        kept = _advance(
-            states[:, succeeded], outcome[succeeded], weight[succeeded], scale, twist
-        )
-        # clipped to [0, 1] as ``fidelity`` clips it: roundoff can carry a
-        # perfect pair one ulp past 1
-        fidelity[won] = np.clip(
-            np.where(
-                first[succeeded] == 0,
-                0.5 * (kept[1] + kept[2]) + kept[4],
-                0.5 * (kept[0] + kept[3]) + kept[6],
-            ),
-            0.0,
-            1.0,
-        )
+        if succeeded.any():
+            won, won_first = live[succeeded], first[succeeded]
+            status[won] = 1 + won_first
+            # each column's overlap with the even and odd targets, clipped as
+            # ``fidelity`` clips it: roundoff can carry a perfect pair past 1
+            overlap = 0.5 * (table[[1, 0]] + table[[2, 3]]) + table[[4, 6]]
+            fidelity[won] = np.clip(overlap[won_first, column[key[succeeded]]], 0.0, 1.0)
         done = failed | succeeded
         iterates[live[done]] = depth + 1
         attempts[live[done]] = windows[done]
         keep = ~done
         live, streams, windows = live[keep], streams[keep], windows[keep]
-        first, balance = first[keep], balance[keep]
-        if not len(live) or depth + 1 == cap:
+        if not len(live) or last:
             break
-        states = _advance(states[:, keep], outcome[keep], weight[keep], scale, twist)
+        first, balance, node = first[keep], balance[keep], column[key[keep]]
     attempts[live] = windows
     return attempts, iterates, status, fidelity
 

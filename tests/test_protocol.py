@@ -1052,19 +1052,26 @@ def test_counter_stream_known_answers():
             assert np.all((u >= 0.0) & (u < 1.0))
 
 
+CERTAIN_CLICK = ApparatusParams(t1=1.0, t2=1.0)
+
+
 @pytest.mark.parametrize(
-    "config, params",
+    "config, params, sin_sq",
     [
-        (StrategyConfig.two_iterates_only(rng_seed=17), UNBALANCED),
-        (StrategyConfig.loop(10, rng_seed=17), UNBALANCED),
+        (StrategyConfig.two_iterates_only(rng_seed=17), UNBALANCED, 0.4),
+        (StrategyConfig.loop(10, rng_seed=17), UNBALANCED, 0.4),
         # survivors of the last depth are never advanced
-        (StrategyConfig.loop(3, rng_seed=17), UNBALANCED),
-        (StrategyConfig.loop(10, rng_seed=17), BALANCED),
+        (StrategyConfig.loop(3, rng_seed=17), UNBALANCED, 0.4),
+        (StrategyConfig.loop(10, rng_seed=17), BALANCED, 0.4),
+        # long runs: many distinct histories live at once, some to the cap
+        (StrategyConfig.loop(64, rng_seed=17), UNBALANCED, 0.1),
+        # three of four branch weights are exactly zero after depth 0
+        (StrategyConfig.loop(6, rng_seed=17), CERTAIN_CLICK, 1.0),
     ],
-    ids=["two_iterates", "loop", "loop_cap3", "loop_balanced"],
+    ids=["two_iterates", "loop", "loop_cap3", "loop_balanced", "loop_cap64", "certain_click"],
 )
-def test_vectorised_sampler_matches_scalar_reference(config, params):
-    theta = ExcitationAngle.from_sin_sq(0.4)
+def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
+    theta = ExcitationAngle.from_sin_sq(sin_sq)
     chunk = protocol._CHUNK_TRIALS
     start, n = chunk - 37, chunk + 100  # two chunks, off the chunk grid
     stats = run_trajectories(config, params, theta, n, trial_start=start)
@@ -1076,10 +1083,62 @@ def test_vectorised_sampler_matches_scalar_reference(config, params):
         np.testing.assert_array_equal(column, expected)
     for name in ("attempts", "iterates", "status", "fidelity"):
         np.testing.assert_array_equal(getattr(stats, name), getattr(whole, name)[start:])
-    assert set(stats.status.tolist()) == {s.value for s in Status}
+    if params is CERTAIN_CLICK:
+        assert np.all(stats.status == Status.PENDING.value)
+    else:
+        assert set(stats.status.tolist()) == {s.value for s in Status}
     if params is BALANCED:
         success = np.isin(stats.status, [s.value for s in Status if s.is_success])
         assert np.all(stats.fidelity[success] == 1.0)
+
+
+@pytest.mark.parametrize(
+    "config, params",
+    [
+        (StrategyConfig.two_iterates_only(rng_seed=23), UNBALANCED),
+        (StrategyConfig.loop(12, rng_seed=23), UNBALANCED),
+        (StrategyConfig.loop(12, rng_seed=23), BALANCED),
+    ],
+    ids=["two_iterates", "loop_cap12", "loop_balanced"],
+)
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_sampled_columns_do_not_depend_on_the_chunk_size(config, params, chunk, monkeypatch):
+    # trials of one chunk share its table of distinct histories, so a
+    # chunk of one trial and a chunk that holds every trial must agree
+    theta = ExcitationAngle.from_sin_sq(0.2)
+    default = run_trajectories(config, params, theta, 300, trial_start=11)
+    monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
+    stats = run_trajectories(config, params, theta, 300, trial_start=11)
+    for name in ("trial", "attempts", "iterates", "status", "fidelity"):
+        np.testing.assert_array_equal(getattr(stats, name), getattr(default, name))
+
+
+@pytest.mark.parametrize("cap", [2, 12])
+def test_sampler_advances_one_column_per_distinct_history(cap, monkeypatch):
+    # a pending history of depth d + 1 that has not failed is its first
+    # outcome and then d outcomes of that parity: at most 4 * 2^d of them,
+    # and never more than the trials still live, whatever their number
+    draws, calls = [], []
+    uniforms, advance = protocol._uniforms, protocol._advance
+
+    def spy_uniforms(streams, draw):
+        draws.append((draw // 2, len(streams)))
+        return uniforms(streams, draw)
+
+    def spy_advance(states, outcome, weight, scale, twist):
+        depth, live = draws[-1]
+        calls.append((depth, live, states.shape[1]))
+        return advance(states, outcome, weight, scale, twist)
+
+    monkeypatch.setattr(protocol, "_uniforms", spy_uniforms)
+    monkeypatch.setattr(protocol, "_advance", spy_advance)
+    params, theta = ApparatusParams(t1=0.01, t2=0.01), ExcitationAngle.from_sin_sq(0.2)
+    run_trajectories(StrategyConfig.loop(cap, rng_seed=101), params, theta, 10_000)
+    assert calls and max(depth for depth, _, _ in calls) == cap - 1
+    for depth, live, columns in calls:
+        assert columns <= min(live, 4 * 2**depth), (depth, live, columns)
+        if cap == 2:
+            assert columns <= 4
 
 
 def test_sampled_success_fidelity_never_exceeds_one():
