@@ -10,7 +10,7 @@ grid to the exact engine's per-point trees and to the circuit route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -58,8 +58,9 @@ def _check_tau(tau: float) -> None:
     """Raise unless ``tau`` is a window length whose rates stay finite.
 
     A Bell-pair rate, the reference rate and a sampled rate are each at
-    most one event per window, 1/tau, so they are finite wherever 1/tau
-    is.  Below about 5.6e-309 it is not, and a rate could overflow to inf.
+    most one event per window, computed per window and divided by tau
+    last, so they are finite wherever 1/tau is.  Below about 5.6e-309 it
+    is not, and a rate could overflow to inf.
     """
     if not (tau > 0.0 and math.isfinite(tau)):
         raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
@@ -70,12 +71,12 @@ def _check_tau(tau: float) -> None:
 
 
 def _rate_bell_form(t, c2, s, tau):
-    """T cos^2(2 phi) s (1 - s)^2 / ((2 - T s cos^2(2 phi)) tau), elementwise.
+    """T cos^2(2 phi) s (1 - s)^2 / (2 - T s cos^2(2 phi)) / tau, elementwise.
 
     ``t`` is the mean transmission, ``c2`` = cos^2(2 phi) and ``s`` =
     sin^2(theta); floats or broadcastable arrays.
     """
-    return t * c2 * s * _sq(1.0 - s) / ((2.0 - t * s * c2) * tau)
+    return t * c2 * s * _sq(1.0 - s) / (2.0 - t * s * c2) / tau
 
 
 def rate_bell(params: ApparatusParams, theta) -> float:
@@ -98,7 +99,7 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     if not np.all((0.0 <= transmission) & (transmission <= 1.0)):
         raise DegenerateParameterError(f"transmission must lie in [0, 1], got {transmission}")
     _check_tau(tau)
-    return _sq(transmission) / (2.0 * tau)
+    return _sq(transmission) / 2.0 / tau
 
 
 def crossover_transmission() -> float:
@@ -189,9 +190,10 @@ def optimize_theta(
     is rejected rather than returning an arbitrary angle.  The Bell
     objective is the one-point case of ``optimize_bell_rate``.  The chain
     objective is ``chain_growth_rate`` with the given ``k_max``, searched
-    on the interior of [0, pi/2].  Its loop success probability 1 - R
-    never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the chain
-    shrinks at every angle, and that link is rejected too.
+    per window (at tau = 1, so no ``tau`` rounds it) on the interior of
+    [0, pi/2] and then taken at ``tau``.  Its loop success probability
+    1 - R never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the
+    chain shrinks at every angle, and that link is rejected too.
     """
     if objective is Objective.BELL_RATE:
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
@@ -205,11 +207,11 @@ def optimize_theta(
             f"got |t1 - t2| / (t1 + t2) = {abs(params.sin_two_phi)!r}"
         )
 
-    def f(theta: float) -> float:
-        return chain_growth_rate(params, theta, k_max=k_max).growth_rate
+    def f(theta: float, link: ApparatusParams = replace(params, tau=1.0)) -> float:
+        return chain_growth_rate(link, theta, k_max=k_max).growth_rate
 
     theta = golden_section_max(f, 0.0, math.pi / 2.0)
-    return RateResult(rate=f(theta), optimal_theta=theta)
+    return RateResult(rate=f(theta, params), optimal_theta=theta)
 
 
 def optimize_bell_rate(t1, t2, tau: float = 1.0):
@@ -421,7 +423,7 @@ def chain_growth_rate(
         tail_bound = 0.0
     else:
         p_loop, p_fail, mean_iterates, tail_bound = _run_length_series(params, eta, k_max)
-    growth = (3.0 * p_loop - 1.0) * pc / (mean_iterates * params.tau)
+    growth = (3.0 * p_loop - 1.0) * pc / mean_iterates / params.tau
     if not math.isfinite(growth):
         raise DegenerateParameterError(
             f"growth rate overflows at tau={params.tau!r}: raise tau"

@@ -146,10 +146,7 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--points 1 needs --t-min equal to --t-max")
     if not args.tau > 0.0:
         parser.error("--tau must be positive")
-    if args.points == 1:
-        grid = np.array([args.t_min])
-    else:
-        grid = np.geomspace(args.t_min, args.t_max, args.points)
+    grid = np.geomspace(args.t_min, args.t_max, args.points)
     theta, rate = optimize_bell_rate(grid, grid, args.tau)
     reference = two_photon_reference_rate(grid, args.tau)
     if not np.all(reference > 0.0):
@@ -276,15 +273,15 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# Largest --max-iterates: the exact cross-check holds O(cap^2) class
-# matrices where its walk cannot stop early, about 250 MB and 2 s at
-# 256 (t = 0.5, sin^2 theta = 1e-3).
+# Largest --max-iterates: the exact cross-check's tree has O(cap^2) leaves
+# where its walk cannot stop early, ~160 MiB RSS and ~1.5 s at 256
+# (t = 0.5, sin^2 theta = 1e-3; 2-vCPU Xeon VM, resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
 # ~447 MiB RSS and takes 6.5-7.6 s on a 2-vCPU Xeon VM (resource.getrusage),
-# plus the exact tree's ~250 MB at the largest cap.  Its ~300 MB CSV is
+# plus the exact tree's ~120 MiB at the largest cap.  Its ~300 MB CSV is
 # written and hashed in blocks.
 SIMULATE_TRIALS_LIMIT = 10_000_000
 
@@ -323,9 +320,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     params = _params_from_flags(parser, args)
     _check_tau(params.tau)
     if params.p_dark != 0.0:
-        parser.error(
-            "trajectory sampling models the dark-free link; set p_dark to 0"
-        )
+        parser.error("trajectory sampling models the dark-free link; set p_dark to 0")
     # the two-iterate strategy is the loop capped at two
     loop = args.strategy == "loop"
     max_iterates = args.max_iterates
@@ -375,11 +370,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     pair = heralded_state(params, theta)
     tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, config)
     mean_iterates = sum(l.probability * l.iterates for l in tree.leaves)
-    analytic_rate = (
-        tree.success_probability
-        * p_click(params, theta)
-        / (mean_iterates * params.tau)
-    )
+    analytic_rate = tree.success_probability * p_click(params, theta) / mean_iterates / params.tau
     summary = stats.summary()
     print(f"wrote {csv_path} ({stats.n_trials} rows)")
     print(f"strategy = {args.strategy} (max_iterates = {max_iterates})")

@@ -192,9 +192,9 @@ def _outcome_masks(pair: HeraldedPair | DensityMatrix | np.ndarray) -> np.ndarra
     masks = brokers[..., _MASK_INDEX[:, :, None], _MASK_INDEX[:, None, :]]
     diagonal_sum = masks.diagonal(axis1=-2, axis2=-1).sum(axis=-2)
     defect = float(np.max(np.abs(diagonal_sum - 1.0)))
-    if defect > PROBABILITY_SUM_ATOL:
+    if not (defect <= PROBABILITY_SUM_ATOL and np.isfinite(masks).all()):
         raise DegenerateParameterError(
-            f"outcome masks do not sum to one on the diagonal: defect {defect:.3e}"
+            f"outcome masks must be finite and sum to one on the diagonal: defect {defect:.3e}"
         )
     return masks
 
@@ -365,15 +365,16 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     matrix of its histories, whose trace is its mass; the masks act
     entrywise, so one product moves a whole class.  Outcome ``j`` moves it
     to ``b + 1``, the partner to ``b - 1`` (success at 0), and the other
-    parity (``_FAILING[j]``) fails it.  Returns, for depths 2 to ``cap``,
-    the success classes ``(..., j)`` and the failure classes ``(..., j,
-    b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``;
-    then the classes pending at the cap ``(..., j, b - 1)`` and the pruned
-    mass ``(...)``.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is
-    zeroed where it is reached and its mass pruned.  The walk stops at
-    the first depth that leaves no class pending in any stack member,
-    so the lists may end before ``cap``, with every pending class zero;
-    the depths it skips would add only zeros.  Raises unless the kept and the pruned mass sum to one.
+    parity (``_FAILING[j]``) fails it.  Yields, for each depth from 2 to
+    ``cap``, the success classes ``(..., j)``, the failure classes ``(...,
+    j, b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``,
+    the classes still pending ``(..., j, b - 1)`` and the mass pruned so
+    far ``(...)``, and keeps no depth it has yielded.  A class lighter
+    than ``BRANCH_PRUNE_EPSILON`` is zeroed where it is reached and its
+    mass pruned.  The walk stops after the first depth that leaves no
+    class pending in any stack member, so it may end before ``cap``; the
+    depths it skips would add only zeros.  Once exhausted, it raises
+    unless the kept and the pruned mass sum to one.
     """
     batch = masks.ndim - 3
     grow = masks[..., :, None, :, :]
@@ -382,7 +383,6 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     pending = grow * rho
     pruned, waiting = _drop_light(pending, batch)
     settled = np.zeros_like(pruned)
-    successes, failures = [], []
     for depth in range(2, cap + 1):
         lost = pending[..., None, :, :] * fail
         closed = pending * close
@@ -390,23 +390,22 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
         pending = np.zeros(grown.shape[:-3] + (depth,) + grown.shape[-2:], dtype=grown.dtype)
         pending[..., 1:, :, :] = grown
         pending[..., : depth - 2, :, :] += closed[..., 1:, :, :]
-        successes.append(closed[..., 0, :, :])
-        failures.append(lost)
-        for classes in (successes[-1], lost):
+        won = closed[..., 0, :, :]
+        for classes in (won, lost):
             dropped, kept = _drop_light(classes, batch)
             pruned, settled = pruned + dropped, settled + kept
         dropped, waiting = _drop_light(pending, batch)
         pruned = pruned + dropped
+        yield won, lost, pending, pruned
         # a kept class weighs at least the pruning epsilon, so no waiting
         # mass means every class is zero and no later depth adds anything
         if not waiting.any():
             break
     defect = float(np.max(np.abs(settled + waiting + pruned - 1.0)))
-    if defect > PROBABILITY_SUM_ATOL:
+    if not defect <= PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(
             f"strategy tree lost probability mass: defect {defect:.3e}"
         )
-    return successes, failures, pending, pruned
 
 
 def _representative(j: int, length: int, balance: int) -> tuple[IterateOutcome, ...]:
@@ -433,17 +432,17 @@ def run_strategy_exact(
 
     Walks the classes (``_walk``) under the outcome masks gathered from
     the broker (``_outcome_masks``) and makes each success, failure and
-    cap-pending class one ``Leaf``.  Classes lighter than the pruning
-    epsilon are dropped into ``pruned_probability``, and the walk checks
-    that probability is conserved.
+    cap-pending class one ``Leaf`` as its depth arrives.  Classes lighter
+    than the pruning epsilon are dropped into ``pruned_probability``, and
+    the walk checks that probability is conserved.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
     initial = clients.normalized()
     cap, labels = config.max_iterates, initial.labels
-    successes, failures, pending, pruned = _walk(_outcome_masks(pair), initial.elements, cap)
     leaves = []
-    for depth, (won, lost) in enumerate(zip(successes, failures), start=2):
+    walk = _walk(_outcome_masks(pair), initial.elements, cap)
+    for depth, (won, lost, pending, pruned) in enumerate(walk, start=2):
         for (j,), state, p in _kept(won, labels):
             status = Status(1 + OUTCOMES[j].parity)
             leaves.append(Leaf(_representative(j, depth, 0), state, status, p))
@@ -472,9 +471,9 @@ def _two_iterate_success(
     initial = clients.normalized()
     rho = initial.elements
     purity = float(np.vdot(rho, rho).real)
-    if abs(purity - 1.0) > RANK_ONE_RTOL:
+    if not abs(purity - 1.0) <= RANK_ONE_RTOL:
         raise DegenerateParameterError(f"the overlap needs pure clients, purity {purity:.6g}")
-    (won,), _, _, _ = _walk(masks, rho, 2)
+    ((won, _, _, _),) = _walk(masks, rho, 2)
     targets = np.stack([_parity_projection(initial, o.parity).elements.conj() for o in OUTCOMES])
     mass = np.trace(won, axis1=-2, axis2=-1).real
     overlap = np.sum(targets * won, axis=(-2, -1)).real
@@ -571,14 +570,14 @@ class SampleStats:
         success = (self.status == even) | (self.status == odd)
         p_hat = successes / n if n else float("nan")
         total_attempts = int(np.sum(self.attempts))
-        time = float(total_attempts) * self.tau
-        rate = successes / time if time > 0 else float("nan")
-        if time > 0 and n > 1:
-            resid = rate * self.attempts
-            resid *= self.tau
+        # per window, divided by tau last: time may overflow to inf
+        per_window = successes / total_attempts if total_attempts else float("nan")
+        rate = per_window / self.tau
+        if total_attempts and n > 1:
+            resid = per_window * self.attempts
             np.subtract(success, resid, out=resid)
             np.square(resid, out=resid)
-            rate_se = float(np.sqrt(np.sum(resid))) / time
+            rate_se = float(np.sqrt(np.sum(resid))) / total_attempts / self.tau
             del resid
         else:
             rate_se = float("nan")
@@ -594,7 +593,7 @@ class SampleStats:
             "success_rate": p_hat,
             "success_rate_se": math.sqrt(p_hat * (1.0 - p_hat) / n) if n else float("nan"),
             "total_attempts": total_attempts,
-            "simulated_time": time,
+            "simulated_time": float(total_attempts) * self.tau,
             "bell_rate": rate,
             "bell_rate_se": rate_se,
             "mean_success_fidelity": mean_fidelity,
@@ -821,13 +820,20 @@ def run_trajectories(
     ``STREAM_VERSION``, so results are reproducible bit for bit and
     independent of how a trial range is split into batches.  Trials are
     evolved together in fixed chunks, and the chunking cannot change a
-    result either.
+    result either.  Trial indices lie in [0, 2**63), and the sampled link
+    is dark-free: a nonzero ``params.p_dark`` raises.
     """
     n_trials, trial_start = operator.index(n_trials), operator.index(trial_start)
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    if trial_start < 0:
-        raise ValueError("trial_start must be nonnegative")
+    if not 0 <= trial_start <= 2**63 - n_trials:
+        raise ValueError(
+            f"trials {trial_start} .. {trial_start + n_trials - 1} leave the range [0, 2**63)"
+        )
+    if params.p_dark != 0.0:
+        raise DegenerateParameterError(
+            "trajectory sampling models the dark-free link; set p_dark to 0"
+        )
     pair = heralded_state(params, theta)
     pc = p_click(params, theta)
     if pc < TRACE_EPSILON:

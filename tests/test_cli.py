@@ -204,7 +204,7 @@ def test_rates_csv_is_byte_equal_to_the_repr_formatter(tmp_path, capsys):
     written = (tmp_path / "rates.csv").read_bytes()
     assert written == rates_csv_by_repr(1e-12, 1.0, 300, 1e-17)
     fields = [f for row in written.splitlines()[1:] for f in row.split(b",")[:5]]
-    assert {b"1e-12", b"5e+16", b"9016994374947424.0"} <= set(fields)
+    assert {b"1e-12", b"5e+16", b"9016994374947422.0"} <= set(fields)
     assert any(f.startswith(b"0.000") for f in fields) and any(b"e-05" in f for f in fields)
 
 
@@ -389,6 +389,38 @@ def test_overflowing_rates_exit_3(argv, tau, tmp_path, capsys):
     assert main(argv + ["--tau", tau, "--outdir", str(tmp_path)]) == 3
     assert_one_error_line(capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+def _run_at_tau(argv, tau, tmp_path, capsys) -> str:
+    out = tmp_path / tau
+    assert main(argv + ["--tau", tau, "--outdir", str(out)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tau", ["1e306", "1e308", "1.7976931348623157e308"])
+def test_huge_tau_gives_each_rate_per_window_over_tau(tau, tmp_path, capsys):
+    # each rate is computed per window and divided by tau last, where a
+    # product with tau once overflowed: rates read 0 or the command exited 3
+    big = float(tau)
+    rates = {}
+    for t in ("1", tau):
+        _run_at_tau(["rates", "--points", "3"], t, tmp_path, capsys)
+        rates[t] = [list(map(float, row[:4])) for row in read_csv(tmp_path / t / "rates.csv")[1]]
+    for (t, theta, ours, ref), row in zip(rates["1"], rates[tau]):
+        assert row == [t, theta, ours / big, ref / big] and min(row) > 0.0
+
+    one, huge = (parse_report(_run_at_tau(["chain"], t, tmp_path, capsys)) for t in ("1", tau))
+    assert huge["theta_opt"] == one["theta_opt"]  # the angle search runs per window
+    assert huge["growth_rate"] == one["growth_rate"] / big > 0.0
+
+    pattern = r"bell_rate = (\S+) \(se (\S+), exact (\S+)\)"
+    argv = ["simulate", "--t", "0.01", "--trials", "2000"]
+    one, huge = (_run_at_tau(argv, t, tmp_path, capsys) for t in ("1", tau))
+    rate, se, exact = map(float, re.search(pattern, one).groups())
+    rate_big, se_big, exact_big = map(float, re.search(pattern, huge).groups())
+    assert rate_big == rate / big and exact_big == exact / big
+    assert abs(rate_big - exact_big) < 5.0 * se_big
+    assert parse_report(huge)["simulated_time"] == parse_report(one)["total_attempts"] * big
 
 
 def test_chain_csv_round_trips_exact_values(tmp_path, capsys):
@@ -796,7 +828,10 @@ def _count(low: int, high: int, bad: list[str]):
 
 
 _TAU = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "5e-324", "1.3e-320"]),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "-1", "0", "5e-324", "1.3e-320"]
+        + ["1e306", "1e308", "1.7976931348623157e308"]
+    ),
     st.floats(1e-300, 1e300).map(repr),
     st.floats(0.1, 10.0).map(repr),
 )

@@ -604,8 +604,8 @@ def walk_peak(masks: np.ndarray, cap: int) -> tuple[int, int]:
     """Depths ``_walk`` steps through to ``cap``, and its ``tracemalloc`` peak."""
     tracemalloc.start()
     try:
-        successes, _, _, _ = protocol._walk(masks, plus_state(CLIENT_LABELS).elements, cap)
-        return len(successes), tracemalloc.get_traced_memory()[1]
+        depths = list(protocol._walk(masks, plus_state(CLIENT_LABELS).elements, cap))
+        return len(depths), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -635,6 +635,22 @@ def test_walk_stops_once_nothing_is_pending():
     long_depths, long_peak = walk_peak(masks, 400)
     assert long_depths == short_depths < 199
     assert long_peak <= 1.25 * short_peak, (long_peak, short_peak)
+
+
+def test_walk_streams_its_depths():
+    # nothing is pruned early on this link, so the walk runs to the cap;
+    # read depth by depth it holds O(cap) classes (~2.4 MiB at cap 256),
+    # where a walk that kept every depth held O(cap^2) (~97 MiB)
+    pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), ExcitationAngle.from_sin_sq(1e-3))
+    masks = protocol._outcome_masks(pair)
+    tracemalloc.start()
+    try:
+        depths = sum(1 for _ in protocol._walk(masks, plus_state(CLIENT_LABELS).elements, 256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert depths == 255
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("kind", ["pair", "dark", "general"])
@@ -741,13 +757,12 @@ def test_stacked_walk_equals_its_flattened_form():
     assert p_grid.shape == fid_grid.shape == (3, 4)
     np.testing.assert_array_equal(p_grid.reshape(-1), p_flat)
     np.testing.assert_array_equal(fid_grid.reshape(-1), fid_flat)
-    flat = protocol._walk(masks, clients.elements, 6)
-    stacked = protocol._walk(grid, clients.elements, 6)
-    for a, b in zip(flat[:2], stacked[:2]):
+    flat = list(protocol._walk(masks, clients.elements, 6))
+    stacked = list(protocol._walk(grid, clients.elements, 6))
+    assert len(flat) == len(stacked)
+    for a, b in zip(flat, stacked):
         for x, y in zip(a, b):
             np.testing.assert_array_equal(y.reshape(x.shape), x)
-    for x, y in zip(flat[2:], stacked[2:]):
-        np.testing.assert_array_equal(y.reshape(x.shape), x)
 
 
 def test_two_iterate_closed_form_is_nan_without_success_mass():
@@ -768,6 +783,35 @@ def test_two_iterate_closed_form_checks_mass_and_purity():
     masks[2] /= 1.0 + 1e-9
     with pytest.raises(DegenerateParameterError, match="pure clients"):
         protocol._two_iterate_success(masks, random_mixed_clients(RNG(41)))
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (1, 2)], ids=["diagonal", "coherence"])
+def test_nan_brokers_raise(entry):
+    # NaN fails every comparison with a tolerance: a NaN diagonal entry once
+    # gave a tree with no leaves and no mass, a NaN coherence a NaN fidelity
+    # beside finite masses
+    elements = HeraldedPair(eta=0.2, phi=0.1, delta=0.3).expand().elements.copy()
+    elements[entry] = np.nan
+    broker = DensityMatrix(elements, ("B1", "B2"), validate=False)
+    clients = plus_state(CLIENT_LABELS)
+    with pytest.raises(DegenerateParameterError, match="masks must be finite"):
+        run_strategy_exact(clients, broker, StrategyConfig.loop(4))
+    with pytest.raises(DegenerateParameterError, match="masks must be finite"):
+        protocol._two_iterate_success(protocol._outcome_masks(elements[None]), clients)
+
+
+def test_walk_and_overlap_checks_reject_nan():
+    clients = plus_state(CLIENT_LABELS)
+    masks = protocol._outcome_masks(HeraldedPair(eta=0.2, phi=0.1, delta=0.3))[None]
+    bad = masks.copy()
+    bad[0, 0, 1, 1] = np.nan
+    with pytest.raises(DegenerateParameterError, match="lost probability mass"):
+        list(protocol._walk(bad, clients.elements, 4))
+    rho = clients.elements.copy()
+    rho[1, 2] = np.nan
+    unchecked = DensityMatrix(rho, CLIENT_LABELS, validate=False)
+    with pytest.raises(DegenerateParameterError, match="pure clients"):
+        protocol._two_iterate_success(masks, unchecked)
 
 
 def test_fully_contaminated_tree_never_classifies():
@@ -883,6 +927,26 @@ def test_trajectory_input_validation():
 
     with pytest.raises(DegenerateParameterError):
         run_trajectories(cfg, params, ExcitationAngle(0.0), 10)
+
+
+def test_trajectory_indices_stay_below_two_to_the_63():
+    # np.arange of int64 trial indices once wrapped past 2**63 - 1
+    params = ApparatusParams(t1=0.5, t2=0.5)
+    theta = ExcitationAngle.from_sin_sq(0.3)
+    cfg = StrategyConfig.two_iterates_only(rng_seed=1)
+    for start in (2**63 - 2, 2**63):
+        with pytest.raises(ValueError, match=r"leave the range \[0, 2\*\*63\)"):
+            run_trajectories(cfg, params, theta, 4, trial_start=start)
+    last = run_trajectories(cfg, params, theta, 4, trial_start=2**63 - 4)
+    assert last.trial.tolist() == list(range(2**63 - 4, 2**63))
+
+
+def test_trajectories_reject_dark_counts():
+    # the sampler models the dark-free link; it once sampled that link and
+    # recorded the dark-count probability it was given
+    params = ApparatusParams(t1=0.1, t2=0.1, p_dark=0.2)
+    with pytest.raises(DegenerateParameterError, match="dark-free"):
+        run_trajectories(StrategyConfig(2, 7), params, 0.6, 4)
 
 
 @pytest.mark.parametrize("count", ["n_trials", "trial_start"])
