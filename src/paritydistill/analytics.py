@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -125,22 +125,28 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class RateResult:
-    """Optimized rate with the angle achieving it."""
+    """Optimized rate with the angle achieving it.
+
+    ``chain`` is the CHAIN_RATE objective's ``ChainGrowthResult`` at
+    that angle, whose growth rate is ``rate``; None for BELL_RATE.
+    """
 
     rate: float
     optimal_theta: float
+    chain: ChainGrowthResult | None = None
 
     @property
     def sin_sq_theta(self) -> float:
         return math.sin(self.optimal_theta) ** 2
 
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+def golden_section_max(f: Callable[[float], Any], lo: float, hi: float) -> float:
     """Derivative-free maximizer for a unimodal objective on [lo, hi].
 
-    Each step keeps [lo, d] where f(c) >= f(d), else [c, hi], reuses the
-    kept inner point and evaluates one new one.  Returns the midpoint of
-    the bracket once it is no wider than ``GOLDEN_SECTION_TOL``.
+    The objective's values need only be compared with ``>=``.  Each step
+    keeps [lo, d] where f(c) >= f(d), else [c, hi], reuses the kept inner
+    point and its value and evaluates one new one.  Returns the midpoint
+    of the bracket once it is no wider than ``GOLDEN_SECTION_TOL``.
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
@@ -191,9 +197,22 @@ def optimize_theta(
     objective is the one-point case of ``optimize_bell_rate``.  The chain
     objective is ``chain_growth_rate`` with the given ``k_max``, searched
     per window (at tau = 1, so no ``tau`` rounds it) on the interior of
-    [0, pi/2] and then taken at ``tau``.  Its loop success probability
-    1 - R never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the
-    chain shrinks at every angle, and that link is rejected too.
+    [0, pi/2]; the result at the angle found is computed once, per
+    window, and divided by ``tau``.  Its loop success probability 1 - R
+    never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the chain
+    shrinks at every angle, and that link is rejected too.
+
+    With ``k_max`` = K set, the search compares two angles by the closed
+    form wherever their closed-form rates differ by more than the sum of
+    ``_series_gap_bound`` at each, and sums the series only where that
+    cannot decide (``_SeriesGrowth``).  The bound on |series - closed
+    form| is derived, not fitted: a truncation of at most rho^(K-1) in
+    p_loop and rho^(K-1) (K + 1/(1 - rho)) in <I>, rho = max(eta, 1 -
+    eta), plus a relative rounding of g_(5K+6) = n u / (1 - n u) on the
+    series' nonnegative sums and a few ulps on the closed form, carried
+    through (3 p_loop - 1) p_click / <I> and doubled.  So the search
+    finds the angle, and its rate, that the search on the series alone
+    finds, bit for bit.
     """
     if objective is Objective.BELL_RATE:
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
@@ -206,12 +225,19 @@ def optimize_theta(
             f"chain growth is negative at every angle when |sin 2phi| >= 2/3, "
             f"got |t1 - t2| / (t1 + t2) = {abs(params.sin_two_phi)!r}"
         )
-
-    def f(theta: float, link: ApparatusParams = replace(params, tau=1.0)) -> float:
-        return chain_growth_rate(link, theta, k_max=k_max).growth_rate
-
-    theta = golden_section_max(f, 0.0, math.pi / 2.0)
-    return RateResult(rate=f(theta, params), optimal_theta=theta)
+    link = replace(params, tau=1.0)
+    if k_max is None:
+        theta = golden_section_max(
+            lambda th: chain_growth_rate(link, th).growth_rate, 0.0, math.pi / 2.0
+        )
+    else:
+        _check_series(link, k_max)
+        theta = golden_section_max(
+            lambda th: _SeriesGrowth(link, th, k_max), 0.0, math.pi / 2.0
+        )
+    chain = chain_growth_rate(link, theta, k_max=k_max)
+    chain = replace(chain, growth_rate=_per_tau(chain.growth_rate, params.tau))
+    return RateResult(rate=chain.growth_rate, optimal_theta=theta, chain=chain)
 
 
 def optimize_bell_rate(t1, t2, tau: float = 1.0):
@@ -357,6 +383,25 @@ class ChainGrowthResult:
         return self.tail_bound <= SERIES_TAIL_TOL
 
 
+def _check_series(params: ApparatusParams, k_max: int) -> None:
+    """Raise unless the run-length series can be summed to ``k_max`` on the link."""
+    if k_max < 4:
+        raise ValueError("k_max below 4 cannot resolve the series")
+    if params.sin_two_phi != 0.0:
+        raise DegenerateParameterError(
+            "the truncated run-length series (k_max) needs t1 == t2; "
+            "leave k_max unset for the exact sums on any link"
+        )
+
+
+def _per_tau(growth: float, tau: float) -> float:
+    """A per-window growth rate over ``tau``; raises where that overflows."""
+    growth /= tau
+    if not math.isfinite(growth):
+        raise DegenerateParameterError(f"growth rate overflows at tau={tau!r}: raise tau")
+    return growth
+
+
 def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
     """(p_loop, p_fail, mean_iterates, tail_bound) summed to ``k_max``.
 
@@ -364,11 +409,6 @@ def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
     balanced link; the neglected mass is bounded by two extra terms and
     a geometric envelope.
     """
-    if params.sin_two_phi != 0.0:
-        raise DegenerateParameterError(
-            "the truncated run-length series (k_max) needs t1 == t2; "
-            "leave k_max unset for the exact sums on any link"
-        )
     ps, pf = loop_interval_probabilities(eta, k_max + 2)
     ks = np.arange(k_max + 3)
     p_loop = float(ps[: k_max + 1].sum())
@@ -405,8 +445,8 @@ def chain_growth_rate(
     ``tail_bound`` and ``converged``.  A growth rate that overflows
     raises.
     """
-    if k_max is not None and k_max < 4:
-        raise ValueError("k_max below 4 cannot resolve the series")
+    if k_max is not None:
+        _check_series(params, k_max)
     pc = p_click(params, theta)
     if pc < TRACE_EPSILON:
         raise DegenerateParameterError("click probability vanishes")
@@ -423,13 +463,8 @@ def chain_growth_rate(
         tail_bound = 0.0
     else:
         p_loop, p_fail, mean_iterates, tail_bound = _run_length_series(params, eta, k_max)
-    growth = (3.0 * p_loop - 1.0) * pc / mean_iterates / params.tau
-    if not math.isfinite(growth):
-        raise DegenerateParameterError(
-            f"growth rate overflows at tau={params.tau!r}: raise tau"
-        )
     return ChainGrowthResult(
-        growth_rate=growth,
+        growth_rate=_per_tau((3.0 * p_loop - 1.0) * pc / mean_iterates, params.tau),
         p_loop=p_loop,
         p_fail=p_fail,
         mean_iterates=mean_iterates,
@@ -437,6 +472,99 @@ def chain_growth_rate(
         eta=eta,
         tail_bound=tail_bound,
     )
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53 (inf once n u >= 1)."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu) if nu < 1.0 else math.inf
+
+
+def _series_gap_bound(closed: ChainGrowthResult, k_max: int) -> float:
+    """A priori bound on |series - closed form| of a per-window growth rate.
+
+    ``closed`` is ``chain_growth_rate`` at tau = 1 on a balanced link,
+    where cos^2 2phi is exactly 1.0; the series is the same call with
+    ``k_max``.  Both paths read the same floats eta and p_click, so the
+    bound is on what each path does with them.  Write K = k_max, u =
+    2**-53, g_n = n u / (1 - n u), and P, M, N = 3P - 1 and g for the
+    closed form's p_loop, <I>, numerator and growth.
+
+    Truncation.  A run takes at least two iterates.  After the first,
+    each (first outcome, entry) pair's mass goes on with weight 1 - eta
+    (a walk step) or eta (a step up) per iterate, so a run is still
+    pending after k iterates with probability at most rho^(k-1), rho =
+    max(eta, 1 - eta).  The series leaves out P(I > K) <= rho^(K-1) of
+    p_loop, and sum_{k>K} k P(I = k) = K P(I > K) + sum_{j>=K} P(I > j)
+    <= rho^(K-1) (K + 1/(1 - rho)) of <I>.
+
+    Rounding.  Every term and partial sum of the series is nonnegative,
+    so each float result is its exact value times a factor within g_n
+    of 1, n counting the roundings on its path (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3; any order of summing n
+    terms adds at most n - 1).  A walk entry of iterate k carries
+    3k - 3 (one add, one product and the rounded step weight (1 -
+    eta)/2 a step); a walk sum K + 3 more; a failure mass 4 more for
+    ``2 eta sums / x`` and its sum with ``(1 - eta) eta^(k-1)``, whose
+    ``**`` is within 1 ulp; <I> 2 for ``k (ps + pf)`` and K for its
+    sum.  So n = 5K + 6 covers p_loop and <I>.  Underflow adds at most
+    ~K^3 2**-1074 absolutely, which the factor 2 below covers.  The
+    closed form's r = sqrt(eta (2 - eta)) is within g_2 relatively, so
+    1 - r is within g_3 absolutely, and <I> = r/eta + eta/(1 - eta)
+    within g_4 relatively.
+
+    Combined, |dP| <= rho^(K-1) + g_n (P + g_3) + g_3 and |dM| <=
+    rho^(K-1) (K + 1/(1 - rho)) + (g_n + g_4) M.  Each path forms
+    fl(fl(3P) - 1) within g_2 (3P + 1), so |dN| <= 3 |dP| + 2 g_2
+    (3 (P + |dP|) + 1).  With the series' <I> at least M - |dM|,
+    |N' p / M' - N p / M| <= p (|dN| + |N| |dM| / M) / (M - |dM|) =: E,
+    and each path's last two roundings add g_2 (2 |g| + E).  The bound
+    is twice the sum of these, first order in u; the factor 2 covers
+    the second-order terms.  Where M - |dM| <= 0 it is inf.
+    """
+    eta, pc, p, m = closed.eta, closed.p_click, closed.p_loop, closed.mean_iterates
+    rho = max(eta, 1.0 - eta)
+    tail = rho ** (k_max - 1)
+    g2, g3, g4, gn = _gamma(2), _gamma(3), _gamma(4), _gamma(5 * k_max + 6)
+    dp = tail + gn * (p + g3) + g3
+    dm = tail * (k_max + 1.0 / (1.0 - rho)) + (gn + g4) * m
+    if not dm < m:
+        return math.inf
+    dn = 3.0 * dp + 2.0 * g2 * (3.0 * (p + dp) + 1.0)
+    gap = pc * (dn + abs(3.0 * p - 1.0) * dm / m) / (m - dm)
+    return 2.0 * (gap + g2 * (2.0 * abs(closed.growth_rate) + gap))
+
+
+class _SeriesGrowth:
+    """The ``k_max`` growth rate at one angle, compared by its closed form.
+
+    ``golden_section_max`` reads its objective only through ``>=``.  Two
+    values whose closed-form rates differ by more than the sum of their
+    ``_series_gap_bound`` compare as those rates do, since each series
+    lies within its bound of its closed form; the comparison's own two
+    roundings are inside the bound's factor 2.  Otherwise both series
+    are summed, each at most once, and compared.
+    """
+
+    __slots__ = ("link", "theta", "k_max", "exact", "bound", "_series")
+
+    def __init__(self, link: ApparatusParams, theta: float, k_max: int) -> None:
+        closed = chain_growth_rate(link, theta)
+        self.link, self.theta, self.k_max = link, theta, k_max
+        self.exact = closed.growth_rate
+        self.bound = _series_gap_bound(closed, k_max)
+        self._series: float | None = None
+
+    def series(self) -> float:
+        if self._series is None:
+            result = chain_growth_rate(self.link, self.theta, k_max=self.k_max)
+            self._series = result.growth_rate
+        return self._series
+
+    def __ge__(self, other: _SeriesGrowth) -> bool:
+        if abs(self.exact - other.exact) > self.bound + other.bound:
+            return self.exact >= other.exact
+        return self.series() >= other.series()
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,9 @@ def rates_csv_by_repr(t_min: float, t_max: float, points: int, tau: float) -> by
     gap = rate - reference
     crossing = np.zeros(len(grid), dtype=bool)
     crossing[1:] = (gap[:-1] > 0.0) & (gap[1:] <= 0.0)
-    columns = (grid, theta, rate, reference, rate / reference)
+    # the ratio of the per-window rates, which no tau rounds
+    ratio = optimize_bell_rate(grid, grid)[1] / two_photon_reference_rate(grid)
+    columns = (grid, theta, rate, reference, ratio)
     lines = [
         f"{t!r},{th!r},{r!r},{ref!r},{ratio!r},{'crossover' if crossed else ''}\n"
         for t, th, r, ref, ratio, crossed in zip(

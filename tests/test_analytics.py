@@ -442,15 +442,65 @@ def test_chain_growth_matches_allocating_series():
             got = chain_growth_rate(params, theta, k_max=k_max)
             expected = reference_chain_growth(params, theta, k_max)
             assert {name: getattr(got, name) for name in expected} == expected
-    # the CHAIN_RATE search lands on the same angle as one on the reference
-    params = ApparatusParams(t1=1e-3, t2=1e-3)
-    best = optimize_theta(params, Objective.CHAIN_RATE, k_max=256)
-    theta_ref = golden_section_max(
-        lambda th: reference_chain_growth(params, th, 256)["growth_rate"],
-        0.0,
-        math.pi / 2.0,
-    )
-    assert best.optimal_theta == theta_ref
+    # the CHAIN_RATE search, which sums the series only where the closed
+    # form cannot rank two angles, lands on the angle and rate of the
+    # search on the reference series alone, at every tau
+    for t in (1e-6, 1e-3, 0.05, 0.3, 1.0):
+        window = ApparatusParams(t1=t, t2=t)
+        for k_max in (4, 8, 64, 256, 1000):
+            theta_ref = golden_section_max(
+                lambda th: reference_chain_growth(window, th, k_max)["growth_rate"],
+                0.0,
+                math.pi / 2.0,
+            )
+            expected = reference_chain_growth(window, theta_ref, k_max)
+            for tau in (1e-6, 1.0, 1e300):
+                params = ApparatusParams(t1=t, t2=t, tau=tau)
+                best = optimize_theta(params, Objective.CHAIN_RATE, k_max=k_max)
+                assert best.optimal_theta == theta_ref, (t, k_max, tau)
+                assert best.rate == best.chain.growth_rate == expected["growth_rate"] / tau
+                for name in ("p_loop", "p_fail", "mean_iterates", "tail_bound"):
+                    assert getattr(best.chain, name) == expected[name]
+
+
+@pytest.mark.parametrize("k_max", [4, 5, 8, 64, 256, 1000])
+def test_series_gap_bound_holds(k_max):
+    # |series - closed form| <= the a priori bound, with eta from ~1e-13
+    # to within ~1e-12 of 1; where the click probability vanishes both
+    # paths raise alike
+    thetas = (1e-6, 1e-3, 0.1, 0.38, 0.8, 1.2, 1.5, math.pi / 2.0 - 1e-3, math.pi / 2.0 - 1e-6)
+    etas = []
+    for t in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
+        link = ApparatusParams(t1=t, t2=t)
+        for theta in thetas:
+            try:
+                closed = chain_growth_rate(link, theta)
+            except DegenerateParameterError as exc:
+                with pytest.raises(DegenerateParameterError, match=str(exc)):
+                    chain_growth_rate(link, theta, k_max=k_max)
+                continue
+            series = chain_growth_rate(link, theta, k_max=k_max).growth_rate
+            bound = analytics._series_gap_bound(closed, k_max)
+            assert abs(series - closed.growth_rate) <= bound, (t, theta)
+            etas.append(closed.eta)
+    assert min(etas) < 1e-12 and max(etas) > 1.0 - 1e-11
+    # near the optimum the bound is tight enough to rank most angles
+    closed = chain_growth_rate(ApparatusParams(t1=1e-3, t2=1e-3), 0.38)
+    if k_max >= 256:
+        assert analytics._series_gap_bound(closed, k_max) < 1e-11 * closed.growth_rate
+
+
+def test_chain_rate_result_carries_the_growth_at_its_angle():
+    # computed once at the angle found, bit for bit the direct call
+    for k_max in (None, 64):
+        for tau in (1e-6, 1.0, 1e300):
+            params = ApparatusParams(t1=0.01, t2=0.01, tau=tau)
+            best = optimize_theta(params, Objective.CHAIN_RATE, k_max=k_max)
+            assert best.chain == chain_growth_rate(params, best.optimal_theta, k_max=k_max)
+    unbalanced = ApparatusParams(t1=0.02, t2=0.005)
+    best = optimize_theta(unbalanced, Objective.CHAIN_RATE)
+    assert best.chain == chain_growth_rate(unbalanced, best.optimal_theta)
+    assert optimize_theta(unbalanced, Objective.BELL_RATE).chain is None
 
 
 def test_interval_probabilities_are_complete():

@@ -33,7 +33,7 @@ from paritydistill import (
     plus_state,
     run_strategy_exact,
 )
-from paritydistill import __version__, _csvbytes, cli, protocol
+from paritydistill import __version__, _csvbytes, analytics, cli, protocol
 from paritydistill.cli import OUTDIR_ENV_VAR, main
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -421,6 +421,64 @@ def test_huge_tau_gives_each_rate_per_window_over_tau(tau, tmp_path, capsys):
     assert rate_big == rate / big and exact_big == exact / big
     assert abs(rate_big - exact_big) < 5.0 * se_big
     assert parse_report(huge)["simulated_time"] == parse_report(one)["total_attempts"] * big
+
+
+@pytest.mark.parametrize("tau", ["1e308", "1.7976931348623157e308"])
+def test_huge_tau_leaves_the_per_window_ratios_exact(tau, tmp_path, capsys):
+    # growth tau / t, its reciprocal and the rate ratio come from the
+    # per-window rates, not from rates that are subnormal at this tau
+    one, huge = (parse_report(_run_at_tau(["chain"], t, tmp_path, capsys)) for t in ("1", tau))
+    for name in ("growth_rate_tau_over_t", "reciprocal_t_over_tau"):
+        assert huge[name] == one[name]
+    ratios = {}
+    for t in ("1", tau):
+        _run_at_tau(["rates", "--points", "3"], t, tmp_path, capsys)
+        ratios[t] = [row[4] for row in read_csv(tmp_path / t / "rates.csv")[1]]
+    assert ratios[tau] == ratios["1"]
+
+
+def test_chain_sums_the_series_only_where_the_closed_form_cannot_rank(capsys, monkeypatch):
+    # the benchmark's chain: the angle search ranks most angle pairs by
+    # the closed form and its derived bound, and the series at the angle
+    # found is summed once (a search on the series alone makes 44 calls)
+    calls = []
+    series = analytics.loop_interval_probabilities
+
+    def counting(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(analytics, "loop_interval_probabilities", counting)
+    assert main(["chain", "--t", "1e-3", "--k-max", "256"]) == 0
+    assert parse_report(capsys.readouterr().out)["theta_opt"] == 0.38048747064055727
+    assert 0 < len(calls) <= 16
+
+
+def test_cached_parser_answers_as_a_fresh_process(tmp_path, capsys, monkeypatch):
+    # main parses every call with one parser per process; two subcommands
+    # and two usage errors in one process give the bytes and exit codes of
+    # four separate processes
+    runs = [
+        ["chain", "--t", "0.01"],
+        ["rates", "--points", "3", "--outdir", str(tmp_path / "rates")],
+        ["drift", "--points", "2", "--d-max", "-1"],
+        ["simulate", "--trials", "0", "--t", "0.1"],
+    ]
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2]
+    assert cli.build_parser() is cli.build_parser()
+    package_root = os.path.dirname(os.path.dirname(paritydistill.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [package_root, inherited])))
+    for argv, expected in zip(runs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "paritydistill", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_chain_csv_round_trips_exact_values(tmp_path, capsys):
