@@ -21,8 +21,10 @@ from .errors import DegenerateParameterError, NonConvergenceError
 from .photonics import (
     ApparatusParams,
     ExcitationAngle,
+    _check_link,
     _cos_sq_two_phi,
     _dark_count_brokers,
+    _per_tau,
     _sin_sq_theta,
     _sq,
     eta_weight,
@@ -54,29 +56,13 @@ _SERIES_BLOCK_DOUBLES = 2**17
 # Bell-pair rates
 
 
-def _check_tau(tau: float) -> None:
-    """Raise unless ``tau`` is a window length whose rates stay finite.
-
-    A Bell-pair rate, the reference rate and a sampled rate are each at
-    most one event per window, computed per window and divided by tau
-    last, so they are finite wherever 1/tau is.  Below about 5.6e-309 it
-    is not, and a rate could overflow to inf.
-    """
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
-    if not math.isfinite(1.0 / tau):
-        raise DegenerateParameterError(
-            f"rates overflow: 1/tau is not a finite double at tau={tau!r}"
-        )
-
-
-def _rate_bell_form(t, c2, s, tau):
-    """T cos^2(2 phi) s (1 - s)^2 / (2 - T s cos^2(2 phi)) / tau, elementwise.
+def _rate_bell_form(t, c2, s):
+    """T cos^2(2 phi) s (1 - s)^2 / (2 - T s cos^2(2 phi)), per window.
 
     ``t`` is the mean transmission, ``c2`` = cos^2(2 phi) and ``s`` =
     sin^2(theta); floats or broadcastable arrays.
     """
-    return t * c2 * s * _sq(1.0 - s) / (2.0 - t * s * c2) / tau
+    return t * c2 * s * _sq(1.0 - s) / (2.0 - t * s * c2)
 
 
 def rate_bell(params: ApparatusParams, theta) -> float:
@@ -86,9 +72,8 @@ def rate_bell(params: ApparatusParams, theta) -> float:
     with s = sin^2(theta); algebraically identical to half the two-pair
     success probability times the click rate.
     """
-    return _rate_bell_form(
-        params.mean_transmission, params.cos_sq_two_phi, _sin_sq_theta(theta), params.tau
-    )
+    rate = _rate_bell_form(params.mean_transmission, params.cos_sq_two_phi, _sin_sq_theta(theta))
+    return _per_tau(rate, params.tau)
 
 
 def two_photon_reference_rate(transmission, tau: float = 1.0):
@@ -98,8 +83,7 @@ def two_photon_reference_rate(transmission, tau: float = 1.0):
     """
     if not np.all((0.0 <= transmission) & (transmission <= 1.0)):
         raise DegenerateParameterError(f"transmission must lie in [0, 1], got {transmission}")
-    _check_tau(tau)
-    return _sq(transmission) / 2.0 / tau
+    return _per_tau(_sq(transmission) / 2.0, tau)
 
 
 def crossover_transmission() -> float:
@@ -254,14 +238,12 @@ def optimize_bell_rate(t1, t2, tau: float = 1.0):
     of the grid's shape, or floats for a single link.
     """
     t1, t2 = np.broadcast_arrays(np.asarray(t1, dtype=float), np.asarray(t2, dtype=float))
-    if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
-        raise DegenerateParameterError("transmittances must lie in [0, 1]")
+    _check_link(t1, t2, 0.0)
     _check_lit(t1, t2)
-    _check_tau(tau)
     t = 0.5 * (t1 + t2)
     c2 = _cos_sq_two_phi(t1, t2)
     theta = np.arcsin(np.sqrt(2.0 / (3.0 + np.sqrt(9.0 - 4.0 * t * c2))))
-    rate = _rate_bell_form(t, c2, _sq(np.sin(theta)), tau)
+    rate = _per_tau(_rate_bell_form(t, c2, _sq(np.sin(theta))), tau)
     return (float(theta), float(rate)) if theta.ndim == 0 else (theta, rate)
 
 
@@ -392,14 +374,6 @@ def _check_series(params: ApparatusParams, k_max: int) -> None:
             "the truncated run-length series (k_max) needs t1 == t2; "
             "leave k_max unset for the exact sums on any link"
         )
-
-
-def _per_tau(growth: float, tau: float) -> float:
-    """A per-window growth rate over ``tau``; raises where that overflows."""
-    growth /= tau
-    if not math.isfinite(growth):
-        raise DegenerateParameterError(f"growth rate overflows at tau={tau!r}: raise tau")
-    return growth
 
 
 def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
@@ -708,17 +682,16 @@ def dark_count_fidelity_region(
     p = np.asarray(dark_probabilities, dtype=float)
     if t.ndim != 1 or p.ndim != 1:
         raise ValueError("transmissions and dark probabilities must be one-dimensional")
-    _check_tau(tau)
     theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
     t_grid, p_grid = (a.reshape(-1) for a in np.meshgrid(t, p, indexing="ij"))
     brokers, p_herald = _dark_count_brokers(t_grid, t_grid, 0.0, 0.0, theta.sin_sq, p_grid)
+    reference = two_photon_reference_rate(t_grid, tau)  # checks tau on an empty grid too
     points: tuple[RegionPoint, ...] = ()
     if t_grid.size:
         _check_density(brokers)
         clients = plus_state(CLIENT_LABELS)
         p_two, fid = _two_iterate_success(_outcome_masks(brokers), clients)
-        rate = 0.5 * p_two * p_herald / tau
-        reference = two_photon_reference_rate(t_grid, tau)
+        rate = _per_tau(0.5 * p_two * p_herald, tau)
         columns = (t_grid, p_grid, p_herald, p_two, fid, rate, reference)
         points = tuple(
             RegionPoint(*row, _region_label(*row[4:]))

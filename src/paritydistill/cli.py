@@ -30,8 +30,6 @@ from ._csvbytes import float_repr, text_table, write_columns
 from .analytics import (
     DARK_FIDELITY_CUTOFF,
     Objective,
-    _check_tau,
-    _per_tau,
     chain_growth_rate,
     crossover_transmission,
     drift_infidelity_surface,
@@ -45,6 +43,7 @@ from .photonics import (
     CONFIG_FIELDS,
     ApparatusParams,
     ExcitationAngle,
+    _per_tau,
     eta_weight,
     heralded_state,
     p_click,
@@ -151,8 +150,7 @@ def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
     # per window, then over tau: the ratio of the per-window rates is exact at any tau
     theta, window_rate = optimize_bell_rate(grid, grid)
     window_reference = two_photon_reference_rate(grid)
-    _check_tau(args.tau)
-    rate, reference = window_rate / args.tau, window_reference / args.tau
+    rate, reference = _per_tau(window_rate, args.tau), _per_tau(window_reference, args.tau)
     if not np.all(reference > 0.0):
         raise DegenerateParameterError(
             "reference rate T^2 / (2 tau) underflows to zero; raise --t-min or lower --tau"
@@ -230,7 +228,7 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
     if not args.tau > 0.0:
         parser.error("--tau must be positive")
     t1, t2 = (args.t1, args.t2) if args.t is None else (args.t, args.t)
-    # per window: the series is summed once, and its growth over t is exact at any tau
+    # per window: the series is summed once, and its ratios are exact at any tau
     link = ApparatusParams(t1=t1, t2=t2)
     if args.theta is not None:
         theta = args.theta
@@ -258,8 +256,8 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
         print(f"{name} = {value!r}")
     if args.k_max is not None:
         # the series' measured error, beside the mass bound it reports
-        exact = _per_tau(chain_growth_rate(link, theta).growth_rate, args.tau)
-        gap = abs(growth - exact) / abs(exact) if exact else math.inf
+        exact = chain_growth_rate(link, theta).growth_rate
+        gap = abs(result.growth_rate - exact) / abs(exact) if exact else math.inf
         print(f"closed_form_gap = {gap!r}")
     if not result.converged:
         print(
@@ -324,7 +322,6 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     if args.trials > SIMULATE_TRIALS_LIMIT:
         parser.error(f"--trials must be at most {SIMULATE_TRIALS_LIMIT}")
     params = _params_from_flags(parser, args)
-    _check_tau(params.tau)
     if params.p_dark != 0.0:
         parser.error("trajectory sampling models the dark-free link; set p_dark to 0")
     # the two-iterate strategy is the loop capped at two
@@ -353,30 +350,24 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         raise DegenerateParameterError(
             "contamination weight is 1: every heralded pair is |11>, so no run can classify"
         )
-    stats = run_trajectories(config, params, theta, args.trials)
-    csv_path = _publish(
-        args,
-        {
-            "trials": args.trials,
-            "strategy": args.strategy,
-            "max_iterates": max_iterates,
-            "theta": theta,
-            "t1": params.t1,
-            "t2": params.t2,
-            "x1": params.x1,
-            "x2": params.x2,
-            "wavelength": params.wavelength,
-            "tau": params.tau,
-            "output": args.output,
-            "rng_stream": STREAM_VERSION,
-        },
-        stats.write_csv,
-        seed=args.seed,
-    )
     pair = heralded_state(params, theta)
     tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, config)
     mean_iterates = sum(l.probability * l.iterates for l in tree.leaves)
-    analytic_rate = tree.success_probability * p_click(params, theta) / mean_iterates / params.tau
+    window_rate = tree.success_probability * p_click(params, theta) / mean_iterates
+    # before any sampling: raises where the rates overflow at this tau
+    analytic_rate = _per_tau(window_rate, params.tau)
+    stats = run_trajectories(config, params, theta, args.trials)
+    link = {name: getattr(params, name) for name in CONFIG_FIELDS.values() if name != "p_dark"}
+    parameters = {
+        "trials": args.trials,
+        "strategy": args.strategy,
+        "max_iterates": max_iterates,
+        "theta": theta,
+        **link,
+        "output": args.output,
+        "rng_stream": STREAM_VERSION,
+    }
+    csv_path = _publish(args, parameters, stats.write_csv, seed=args.seed)
     summary = stats.summary()
     print(f"wrote {csv_path} ({stats.n_trials} rows)")
     print(f"strategy = {args.strategy} (max_iterates = {max_iterates})")
@@ -466,13 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--sin-sq-theta", type=_float_in(0.0, 1.0, "[0, 1]"), default=None)
     simulate.add_argument("--config", default=None)
     simulate.add_argument("--t", type=float, default=None)
-    simulate.add_argument("--t1", type=float, default=None)
-    simulate.add_argument("--t2", type=float, default=None)
-    simulate.add_argument("--x1", type=float, default=None)
-    simulate.add_argument("--x2", type=float, default=None)
-    simulate.add_argument("--wavelength", type=float, default=None)
-    simulate.add_argument("--p-dark", type=float, default=None)
-    simulate.add_argument("--tau", type=_finite_float, default=None)
+    # one flag per link field, named after it; --tau is finite, as on rates and chain
+    for name in CONFIG_FIELDS.values():
+        kind = _finite_float if name == "tau" else float
+        simulate.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
     simulate.add_argument("--output", default="simulate.csv")
     simulate.add_argument("--outdir", default=None)
 

@@ -6,6 +6,12 @@ midpoint beamsplitter, and a single detector click heralds a shared pair.
 This module maps the apparatus parameters to the click probability, the
 double-excitation contamination weight and the heralded two-qubit state,
 with an optional detector dark-count channel.
+
+Each rule of the link model has one implementation here, on floats or
+broadcast arrays alike: the link's fields (``CONFIG_FIELDS``), their
+range checks (``_check_link``), the click probability and contamination
+weight (``_click_and_weight``) and the per-window rule (``_per_tau``):
+every rate is computed per attempt window and divided by ``tau`` last.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .qstate import DensityMatrix
 BROKER_LABELS = ("B1", "B2")
 
 # The ApparatusParams field of each config-file key, in file order.  The
-# required keys and the defaults are those of the dataclass.
+# required keys and the defaults are those of the dataclass.  ``simulate``
+# takes one flag per field and echoes every field but p_dark (which it
+# requires to be 0) in its manifest.
 CONFIG_FIELDS = {
     "t1": "t1",
     "t2": "t2",
@@ -74,6 +82,52 @@ def _cos_sq_two_phi(t1, t2):
     return 4.0 * t1 * t2 / total_sq
 
 
+def _check_link(t1, t2, p_dark) -> None:
+    """Raise unless t1, t2 lie in [0, 1], one of them positive, and p_dark in [0, 1).
+
+    Floats or broadcastable arrays, checked pointwise.
+    """
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not np.all((0.0 <= t) & (t <= 1.0)):
+            raise DegenerateParameterError(f"{name} must lie in [0, 1], got {t}")
+    if not np.all(t1 + t2 > 0.0):
+        raise DegenerateParameterError("at least one transmittance must be positive")
+    if not np.all((0.0 <= p_dark) & (p_dark < 1.0)):
+        raise DegenerateParameterError(f"p_dark must lie in [0, 1), got {p_dark}")
+
+
+def _click_and_weight(t, c2, s):
+    """Click probability and contamination weight of a link, elementwise.
+
+    T s (2 - T s c2) and s (2 - T c2) / (2 - T s c2), with ``t`` = T the
+    mean transmission, ``c2`` = cos^2(2 phi) and ``s`` = sin^2(theta);
+    floats or broadcastable arrays.  The click probability is also
+    exactly 1 - (1 - s t1)(1 - s t2).  The weight's denominator is at
+    least 1, so it is defined even where no click can occur.
+    """
+    ts = t * s
+    return ts * (2.0 - ts * c2), s * (2.0 - t * c2) / (2.0 - ts * c2)
+
+
+def _per_tau(value, tau):
+    """A per-window quantity per unit time, ``value / tau``; floats or arrays.
+
+    Every rate the package reports is computed per attempt window, where
+    it is at most a few events, and divided by the window length here,
+    last, so ratios of rates are exact at any ``tau``.  Raises unless
+    ``tau`` is positive and finite, ``1/tau`` is a finite double (``tau``
+    above about 5.6e-309) and every quotient is finite.
+    """
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise DegenerateParameterError(f"tau must be positive and finite, got {tau}")
+    if not math.isfinite(1.0 / tau):
+        raise DegenerateParameterError(f"1/tau overflows at tau={tau!r}: raise tau")
+    rate = value / tau
+    if not (np.isfinite(rate).all() if isinstance(rate, np.ndarray) else math.isfinite(rate)):
+        raise DegenerateParameterError(f"rate overflows at tau={tau!r}: raise tau")
+    return rate
+
+
 @dataclass(frozen=True)
 class ApparatusParams:
     """Physical parameters of the two collection paths.
@@ -102,16 +156,9 @@ class ApparatusParams:
     tau: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("t1", "t2"):
-            t = getattr(self, name)
-            if not 0.0 <= t <= 1.0:
-                raise DegenerateParameterError(f"{name} must lie in [0, 1], got {t}")
-        if self.t1 + self.t2 <= 0.0:
-            raise DegenerateParameterError("at least one transmittance must be positive")
+        _check_link(self.t1, self.t2, self.p_dark)
         if not self.wavelength > 0.0:
             raise DegenerateParameterError(f"wavelength must be positive, got {self.wavelength}")
-        if not 0.0 <= self.p_dark < 1.0:
-            raise DegenerateParameterError(f"p_dark must lie in [0, 1), got {self.p_dark}")
         if not (self.tau > 0.0 and math.isfinite(self.tau)):
             raise DegenerateParameterError(f"tau must be positive and finite, got {self.tau}")
         for name in ("x1", "x2"):
@@ -264,11 +311,10 @@ def p_click(params: ApparatusParams, theta) -> float:
     """Probability per attempt window that the midpoint heralds a click.
 
     Equals T s (2 - T s cos^2(2 phi)) with T the mean transmission and
-    s = sin^2(theta); also exactly 1 - (1 - s t1)(1 - s t2).
+    s = sin^2(theta); see ``_click_and_weight``.
     """
     s = _sin_sq_theta(theta)
-    t = params.mean_transmission
-    return t * s * (2.0 - t * s * params.cos_sq_two_phi)
+    return _click_and_weight(params.mean_transmission, params.cos_sq_two_phi, s)[0]
 
 
 def eta_weight(params: ApparatusParams, theta) -> float:
@@ -278,13 +324,12 @@ def eta_weight(params: ApparatusParams, theta) -> float:
     returning a 0/0 artifact.
     """
     s = _sin_sq_theta(theta)
-    t = params.mean_transmission
-    c2 = params.cos_sq_two_phi
-    if p_click(params, theta) < TRACE_EPSILON:
+    pc, eta = _click_and_weight(params.mean_transmission, params.cos_sq_two_phi, s)
+    if pc < TRACE_EPSILON:
         raise DegenerateParameterError(
             "click probability vanishes, contamination weight is undefined"
         )
-    return s * (2.0 - t * c2) / (2.0 - t * s * c2)
+    return eta
 
 
 def heralded_state(params: ApparatusParams, theta) -> HeraldedPair:
@@ -300,10 +345,10 @@ def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.n
     and detuning angles (``ApparatusParams.phi`` and ``.delta``), and
     ``s`` = sin^2(theta).  Returns the stack of 4x4 broker matrices on
     ``BROKER_LABELS``, shape ``broadcast + (4, 4)``, and the herald
-    probabilities; see ``heralded_state_with_dark_counts``.  The range
-    checks of ``ApparatusParams`` and the herald floor hold as array
-    checks.  The true-herald part is the matrix ``HeraldedPair.expand``
-    builds, from the closed forms of ``p_click`` and ``eta_weight``; it
+    probabilities; see ``heralded_state_with_dark_counts``.  The link
+    checks (``_check_link``) and the herald floor hold as array checks.
+    The true-herald part is the matrix ``HeraldedPair.expand`` builds,
+    from the click probability and weight of ``_click_and_weight``; it
     enters with weight exactly one and the false-herald part with weight
     exactly zero at ``p_dark = 0``, so that column reduces to the clean
     heralded state wherever numpy and the C library round ``pow``, ``sin``
@@ -312,16 +357,8 @@ def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.n
     t1, t2, phi, delta, s, p = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t1, t2, phi, delta, s, p_dark))
     )
-    if not np.all((0.0 <= t1) & (t1 <= 1.0) & (0.0 <= t2) & (t2 <= 1.0)):
-        raise DegenerateParameterError("transmittances must lie in [0, 1]")
-    if not np.all(t1 + t2 > 0.0):
-        raise DegenerateParameterError("at least one transmittance must be positive")
-    if not np.all((0.0 <= p) & (p < 1.0)):
-        raise DegenerateParameterError("p_dark must lie in [0, 1)")
-    t = 0.5 * (t1 + t2)
-    c2 = _cos_sq_two_phi(t1, t2)
-    pc = t * s * (2.0 - t * s * c2)
-    eta = s * (2.0 - t * c2) / (2.0 - t * s * c2)
+    _check_link(t1, t2, p)
+    pc, eta = _click_and_weight(0.5 * (t1 + t2), _cos_sq_two_phi(t1, t2), s)
     # no-detection weights of the four photon-survival patterns
     w = np.stack(
         [
@@ -336,7 +373,7 @@ def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.n
     p_herald = (1.0 - p) * pc + dark * (w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3])
     if not np.all(p_herald >= TRACE_EPSILON):
         raise DegenerateParameterError("herald probability vanishes")
-    v = np.zeros(t.shape + (4,), dtype=complex)
+    v = np.zeros(t1.shape + (4,), dtype=complex)
     v[..., 1] = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
     v[..., 2] = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
     v /= math.sqrt(2.0)

@@ -50,6 +50,7 @@ from .photonics import (
     ApparatusParams,
     ExcitationAngle,
     HeraldedPair,
+    _per_tau,
     heralded_state,
     p_click,
 )
@@ -572,12 +573,12 @@ class SampleStats:
         total_attempts = int(np.sum(self.attempts))
         # per window, divided by tau last: time may overflow to inf
         per_window = successes / total_attempts if total_attempts else float("nan")
-        rate = per_window / self.tau
+        rate = _per_tau(per_window, self.tau) if total_attempts else per_window
         if total_attempts and n > 1:
             resid = per_window * self.attempts
             np.subtract(success, resid, out=resid)
             np.square(resid, out=resid)
-            rate_se = float(np.sqrt(np.sum(resid))) / total_attempts / self.tau
+            rate_se = _per_tau(float(np.sqrt(np.sum(resid))) / total_attempts, self.tau)
             del resid
         else:
             rate_se = float("nan")

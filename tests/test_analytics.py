@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from paritydistill import (
     plus_state,
     rate_bell,
     run_strategy_exact,
+    run_trajectories,
     sequence_counts,
     two_photon_reference_rate,
 )
@@ -91,6 +93,52 @@ def test_rate_bell_tau_scaling():
     fast = rate_bell(ApparatusParams(t1=0.4, t2=0.2, tau=1.0), theta)
     slow = rate_bell(ApparatusParams(t1=0.4, t2=0.2, tau=4.0), theta)
     assert fast == pytest.approx(4.0 * slow, rel=1e-14)
+
+
+def _link(tau):
+    return ApparatusParams(t1=0.02, t2=0.005, tau=tau)
+
+
+def _balanced(tau):
+    return ApparatusParams(t1=0.01, t2=0.01, tau=tau)
+
+
+def _region_rates(tau):
+    points = dark_count_fidelity_region([1e-3, 0.1], [0.0, 1e-6], tau=tau)
+    return [value for point in points for value in (point.rate, point.reference_rate)]
+
+
+def _sampled_rates(tau):
+    config = StrategyConfig(max_iterates=2, rng_seed=3)
+    stats = run_trajectories(config, _link(1.0), ExcitationAngle.from_sin_sq(0.3), 500)
+    summary = replace(stats, params=_link(tau)).summary()
+    return summary["bell_rate"], summary["bell_rate_se"]
+
+
+RATES_PER_TAU = {
+    "rate_bell": lambda tau: rate_bell(_link(tau), ExcitationAngle.from_sin_sq(0.3)),
+    "reference": lambda tau: two_photon_reference_rate(np.array([1e-3, 0.5]), tau),
+    "optimize_bell_rate": lambda tau: optimize_bell_rate([1e-3, 0.02], 0.005, tau)[1],
+    "optimize_theta-bell": lambda tau: optimize_theta(_link(tau), Objective.BELL_RATE).rate,
+    "optimize_theta-chain": lambda tau: optimize_theta(_link(tau), Objective.CHAIN_RATE).rate,
+    "chain_growth_rate": lambda tau: chain_growth_rate(_link(tau), 0.21).growth_rate,
+    "chain_growth_rate-k_max": lambda tau: chain_growth_rate(
+        _balanced(tau), 0.21, k_max=64
+    ).growth_rate,
+    "region": _region_rates,
+    "summary": _sampled_rates,
+}
+
+
+@pytest.mark.parametrize("rates", RATES_PER_TAU.values(), ids=list(RATES_PER_TAU))
+def test_every_rate_is_per_window_over_tau(rates):
+    # one rule for every rate: raise where 1/tau overflows, else divide
+    # the per-window value by tau last, exactly
+    with pytest.raises(DegenerateParameterError):
+        rates(5e-324)
+    per_window = np.asarray(rates(1.0), dtype=float)
+    assert np.all(per_window > 0.0)
+    np.testing.assert_array_equal(np.asarray(rates(1e308), dtype=float), per_window / 1e308)
 
 
 def test_reference_rate():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -430,6 +431,9 @@ def test_huge_tau_leaves_the_per_window_ratios_exact(tau, tmp_path, capsys):
     one, huge = (parse_report(_run_at_tau(["chain"], t, tmp_path, capsys)) for t in ("1", tau))
     for name in ("growth_rate_tau_over_t", "reciprocal_t_over_tau"):
         assert huge[name] == one[name]
+    argv = ["chain", "--k-max", "256"]
+    one, huge = (parse_report(_run_at_tau(argv, t, tmp_path, capsys)) for t in ("1", tau))
+    assert huge["closed_form_gap"] == one["closed_form_gap"] > 0.0
     ratios = {}
     for t in ("1", tau):
         _run_at_tau(["rates", "--points", "3"], t, tmp_path, capsys)
@@ -740,6 +744,30 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     assert manifest["parameters"]["x2"] == 0.2
     assert manifest["parameters"]["wavelength"] == 1.55
     assert manifest["parameters"]["tau"] == 2.0
+
+
+def test_simulate_takes_one_flag_per_link_field_and_echoes_all_but_p_dark(tmp_path, capsys):
+    # the flags, the config keys and the manifest's link fields are one list
+    link_fields = [field.name for field in dataclasses.fields(ApparatusParams)]
+    assert sorted(cli.CONFIG_FIELDS.values()) == sorted(link_fields)
+    simulate = cli.build_parser()._subparsers._group_actions[0].choices["simulate"]
+    flags = {a.dest: a.option_strings for a in simulate._actions if a.dest in link_fields}
+    assert list(flags) == list(cli.CONFIG_FIELDS.values())
+    assert all(flags[name] == ["--" + name.replace("_", "-")] for name in flags)
+
+    cfg_path = tmp_path / "every-key.cfg"
+    cfg_path.write_text(
+        "t1 = 0.03\nt2 = 0.01\nx1 = 0.25\nx2 = 0.05\nlambda = 1.55\np_dark = 0\ntau = 2e-6\n"
+    )
+    argv = ["simulate", "--trials", "50", "--config", str(cfg_path), "--x2", "0.1"]
+    assert main(argv + ["--sin-sq-theta", "0.3", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    params = dataclasses.replace(ApparatusParams.from_config_file(cfg_path), x2=0.1)
+    echoed = read_manifest(tmp_path / "simulate.csv")["parameters"]
+    assert "p_dark" not in echoed
+    for name in cli.CONFIG_FIELDS.values():
+        if name != "p_dark":
+            assert echoed[name] == getattr(params, name), name
 
 
 def test_simulate_usage_errors(tmp_path, capsys):

@@ -108,3 +108,38 @@ def test_library_modules_read_every_import_the_tracer_does_not_patch():
         for name in imported_but_unread(path)
     }
     assert unread - patched == set()
+
+
+def divisions_by_tau(path: Path) -> set[tuple[str, int]]:
+    """(innermost enclosing function, line) of each ``/ tau`` or ``/ x.tau``."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            divisor = None
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div):
+                divisor = child.right
+            elif isinstance(child, ast.AugAssign) and isinstance(child.op, ast.Div):
+                divisor = child.value
+            name = getattr(divisor, "id", None) or getattr(divisor, "attr", None)
+            if name == "tau":
+                found.add((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_only_the_photonics_helper_divides_by_tau():
+    # every rate is per window, divided by tau last through one helper
+    # that keeps one overflow rule; a bare division would bypass it
+    package = Path(paritydistill.__file__).parent
+    divisions = {
+        (path.stem, where)
+        for path in package.glob("*.py")
+        for where, _ in divisions_by_tau(path)
+    }
+    assert divisions == {("photonics", "_per_tau")}
