@@ -277,15 +277,19 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# Largest --max-iterates: the exact cross-check's tree has O(cap^2) leaves
-# where its walk cannot stop early, ~160 MiB RSS and ~1.5 s at 256
-# (t = 0.5, sin^2 theta = 1e-3; 2-vCPU Xeon VM, resource.getrusage).
+# Largest --max-iterates.  Where nothing is pruned early (t = 0.5,
+# sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
+# memory: 0.14 s at 256 (1.6 s at 1024), and simulate peaks at ~38 MiB
+# RSS.  The sampler pays a fixed cost per depth in every chunk that keeps
+# a trial to the cap: ~1.6 s per 100,000 trials at 256 on that link
+# (~4.9 s at 1024), ~155 s for the largest --trials at 256.  That cost,
+# not the walk, keeps the cap at 256 (2-vCPU Xeon VM, resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
-# ~447 MiB RSS and takes 6.5-7.6 s on a 2-vCPU Xeon VM (resource.getrusage),
-# plus the exact tree's ~120 MiB at the largest cap.  Its ~300 MB CSV is
+# ~447 MiB RSS and takes ~6.3 s on a 2-vCPU Xeon VM (resource.getrusage);
+# the exact walk adds ~2.4 MiB at the largest cap.  Its ~300 MB CSV is
 # written and hashed in blocks.
 SIMULATE_TRIALS_LIMIT = 10_000_000
 
@@ -352,8 +356,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         )
     pair = heralded_state(params, theta)
     tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, config)
-    mean_iterates = sum(l.probability * l.iterates for l in tree.leaves)
-    window_rate = tree.success_probability * p_click(params, theta) / mean_iterates
+    window_rate = tree.success_probability * p_click(params, theta) / tree.mean_iterates
     # before any sampling: raises where the rates overflow at this tau
     analytic_rate = _per_tau(window_rate, params.tau)
     stats = run_trajectories(config, params, theta, args.trials)

@@ -19,9 +19,10 @@ count of its same-parity partner ``3 - j``.  Outcome ``k`` acts on the
 clients as an entrywise mask, so the walk carries, per (first outcome,
 balance), the summed unnormalized client matrix of all histories there,
 and one mask product moves them all.  The exact tree
-(``run_strategy_exact``) turns each terminal or cap-pending class into
-one leaf, and the dark-count region grid reads the cap-2 walk of a
-whole stack of brokers (``_two_iterate_success``).
+(``run_strategy_exact``) sums the mass of each terminal or cap-pending
+class as its depth arrives, and walks again to make each class one leaf
+only when its leaves are read; the dark-count region grid reads the
+cap-2 walk of a whole stack of brokers (``_two_iterate_success``).
 
 By the same masks a sampled trial's state is a function of its outcome
 history, so the sampler keeps one per distinct history (``_sample_chunk``).
@@ -33,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -278,36 +280,53 @@ class Leaf:
         return len(self.history)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactTree:
-    """All leaves of the exact strategy evolution, one per class.
+    """The exact strategy evolution: its masses, and its leaves on demand.
 
+    ``run_strategy_exact`` reads each depth of the walk once and keeps
+    only sums of the class masses, added one class at a time in leaf
+    order, so each equals the same sum over ``leaves`` bit for bit.
+    ``leaves`` walks again on first read and makes one leaf per class.
     Each leaf stands for every history of its class (see ``Leaf``), so
     leaf masses, not leaf counts, are the physical quantities.
     """
 
     initial_clients: DensityMatrix
-    leaves: tuple[Leaf, ...]
+    masks: np.ndarray  # outcome masks (``_outcome_masks``)
+    cap: int
+    status_masses: tuple[float, ...]  # by ``Status`` value
+    success_probability: float
+    total_probability: float  # the leaves' mass, then the pruned mass
     pruned_probability: float
+    mean_iterates: float
 
     def status_probability(self, status: Status) -> float:
-        return sum(l.probability for l in self.leaves if l.status is status)
-
-    @property
-    def success_probability(self) -> float:
-        return sum(l.probability for l in self.leaves if l.status.is_success)
+        return self.status_masses[status.value]
 
     @property
     def failure_probability(self) -> float:
-        return self.status_probability(Status.FAILURE)
+        return self.status_masses[Status.FAILURE.value]
 
     @property
     def pending_probability(self) -> float:
-        return self.status_probability(Status.PENDING)
+        return self.status_masses[Status.PENDING.value]
 
-    @property
-    def total_probability(self) -> float:
-        return sum(l.probability for l in self.leaves) + self.pruned_probability
+    @cached_property
+    def leaves(self) -> tuple[Leaf, ...]:
+        """Every success, failure and cap-pending class, one ``Leaf`` each."""
+        labels, cap = self.initial_clients.labels, self.cap
+        leaves = []
+        walk = _walk(self.masks, self.initial_clients.elements, cap)
+        for depth, (won, lost, pending, _) in enumerate(walk, start=2):
+            for (j,), state, p in _kept(won, labels):
+                leaves.append(Leaf(_representative(j, depth, 0), state, _WON[j], p))
+            for (j, b, f), state, p in _kept(lost, labels):
+                history = _representative(j, depth - 1, b + 1) + (OUTCOMES[_FAILING[j][f]],)
+                leaves.append(Leaf(history, state, Status.FAILURE, p))
+        for (j, b), state, p in _kept(pending, labels):
+            leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
+        return tuple(leaves)
 
     def mean_success_fidelity(self) -> float:
         """Probability-weighted fidelity of success leaves.
@@ -415,10 +434,25 @@ def _representative(j: int, length: int, balance: int) -> tuple[IterateOutcome, 
     return (OUTCOMES[j],) * ahead + (OUTCOMES[3 - j],) * (length - ahead)
 
 
+# Status of a success class, by its first outcome's parity.
+_WON = tuple(Status(1 + o.parity) for o in OUTCOMES)
+
+
+def _mass(classes: np.ndarray) -> np.ndarray:
+    """Mass of each class, its trace: zero where the walk pruned it."""
+    return np.trace(classes, axis1=-2, axis2=-1).real
+
+
+def _kept_masses(classes: np.ndarray) -> list[float]:
+    """Masses of the classes the walk kept, in C order."""
+    mass = _mass(classes)
+    return mass[mass > 0.0].tolist()
+
+
 def _kept(classes: np.ndarray, labels):
     """Index, normalized state and mass of each class the walk kept."""
-    mass = np.trace(classes, axis1=-2, axis2=-1).real
-    kept = mass > 0.0  # pruned classes are zero
+    mass = _mass(classes)
+    kept = mass > 0.0
     states = classes[kept] / mass[kept][:, None, None]
     for index, state, p in zip(np.argwhere(kept).tolist(), states, mass[kept].tolist()):
         yield index, DensityMatrix(state, labels, validate=False), p
@@ -432,27 +466,40 @@ def run_strategy_exact(
     """Evaluate every measurement branch of a strategy exactly.
 
     Walks the classes (``_walk``) under the outcome masks gathered from
-    the broker (``_outcome_masks``) and makes each success, failure and
-    cap-pending class one ``Leaf`` as its depth arrives.  Classes lighter
+    the broker (``_outcome_masks``) and, as each depth arrives, adds the
+    mass of each success, failure and cap-pending class to the tree's
+    sums, in the order ``ExactTree.leaves`` lists them.  Classes lighter
     than the pruning epsilon are dropped into ``pruned_probability``, and
     the walk checks that probability is conserved.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
     initial = clients.normalized()
-    cap, labels = config.max_iterates, initial.labels
-    leaves = []
-    walk = _walk(_outcome_masks(pair), initial.elements, cap)
+    masks, cap = _outcome_masks(pair), config.max_iterates
+    by_status = [0.0] * len(Status)
+    success = total = weighted = 0.0
+
+    def add(status: Status, iterates: int, masses) -> None:
+        nonlocal total, weighted
+        sum_status = by_status[status.value]
+        for p in masses:
+            sum_status += p
+            total += p
+            weighted += p * iterates
+        by_status[status.value] = sum_status
+
+    walk = _walk(masks, initial.elements, cap)
     for depth, (won, lost, pending, pruned) in enumerate(walk, start=2):
-        for (j,), state, p in _kept(won, labels):
-            status = Status(1 + OUTCOMES[j].parity)
-            leaves.append(Leaf(_representative(j, depth, 0), state, status, p))
-        for (j, b, f), state, p in _kept(lost, labels):
-            history = _representative(j, depth - 1, b + 1) + (OUTCOMES[_FAILING[j][f]],)
-            leaves.append(Leaf(history, state, Status.FAILURE, p))
-    for (j, b), state, p in _kept(pending, labels):
-        leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
-    return ExactTree(initial, tuple(leaves), float(pruned))
+        for status, p in zip(_WON, _mass(won).tolist()):
+            if p > 0.0:  # zero where the walk pruned the class
+                success += p
+                add(status, depth, (p,))
+        add(Status.FAILURE, depth, _kept_masses(lost))
+    add(Status.PENDING, cap, _kept_masses(pending))
+    pruned = float(pruned)
+    return ExactTree(
+        initial, masks, cap, tuple(by_status), success, total + pruned, pruned, weighted
+    )
 
 
 def _two_iterate_success(

@@ -143,6 +143,43 @@ def region_by_tree(
     return np.array(rows), labels
 
 
+@dataclass(frozen=True)
+class LeafTree:
+    """The leaves of a reference tree, read as ``ExactTree`` is read.
+
+    The oracles below build their leaves one history or one class at a
+    time; this holds them with the pruned mass and sums them, so an
+    oracle answers ``status_probability`` and the other statistics
+    under the names the library's tree uses.
+    """
+
+    initial_clients: DensityMatrix
+    leaves: tuple[Leaf, ...]
+    pruned_probability: float
+
+    def status_probability(self, status: Status) -> float:
+        return sum(l.probability for l in self.leaves if l.status is status)
+
+    @property
+    def success_probability(self) -> float:
+        return sum(l.probability for l in self.leaves if l.status.is_success)
+
+    @property
+    def failure_probability(self) -> float:
+        return self.status_probability(Status.FAILURE)
+
+    @property
+    def pending_probability(self) -> float:
+        return self.status_probability(Status.PENDING)
+
+    @property
+    def total_probability(self) -> float:
+        return sum(l.probability for l in self.leaves) + self.pruned_probability
+
+    # reads only ``leaves`` and ``initial_clients``
+    mean_success_fidelity = ExactTree.mean_success_fidelity
+
+
 @dataclass
 class _CountClass:
     """Histories sharing a first outcome and four outcome counts.
@@ -160,7 +197,7 @@ class _CountClass:
     state: np.ndarray
 
 
-def depth_profile(tree: ExactTree) -> dict[int, dict[Status, float]]:
+def depth_profile(tree: ExactTree | LeafTree) -> dict[int, dict[Status, float]]:
     """Leaf probability mass of a tree by iterate count and status."""
     profile: dict[int, dict[Status, float]] = {}
     for leaf in tree.leaves:
@@ -173,7 +210,7 @@ def count_class_tree(
     clients: DensityMatrix,
     pair,
     config: StrategyConfig,
-) -> ExactTree:
+) -> LeafTree:
     """Reference tree: a dynamic program over count classes.
 
     The walk runs depth by depth over count classes: outcome histories
@@ -233,7 +270,7 @@ def count_class_tree(
             else:
                 state = DensityMatrix(node.state, initial.labels, validate=False)
                 leaves.append(Leaf(node.history, state, status, mass))
-    tree = ExactTree(initial, tuple(leaves), pruned)
+    tree = LeafTree(initial, tuple(leaves), pruned)
     defect = abs(tree.total_probability - 1.0)
     if defect > PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(

@@ -685,6 +685,25 @@ def test_simulate_summary_against_exact_tree(tmp_path, capsys):
     assert re.search(r"iterate_histogram = 2:%d$" % n, out, re.M)
 
 
+def test_simulate_builds_no_leaves(tmp_path, capsys, monkeypatch):
+    # simulate reads the exact tree's masses, never its leaves
+    class NoLeaf:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("simulate built a Leaf")
+
+    monkeypatch.setattr(protocol, "Leaf", NoLeaf)
+    argv = ["simulate", "--strategy", "loop", "--max-iterates", "32", "--t", "0.01"]
+    assert main([*argv, "--trials", "200", "--outdir", str(tmp_path)]) == 0
+    assert "exact" in capsys.readouterr().out
+    tree = run_strategy_exact(
+        plus_state(CLIENT_LABELS),
+        heralded_state(ApparatusParams(t1=0.01, t2=0.01), ExcitationAngle.from_sin_sq(0.1)),
+        StrategyConfig.loop(32),
+    )
+    with pytest.raises(AssertionError, match="built a Leaf"):
+        tree.leaves
+
+
 def test_simulate_loop_successes_need_even_depth(tmp_path, capsys):
     code = main(
         [

@@ -10,12 +10,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from helpers import bell_even, bell_odd, count_class_tree, depth_profile
+from helpers import LeafTree, bell_even, bell_odd, count_class_tree, depth_profile
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
     DegenerateParameterError,
-    ExactTree,
     HeraldedPair,
     ApparatusParams,
     ExcitationAngle,
@@ -67,7 +66,7 @@ def random_pair(rng) -> HeraldedPair:
     )
 
 
-def circuit_tree(clients, pair, config) -> ExactTree:
+def circuit_tree(clients, pair, config) -> LeafTree:
     """Reference tree: one circuit iterate per outcome history.
 
     Expands every history separately, with per-path pruning, so it is
@@ -92,7 +91,7 @@ def circuit_tree(clients, pair, config) -> ExactTree:
                 else:
                     leaves.append(Leaf(new_history, branch.state, status, joint))
         frontier = next_frontier
-    return ExactTree(clients.normalized(), tuple(leaves), pruned)
+    return LeafTree(clients.normalized(), tuple(leaves), pruned)
 
 
 def branch_map_elements(
@@ -640,17 +639,85 @@ def test_walk_stops_once_nothing_is_pending():
 def test_walk_streams_its_depths():
     # nothing is pruned early on this link, so the walk runs to the cap;
     # read depth by depth it holds O(cap) classes (~2.4 MiB at cap 256),
-    # where a walk that kept every depth held O(cap^2) (~97 MiB)
+    # where a walk that kept every depth held O(cap^2) (~97 MiB).  The
+    # tree's statistics read it so: its 66,852 leaves took ~120 MiB.
     pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), ExcitationAngle.from_sin_sq(1e-3))
     masks = protocol._outcome_masks(pair)
+    clients = plus_state(CLIENT_LABELS)
     tracemalloc.start()
     try:
-        depths = sum(1 for _ in protocol._walk(masks, plus_state(CLIENT_LABELS).elements, 256))
+        depths = sum(1 for _ in protocol._walk(masks, clients.elements, 256))
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mean = run_strategy_exact(clients, pair, StrategyConfig.loop(256)).mean_iterates
+        tree_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert depths == 255
     assert peak < 8 * 2**20, peak
+    assert 2.0 < mean < 256.0
+    assert tree_peak < 8 * 2**20, tree_peak
+
+
+def leaf_order_sum(values) -> float:
+    """The terms added one at a time, in order (as ``sum`` adds floats
+    through Python 3.11; from 3.12 it compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def statistics_case(kind: str, rng):
+    if kind == "unbalanced":
+        params = ApparatusParams(t1=0.02, t2=0.005)
+        return heralded_state(params, ExcitationAngle.from_sin_sq(1.0 / 3.0))
+    return mask_case(kind, rng)
+
+
+def leaf_record(tree) -> list[tuple]:
+    return [(l.history, l.status, l.probability, l.state.elements.tobytes()) for l in tree.leaves]
+
+
+@pytest.mark.parametrize("kind", ["pair", "dark", "general", "unbalanced"])
+def test_tree_statistics_are_leaf_order_sums(kind):
+    # the tree keeps sums of the walk's masses, not leaves; each must be
+    # the sum over its own leaves in leaf order, bit for bit
+    rng = RNG(167)
+    clients = plus_state(CLIENT_LABELS)
+    for cap in (2, 3, 12, 32):
+        broker = statistics_case(kind, rng)
+        cfg = StrategyConfig.loop(cap)
+        tree = run_strategy_exact(clients, broker, cfg)
+        statistics = (
+            tree.success_probability,
+            tree.failure_probability,
+            tree.pending_probability,
+            tree.pruned_probability,
+            tree.total_probability,
+            tree.mean_iterates,
+            *(tree.status_probability(status) for status in Status),
+        )
+        assert all(type(value) is float for value in statistics)
+        leaves = tree.leaves
+        assert leaves and tree.leaves is leaves
+        assert tree.success_probability == leaf_order_sum(
+            l.probability for l in leaves if l.status.is_success
+        )
+        for status in Status:
+            assert tree.status_probability(status) == leaf_order_sum(
+                l.probability for l in leaves if l.status is status
+            )
+        assert tree.failure_probability == tree.status_probability(Status.FAILURE)
+        assert tree.pending_probability == tree.status_probability(Status.PENDING)
+        pruned = tree.pruned_probability
+        assert tree.total_probability == leaf_order_sum(l.probability for l in leaves) + pruned
+        assert tree.mean_iterates == leaf_order_sum(l.probability * l.iterates for l in leaves)
+        # the leaves do not depend on whether the statistics were read first
+        fresh = run_strategy_exact(clients, broker, cfg)
+        assert leaf_record(fresh) == leaf_record(tree)
+        assert fresh.mean_iterates == tree.mean_iterates
+        assert fresh.pruned_probability == pruned
 
 
 @pytest.mark.parametrize("kind", ["pair", "dark", "general"])
