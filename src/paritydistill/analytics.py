@@ -47,10 +47,6 @@ DARK_FIDELITY_CUTOFF = 1e-3
 # Bracket width, in radians, at which a golden-section search stops.
 GOLDEN_SECTION_TOL = 1e-8
 
-# Memory budget, in doubles, of the block of walk vectors in
-# ``loop_interval_probabilities``; it keeps the series O(k_max) in memory.
-_SERIES_BLOCK_DOUBLES = 2**17
-
 
 # ---------------------------------------------------------------------------
 # Bell-pair rates
@@ -179,24 +175,14 @@ def optimize_theta(
     Both objectives vanish identically when either path is dark, which
     is rejected rather than returning an arbitrary angle.  The Bell
     objective is the one-point case of ``optimize_bell_rate``.  The chain
-    objective is ``chain_growth_rate`` with the given ``k_max``, searched
-    per window (at tau = 1, so no ``tau`` rounds it) on the interior of
-    [0, pi/2]; the result at the angle found is computed once, per
-    window, and divided by ``tau``.  Its loop success probability 1 - R
-    never exceeds 1 - |sin 2phi|, so where |sin 2phi| >= 2/3 the chain
-    shrinks at every angle, and that link is rejected too.
-
-    With ``k_max`` = K set, the search compares two angles by the closed
-    form wherever their closed-form rates differ by more than the sum of
-    ``_series_gap_bound`` at each, and sums the series only where that
-    cannot decide (``_SeriesGrowth``).  The bound on |series - closed
-    form| is derived, not fitted: a truncation of at most rho^(K-1) in
-    p_loop and rho^(K-1) (K + 1/(1 - rho)) in <I>, rho = max(eta, 1 -
-    eta), plus a relative rounding of g_(5K+6) = n u / (1 - n u) on the
-    series' nonnegative sums and a few ulps on the closed form, carried
-    through (3 p_loop - 1) p_click / <I> and doubled.  So the search
-    finds the angle, and its rate, that the search on the series alone
-    finds, bit for bit.
+    objective is ``chain_growth_rate`` with the given ``k_max`` (the
+    exact sums, or the run-length series truncated there), searched by
+    ``golden_section_max`` per window (at tau = 1, so no ``tau`` rounds
+    it) on the interior of [0, pi/2]; the result at the angle found is
+    computed once more, per window, and divided by ``tau``.  Its loop
+    success probability 1 - R never exceeds 1 - |sin 2phi|, so where
+    |sin 2phi| >= 2/3 the chain shrinks at every angle, and that link is
+    rejected too.
     """
     if objective is Objective.BELL_RATE:
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
@@ -210,15 +196,9 @@ def optimize_theta(
             f"got |t1 - t2| / (t1 + t2) = {abs(params.sin_two_phi)!r}"
         )
     link = replace(params, tau=1.0)
-    if k_max is None:
-        theta = golden_section_max(
-            lambda th: chain_growth_rate(link, th).growth_rate, 0.0, math.pi / 2.0
-        )
-    else:
-        _check_series(link, k_max)
-        theta = golden_section_max(
-            lambda th: _SeriesGrowth(link, th, k_max), 0.0, math.pi / 2.0
-        )
+    theta = golden_section_max(
+        lambda th: chain_growth_rate(link, th, k_max=k_max).growth_rate, 0.0, math.pi / 2.0
+    )
     chain = chain_growth_rate(link, theta, k_max=k_max)
     chain = replace(chain, growth_rate=_per_tau(chain.growth_rate, params.tau))
     return RateResult(rate=chain.growth_rate, optimal_theta=theta, chain=chain)
@@ -300,20 +280,22 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
     """Success and failure probability of a loop run ending at each iterate.
 
     Returns arrays (p_success, p_failure) indexed by iterate count k,
-    zero below k = 2.  The walk-count recursion is carried with weights
-    ((1 - eta)/2)^k folded in, which keeps every term bounded however
-    large k_max grows.
+    zero below k = 2.  With x = (1 - eta)/2, a run succeeds at iterate k
+    when its imbalance walk, started at one, first reaches zero at step
+    k - 1; it fails at k from any walk still above zero after k - 2
+    steps, or from the double-excitation chain.  The ballot numbers count
+    both walks (Feller, vol. 1, ch. III): Cat(k/2 - 1) first passages at
+    even k, and C(k - 2, floor((k - 2)/2)) walks that stay above zero, so
 
-    The walk vectors u_k (length k_max + 2, one per k) fill the rows of
-    a block with a zero column on each side, at most 64 rows and 2**17
-    doubles.  One step is one add of the row's two shifted views and
-    one multiply by the weight; the zero columns stand in for the
-    one-sided sums at the ends, exact because adding zero rounds
-    nothing.  The last row steps into row 0 of the next block.  Each
-    block yields p_success from its first interior column and the
-    walk sums from one row-wise sum, with numpy's pairwise grouping
-    over the same k_max + 2 terms as a per-step ``u.sum()``.  So every
-    output is bit for bit that of the step-by-step recursion.
+        p_success[k] = 2 x^k Cat(k/2 - 1)  (0 at odd k),
+        p_failure[k] = 2 eta x^(k-1) C(k - 2, floor((k - 2)/2))
+                       + (1 - eta) eta^(k-1).
+
+    Each weighted count is one cumulative product of its step ratios,
+    x^2 2(2m + 1)/(m + 2) from Cat(m) to Cat(m + 1), and x (n + 1)/(n/2
+    + 1) at even n or 2 x at odd n from C(n, floor(n/2)) to the next.
+    Every step is at most 1, so no term overflows however large k_max
+    grows; time and memory are O(k_max).
     """
     if not 0.0 <= eta < 1.0:
         raise DegenerateParameterError(f"eta must lie in [0, 1), got {eta}")
@@ -321,26 +303,14 @@ def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.
         raise ValueError("k_max must be at least 2")
     x = (1.0 - eta) / 2.0
     ps = np.zeros(k_max + 1)
-    sums = np.zeros(k_max + 1)
-    rows = min(64, max(1, _SERIES_BLOCK_DOUBLES // (k_max + 4)))
-    block = np.zeros((rows, k_max + 4))
-    block[0, 1] = x * x  # single length-1 prefix, weighted by x^2
-    # (u_r with its left and right neighbours, u_{r+1}) for every row r
-    steps = list(zip(block[:-1, :-2], block[:-1, 2:], block[1:, 1:-1]))
-    for start in range(2, k_max + 1, rows):
-        if start > 2:
-            np.add(block[-1, :-2], block[-1, 2:], out=block[0, 1:-1])
-            np.multiply(block[0, 1:-1], x, out=block[0, 1:-1])
-        n = min(rows, k_max + 1 - start)
-        for left, right, out in steps[: n - 1]:
-            np.add(left, right, out=out)
-            np.multiply(out, x, out=out)
-        ps[start : start + n] = 2.0 * block[:n, 1]
-        sums[start : start + n] = block[:n, 1:-1].sum(axis=1)
-    # Python's ** on each power: numpy's power does not promise libm rounding
-    powers = np.zeros(k_max + 1)
-    powers[2:] = [eta ** (k - 1) for k in range(2, k_max + 1)]
-    pf = 2.0 * eta * sums / x + (1.0 - eta) * powers
+    pf = np.zeros(k_max + 1)
+    m = np.arange(k_max // 2 - 1)
+    catalan_steps = np.concatenate(([x * x], x * x * (2.0 * (2 * m + 1) / (m + 2))))
+    ps[2::2] = 2.0 * np.cumprod(catalan_steps)
+    n = np.arange(k_max - 2)
+    binomial_steps = np.concatenate(([x], x * np.where(n % 2, 2.0, (n + 1) / (n // 2 + 1))))
+    powers = np.cumprod(np.full(k_max - 1, eta))  # eta^(k-1)
+    pf[2:] = 2.0 * eta * np.cumprod(binomial_steps) + (1.0 - eta) * powers
     return ps, pf
 
 
@@ -415,9 +385,10 @@ def chain_growth_rate(
     <I> = R / eta + eta / (1 - eta).
 
     ``k_max`` selects the run-length series truncated there instead, on
-    balanced links only; its neglected mass is reported through
-    ``tail_bound`` and ``converged``.  A growth rate that overflows
-    raises.
+    balanced links only: the ballot-number terms of
+    ``loop_interval_probabilities``, O(k_max) a call.  Its neglected mass
+    is reported through ``tail_bound`` and ``converged``.  A growth rate
+    that overflows raises.
     """
     if k_max is not None:
         _check_series(params, k_max)
@@ -446,99 +417,6 @@ def chain_growth_rate(
         eta=eta,
         tail_bound=tail_bound,
     )
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u = 2**-53 (inf once n u >= 1)."""
-    nu = n * 2.0**-53
-    return nu / (1.0 - nu) if nu < 1.0 else math.inf
-
-
-def _series_gap_bound(closed: ChainGrowthResult, k_max: int) -> float:
-    """A priori bound on |series - closed form| of a per-window growth rate.
-
-    ``closed`` is ``chain_growth_rate`` at tau = 1 on a balanced link,
-    where cos^2 2phi is exactly 1.0; the series is the same call with
-    ``k_max``.  Both paths read the same floats eta and p_click, so the
-    bound is on what each path does with them.  Write K = k_max, u =
-    2**-53, g_n = n u / (1 - n u), and P, M, N = 3P - 1 and g for the
-    closed form's p_loop, <I>, numerator and growth.
-
-    Truncation.  A run takes at least two iterates.  After the first,
-    each (first outcome, entry) pair's mass goes on with weight 1 - eta
-    (a walk step) or eta (a step up) per iterate, so a run is still
-    pending after k iterates with probability at most rho^(k-1), rho =
-    max(eta, 1 - eta).  The series leaves out P(I > K) <= rho^(K-1) of
-    p_loop, and sum_{k>K} k P(I = k) = K P(I > K) + sum_{j>=K} P(I > j)
-    <= rho^(K-1) (K + 1/(1 - rho)) of <I>.
-
-    Rounding.  Every term and partial sum of the series is nonnegative,
-    so each float result is its exact value times a factor within g_n
-    of 1, n counting the roundings on its path (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3; any order of summing n
-    terms adds at most n - 1).  A walk entry of iterate k carries
-    3k - 3 (one add, one product and the rounded step weight (1 -
-    eta)/2 a step); a walk sum K + 3 more; a failure mass 4 more for
-    ``2 eta sums / x`` and its sum with ``(1 - eta) eta^(k-1)``, whose
-    ``**`` is within 1 ulp; <I> 2 for ``k (ps + pf)`` and K for its
-    sum.  So n = 5K + 6 covers p_loop and <I>.  Underflow adds at most
-    ~K^3 2**-1074 absolutely, which the factor 2 below covers.  The
-    closed form's r = sqrt(eta (2 - eta)) is within g_2 relatively, so
-    1 - r is within g_3 absolutely, and <I> = r/eta + eta/(1 - eta)
-    within g_4 relatively.
-
-    Combined, |dP| <= rho^(K-1) + g_n (P + g_3) + g_3 and |dM| <=
-    rho^(K-1) (K + 1/(1 - rho)) + (g_n + g_4) M.  Each path forms
-    fl(fl(3P) - 1) within g_2 (3P + 1), so |dN| <= 3 |dP| + 2 g_2
-    (3 (P + |dP|) + 1).  With the series' <I> at least M - |dM|,
-    |N' p / M' - N p / M| <= p (|dN| + |N| |dM| / M) / (M - |dM|) =: E,
-    and each path's last two roundings add g_2 (2 |g| + E).  The bound
-    is twice the sum of these, first order in u; the factor 2 covers
-    the second-order terms.  Where M - |dM| <= 0 it is inf.
-    """
-    eta, pc, p, m = closed.eta, closed.p_click, closed.p_loop, closed.mean_iterates
-    rho = max(eta, 1.0 - eta)
-    tail = rho ** (k_max - 1)
-    g2, g3, g4, gn = _gamma(2), _gamma(3), _gamma(4), _gamma(5 * k_max + 6)
-    dp = tail + gn * (p + g3) + g3
-    dm = tail * (k_max + 1.0 / (1.0 - rho)) + (gn + g4) * m
-    if not dm < m:
-        return math.inf
-    dn = 3.0 * dp + 2.0 * g2 * (3.0 * (p + dp) + 1.0)
-    gap = pc * (dn + abs(3.0 * p - 1.0) * dm / m) / (m - dm)
-    return 2.0 * (gap + g2 * (2.0 * abs(closed.growth_rate) + gap))
-
-
-class _SeriesGrowth:
-    """The ``k_max`` growth rate at one angle, compared by its closed form.
-
-    ``golden_section_max`` reads its objective only through ``>=``.  Two
-    values whose closed-form rates differ by more than the sum of their
-    ``_series_gap_bound`` compare as those rates do, since each series
-    lies within its bound of its closed form; the comparison's own two
-    roundings are inside the bound's factor 2.  Otherwise both series
-    are summed, each at most once, and compared.
-    """
-
-    __slots__ = ("link", "theta", "k_max", "exact", "bound", "_series")
-
-    def __init__(self, link: ApparatusParams, theta: float, k_max: int) -> None:
-        closed = chain_growth_rate(link, theta)
-        self.link, self.theta, self.k_max = link, theta, k_max
-        self.exact = closed.growth_rate
-        self.bound = _series_gap_bound(closed, k_max)
-        self._series: float | None = None
-
-    def series(self) -> float:
-        if self._series is None:
-            result = chain_growth_rate(self.link, self.theta, k_max=self.k_max)
-            self._series = result.growth_rate
-        return self._series
-
-    def __ge__(self, other: _SeriesGrowth) -> bool:
-        if abs(self.exact - other.exact) > self.bound + other.bound:
-            return self.exact >= other.exact
-        return self.series() >= other.series()
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
 
 CHAIN_DEFAULT_T = 1e-3
 
-# Largest --k-max: the truncated series costs O(k_max^2) time per call,
-# about 46 ms at 4096, and an angle search there sums it ~16 times.
+# Largest --k-max: the truncated series costs O(k_max) time and memory,
+# about 0.2 ms a call at 4096, and an angle search there sums it 43 times.
 CHAIN_K_MAX_LIMIT = 4096
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from paritydistill import (
     sequence_counts,
     two_photon_reference_rate,
 )
-from paritydistill import analytics
 from paritydistill.analytics import GOLDEN_SECTION_TOL
 from paritydistill.protocol import CLIENT_LABELS
 
@@ -422,35 +422,82 @@ def allocating_interval_probabilities(eta: float, k_max: int):
     return ps, pf
 
 
-def test_interval_probabilities_match_allocating_recursion_bit_for_bit():
-    # k_max 63-66 and 129-130 put the last walk vector on either side of
-    # one and two 64-row block seams; 2000 runs many blocks of 64 rows
+def gamma(n) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53; n an int or an array.
+
+    A product of n rounded factors, or any sum of nonnegative terms with n
+    roundings on each term's path, is within gamma_n of its exact value
+    relatively (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3); gamma_a + gamma_b <= gamma_(a+b).
+    """
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
+def test_interval_probabilities_match_ballot_counts_exactly():
+    # Each term against its exact value from the walk counts and the
+    # floats x = fl(1 - eta)/2 and eta it starts from (1.0 - eta is 2x).
+    # Roundings, all on nonnegative operands: ps[k], k = 2m + 2, is a
+    # cumprod of fl(x x) and m steps of three (x x, the quotient, the
+    # product), so 4m + 1 = 2k - 3, then an exact doubling.  pf[k]'s walk
+    # term is a cumprod of x and k - 2 steps of at most two (none at odd
+    # n), times 2 eta: 2k - 2; its power term k - 2 products of eta and
+    # one by 1 - eta; the sum one more.  So each term is within
+    # gamma_(2k - 1).  Below the normal range a product or quotient may
+    # instead add up to 2**-1075 absolutely; every later step multiplies
+    # by at most 1 and the final scalings by at most 2, so 3k 2**-1074
+    # bounds that.
+    k_max = 260
+    counts = [(c.n_success, sum(c.v)) for c in map(sequence_counts, range(2, k_max + 1))]
+    underflow = Fraction(2) ** -1074
+    for eta in (0.0, 1e-300, 0.05, 0.3, 0.7, 1.0 - 2.0**-53):
+        ps, pf = loop_interval_probabilities(eta, k_max)
+        assert ps[:2].tolist() == pf[:2].tolist() == [0.0, 0.0]
+        x, e = Fraction((1.0 - eta) / 2.0), Fraction(eta)
+        x_power = e_power = Fraction(1)
+        for k, (n_success, walks) in enumerate(counts, start=2):
+            x_power, e_power = x_power * x, e_power * e  # x^(k-1), eta^(k-1)
+            exact_ps = 2 * x_power * x * n_success
+            exact_pf = 2 * e * x_power * walks + 2 * x * e_power
+            for got, exact in ((ps[k], exact_ps), (pf[k], exact_pf)):
+                tol = Fraction(gamma(2 * k - 1)) * exact + 3 * k * underflow
+                assert abs(Fraction(got) - exact) <= tol, (eta, k)
+
+
+def allocating_tolerance(eta: float, expected: np.ndarray) -> np.ndarray:
+    """Bound on |library - allocating recursion| for each term.
+
+    The recursion's walk entry at iterate k carries 2k - 3 roundings
+    (x x, then one add and one product a step), its walk sum k - 2 more
+    (a sum over at most k - 1 nonzero terms rounds at most k - 2 times
+    on any path; adds of exact zeros round nothing), 2 eta and / x two,
+    the C library's ``**`` within one ulp (two), then a product and the
+    sum: within gamma_(3k - 2) of the exact term.  With the library's
+    gamma_(2k - 1) (see the exact test above) the two differ by at most
+    gamma_(5k) of the recursion's value.  Below the normal range the
+    recursion's products add at most k^2 / 2 absolute roundings of
+    2**-1075 into its walk sum, which 2 eta / x magnifies by up to 2 / x,
+    beside a few in the last steps and the library's 3k.
+    """
+    x = (1.0 - eta) / 2.0
+    k = np.arange(len(expected))
+    return gamma(5 * k) * expected + (k * k / x + 3 * k + 4) * 2.0**-1074
+
+
+def test_interval_probabilities_match_allocating_recursion():
     etas = (0.0, 1e-300, 0.05, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, np.float64(0.3337))
     for eta in etas:
         for k_max in (2, 3, 7, 63, 64, 65, 66, 129, 130, 258, 2000):
             got = loop_interval_probabilities(eta, k_max)
             expected = allocating_interval_probabilities(eta, k_max)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
-
-
-@pytest.mark.parametrize("budget", [1, 140, 210])
-def test_interval_probabilities_bit_for_bit_on_small_blocks(monkeypatch, budget):
-    # a small memory budget gives blocks of 1, 2 or 3 rows at k_max 66, so
-    # nearly every step crosses a seam; one row steps onto itself
-    monkeypatch.setattr(analytics, "_SERIES_BLOCK_DOUBLES", budget)
-    for eta in (0.3, np.float64(0.01)):
-        for k_max in (2, 3, 5, 66, 67):
-            got = loop_interval_probabilities(eta, k_max)
-            expected = allocating_interval_probabilities(eta, k_max)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
+            for g, e in zip(got, expected):
+                assert g.shape == e.shape
+                assert np.all(np.abs(g - e) <= allocating_tolerance(eta, e)), (eta, k_max)
 
 
 def test_interval_probabilities_memory_stays_linear_in_k_max():
-    # the block budget keeps the series at O(k_max) doubles: ~1.4 MiB here,
-    # where a constant 64-row block would take ~4 MiB and the full
-    # lattice of walk vectors ~490 MiB
+    # the ballot terms are a few arrays of k_max doubles: ~0.6 MiB here,
+    # where the full lattice of walk vectors would take ~490 MiB
     tracemalloc.start()
     try:
         loop_interval_probabilities(0.3, 8000)
@@ -482,6 +529,38 @@ def reference_chain_growth(params, theta, k_max):
     }
 
 
+def series_tolerances(expected: dict, k_max: int, eta: float, pc: float) -> dict:
+    """Bound on |library - reference| for each field of ``reference_chain_growth``.
+
+    Every term of either series is within gamma_(3K) of its exact value,
+    K = k_max + 2 the last iterate summed (``allocating_tolerance``).  The
+    sums add at most k_max roundings, <I>'s weights k (ps + pf) two and the
+    tail bound's division by the same float 1 - rho^2 one, so each field
+    of each path is within gamma_(4K) of one exact value, and the two
+    paths differ by at most 2 gamma_(4K) / (1 - gamma_(4K)) <= gamma_(12K)
+    of the reference's field.  The absolute underflow terms, summed and
+    weighted by k, add at most 2 K^2 of the per-term bound, divided by
+    1 - rho^2 for the tail.  The growth rate (3 p_loop - 1) p_click / <I>
+    cancels near p_loop = 1/3, so its bound is carried absolutely: each
+    path forms 3 p_loop - 1 within gamma_2 (3 p_loop + 1) and rounds its
+    product and quotient once each.
+    """
+    last = k_max + 2
+    x = (1.0 - eta) / 2.0
+    rho = max(eta, 1.0 - eta)
+    per_term = (last * last / x + 3 * last + 4) * 2.0**-1074
+    tiny = 2 * last * last * per_term / (1.0 - rho * rho)
+    names = ("p_loop", "p_fail", "mean_iterates", "tail_bound")
+    tol = {name: gamma(12 * last) * expected[name] + tiny for name in names}
+    p, dp = expected["p_loop"], tol["p_loop"]
+    m, dm = expected["mean_iterates"], tol["mean_iterates"]
+    dn = 3.0 * dp + 2.0 * gamma(2) * (3.0 * (p + dp) + 1.0)
+    quotient = (dn + abs(3.0 * p - 1.0) * dm / m) / (m - dm)
+    g = abs(expected["growth_rate"])
+    tol["growth_rate"] = pc * quotient + gamma(2) * (2.0 * g + pc * quotient)
+    return tol
+
+
 def test_chain_growth_matches_allocating_series():
     theta = ExcitationAngle.from_sin_sq(0.2)
     for t in (1e-3, 0.5):
@@ -489,53 +568,38 @@ def test_chain_growth_matches_allocating_series():
         for k_max in (64, 256):
             got = chain_growth_rate(params, theta, k_max=k_max)
             expected = reference_chain_growth(params, theta, k_max)
-            assert {name: getattr(got, name) for name in expected} == expected
-    # the CHAIN_RATE search, which sums the series only where the closed
-    # form cannot rank two angles, lands on the angle and rate of the
-    # search on the reference series alone, at every tau
+            tol = series_tolerances(expected, k_max, got.eta, got.p_click)
+            for name, value in expected.items():
+                assert abs(getattr(got, name) - value) <= tol[name], (t, k_max, name)
+    # the CHAIN_RATE search is a golden section on the library's own
+    # series, per window at every tau; its rate lies within tolerance of
+    # the optimum the search on the reference series finds (the two
+    # searches rank two angles alike unless their rates tie within the
+    # tolerance)
     for t in (1e-6, 1e-3, 0.05, 0.3, 1.0):
         window = ApparatusParams(t1=t, t2=t)
         for k_max in (4, 8, 64, 256, 1000):
+            theta_own = golden_section_max(
+                lambda th: chain_growth_rate(window, th, k_max=k_max).growth_rate,
+                0.0,
+                math.pi / 2.0,
+            )
             theta_ref = golden_section_max(
                 lambda th: reference_chain_growth(window, th, k_max)["growth_rate"],
                 0.0,
                 math.pi / 2.0,
             )
+            own = chain_growth_rate(window, theta_own, k_max=k_max)
             expected = reference_chain_growth(window, theta_ref, k_max)
+            tol = series_tolerances(expected, k_max, own.eta, own.p_click)["growth_rate"]
+            assert abs(own.growth_rate - expected["growth_rate"]) <= tol, (t, k_max)
             for tau in (1e-6, 1.0, 1e300):
                 params = ApparatusParams(t1=t, t2=t, tau=tau)
                 best = optimize_theta(params, Objective.CHAIN_RATE, k_max=k_max)
-                assert best.optimal_theta == theta_ref, (t, k_max, tau)
-                assert best.rate == best.chain.growth_rate == expected["growth_rate"] / tau
+                assert best.optimal_theta == theta_own, (t, k_max, tau)
+                assert best.rate == best.chain.growth_rate == own.growth_rate / tau
                 for name in ("p_loop", "p_fail", "mean_iterates", "tail_bound"):
-                    assert getattr(best.chain, name) == expected[name]
-
-
-@pytest.mark.parametrize("k_max", [4, 5, 8, 64, 256, 1000])
-def test_series_gap_bound_holds(k_max):
-    # |series - closed form| <= the a priori bound, with eta from ~1e-13
-    # to within ~1e-12 of 1; where the click probability vanishes both
-    # paths raise alike
-    thetas = (1e-6, 1e-3, 0.1, 0.38, 0.8, 1.2, 1.5, math.pi / 2.0 - 1e-3, math.pi / 2.0 - 1e-6)
-    etas = []
-    for t in (1e-6, 1e-4, 1e-2, 0.3, 1.0):
-        link = ApparatusParams(t1=t, t2=t)
-        for theta in thetas:
-            try:
-                closed = chain_growth_rate(link, theta)
-            except DegenerateParameterError as exc:
-                with pytest.raises(DegenerateParameterError, match=str(exc)):
-                    chain_growth_rate(link, theta, k_max=k_max)
-                continue
-            series = chain_growth_rate(link, theta, k_max=k_max).growth_rate
-            bound = analytics._series_gap_bound(closed, k_max)
-            assert abs(series - closed.growth_rate) <= bound, (t, theta)
-            etas.append(closed.eta)
-    assert min(etas) < 1e-12 and max(etas) > 1.0 - 1e-11
-    # near the optimum the bound is tight enough to rank most angles
-    closed = chain_growth_rate(ApparatusParams(t1=1e-3, t2=1e-3), 0.38)
-    if k_max >= 256:
-        assert analytics._series_gap_bound(closed, k_max) < 1e-11 * closed.growth_rate
+                    assert getattr(best.chain, name) == getattr(own, name)
 
 
 def test_chain_rate_result_carries_the_growth_at_its_angle():

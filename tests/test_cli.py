@@ -441,10 +441,9 @@ def test_huge_tau_leaves_the_per_window_ratios_exact(tau, tmp_path, capsys):
     assert ratios[tau] == ratios["1"]
 
 
-def test_chain_sums_the_series_only_where_the_closed_form_cannot_rank(capsys, monkeypatch):
-    # the benchmark's chain: the angle search ranks most angle pairs by
-    # the closed form and its derived bound, and the series at the angle
-    # found is summed once (a search on the series alone makes 44 calls)
+def test_chain_k_max_searches_the_series_to_the_pinned_angle(capsys, monkeypatch):
+    # the benchmark's chain: the angle search sums the truncated series
+    # (at k_max + 2, for the tail bound) and keeps the angle pinned here
     calls = []
     series = analytics.loop_interval_probabilities
 
@@ -455,7 +454,7 @@ def test_chain_sums_the_series_only_where_the_closed_form_cannot_rank(capsys, mo
     monkeypatch.setattr(analytics, "loop_interval_probabilities", counting)
     assert main(["chain", "--t", "1e-3", "--k-max", "256"]) == 0
     assert parse_report(capsys.readouterr().out)["theta_opt"] == 0.38048747064055727
-    assert 0 < len(calls) <= 16
+    assert calls and {k_max for _, k_max in calls} == {258}
 
 
 def test_cached_parser_answers_as_a_fresh_process(tmp_path, capsys, monkeypatch):
