@@ -1,8 +1,8 @@
 """Closed-form rates, optimizers and combinatorics for the distillation link.
 
 Everything here is analytic or semi-analytic: no density matrices are
-evolved.  The dark-count region classifier reads its whole grid off one
-cap-2 walk of the protocol engine over the gathered outcome masks of a
+evolved.  The dark-count region classifier reads its whole grid off the
+exact tree's fold of one cap-2 walk over the gathered outcome masks of a
 stack of brokers.  The test suite holds the closed forms and the region
 grid to the exact engine's per-point trees and to the circuit route.
 """
@@ -30,7 +30,7 @@ from .photonics import (
     eta_weight,
     p_click,
 )
-from .protocol import CLIENT_LABELS, _outcome_masks, _two_iterate_success
+from .protocol import CLIENT_LABELS, _fold, _outcome_masks, _success_fidelity
 from .qstate import _check_density, plus_state
 
 # Unread here: bench/tracing.py patches both by name, and tests/test_tracing.py needs them.
@@ -551,10 +551,10 @@ def dark_count_fidelity_region(
 
     The whole grid is one array pass: the stack of dark-count brokers
     (``_dark_count_brokers``), one batched validation, the gathered
-    outcome masks and one cap-2 walk over the stack
-    (``_two_iterate_success``), with the per-point checks as array
-    checks.  The test suite holds every point to the per-point exact
-    tree (``run_strategy_exact``).
+    outcome masks and the exact tree's fold (``_fold``) of one cap-2 walk
+    over the stack, with the per-point checks as array checks.  The test
+    suite holds every point to the per-point exact tree, scored leaf by
+    leaf.
     """
     t = np.asarray(transmissions, dtype=float)
     p = np.asarray(dark_probabilities, dtype=float)
@@ -567,8 +567,9 @@ def dark_count_fidelity_region(
     points: tuple[RegionPoint, ...] = ()
     if t_grid.size:
         _check_density(brokers)
-        clients = plus_state(CLIENT_LABELS)
-        p_two, fid = _two_iterate_success(_outcome_masks(brokers), clients)
+        clients = plus_state(CLIENT_LABELS).elements
+        _, p_two, _, _, _, overlap = _fold(_outcome_masks(brokers), clients, 2)
+        fid = _success_fidelity(p_two, overlap)
         rate = _per_tau(0.5 * p_two * p_herald, tau)
         columns = (t_grid, p_grid, p_herald, p_two, fid, rate, reference)
         points = tuple(

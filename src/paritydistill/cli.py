@@ -389,7 +389,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         f"bell_rate = {summary['bell_rate']!r} "
         f"(se {summary['bell_rate_se']:.3e}, exact {analytic_rate!r})"
     )
-    print(f"mean_success_fidelity = {summary['mean_success_fidelity']!r}")
+    fidelity = tree.mean_success_fidelity()
+    print(f"mean_success_fidelity = {summary['mean_success_fidelity']!r} (exact {fidelity!r})")
     histogram = " ".join(
         f"{k}:{v}" for k, v in sorted(summary["iterate_histogram"].items())
     )

@@ -18,11 +18,11 @@ by its first outcome ``j`` and its balance: the count of ``j`` less the
 count of its same-parity partner ``3 - j``.  Outcome ``k`` acts on the
 clients as an entrywise mask, so the walk carries, per (first outcome,
 balance), the summed unnormalized client matrix of all histories there,
-and one mask product moves them all.  The exact tree
-(``run_strategy_exact``) sums the mass of each terminal or cap-pending
-class as its depth arrives, and walks again to make each class one leaf
-only when its leaves are read; the dark-count region grid reads the
-cap-2 walk of a whole stack of brokers (``_two_iterate_success``).
+and one mask product moves them all.  One fold (``_fold``) sums the
+masses and success fidelities of the classes as each depth arrives.  The
+exact tree (``run_strategy_exact``) is the fold on one broker, and walks
+again to make each class one leaf only when its leaves are read; the
+dark-count region grid is the cap-2 fold on a whole stack of brokers.
 
 By the same masks a sampled trial's state is a function of its outcome
 history, so the sampler keeps one per distinct history (``_sample_chunk``).
@@ -60,11 +60,13 @@ from .qstate import (
     DensityMatrix,
     apply_cz,
     apply_one_qubit,
-    fidelity,
     project_x_unnormalized,
     ry_minus_half_pi,
     tensor,
 )
+
+# Unread here: bench/tracing.py patches it by name, and tests/test_tracing.py needs it.
+from .qstate import fidelity  # noqa: F401
 
 CLIENT_LABELS = ("C1", "C2")
 
@@ -284,12 +286,12 @@ class Leaf:
 class ExactTree:
     """The exact strategy evolution: its masses, and its leaves on demand.
 
-    ``run_strategy_exact`` reads each depth of the walk once and keeps
-    only sums of the class masses, added one class at a time in leaf
-    order, so each equals the same sum over ``leaves`` bit for bit.
-    ``leaves`` walks again on first read and makes one leaf per class.
-    Each leaf stands for every history of its class (see ``Leaf``), so
-    leaf masses, not leaf counts, are the physical quantities.
+    ``run_strategy_exact`` reads each depth of the walk once (``_fold``)
+    and keeps only sums over the classes, added one class at a time in
+    leaf order, so each mass equals the same sum over ``leaves`` bit for
+    bit.  ``leaves`` walks again on first read and makes one leaf per
+    class.  Each leaf stands for every history of its class (see
+    ``Leaf``), so leaf masses, not leaf counts, are the physical quantities.
     """
 
     initial_clients: DensityMatrix
@@ -300,6 +302,7 @@ class ExactTree:
     total_probability: float  # the leaves' mass, then the pruned mass
     pruned_probability: float
     mean_iterates: float
+    success_overlap: float  # fidelity times mass, summed over success classes
 
     def status_probability(self, status: Status) -> float:
         return self.status_masses[status.value]
@@ -319,61 +322,76 @@ class ExactTree:
         leaves = []
         walk = _walk(self.masks, self.initial_clients.elements, cap)
         for depth, (won, lost, pending, _) in enumerate(walk, start=2):
-            for (j,), state, p in _kept(won, labels):
+            for (j,), state, p in _kept(*won, labels):
                 leaves.append(Leaf(_representative(j, depth, 0), state, _WON[j], p))
-            for (j, b, f), state, p in _kept(lost, labels):
+            for (j, b, f), state, p in _kept(*lost, labels):
                 history = _representative(j, depth - 1, b + 1) + (OUTCOMES[_FAILING[j][f]],)
                 leaves.append(Leaf(history, state, Status.FAILURE, p))
-        for (j, b), state, p in _kept(pending, labels):
+        for (j, b), state, p in _kept(*pending, labels):
             leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
         return tuple(leaves)
 
     def mean_success_fidelity(self) -> float:
-        """Probability-weighted fidelity of success leaves.
+        """Probability-weighted fidelity of the success classes.
 
-        Each success leaf is compared against the normalized projection
+        Each success class is compared against the normalized projection
         of the initial client state onto the delivered parity subspace
-        (the parity opposite to the measured one).  NaN when no success
-        mass survives.
+        (the parity opposite to the measured one), which must be rank
+        one.  NaN when no success mass survives.
         """
-        total = 0.0
-        acc = 0.0
-        targets: dict[int, DensityMatrix] = {}
-        for leaf in self.leaves:
-            if not leaf.status.is_success:
-                continue
-            measured = 0 if leaf.status is Status.SUCCESS_PARITY_EVEN else 1
-            if measured not in targets:
-                targets[measured] = _parity_projection(self.initial_clients, measured)
-            acc += leaf.probability * fidelity(leaf.state, targets[measured])
-            total += leaf.probability
-        return acc / total if total > TRACE_EPSILON else float("nan")
+        return float(_success_fidelity(self.success_probability, self.success_overlap))
 
 
-def _parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityMatrix:
-    """Normalized projection onto the parity subspace a success delivers."""
-    keep = _PROJECTED_INDICES[measured_parity]
-    mask = np.zeros(4)
-    mask[list(keep)] = 1.0
-    m = clients.elements * np.outer(mask, mask)
-    out = DensityMatrix(m, clients.labels, validate=False)
-    return out.normalized()
+def _success_fidelity(success, overlap) -> np.ndarray:
+    """``_fold``'s overlap sum over its success mass, NaN without success mass."""
+    if np.isnan(overlap).any():
+        raise DegenerateParameterError("a success fidelity needs a rank-one target")
+    fid = np.full(np.shape(success), np.nan)
+    return np.divide(overlap, success, out=fid, where=np.greater(success, TRACE_EPSILON))
+
+
+def _targets(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugated target of each outcome's success, ``(4, 4, 4)``, and
+    whether each measured parity's target is rank one, ``(2,)``.
+
+    A success of measured parity ``m`` delivers the clients in the subspace
+    ``_PROJECTED_INDICES[m]``; its target, left zero unless rank one (its top
+    eigenvalue carries all but RANK_ONE_RTOL of its trace, as ``fidelity``
+    requires), is the normalized projection of ``rho`` there.
+    """
+    entries, by_parity, rank_one = rho.tolist(), [], []
+    for i, k in _PROJECTED_INDICES:
+        a, b, d = entries[i][i].real, entries[i][k], entries[k][k].real
+        trace = a + d
+        top = 0.5 * trace + math.hypot(0.5 * (a - d), abs(b))
+        rank_one.append(trace >= TRACE_EPSILON and top >= (1.0 - RANK_ONE_RTOL) * trace)
+        target = np.zeros((4, 4), dtype=complex)
+        for row in (i, k) if rank_one[-1] else ():
+            for col in (i, k):
+                target[row, col] = entries[row][col].conjugate() / trace
+        by_parity.append(target)
+    return np.stack([by_parity[o.parity] for o in OUTCOMES]), np.array(rank_one)
 
 
 # The two outcomes of the other parity, which fail a run begun with j.
 _FAILING = ((1, 2), (0, 3), (0, 3), (1, 2))
 
 
-def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray]:
+def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero the classes lighter than the pruning epsilon, in place.
 
-    Returns their mass and that of the rest, summed over the class axes.
+    Returns each class's mass, zero where it was dropped, then the dropped
+    and the kept mass summed over the class axes.  A mass is the trace
+    summed as ``np.trace`` sums a class that is contiguous in memory, so a
+    stack member, which may lie otherwise, gets the bits of its own walk.
     """
-    mass = np.trace(classes, axis1=-2, axis2=-1).real
+    d = classes.diagonal(axis1=-2, axis2=-1).real
+    mass = (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])
     light = mass < BRANCH_PRUNE_EPSILON
     classes[light] = 0.0
+    kept = np.where(light, 0.0, mass)
     axes = tuple(range(batch, mass.ndim))
-    return np.where(light, mass, 0.0).sum(axis=axes), np.where(light, 0.0, mass).sum(axis=axes)
+    return kept, np.where(light, mass, 0.0).sum(axis=axes), kept.sum(axis=axes)
 
 
 def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
@@ -388,20 +406,21 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     parity (``_FAILING[j]``) fails it.  Yields, for each depth from 2 to
     ``cap``, the success classes ``(..., j)``, the failure classes ``(...,
     j, b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``,
-    the classes still pending ``(..., j, b - 1)`` and the mass pruned so
-    far ``(...)``, and keeps no depth it has yielded.  A class lighter
-    than ``BRANCH_PRUNE_EPSILON`` is zeroed where it is reached and its
-    mass pruned.  The walk stops after the first depth that leaves no
-    class pending in any stack member, so it may end before ``cap``; the
-    depths it skips would add only zeros.  Once exhausted, it raises
-    unless the kept and the pruned mass sum to one.
+    and the classes still pending ``(..., j, b - 1)``, each as a pair of
+    the class matrices and their masses, then the mass pruned so far
+    ``(...)``, and keeps no depth it has yielded.  A class lighter than
+    ``BRANCH_PRUNE_EPSILON`` is zeroed where it is reached and its mass
+    pruned.  The walk stops after the first depth that leaves no class
+    pending in any stack member, so it may end before ``cap``; the depths
+    it skips would add only zeros.  Once exhausted, it raises unless the
+    kept and the pruned mass sum to one.
     """
     batch = masks.ndim - 3
     grow = masks[..., :, None, :, :]
     close = masks[..., ::-1, None, :, :]
     fail = masks[..., _FAILING, :, :][..., :, None, :, :, :]
     pending = grow * rho
-    pruned, waiting = _drop_light(pending, batch)
+    _, pruned, waiting = _drop_light(pending, batch)
     settled = np.zeros_like(pruned)
     for depth in range(2, cap + 1):
         lost = pending[..., None, :, :] * fail
@@ -411,12 +430,13 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
         pending[..., 1:, :, :] = grown
         pending[..., : depth - 2, :, :] += closed[..., 1:, :, :]
         won = closed[..., 0, :, :]
-        for classes in (won, lost):
-            dropped, kept = _drop_light(classes, batch)
-            pruned, settled = pruned + dropped, settled + kept
-        dropped, waiting = _drop_light(pending, batch)
+        won_mass, dropped, kept = _drop_light(won, batch)
+        pruned, settled = pruned + dropped, settled + kept
+        lost_mass, dropped, kept = _drop_light(lost, batch)
+        pruned, settled = pruned + dropped, settled + kept
+        pending_mass, dropped, waiting = _drop_light(pending, batch)
         pruned = pruned + dropped
-        yield won, lost, pending, pruned
+        yield (won, won_mass), (lost, lost_mass), (pending, pending_mass), pruned
         # a kept class weighs at least the pruning epsilon, so no waiting
         # mass means every class is zero and no later depth adds anything
         if not waiting.any():
@@ -438,24 +458,53 @@ def _representative(j: int, length: int, balance: int) -> tuple[IterateOutcome, 
 _WON = tuple(Status(1 + o.parity) for o in OUTCOMES)
 
 
-def _mass(classes: np.ndarray) -> np.ndarray:
-    """Mass of each class, its trace: zero where the walk pruned it."""
-    return np.trace(classes, axis1=-2, axis2=-1).real
-
-
-def _kept_masses(classes: np.ndarray) -> list[float]:
-    """Masses of the classes the walk kept, in C order."""
-    mass = _mass(classes)
-    return mass[mass > 0.0].tolist()
-
-
-def _kept(classes: np.ndarray, labels):
+def _kept(classes: np.ndarray, mass: np.ndarray, labels):
     """Index, normalized state and mass of each class the walk kept."""
-    mass = _mass(classes)
     kept = mass > 0.0
     states = classes[kept] / mass[kept][:, None, None]
     for index, state, p in zip(np.argwhere(kept).tolist(), states, mass[kept].tolist()):
         yield index, DensityMatrix(state, labels, validate=False), p
+
+
+def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
+    """The statistics of a strategy run, read off one walk (``_walk``).
+
+    Per member of a stack of masks ``(..., 4, 4, 4)``: the status masses
+    ``(..., 4)`` by ``Status`` value, the success mass, the total (with
+    the pruned mass), the pruned mass, ``mean_iterates`` and the success
+    overlap sum, to which a success class ``S`` of mass ``p`` adds
+    ``clip(<T|S>, 0, p)``, ``p`` times its clipped fidelity to its target
+    ``T`` (``_targets``; NaN where ``T`` is not rank one).  Each sum adds
+    its classes in leaf order, one at a time (``np.add.accumulate``); a
+    pruned class adds 0.0, which leaves a sum's bits as they are.
+    """
+    targets, rank_one = _targets(rho)
+    # Columns of ``sums``: the even and odd success masses, the success
+    # mass, the overlap sum, the total, the mass times iterates, the failure
+    # and the pending mass.  A class adds its row of ``weights`` times its mass.
+    weights = np.zeros((8 * cap - 4, 7))
+    weights[:4, :3] = [[o.parity == 0, o.parity == 1, 1.0] for o in OUTCOMES]
+    weights[:, 4] = weights[4:, 6] = 1.0
+    sums = np.zeros(masks.shape[:-3] + (8,))
+
+    def add(columns: slice, rows: np.ndarray) -> None:
+        rows[..., 0, :] += sums[..., columns]
+        sums[..., columns] = np.add.accumulate(rows, axis=-2)[..., -1, :]
+
+    walk = enumerate(_walk(masks, rho, cap), start=2)
+    for depth, ((won, won_mass), (_, lost_mass), (_, pending_mass), pruned) in walk:
+        masses = np.concatenate([won_mass, lost_mass.reshape(sums.shape[:-1] + (-1,))], axis=-1)
+        weights[:, 5] = depth
+        rows = masses[..., None] * weights[: masses.shape[-1]]
+        overlap = np.maximum((won * targets).sum(axis=(-2, -1)).real, 0.0)
+        rows[..., :4, 3] = np.minimum(overlap, won_mass)
+        add(slice(0, 7), rows)
+    add(slice(4, 8), pending_mass.reshape(sums.shape[:-1] + (-1, 1)) * [1.0, cap, 0.0, 1.0])
+    # NaN where a success of measured parity m rests on a target that is not rank one
+    misread = ((sums[..., :2] > 0.0) & ~rank_one).any(axis=-1)
+    overlap = np.where(misread, np.nan, sums[..., 3])
+    by_status = sums[..., [7, 0, 1, 6]]
+    return by_status, sums[..., 2], sums[..., 4] + pruned, pruned, sums[..., 5], overlap
 
 
 def run_strategy_exact(
@@ -465,71 +514,19 @@ def run_strategy_exact(
 ) -> ExactTree:
     """Evaluate every measurement branch of a strategy exactly.
 
-    Walks the classes (``_walk``) under the outcome masks gathered from
-    the broker (``_outcome_masks``) and, as each depth arrives, adds the
-    mass of each success, failure and cap-pending class to the tree's
-    sums, in the order ``ExactTree.leaves`` lists them.  Classes lighter
-    than the pruning epsilon are dropped into ``pruned_probability``, and
-    the walk checks that probability is conserved.
+    Folds the walk of the classes (``_fold``) under the outcome masks
+    gathered from the broker (``_outcome_masks``), adding the mass of
+    each success, failure and cap-pending class to the tree's sums as its
+    depth arrives.  Classes lighter than the pruning epsilon are dropped
+    into ``pruned_probability``, and the walk checks that probability is
+    conserved.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
     initial = clients.normalized()
     masks, cap = _outcome_masks(pair), config.max_iterates
-    by_status = [0.0] * len(Status)
-    success = total = weighted = 0.0
-
-    def add(status: Status, iterates: int, masses) -> None:
-        nonlocal total, weighted
-        sum_status = by_status[status.value]
-        for p in masses:
-            sum_status += p
-            total += p
-            weighted += p * iterates
-        by_status[status.value] = sum_status
-
-    walk = _walk(masks, initial.elements, cap)
-    for depth, (won, lost, pending, pruned) in enumerate(walk, start=2):
-        for status, p in zip(_WON, _mass(won).tolist()):
-            if p > 0.0:  # zero where the walk pruned the class
-                success += p
-                add(status, depth, (p,))
-        add(Status.FAILURE, depth, _kept_masses(lost))
-    add(Status.PENDING, cap, _kept_masses(pending))
-    pruned = float(pruned)
-    return ExactTree(
-        initial, masks, cap, tuple(by_status), success, total + pruned, pruned, weighted
-    )
-
-
-def _two_iterate_success(
-    masks: np.ndarray, clients: DensityMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Success probability and mean success fidelity of two-iterate trees.
-
-    The cap-2 walk (``_walk``) over a stack of outcome masks ``(..., 4,
-    4, 4)``, read as ``success_probability`` and ``mean_success_fidelity``
-    read the tree.  The clients must be pure, so each delivered-parity
-    target ``T`` (``_parity_projection``) is rank one, and a success
-    class's fidelity is ``Re sum(conj(T) * S) / tr S``, clipped to [0, 1]
-    as ``fidelity`` clips it.  NaN where no success mass survives.
-    """
-    if clients.n_qubits != 2:
-        raise ValueError("the iterate acts on exactly two client qubits")
-    initial = clients.normalized()
-    rho = initial.elements
-    purity = float(np.vdot(rho, rho).real)
-    if not abs(purity - 1.0) <= RANK_ONE_RTOL:
-        raise DegenerateParameterError(f"the overlap needs pure clients, purity {purity:.6g}")
-    ((won, _, _, _),) = _walk(masks, rho, 2)
-    targets = np.stack([_parity_projection(initial, o.parity).elements.conj() for o in OUTCOMES])
-    mass = np.trace(won, axis1=-2, axis2=-1).real
-    overlap = np.sum(targets * won, axis=(-2, -1)).real
-    fid = np.clip(np.divide(overlap, mass, out=np.zeros_like(mass), where=mass > 0.0), 0.0, 1.0)
-    p_success = mass.sum(axis=-1)
-    fidelity = np.full(p_success.shape, np.nan)
-    np.divide((mass * fid).sum(axis=-1), p_success, out=fidelity, where=p_success > TRACE_EPSILON)
-    return p_success, fidelity
+    by_status, *sums = _fold(masks, initial.elements, cap)
+    return ExactTree(initial, masks, cap, tuple(by_status.tolist()), *map(float, sums))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from paritydistill import (
     StrategyConfig,
     classify,
     drift_infidelity_surface,
+    fidelity,
     heralded_state_with_dark_counts,
     optimize_bell_rate,
     plus_state,
@@ -33,7 +34,7 @@ from paritydistill import (
     two_photon_reference_rate,
 )
 from paritydistill.analytics import DARK_FIDELITY_CUTOFF
-from paritydistill.constants import BRANCH_PRUNE_EPSILON, PROBABILITY_SUM_ATOL
+from paritydistill.constants import BRANCH_PRUNE_EPSILON, PROBABILITY_SUM_ATOL, TRACE_EPSILON
 from paritydistill.protocol import CLIENT_LABELS, _outcome_masks
 
 
@@ -115,7 +116,8 @@ def region_by_tree(
     """The dark-count region grid point by point, through the exact tree.
 
     Per point: one dark-count broker, one two-iterate ``run_strategy_exact``
-    from |++> and its ``mean_success_fidelity``, classified as
+    from |++>, and the mean success fidelity of its leaves, each scored
+    with ``fidelity`` (``leaf_success_fidelity``), classified as
     ``dark_count_fidelity_region`` classifies.  Returns the seven numeric
     ``RegionPoint`` fields as an (N, 7) array, transmission-major, and the
     labels.
@@ -130,7 +132,7 @@ def region_by_tree(
             broker, p_herald = heralded_state_with_dark_counts(params, theta)
             tree = run_strategy_exact(clients, broker, cfg)
             p_two = tree.success_probability
-            fid = tree.mean_success_fidelity()
+            fid = leaf_success_fidelity(tree)
             rate = 0.5 * p_two * p_herald / tau
             reference = two_photon_reference_rate(float(t), tau)
             if not fid >= 1.0 - DARK_FIDELITY_CUTOFF:
@@ -141,6 +143,39 @@ def region_by_tree(
                 labels.append(RegionLabel.REFERENCE_BETTER)
             rows.append((float(t), float(p), p_herald, p_two, fid, rate, reference))
     return np.array(rows), labels
+
+
+def parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityMatrix:
+    """Normalized projection onto the parity subspace a success delivers:
+    basis states 1 and 2 after an even measured parity, 0 and 3 after an
+    odd one."""
+    keep = (1, 2) if measured_parity == 0 else (0, 3)
+    mask = np.zeros(4)
+    mask[list(keep)] = 1.0
+    m = clients.elements * np.outer(mask, mask)
+    return DensityMatrix(m, clients.labels, validate=False).normalized()
+
+
+def leaf_success_fidelity(tree: ExactTree | LeafTree) -> float:
+    """Probability-weighted fidelity of a tree's success leaves.
+
+    Each success leaf is scored with ``fidelity`` against the normalized
+    projection of the initial clients onto the delivered parity subspace
+    (``parity_projection``), which must be rank one.  NaN when no success
+    mass survives.
+    """
+    total = 0.0
+    acc = 0.0
+    targets: dict[int, DensityMatrix] = {}
+    for leaf in tree.leaves:
+        if not leaf.status.is_success:
+            continue
+        measured = 0 if leaf.status is Status.SUCCESS_PARITY_EVEN else 1
+        if measured not in targets:
+            targets[measured] = parity_projection(tree.initial_clients, measured)
+        acc += leaf.probability * fidelity(leaf.state, targets[measured])
+        total += leaf.probability
+    return acc / total if total > TRACE_EPSILON else float("nan")
 
 
 @dataclass(frozen=True)
@@ -176,8 +211,7 @@ class LeafTree:
     def total_probability(self) -> float:
         return sum(l.probability for l in self.leaves) + self.pruned_probability
 
-    # reads only ``leaves`` and ``initial_clients``
-    mean_success_fidelity = ExactTree.mean_success_fidelity
+    mean_success_fidelity = leaf_success_fidelity
 
 
 @dataclass

@@ -1126,6 +1126,9 @@ def assert_region_matches_tree(t, darks, **kwargs):
     assert [pt.label for pt in points] == labels
     np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, equal_nan=True)
+    # the grid's brokers are the per-point brokers bit for bit, and so
+    # are the class masses its walk sums
+    np.testing.assert_array_equal(got[:, 3], expect[:, 3])
 
 
 @pytest.mark.parametrize("name", sorted(_REGION_ORACLE_GRIDS))

@@ -680,6 +680,13 @@ def test_simulate_summary_against_exact_tree(tmp_path, capsys):
     )
     assert exact == pytest.approx(tree.success_probability, rel=1e-12)
     assert abs(observed - exact) < 4.0 * max(se, 1e-6)
+    fidelity = re.search(r"^mean_success_fidelity = (\S+) \(exact (\S+)\)$", out, re.M)
+    assert fidelity, out
+    sampled, exact_fidelity = map(float, fidelity.groups())
+    assert exact_fidelity == tree.mean_success_fidelity()
+    # on a balanced link every success delivers a perfect pair
+    assert sampled == pytest.approx(1.0, abs=1e-12)
+    assert exact_fidelity == pytest.approx(1.0, abs=1e-12)
     # two-iterate runs consume exactly two heralds each
     assert re.search(r"iterate_histogram = 2:%d$" % n, out, re.M)
 

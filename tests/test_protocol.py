@@ -10,7 +10,15 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from helpers import LeafTree, bell_even, bell_odd, count_class_tree, depth_profile
+from helpers import (
+    LeafTree,
+    basis_state,
+    bell_even,
+    bell_odd,
+    count_class_tree,
+    depth_profile,
+    leaf_success_fidelity,
+)
 from paritydistill import (
     CLIENT_LABELS,
     DensityMatrix,
@@ -798,37 +806,61 @@ def test_stacked_masks_reject_a_single_bad_broker():
         protocol._outcome_masks(np.zeros((3, 2, 2), dtype=complex))
 
 
+def fold_fidelity(masks, rho, cap):
+    """The exact tree's statistics over a stack of masks, with the mean
+    success fidelity the tree reads off them."""
+    *sums, overlap = protocol._fold(masks, rho, cap)
+    return (*sums, overlap, protocol._success_fidelity(sums[1], overlap))
+
+
 @pytest.mark.parametrize("clients_kind", ["plus", "pure"])
 def test_two_iterate_closed_form_matches_tree(clients_kind):
-    # the cap-2 walk over a stack, scored by rank-one overlaps, against
-    # one tree per broker, scored leaf by leaf with ``fidelity``
+    # the cap-2 fold over a stack against one tree per broker: the class
+    # masses bit for bit, the fidelity against the leaves scored with
+    # ``fidelity``
     rng = RNG(31)
     cfg = StrategyConfig.two_iterates_only()
     for _ in range(5):
         clients = plus_state(CLIENT_LABELS) if clients_kind == "plus" else random_pure_clients(rng)
         brokers = broker_stack(rng, 9)
-        p_two, fid = protocol._two_iterate_success(protocol._outcome_masks(brokers), clients)
-        for broker, got_p, got_f in zip(brokers, p_two, fid):
+        masks = protocol._outcome_masks(brokers)
+        by_status, p_two, total, pruned, mean, _, fid = fold_fidelity(
+            masks, clients.normalized().elements, 2
+        )
+        for k, broker in enumerate(brokers):
             tree = run_strategy_exact(clients, DensityMatrix(broker, ("B1", "B2")), cfg)
-            assert got_p == pytest.approx(tree.success_probability, rel=1e-13, abs=1e-15)
-            assert got_f == pytest.approx(tree.mean_success_fidelity(), rel=1e-13, nan_ok=True)
+            assert p_two[k] == tree.success_probability
+            assert tuple(by_status[k].tolist()) == tree.status_masses
+            assert mean[k] == tree.mean_iterates
+            # the walk sums the pruned mass over a stack's own layout
+            assert total[k] == pytest.approx(tree.total_probability, abs=1e-15)
+            assert pruned[k] == pytest.approx(tree.pruned_probability, abs=1e-15)
+            assert fid[k] == pytest.approx(leaf_success_fidelity(tree), rel=1e-13, nan_ok=True)
+
+
+def walk_arrays(depth) -> list[np.ndarray]:
+    """The arrays one depth of ``_walk`` yields, in order."""
+    (won, won_mass), (lost, lost_mass), (pending, pending_mass), pruned = depth
+    return [won, won_mass, lost, lost_mass, pending, pending_mass, pruned]
 
 
 def test_stacked_walk_equals_its_flattened_form():
-    # a 2-D stack of brokers walks exactly as the same brokers in a row
+    # a 2-D stack of brokers walks and folds exactly as the same brokers in a row
     masks = protocol._outcome_masks(broker_stack(RNG(43), 12))
     grid = masks.reshape(3, 4, 4, 4, 4)
-    clients = plus_state(CLIENT_LABELS)
-    p_flat, fid_flat = protocol._two_iterate_success(masks, clients)
-    p_grid, fid_grid = protocol._two_iterate_success(grid, clients)
-    assert p_grid.shape == fid_grid.shape == (3, 4)
-    np.testing.assert_array_equal(p_grid.reshape(-1), p_flat)
-    np.testing.assert_array_equal(fid_grid.reshape(-1), fid_flat)
-    flat = list(protocol._walk(masks, clients.elements, 6))
-    stacked = list(protocol._walk(grid, clients.elements, 6))
+    rho = plus_state(CLIENT_LABELS).elements
+    for cap in (2, 6):
+        flat = fold_fidelity(masks, rho, cap)
+        stacked = fold_fidelity(grid, rho, cap)
+        assert len(flat) == len(stacked) == 7
+        for x, y in zip(flat, stacked):
+            assert y.shape[:2] == (3, 4)
+            np.testing.assert_array_equal(y.reshape(x.shape), x)
+    flat = list(protocol._walk(masks, rho, 6))
+    stacked = list(protocol._walk(grid, rho, 6))
     assert len(flat) == len(stacked)
     for a, b in zip(flat, stacked):
-        for x, y in zip(a, b):
+        for x, y in zip(walk_arrays(a), walk_arrays(b)):
             np.testing.assert_array_equal(y.reshape(x.shape), x)
 
 
@@ -837,19 +869,40 @@ def test_two_iterate_closed_form_is_nan_without_success_mass():
     contaminated = np.zeros((2, 4, 4), dtype=complex)
     contaminated[:, 3, 3] = 1.0
     masks = protocol._outcome_masks(contaminated)
-    p_two, fid = protocol._two_iterate_success(masks, plus_state(CLIENT_LABELS))
+    clients = plus_state(CLIENT_LABELS)
+    _, p_two, *_, fid = fold_fidelity(masks, clients.elements, 2)
     np.testing.assert_array_equal(p_two, 0.0)
     assert np.isnan(fid).all()
+    broker = DensityMatrix(contaminated[0], ("B1", "B2"))
+    tree = run_strategy_exact(clients, broker, StrategyConfig.loop(4))
+    assert tree.success_probability == 0.0
+    assert math.isnan(tree.mean_success_fidelity())
 
 
 def test_two_iterate_closed_form_checks_mass_and_purity():
     masks = protocol._outcome_masks(broker_stack(RNG(37), 6))
     masks[2] *= 1.0 + 1e-9
+    plus = plus_state(CLIENT_LABELS).elements
     with pytest.raises(DegenerateParameterError, match="lost probability mass"):
-        protocol._two_iterate_success(masks, plus_state(CLIENT_LABELS))
+        protocol._fold(masks, plus, 2)
     masks[2] /= 1.0 + 1e-9
-    with pytest.raises(DegenerateParameterError, match="pure clients"):
-        protocol._two_iterate_success(masks, random_mixed_clients(RNG(41)))
+    # mixed clients: each delivered-parity target is mixed, so the masses
+    # stand but a fidelity raises, over a stack and in a tree
+    mixed = random_mixed_clients(RNG(41))
+    with pytest.raises(DegenerateParameterError, match="rank-one target"):
+        fold_fidelity(masks, mixed.elements, 2)
+    pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
+    tree = run_strategy_exact(mixed, pair, StrategyConfig.loop(4))
+    assert tree.success_probability > 0.0
+    with pytest.raises(DegenerateParameterError, match="rank-one target"):
+        tree.mean_success_fidelity()
+    # basis clients: one parity's target vanishes, and no success lands there
+    for bits in ("00", "01", "10", "11"):
+        clients = basis_state(bits, CLIENT_LABELS)
+        tree = run_strategy_exact(clients, pair, StrategyConfig.loop(4))
+        assert tree.success_probability > 0.0
+        expect = leaf_success_fidelity(tree)
+        assert tree.mean_success_fidelity() == pytest.approx(expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("entry", [(1, 1), (1, 2)], ids=["diagonal", "coherence"])
@@ -864,21 +917,38 @@ def test_nan_brokers_raise(entry):
     with pytest.raises(DegenerateParameterError, match="masks must be finite"):
         run_strategy_exact(clients, broker, StrategyConfig.loop(4))
     with pytest.raises(DegenerateParameterError, match="masks must be finite"):
-        protocol._two_iterate_success(protocol._outcome_masks(elements[None]), clients)
+        protocol._fold(protocol._outcome_masks(elements[None]), clients.elements, 2)
 
 
 def test_walk_and_overlap_checks_reject_nan():
     clients = plus_state(CLIENT_LABELS)
-    masks = protocol._outcome_masks(HeraldedPair(eta=0.2, phi=0.1, delta=0.3))[None]
+    pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
+    masks = protocol._outcome_masks(pair)[None]
     bad = masks.copy()
     bad[0, 0, 1, 1] = np.nan
     with pytest.raises(DegenerateParameterError, match="lost probability mass"):
         list(protocol._walk(bad, clients.elements, 4))
     rho = clients.elements.copy()
     rho[1, 2] = np.nan
+    with pytest.raises(DegenerateParameterError, match="rank-one target"):
+        fold_fidelity(masks, rho, 2)
     unchecked = DensityMatrix(rho, CLIENT_LABELS, validate=False)
-    with pytest.raises(DegenerateParameterError, match="pure clients"):
-        protocol._two_iterate_success(masks, unchecked)
+    tree = run_strategy_exact(unchecked, pair, StrategyConfig.loop(4))
+    with pytest.raises(DegenerateParameterError, match="rank-one target"):
+        tree.mean_success_fidelity()
+
+
+def test_mean_success_fidelity_builds_no_leaves(monkeypatch):
+    # the fidelity is read off the fold's overlap sum: no second walk, no leaf
+    walks = []
+    walk = protocol._walk
+    monkeypatch.setattr(protocol, "_walk", lambda *args: walks.append(args) or walk(*args))
+    pair = heralded_state(ApparatusParams(t1=1e-2, t2=1e-2), ExcitationAngle.from_sin_sq(0.14))
+    tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, StrategyConfig.loop(12))
+    fid = tree.mean_success_fidelity()
+    assert "leaves" not in vars(tree)
+    assert len(walks) == 1
+    assert fid == pytest.approx(leaf_success_fidelity(tree), abs=1e-12)
 
 
 def test_fully_contaminated_tree_never_classifies():
