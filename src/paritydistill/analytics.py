@@ -174,7 +174,8 @@ def optimize_theta(
 
     Both objectives vanish identically when either path is dark, which
     is rejected rather than returning an arbitrary angle.  The Bell
-    objective is the one-point case of ``optimize_bell_rate``.  The chain
+    objective is the one-point case of ``optimize_bell_rate``; it has no
+    series, so a ``k_max`` passed with it raises ``ValueError``.  The chain
     objective is ``chain_growth_rate`` with the given ``k_max`` (the
     exact sums, or the run-length series truncated there), searched by
     ``golden_section_max`` per window (at tau = 1, so no ``tau`` rounds
@@ -185,6 +186,8 @@ def optimize_theta(
     rejected too.
     """
     if objective is Objective.BELL_RATE:
+        if k_max is not None:
+            raise ValueError("k_max applies only to the CHAIN_RATE objective")
         theta, rate = optimize_bell_rate(params.t1, params.t2, params.tau)
         return RateResult(rate=rate, optimal_theta=theta)
     if objective is not Objective.CHAIN_RATE:

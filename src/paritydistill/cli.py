@@ -98,24 +98,40 @@ def _flags(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "csv")}
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor nan."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+# Each flag's own range is its argparse type, so a value out of range is
+# rejected while argv is parsed, before any handler runs; the handlers
+# check only the rules that relate two flags.
 
 
 def _float_in(lo: float, hi: float, shown: str):
-    """argparse type: a finite float in [lo, hi], named ``shown`` in errors."""
+    """argparse type: a finite float in [lo, hi], named ``shown`` in errors.
+
+    An open bound at zero is ``lo = math.ulp(0.0)``, the least positive
+    double, so that ``value >= lo`` means ``value > 0``.
+    """
 
     def parse(text: str) -> float:
-        value = _finite_float(text)
-        if not lo <= value <= hi:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and lo <= value <= hi):
             raise argparse.ArgumentTypeError(f"must lie in {shown}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_in(lo: int, hi: int):
+    """argparse type: an int in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {text!r}")
         return value
 
     return parse
@@ -134,18 +150,10 @@ RATES_POINTS_LIMIT = 1_000_000
 
 
 def cmd_rates(parser: argparse.ArgumentParser, args) -> int:
-    if args.points < 1:
-        parser.error("--points must be at least 1")
-    if args.points > RATES_POINTS_LIMIT:
-        parser.error(f"--points must be at most {RATES_POINTS_LIMIT}")
-    if not 0.0 < args.t_min <= 1.0 or not 0.0 < args.t_max <= 1.0:
-        parser.error("transmissions must lie in (0, 1]")
     if args.t_min > args.t_max:
         parser.error("--t-min exceeds --t-max (empty range)")
     if args.points == 1 and args.t_min != args.t_max:
         parser.error("--points 1 needs --t-min equal to --t-max")
-    if not args.tau > 0.0:
-        parser.error("--tau must be positive")
     grid = np.geomspace(args.t_min, args.t_max, args.points)
     # per window, then over tau: the ratio of the per-window rates is exact at any tau
     theta, window_rate = optimize_bell_rate(grid, grid)
@@ -178,12 +186,6 @@ DRIFT_POINTS_LIMIT = 1000
 
 
 def cmd_drift(parser: argparse.ArgumentParser, args) -> int:
-    if args.points < 2:
-        parser.error("--points must be at least 2")
-    if args.points > DRIFT_POINTS_LIMIT:
-        parser.error(f"--points must be at most {DRIFT_POINTS_LIMIT}")
-    if not args.d_max > 0.0:
-        parser.error("--d-max must be positive")
     grid = np.linspace(0.0, args.d_max, args.points)
     # rows run over d_t within d_x, so d_x indexes the first axis
     exact, quad = (a.ravel() for a in drift_infidelity_surface(grid[:, None], grid[None, :]))
@@ -218,15 +220,6 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
         parser.error("--t1 and --t2 go together")
     if args.t1 is None and args.t is None:
         args.t = CHAIN_DEFAULT_T  # so the manifest echoes the link used
-    for flag, value in (("--t", args.t), ("--t1", args.t1), ("--t2", args.t2)):
-        if value is not None and not 0.0 < value <= 1.0:
-            parser.error(f"{flag} must lie in (0, 1]")
-    if args.k_max is not None and args.k_max < 4:
-        parser.error("--k-max must be at least 4")
-    if args.k_max is not None and args.k_max > CHAIN_K_MAX_LIMIT:
-        parser.error(f"--k-max must be at most {CHAIN_K_MAX_LIMIT}")
-    if not args.tau > 0.0:
-        parser.error("--tau must be positive")
     t1, t2 = (args.t1, args.t2) if args.t is None else (args.t, args.t)
     # per window: the series is summed once, and its ratios are exact at any tau
     link = ApparatusParams(t1=t1, t2=t2)
@@ -321,10 +314,6 @@ def _params_from_flags(parser: argparse.ArgumentParser, args) -> ApparatusParams
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.trials > SIMULATE_TRIALS_LIMIT:
-        parser.error(f"--trials must be at most {SIMULATE_TRIALS_LIMIT}")
     params = _params_from_flags(parser, args)
     if params.p_dark != 0.0:
         parser.error("trajectory sampling models the dark-free link; set p_dark to 0")
@@ -335,13 +324,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         max_iterates = 16 if loop else 2
     if not loop and max_iterates > 2:
         parser.error("the two-iterate strategy stops at exactly two iterates")
-    if max_iterates > SIMULATE_CAP_LIMIT:
-        parser.error(f"--max-iterates must be at most {SIMULATE_CAP_LIMIT}")
-    try:
-        config = StrategyConfig(max_iterates=max_iterates, rng_seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
+    config = StrategyConfig(max_iterates=max_iterates, rng_seed=args.seed)
     if args.sin_sq_theta is not None:
         theta_angle = ExcitationAngle.from_sin_sq(args.sin_sq_theta)
         theta = theta_angle.theta
@@ -410,18 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    transmission = _float_in(math.ulp(0.0), 1.0, "(0, 1]")
+    positive = _float_in(math.ulp(0.0), math.inf, "(0, inf)")
 
     rates = sub.add_parser("rates", help="sweep distilled vs reference Bell-pair rates")
-    rates.add_argument("--t-min", type=float, default=1e-5)
-    rates.add_argument("--t-max", type=float, default=1.0)
-    rates.add_argument("--points", type=int, default=200)
-    rates.add_argument("--tau", type=_finite_float, default=1.0)
+    rates.add_argument("--t-min", type=transmission, default=1e-5)
+    rates.add_argument("--t-max", type=transmission, default=1.0)
+    rates.add_argument("--points", type=_int_in(1, RATES_POINTS_LIMIT), default=200)
+    rates.add_argument("--tau", type=positive, default=1.0)
     rates.add_argument("--output", default="rates.csv")
     rates.add_argument("--outdir", default=None)
 
     drift = sub.add_parser("drift", help="tabulate the inter-iterate drift surface")
-    drift.add_argument("--d-max", type=_finite_float, default=0.1)
-    drift.add_argument("--points", type=int, default=11)
+    drift.add_argument("--d-max", type=positive, default=0.1)
+    drift.add_argument("--points", type=_int_in(2, DRIFT_POINTS_LIMIT), default=11)
     drift.add_argument(
         "--cutoff",
         action="store_true",
@@ -431,40 +416,40 @@ def build_parser() -> argparse.ArgumentParser:
     drift.add_argument("--outdir", default=None)
 
     chain = sub.add_parser("chain", help="optimized chain-growth constants")
-    chain.add_argument("--t", type=float, default=None, help=f"default {CHAIN_DEFAULT_T}")
-    chain.add_argument("--t1", type=float, default=None)
-    chain.add_argument("--t2", type=float, default=None)
+    chain.add_argument("--t", type=transmission, default=None, help=f"default {CHAIN_DEFAULT_T}")
+    chain.add_argument("--t1", type=transmission, default=None)
+    chain.add_argument("--t2", type=transmission, default=None)
     chain.add_argument(
         "--k-max",
-        type=int,
+        type=_int_in(4, CHAIN_K_MAX_LIMIT),
         default=None,
         help="sum the run-length series to this length (balanced links only); "
         "default: the exact sums",
     )
-    chain.add_argument("--tau", type=_finite_float, default=1.0)
+    chain.add_argument("--tau", type=positive, default=1.0)
     chain.add_argument("--theta", type=_angle, default=None)
     chain.add_argument("--csv", action="store_true", help="also write a key,value CSV")
     chain.add_argument("--output", default="chain.csv")
     chain.add_argument("--outdir", default=None)
 
     simulate = sub.add_parser("simulate", help="seeded Monte Carlo trajectory runs")
-    simulate.add_argument("--trials", type=int, default=10000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--trials", type=_int_in(1, SIMULATE_TRIALS_LIMIT), default=10000)
+    simulate.add_argument("--seed", type=_int_in(0, 2**64 - 1), default=0)
     simulate.add_argument(
         "--strategy",
         choices=["two_iterates_only", "loop"],
         default="two_iterates_only",
     )
-    simulate.add_argument("--max-iterates", type=int, default=None)
+    simulate.add_argument("--max-iterates", type=_int_in(2, SIMULATE_CAP_LIMIT), default=None)
     group = simulate.add_mutually_exclusive_group()
     group.add_argument("--theta", type=_angle, default=None)
     group.add_argument("--sin-sq-theta", type=_float_in(0.0, 1.0, "[0, 1]"), default=None)
     simulate.add_argument("--config", default=None)
     simulate.add_argument("--t", type=float, default=None)
-    # one flag per link field, named after it; --tau is finite, as on rates and chain
+    # one flag per link field, named after it: ApparatusParams checks each
+    # field once, from a flag or from a config key
     for name in CONFIG_FIELDS.values():
-        kind = _finite_float if name == "tau" else float
-        simulate.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
+        simulate.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     simulate.add_argument("--output", default="simulate.csv")
     simulate.add_argument("--outdir", default=None)
 

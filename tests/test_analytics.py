@@ -214,6 +214,13 @@ def test_optimize_rejects_dark_arm():
         optimize_theta(ApparatusParams(t1=0.5, t2=0.0), Objective.BELL_RATE)
 
 
+def test_optimize_bell_objective_rejects_a_series_length():
+    # k_max truncates the chain objective's series; the Bell rate has none
+    params = ApparatusParams(t1=1e-3, t2=1e-3)
+    with pytest.raises(ValueError, match="k_max applies only to the CHAIN_RATE objective"):
+        optimize_theta(params, Objective.BELL_RATE, k_max=64)
+
+
 def test_optimize_chain_objective():
     params = ApparatusParams(t1=1e-3, t2=1e-3)
     result = optimize_theta(params, Objective.CHAIN_RATE, k_max=64)

@@ -533,36 +533,136 @@ def test_chain_usage_and_degeneracy_exits(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, line",
     [
-        (["chain", "--t", "0.5", "--k-max", "4097"], "--k-max must be at most 4096"),
+        (
+            ["chain", "--t", "0.5", "--k-max", "4097"],
+            "paritydistill chain: error: argument --k-max: must lie in [4, 4096], got '4097'",
+        ),
         (
             ["simulate", "--t", "0.5", "--strategy", "loop", "--max-iterates", "257"],
-            "--max-iterates must be at most 256",
+            "paritydistill simulate: error: argument --max-iterates: "
+            "must lie in [2, 256], got '257'",
         ),
-        (["rates", "--points", "1000001"], "--points must be at most 1000000"),
-        (["drift", "--points", "1001"], "--points must be at most 1000"),
+        (
+            ["rates", "--points", "1000001"],
+            "paritydistill rates: error: argument --points: "
+            "must lie in [1, 1000000], got '1000001'",
+        ),
+        (
+            ["drift", "--points", "1001"],
+            "paritydistill drift: error: argument --points: must lie in [2, 1000], got '1001'",
+        ),
         (
             ["simulate", "--t", "0.5", "--trials", "10000001"],
-            "--trials must be at most 10000000",
+            "paritydistill simulate: error: argument --trials: "
+            "must lie in [1, 10000000], got '10000001'",
         ),
-        (["rates", "--points", "1000000000000"], "--points must be at most 1000000"),
-        (["drift", "--points", "10000000"], "--points must be at most 1000"),
+        (
+            ["rates", "--points", "1000000000000"],
+            "paritydistill rates: error: argument --points: "
+            "must lie in [1, 1000000], got '1000000000000'",
+        ),
+        (
+            ["drift", "--points", "10000000"],
+            "paritydistill drift: error: argument --points: "
+            "must lie in [2, 1000], got '10000000'",
+        ),
         (
             ["simulate", "--t", "0.5", "--trials", "1000000000000"],
-            "--trials must be at most 10000000",
+            "paritydistill simulate: error: argument --trials: "
+            "must lie in [1, 10000000], got '1000000000000'",
         ),
     ],
+    # each id names the bound its case passes
+    ids=[
+        f"argv{i}-{bound}"
+        for i, bound in enumerate(
+            [
+                "--k-max must be at most 4096",
+                "--max-iterates must be at most 256",
+                "--points must be at most 1000000",
+                "--points must be at most 1000",
+                "--trials must be at most 10000000",
+                "--points must be at most 1000000",
+                "--points must be at most 1000",
+                "--trials must be at most 10000000",
+            ]
+        )
+    ],
 )
-def test_costly_sizes_are_usage_errors(argv, message, tmp_path, capsys):
+def test_costly_sizes_are_usage_errors(argv, line, tmp_path, capsys):
     # one past each bound, and sizes far past it that would not allocate:
-    # each is rejected before any work
+    # each is rejected while argv is parsed, before any work
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        f"paritydistill: error: {message}"
-    ]
+    assert [text for text in err.splitlines() if "error:" in text] == [line]
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flag, bound, outward",
+    [
+        ("rates", "--t-min", 5e-324, -1),
+        ("rates", "--t-min", 1.0, 1),
+        ("rates", "--t-max", 5e-324, -1),
+        ("rates", "--t-max", 1.0, 1),
+        ("rates", "--points", 1, -1),
+        ("rates", "--points", cli.RATES_POINTS_LIMIT, 1),
+        ("rates", "--tau", 5e-324, -1),
+        ("rates", "--tau", sys.float_info.max, 1),
+        ("drift", "--d-max", 5e-324, -1),
+        ("drift", "--d-max", sys.float_info.max, 1),
+        ("drift", "--points", 2, -1),
+        ("drift", "--points", cli.DRIFT_POINTS_LIMIT, 1),
+        ("chain", "--t", 5e-324, -1),
+        ("chain", "--t", 1.0, 1),
+        ("chain", "--t1", 5e-324, -1),
+        ("chain", "--t1", 1.0, 1),
+        ("chain", "--t2", 5e-324, -1),
+        ("chain", "--t2", 1.0, 1),
+        ("chain", "--k-max", 4, -1),
+        ("chain", "--k-max", cli.CHAIN_K_MAX_LIMIT, 1),
+        ("chain", "--tau", 5e-324, -1),
+        ("chain", "--tau", sys.float_info.max, 1),
+        ("chain", "--theta", 0.0, -1),
+        ("chain", "--theta", math.pi / 2.0, 1),
+        ("simulate", "--trials", 1, -1),
+        ("simulate", "--trials", cli.SIMULATE_TRIALS_LIMIT, 1),
+        ("simulate", "--max-iterates", 2, -1),
+        ("simulate", "--max-iterates", cli.SIMULATE_CAP_LIMIT, 1),
+        ("simulate", "--seed", 0, -1),
+        ("simulate", "--seed", 2**64 - 1, 1),
+        ("simulate", "--theta", 0.0, -1),
+        ("simulate", "--theta", math.pi / 2.0, 1),
+        ("simulate", "--sin-sq-theta", 0.0, -1),
+        ("simulate", "--sin-sq-theta", 1.0, 1),
+    ],
+)
+def test_flag_bounds_are_enforced_by_the_parser(
+    command, flag, bound, outward, tmp_path, capsys, monkeypatch
+):
+    # the value at each bound parses to itself; one step past it (the next
+    # int, or the next double) is a usage error before the handler runs
+    if isinstance(bound, float):
+        at, past = repr(bound), repr(math.nextafter(bound, outward * math.inf))
+    else:
+        at, past = str(bound), str(bound + outward)
+    # flag=value, so that argparse reads "-5e-324" as a value, not a flag
+    parsed = cli.build_parser().parse_args([command, f"{flag}={at}"])
+    assert getattr(parsed, flag[2:].replace("-", "_")) == bound
+
+    def handler(parser, args):
+        pytest.fail(f"{command} ran its handler on {flag}={past}")
+
+    monkeypatch.setitem(cli._COMMANDS, command, handler)
+    assert main([command, f"{flag}={past}", "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = [line for line in err.splitlines() if "error:" in line]
+    assert line.startswith(f"paritydistill {command}: error: argument {flag}: must lie in ")
+    assert line.endswith(f", got {past!r}")
     assert not any(tmp_path.iterdir())
 
 
