@@ -20,7 +20,6 @@ from .constants import SERIES_TAIL_TOL, TRACE_EPSILON
 from .errors import DegenerateParameterError, NonConvergenceError
 from .photonics import (
     ApparatusParams,
-    ExcitationAngle,
     _check_link,
     _cos_sq_two_phi,
     _dark_count_brokers,
@@ -29,6 +28,7 @@ from .photonics import (
     _sq,
     eta_weight,
     p_click,
+    theta_from_sin_sq,
 )
 from .protocol import CLIENT_LABELS, _fold, _outcome_masks, _success_fidelity
 from .qstate import _check_density, plus_state
@@ -234,37 +234,15 @@ def optimize_bell_rate(t1, t2, tau: float = 1.0):
 # Loop-strategy interval combinatorics and series
 
 
-@dataclass(frozen=True)
-class SequenceCountVector:
-    """Signature-imbalance walk counts for histories of a given length.
-
-    ``v[i]`` counts the length-(k-1) outcome prefixes whose two
-    signature counts differ by i + 1 and never balanced early.  Exact
-    integers; the vector spans imbalances 1 through k - 1.
-    """
-
-    k: int
-    v: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("histories classify at the second iterate or later")
-        if len(self.v) != self.k - 1 or any(c < 0 for c in self.v):
-            raise ValueError("malformed count vector")
-
-    @property
-    def n_success(self) -> int:
-        """Prefixes one step from balance: distinct successes at iterate k."""
-        return self.v[0]
-
-
-def sequence_counts(k: int) -> SequenceCountVector:
+def sequence_counts(k: int) -> tuple[int, ...]:
     """Count loop histories of length k by walk combinatorics.
 
     A history is tracked by the difference of its two signature counts,
     a positive walk that steps by one per iterate and must not touch
     zero before the end.  The single length-1 prefix sits at imbalance
-    one; each iterate convolves with a step up or down.
+    one; each iterate convolves with a step up or down.  Entry i counts
+    the length-(k - 1) prefixes at imbalance i + 1, so entry 0 counts the
+    distinct successes at iterate k.  Exact integers.
     """
     if k < 2:
         raise ValueError("histories classify at the second iterate or later")
@@ -276,7 +254,7 @@ def sequence_counts(k: int) -> SequenceCountVector:
                 grown[i - 1] += count
             grown[i + 1] += count
         v = grown
-    return SequenceCountVector(k=k, v=tuple(v))
+    return tuple(v)
 
 
 def loop_interval_probabilities(eta: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +332,7 @@ def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
 
     The walk series of ``loop_interval_probabilities``, which models a
     balanced link; the neglected mass is bounded by two extra terms and
-    a geometric envelope.
+    a geometric envelope, and by 1, since it is a probability.
     """
     ps, pf = loop_interval_probabilities(eta, k_max + 2)
     ks = np.arange(k_max + 3)
@@ -363,7 +341,7 @@ def _run_length_series(params: ApparatusParams, eta: float, k_max: int):
     mean_iterates = float((ks[: k_max + 1] * (ps + pf)[: k_max + 1]).sum())
     ratio = max(eta, 1.0 - eta)
     tail_bound = float(ps[k_max + 1] + pf[k_max + 1] + ps[k_max + 2] + pf[k_max + 2])
-    tail_bound /= 1.0 - ratio**2
+    tail_bound = min(tail_bound / (1.0 - ratio**2), 1.0)
     return p_loop, p_fail, mean_iterates, tail_bound
 
 
@@ -426,88 +404,35 @@ def chain_growth_rate(
 # Slow parameter drift between the two iterates
 
 
-def _check_drift(d_x, d_t) -> None:
-    """Drift components, floats or arrays: finite and off the d_t = 2 pole."""
+def drift_infidelity_surface(d_x, d_t) -> tuple[np.ndarray, np.ndarray]:
+    """Physical and quadratic drift infidelity on broadcast drift arrays.
+
+    ``d_x`` is the change of the path-length difference in wavelengths
+    between consecutive heralds, ``d_t`` the relative drift of the
+    transmittance ratio, 1 - sqrt((t1' t2)/(t2' t1)); floats or arrays.
+    On a balanced baseline the first iterate consumes a pair at (phi = 0,
+    delta), the second a pair drifted by delta_phi = -atan(d_t / (2 -
+    d_t)) and delta_delta = -pi d_x.  The physical law is the
+    success-leaf infidelity against the ideal Bell state, and the
+    quadratic law its leading order (pi d_x)^2 + (d_t / 2)^2, whose error
+    is d_t^3 / 4 - (pi d_x)^4 / 3 + ... at leading order: the design rule
+    is accurate to third order in d_t and fourth order in d_x.  The
+    acceptance gate pins the full fourth-order error expansion.
+
+    Drifts must be finite and off the d_t = 2 pole.  Drifts so large that
+    a law is not finite (the quadratic law overflows past ~1e153) raise
+    rather than return inf or nan.
+    """
+    d_x, d_t = np.asarray(d_x, dtype=float), np.asarray(d_t, dtype=float)
     if not (np.all(np.isfinite(d_x)) and np.all(np.isfinite(d_t))):
         raise DegenerateParameterError("drift components must be finite")
     if np.any(np.abs(2.0 - d_t) < 1e-14):
         raise DegenerateParameterError("transmission drift hits the d_t = 2 pole")
-
-
-@dataclass(frozen=True)
-class DriftParams:
-    """Relative drift of the link between consecutive heralds.
-
-    ``d_x`` is the change of the path-length difference in wavelengths;
-    ``d_t`` the relative drift of the transmittance ratio,
-    1 - sqrt((t1' t2)/(t2' t1)).
-    """
-
-    d_x: float
-    d_t: float
-
-    def __post_init__(self) -> None:
-        _check_drift(self.d_x, self.d_t)
-
-    @property
-    def delta_delta(self) -> float:
-        """Detuning angle change between the two heralds."""
-        return -math.pi * self.d_x
-
-    @property
-    def delta_phi(self) -> float:
-        """Imbalance angle change on a balanced baseline."""
-        return -math.atan(self.d_t / (2.0 - self.d_t))
-
-
-def _physical_drift_law(d_x, d_t):
-    """(sin^2 a + cos^2 a u^2) / (1 + u^2), a = pi d_x, u = d_t / (2 - d_t)."""
-    u = d_t / (2.0 - d_t)
-    a = math.pi * d_x
-    return (_sq(np.sin(a)) + _sq(np.cos(a)) * u * u) / (1.0 + u * u)
-
-
-def _quadratic_drift_law(d_x, d_t):
-    """(pi d_x)^2 + (d_t / 2)^2."""
-    return _sq(math.pi * d_x) + _sq(d_t / 2.0)
-
-
-def drift_infidelity_physical(drift: DriftParams) -> float:
-    """Delivered-state drift infidelity from the physical drift pair.
-
-    Balanced baseline: the first iterate consumes a pair at (phi = 0,
-    delta), the second a pair drifted by ``delta_phi`` and
-    ``delta_delta``; the result is the success-leaf infidelity against
-    the ideal Bell state.
-    """
-    return float(_physical_drift_law(drift.d_x, drift.d_t))
-
-
-def drift_infidelity_quadratic(drift: DriftParams) -> float:
-    """Leading-order drift infidelity (pi d_x)^2 + (d_t / 2)^2.
-
-    Its error against the exact delivered-state infidelity is
-    d_t^3 / 4 - (pi d_x)^4 / 3 + ... at leading order, so the design
-    rule is accurate to third order in d_t and fourth order in d_x.
-    The acceptance gate pins the full fourth-order error expansion.
-    """
-    return _quadratic_drift_law(drift.d_x, drift.d_t)
-
-
-def drift_infidelity_surface(d_x, d_t) -> tuple[np.ndarray, np.ndarray]:
-    """Physical and quadratic drift infidelity on broadcast drift arrays.
-
-    The array form of ``drift_infidelity_physical`` and
-    ``drift_infidelity_quadratic``, with the checks of ``DriftParams``
-    as array checks.  Drifts so large that a law is not finite (the
-    quadratic law overflows past ~1e153) raise rather than return inf
-    or nan.
-    """
-    d_x, d_t = np.asarray(d_x, dtype=float), np.asarray(d_t, dtype=float)
-    _check_drift(d_x, d_t)
     with np.errstate(over="ignore", invalid="ignore"):
-        exact = _physical_drift_law(d_x, d_t)
-        quadratic = _quadratic_drift_law(d_x, d_t)
+        u = d_t / (2.0 - d_t)
+        a = math.pi * d_x
+        exact = (_sq(np.sin(a)) + _sq(np.cos(a)) * u * u) / (1.0 + u * u)
+        quadratic = _sq(a) + _sq(d_t / 2.0)
     if not (np.all(np.isfinite(exact)) and np.all(np.isfinite(quadratic))):
         raise DegenerateParameterError("drift too large for a finite infidelity")
     return exact, quadratic
@@ -563,9 +488,10 @@ def dark_count_fidelity_region(
     p = np.asarray(dark_probabilities, dtype=float)
     if t.ndim != 1 or p.ndim != 1:
         raise ValueError("transmissions and dark probabilities must be one-dimensional")
-    theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
+    # through the angle, rounded as each point's heralded state rounds it
+    s = _sin_sq_theta(theta_from_sin_sq(sin_sq_theta))
     t_grid, p_grid = (a.reshape(-1) for a in np.meshgrid(t, p, indexing="ij"))
-    brokers, p_herald = _dark_count_brokers(t_grid, t_grid, 0.0, 0.0, theta.sin_sq, p_grid)
+    brokers, p_herald = _dark_count_brokers(t_grid, t_grid, 0.0, 0.0, s, p_grid)
     reference = two_photon_reference_rate(t_grid, tau)  # checks tau on an empty grid too
     points: tuple[RegionPoint, ...] = ()
     if t_grid.size:

@@ -42,11 +42,11 @@ from .errors import ConfigFormatError, DegenerateParameterError, SimulationError
 from .photonics import (
     CONFIG_FIELDS,
     ApparatusParams,
-    ExcitationAngle,
     _per_tau,
     eta_weight,
     heralded_state,
     p_click,
+    theta_from_sin_sq,
 )
 from .protocol import (
     CLIENT_LABELS,
@@ -326,8 +326,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         parser.error("the two-iterate strategy stops at exactly two iterates")
     config = StrategyConfig(max_iterates=max_iterates, rng_seed=args.seed)
     if args.sin_sq_theta is not None:
-        theta_angle = ExcitationAngle.from_sin_sq(args.sin_sq_theta)
-        theta = theta_angle.theta
+        theta = theta_from_sin_sq(args.sin_sq_theta)
     elif args.theta is not None:
         theta = args.theta
     else:

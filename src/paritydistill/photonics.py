@@ -12,6 +12,8 @@ broadcast arrays alike: the link's fields (``CONFIG_FIELDS``), their
 range checks (``_check_link``), the click probability and contamination
 weight (``_click_and_weight``) and the per-window rule (``_per_tau``):
 every rate is computed per attempt window and divided by ``tau`` last.
+Every angle argument ``theta`` is the excitation angle in radians, a
+float in [0, pi/2]; ``theta_from_sin_sq`` converts from sin^2(theta).
 """
 
 from __future__ import annotations
@@ -241,33 +243,18 @@ class ApparatusParams:
             raise ConfigFormatError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ExcitationAngle:
-    """Emission superposition angle theta; sin^2(theta) is the photon weight."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi / 2:
-            raise DegenerateParameterError(
-                f"theta must lie in [0, pi/2], got {self.theta}"
-            )
-
-    @property
-    def sin_sq(self) -> float:
-        return math.sin(self.theta) ** 2
-
-    @classmethod
-    def from_sin_sq(cls, value: float) -> "ExcitationAngle":
-        if not 0.0 <= value <= 1.0:
-            raise DegenerateParameterError(f"sin^2(theta) must lie in [0, 1], got {value}")
-        return cls(math.asin(math.sqrt(value)))
-
-
 def _sin_sq_theta(theta) -> float:
-    if isinstance(theta, ExcitationAngle):
-        return theta.sin_sq
-    return ExcitationAngle(float(theta)).sin_sq
+    """sin^2(theta) of an excitation angle ``theta`` in radians, in [0, pi/2]."""
+    if not 0.0 <= theta <= math.pi / 2:
+        raise DegenerateParameterError(f"theta must lie in [0, pi/2], got {theta}")
+    return math.sin(theta) ** 2
+
+
+def theta_from_sin_sq(s: float) -> float:
+    """The excitation angle theta in [0, pi/2] whose sin^2 is ``s``."""
+    if not 0.0 <= s <= 1.0:
+        raise DegenerateParameterError(f"sin^2(theta) must lie in [0, 1], got {s}")
+    return math.asin(math.sqrt(s))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ client state.  A run repeats iterates until its outcome history
 classifies as success or failure, or a strategy-dependent cap is hit.
 
 One iterate has one closed form: its four outcome masks, a gather of
-the broker matrix (``_outcome_masks``), which the exact trees,
-``iterate_channel`` and the sampler's tables all read.  The circuit
-route (``run_iterate_exact``) evolves the full four-qubit density matrix
-through the gate sequence; no production path calls it, and the test
-suite keeps it as the independent oracle the gather is pinned against.
+the broker matrix (``_outcome_masks``), which the exact trees and the
+sampler's tables both read.  The circuit route (``run_iterate_exact``)
+evolves the full four-qubit density matrix through the gate sequence;
+no production path calls it, and the test suite keeps it as the
+independent oracle the gather is pinned against.
 
 Exact results come from one walk (``_walk``).  A pending run is known
 by its first outcome ``j`` and its balance: the count of ``j`` less the
@@ -50,7 +50,6 @@ from .errors import DegenerateParameterError
 from .photonics import (
     BROKER_LABELS,
     ApparatusParams,
-    ExcitationAngle,
     HeraldedPair,
     _per_tau,
     heralded_state,
@@ -134,14 +133,6 @@ class StrategyConfig:
         if not 0 <= operator.index(self.rng_seed) < 2**64:
             raise ValueError("rng_seed must lie in [0, 2**64)")
 
-    @classmethod
-    def two_iterates_only(cls, rng_seed: int = 0) -> "StrategyConfig":
-        return cls(2, rng_seed)
-
-    @classmethod
-    def loop(cls, max_iterates: int = 16, rng_seed: int = 0) -> "StrategyConfig":
-        return cls(max_iterates, rng_seed)
-
 
 def classify(history: Sequence[IterateOutcome]) -> Status:
     """Classify an outcome history.
@@ -202,20 +193,6 @@ def _outcome_masks(pair: HeraldedPair | DensityMatrix | np.ndarray) -> np.ndarra
             f"outcome masks must be finite and sum to one on the diagonal: defect {defect:.3e}"
         )
     return masks
-
-
-def iterate_channel(
-    clients: DensityMatrix, pair: HeraldedPair, outcome: IterateOutcome
-) -> DensityMatrix:
-    """Closed-form route: unnormalized post-iterate client state.
-
-    The trace of the result is the outcome probability when ``clients``
-    is normalized.  The first client label carries the distortion.
-    """
-    if clients.n_qubits != 2:
-        raise ValueError("the iterate acts on exactly two client qubits")
-    out = _outcome_masks(pair)[outcome.index] * clients.elements
-    return DensityMatrix(out, clients.labels, validate=False)
 
 
 @dataclass(frozen=True)
@@ -897,7 +874,6 @@ def run_trajectories(
         attempts[rows], iterates[rows], status_codes[rows], fidelities[rows] = _sample_chunk(
             streams, scale, twist, log_miss, config.max_iterates
         )
-    angle = theta.theta if isinstance(theta, ExcitationAngle) else float(theta)
     return SampleStats(
-        config, params, angle, trials, attempts, iterates, status_codes, fidelities
+        config, params, float(theta), trials, attempts, iterates, status_codes, fidelities
     )

@@ -18,7 +18,6 @@ from paritydistill import (
     DegenerateParameterError,
     DensityMatrix,
     ExactTree,
-    ExcitationAngle,
     IterateOutcome,
     Leaf,
     RegionLabel,
@@ -31,6 +30,7 @@ from paritydistill import (
     optimize_bell_rate,
     plus_state,
     run_strategy_exact,
+    theta_from_sin_sq,
     two_photon_reference_rate,
 )
 from paritydistill.analytics import DARK_FIDELITY_CUTOFF
@@ -86,6 +86,19 @@ def bell_odd(labels: Sequence[str]) -> DensityMatrix:
     return DensityMatrix.from_pure([0, half, half, 0], labels)
 
 
+def drift_angles(d_x: float, d_t: float) -> tuple[float, float]:
+    """(delta_phi, delta_delta) of a physical drift on a balanced baseline.
+
+    ``d_x`` is the change of the path-length difference in wavelengths,
+    which turns the detuning pi (x1 - x2) / wavelength by -pi d_x.
+    ``d_t`` = 1 - sqrt((t1' t2)/(t2' t1)) is the relative drift of the
+    transmittance ratio: from t1 = t2, q = sqrt(t1' / t2') = 1 - d_t, and
+    sin 2phi' = (q^2 - 1)/(q^2 + 1) gives tan phi' = (q - 1)/(q + 1) =
+    -d_t / (2 - d_t).
+    """
+    return -math.atan(d_t / (2.0 - d_t)), -math.pi * d_x
+
+
 def drift_infidelity_exact(phi: float, delta_phi: float, delta_delta: float) -> float:
     """Infidelity of the distilled state when the link drifts mid-run.
 
@@ -122,8 +135,8 @@ def region_by_tree(
     ``RegionPoint`` fields as an (N, 7) array, transmission-major, and the
     labels.
     """
-    theta = ExcitationAngle.from_sin_sq(sin_sq_theta)
-    cfg = StrategyConfig.two_iterates_only()
+    theta = theta_from_sin_sq(sin_sq_theta)
+    cfg = StrategyConfig()
     clients = plus_state(CLIENT_LABELS)
     rows, labels = [], []
     for t in transmissions:

@@ -14,25 +14,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bell_odd, count_class_tree, drift_infidelity_exact, region_by_tree
+from helpers import (
+    bell_odd,
+    count_class_tree,
+    drift_angles,
+    drift_infidelity_exact,
+    region_by_tree,
+)
 from paritydistill import (
     ApparatusParams,
     DegenerateParameterError,
-    DriftParams,
-    ExcitationAngle,
     HeraldedPair,
     NonConvergenceError,
     Objective,
     RegionLabel,
     RegionPoint,
-    SequenceCountVector,
     Status,
     StrategyConfig,
     chain_growth_rate,
     crossover_transmission,
     dark_count_fidelity_region,
-    drift_infidelity_physical,
-    drift_infidelity_quadratic,
     drift_infidelity_surface,
     eta_weight,
     fidelity,
@@ -47,6 +48,7 @@ from paritydistill import (
     run_strategy_exact,
     run_trajectories,
     sequence_counts,
+    theta_from_sin_sq,
     two_photon_reference_rate,
 )
 from paritydistill.analytics import GOLDEN_SECTION_TOL
@@ -61,13 +63,13 @@ def test_rate_bell_equals_success_times_click_rate():
     # dual route: closed form against the exact tree, half a success per
     # two consumed heralds
     rng = np.random.default_rng(41)
-    cfg = StrategyConfig.two_iterates_only()
+    cfg = StrategyConfig()
     clients = plus_state(CLIENT_LABELS)
     for _ in range(10):
         params = ApparatusParams(
             t1=rng.uniform(0.05, 1.0), t2=rng.uniform(0.05, 1.0), x1=rng.uniform(0, 1)
         )
-        theta = ExcitationAngle.from_sin_sq(rng.uniform(0.05, 0.95))
+        theta = theta_from_sin_sq(rng.uniform(0.05, 0.95))
         tree = run_strategy_exact(clients, heralded_state(params, theta), cfg)
         expect = 0.5 * tree.success_probability * p_click(params, theta) / params.tau
         assert rate_bell(params, theta) == pytest.approx(expect, rel=1e-12)
@@ -75,21 +77,21 @@ def test_rate_bell_equals_success_times_click_rate():
 
 def test_rate_bell_vanishes_at_the_edges():
     params = ApparatusParams(t1=0.5, t2=0.5)
-    assert rate_bell(params, ExcitationAngle(0.0)) == 0.0
-    assert rate_bell(params, ExcitationAngle(math.pi / 2.0)) == 0.0
+    assert rate_bell(params, 0.0) == 0.0
+    assert rate_bell(params, math.pi / 2.0) == 0.0
     dark_arm = ApparatusParams(t1=0.5, t2=0.0)
-    assert rate_bell(dark_arm, ExcitationAngle.from_sin_sq(0.3)) == 0.0
+    assert rate_bell(dark_arm, theta_from_sin_sq(0.3)) == 0.0
 
 
 def test_rate_bell_weak_link_expansion():
     # leading order in T at s = 1/3: (2/27) T / tau
     params = ApparatusParams(t1=1e-8, t2=1e-8)
-    rate = rate_bell(params, ExcitationAngle.from_sin_sq(1.0 / 3.0))
+    rate = rate_bell(params, theta_from_sin_sq(1.0 / 3.0))
     assert rate == pytest.approx((2.0 / 27.0) * 1e-8, rel=1e-6)
 
 
 def test_rate_bell_tau_scaling():
-    theta = ExcitationAngle.from_sin_sq(0.3)
+    theta = theta_from_sin_sq(0.3)
     fast = rate_bell(ApparatusParams(t1=0.4, t2=0.2, tau=1.0), theta)
     slow = rate_bell(ApparatusParams(t1=0.4, t2=0.2, tau=4.0), theta)
     assert fast == pytest.approx(4.0 * slow, rel=1e-14)
@@ -110,13 +112,13 @@ def _region_rates(tau):
 
 def _sampled_rates(tau):
     config = StrategyConfig(max_iterates=2, rng_seed=3)
-    stats = run_trajectories(config, _link(1.0), ExcitationAngle.from_sin_sq(0.3), 500)
+    stats = run_trajectories(config, _link(1.0), theta_from_sin_sq(0.3), 500)
     summary = replace(stats, params=_link(tau)).summary()
     return summary["bell_rate"], summary["bell_rate_se"]
 
 
 RATES_PER_TAU = {
-    "rate_bell": lambda tau: rate_bell(_link(tau), ExcitationAngle.from_sin_sq(0.3)),
+    "rate_bell": lambda tau: rate_bell(_link(tau), theta_from_sin_sq(0.3)),
     "reference": lambda tau: two_photon_reference_rate(np.array([1e-3, 0.5]), tau),
     "optimize_bell_rate": lambda tau: optimize_bell_rate([1e-3, 0.02], 0.005, tau)[1],
     "optimize_theta-bell": lambda tau: optimize_theta(_link(tau), Objective.BELL_RATE).rate,
@@ -157,7 +159,7 @@ def test_crossover_against_polynomial_root():
     root = 3.0 - math.sqrt(73.0) / 3.0
     cross = crossover_transmission()
     assert cross == pytest.approx(root, abs=1e-9)
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     below = ApparatusParams(t1=cross * 0.9, t2=cross * 0.9)
     above = ApparatusParams(t1=cross * 1.1, t2=cross * 1.1)
     assert rate_bell(below, theta) > two_photon_reference_rate(below.mean_transmission)
@@ -375,25 +377,18 @@ def brute_force_walk_counts(k: int) -> tuple[int, ...]:
 
 def test_sequence_counts_against_brute_force():
     for k in range(2, 13):
-        assert sequence_counts(k).v == brute_force_walk_counts(k)
+        assert sequence_counts(k) == brute_force_walk_counts(k)
 
 
 def test_sequence_counts_small_values():
-    assert sequence_counts(2).n_success == 1
-    assert sequence_counts(3).n_success == 0
-    assert sequence_counts(4).n_success == 1
-    assert sequence_counts(6).n_success == 2
+    assert sequence_counts(2)[0] == 1
+    assert sequence_counts(3)[0] == 0
+    assert sequence_counts(4)[0] == 1
+    assert sequence_counts(6)[0] == 2
     for k in (3, 5, 7, 9):
-        assert sequence_counts(k).n_success == 0
-
-
-def test_sequence_count_vector_validation():
+        assert sequence_counts(k)[0] == 0
     with pytest.raises(ValueError):
         sequence_counts(1)
-    with pytest.raises(ValueError):
-        SequenceCountVector(k=3, v=(1,))
-    with pytest.raises(ValueError):
-        SequenceCountVector(k=3, v=(1, -1))
 
 
 def test_interval_probabilities_small_k_closed_forms():
@@ -455,7 +450,7 @@ def test_interval_probabilities_match_ballot_counts_exactly():
     # by at most 1 and the final scalings by at most 2, so 3k 2**-1074
     # bounds that.
     k_max = 260
-    counts = [(c.n_success, sum(c.v)) for c in map(sequence_counts, range(2, k_max + 1))]
+    counts = [(c[0], sum(c)) for c in map(sequence_counts, range(2, k_max + 1))]
     underflow = Fraction(2) ** -1074
     for eta in (0.0, 1e-300, 0.05, 0.3, 0.7, 1.0 - 2.0**-53):
         ps, pf = loop_interval_probabilities(eta, k_max)
@@ -569,7 +564,7 @@ def series_tolerances(expected: dict, k_max: int, eta: float, pc: float) -> dict
 
 
 def test_chain_growth_matches_allocating_series():
-    theta = ExcitationAngle.from_sin_sq(0.2)
+    theta = theta_from_sin_sq(0.2)
     for t in (1e-3, 0.5):
         params = ApparatusParams(t1=t, t2=t)
         for k_max in (64, 256):
@@ -628,9 +623,9 @@ def test_interval_probabilities_are_complete():
         assert ps.sum() + pf.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def balanced_angle(t: float, eta: float) -> ExcitationAngle:
+def balanced_angle(t: float, eta: float) -> float:
     """The angle whose heralded pair on a balanced link t has weight eta."""
-    return ExcitationAngle.from_sin_sq(2.0 * eta / (2.0 - t + eta * t))
+    return theta_from_sin_sq(2.0 * eta / (2.0 - t + eta * t))
 
 
 def test_loop_success_series_matches_closed_form():
@@ -650,7 +645,7 @@ def test_chain_growth_closed_form_matches_long_series_on_balanced_links():
     for t in (1e-1, 1e-3, 1e-5):
         params = ApparatusParams(t1=t, t2=t)
         for s in (0.05, 0.138, 0.3, 0.6):
-            theta = ExcitationAngle.from_sin_sq(s)
+            theta = theta_from_sin_sq(s)
             exact = chain_growth_rate(params, theta)
             series = chain_growth_rate(params, theta, k_max=2000)
             assert (exact.tail_bound, exact.converged) == (0.0, True)
@@ -668,12 +663,12 @@ def test_chain_growth_closed_form_on_unbalanced_links(t1, t2):
     # mass and the mean iterate count differ by the trees' pending and
     # pruned mass and the iterates it has still to run
     params = ApparatusParams(t1=t1, t2=t2)
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     exact = chain_growth_rate(params, theta)
     assert exact.p_loop + exact.p_fail == pytest.approx(1.0, abs=1e-15)
     pair = heralded_state(params, theta)
     clients = plus_state(CLIENT_LABELS)
-    config = StrategyConfig.loop(64)
+    config = StrategyConfig(64)
     for tree in (
         run_strategy_exact(clients, pair, config),
         count_class_tree(clients, pair, config),
@@ -687,7 +682,7 @@ def test_chain_growth_closed_form_on_unbalanced_links(t1, t2):
 
 
 def test_chain_growth_roadmap_figures_on_unbalanced_links():
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     for (t1, t2), p_loop in (
         ((0.02, 0.005), 0.154544195538),
         ((0.5, 0.05), 0.078848161236),
@@ -702,13 +697,13 @@ def test_loop_distillation_tolerates_asymmetry_at_a_rate_cost():
     # asymmetry costs only rate.  At fixed mean transmission the success
     # fidelity stays 1 while p_loop and the optimal growth rate fall
     t_mean = 0.05
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     p_loops, growth = [], []
     for sigma in (0.0, 0.2, 0.4, 0.6):
         params = ApparatusParams(t1=t_mean * (1.0 + sigma), t2=t_mean * (1.0 - sigma))
         assert params.sin_two_phi == pytest.approx(sigma, abs=1e-15)
         tree = run_strategy_exact(
-            plus_state(CLIENT_LABELS), heralded_state(params, theta), StrategyConfig.loop(16)
+            plus_state(CLIENT_LABELS), heralded_state(params, theta), StrategyConfig(16)
         )
         assert tree.mean_success_fidelity() == pytest.approx(1.0, abs=1e-12)
         p_loops.append(chain_growth_rate(params, theta).p_loop)
@@ -719,7 +714,7 @@ def test_loop_distillation_tolerates_asymmetry_at_a_rate_cost():
 
 def test_chain_growth_limit_at_two_thirds_imbalance():
     # p_loop = 1 - R with R >= |sin 2phi|, so growth needs |sin 2phi| < 2/3
-    grid = [ExcitationAngle.from_sin_sq(s) for s in np.linspace(1e-6, 0.99, 60)]
+    grid = [theta_from_sin_sq(s) for s in np.linspace(1e-6, 0.99, 60)]
     for t1, t2 in ((0.9, 0.001), (0.5, 0.1), (0.12, 0.02)):
         params = ApparatusParams(t1=t1, t2=t2)
         bound = 1.0 - abs(params.sin_two_phi)
@@ -737,7 +732,7 @@ def test_chain_growth_limit_at_two_thirds_imbalance():
 
 def test_truncated_series_needs_a_balanced_link():
     params = ApparatusParams(t1=0.6, t2=0.3)
-    theta = ExcitationAngle.from_sin_sq(0.3)
+    theta = theta_from_sin_sq(0.3)
     with pytest.raises(DegenerateParameterError, match="t1 == t2"):
         chain_growth_rate(params, theta, k_max=64)
     with pytest.raises(DegenerateParameterError, match="t1 == t2"):
@@ -748,19 +743,19 @@ def test_truncated_series_needs_a_balanced_link():
 def test_chain_growth_overflow_raises():
     params = ApparatusParams(t1=0.5, t2=0.5, tau=5e-324)
     with pytest.raises(DegenerateParameterError, match="overflows"):
-        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.2))
+        chain_growth_rate(params, theta_from_sin_sq(0.2))
     with pytest.raises(DegenerateParameterError, match="overflows"):
-        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.2), k_max=64)
+        chain_growth_rate(params, theta_from_sin_sq(0.2), k_max=64)
 
 
 def test_chain_growth_input_validation():
     params = ApparatusParams(t1=0.5, t2=0.5)
     with pytest.raises(ValueError):
-        chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.3), k_max=3)
+        chain_growth_rate(params, theta_from_sin_sq(0.3), k_max=3)
     with pytest.raises(DegenerateParameterError):
-        chain_growth_rate(params, ExcitationAngle(0.0))
+        chain_growth_rate(params, 0.0)
     with pytest.raises(DegenerateParameterError):
-        chain_growth_rate(params, ExcitationAngle(math.pi / 2.0))
+        chain_growth_rate(params, math.pi / 2.0)
 
 
 def test_chain_growth_against_exact_tree():
@@ -768,13 +763,13 @@ def test_chain_growth_against_exact_tree():
     # run-length range: success/failure masses and the mean iterate count
     # (pending mass excluded on both sides) must match the series
     params = ApparatusParams(t1=0.5, t2=0.5)
-    theta = ExcitationAngle.from_sin_sq(4e-6 / 3.0)
+    theta = theta_from_sin_sq(4e-6 / 3.0)
     cap = 6
     series = chain_growth_rate(params, theta, k_max=cap)
     tree = run_strategy_exact(
         plus_state(CLIENT_LABELS),
         heralded_state(params, theta),
-        StrategyConfig.loop(cap),
+        StrategyConfig(cap),
     )
     assert series.p_loop == pytest.approx(tree.success_probability, abs=1e-12)
     assert series.p_fail == pytest.approx(tree.failure_probability, abs=1e-12)
@@ -792,7 +787,7 @@ def test_chain_growth_against_exact_tree():
 
 def test_chain_growth_can_be_negative():
     params = ApparatusParams(t1=0.5, t2=0.5)
-    result = chain_growth_rate(params, ExcitationAngle.from_sin_sq(0.5))
+    result = chain_growth_rate(params, theta_from_sin_sq(0.5))
     assert result.growth_rate < 0.0
     assert 3.0 * result.p_loop - 1.0 < 0.0
 
@@ -815,7 +810,7 @@ def test_chain_growth_operating_point_constants():
 
 def test_chain_growth_converges_with_larger_cutoff():
     params = ApparatusParams(t1=0.5, t2=0.5)
-    theta = ExcitationAngle.from_sin_sq(0.2)
+    theta = theta_from_sin_sq(0.2)
     short = chain_growth_rate(params, theta, k_max=8)
     long = chain_growth_rate(params, theta, k_max=400)
     assert not short.converged
@@ -832,8 +827,7 @@ def test_chain_growth_converges_with_larger_cutoff():
 
 def test_drift_zero_is_exactly_zero():
     assert drift_infidelity_exact(0.3, 0.0, 0.0) == 0.0
-    assert drift_infidelity_physical(DriftParams(0.0, 0.0)) == 0.0
-    assert drift_infidelity_quadratic(DriftParams(0.0, 0.0)) == 0.0
+    assert drift_infidelity_surface(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_drift_exact_against_delivered_state():
@@ -924,23 +918,21 @@ def test_drift_physical_against_raw_transmittances():
                 eta=0.0, phi=drifted.phi, delta=drifted.delta
             ).expand(("B1", "B2"))
             expect = 1.0 - fidelity(second, first)
-            got = drift_infidelity_physical(DriftParams(d_x=d_x, d_t=d_t))
+            got, _ = drift_infidelity_surface(d_x, d_t)
             assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_drift_physical_matches_exact_angles():
     for d_t in (0.0, 0.03, 0.1):
         for d_x in (0.0, 0.04, 0.1):
-            drift = DriftParams(d_x=d_x, d_t=d_t)
-            assert drift_infidelity_physical(drift) == pytest.approx(
-                drift_infidelity_exact(0.0, drift.delta_phi, drift.delta_delta),
-                abs=1e-14,
+            assert drift_infidelity_surface(d_x, d_t)[0] == pytest.approx(
+                drift_infidelity_exact(0.0, *drift_angles(d_x, d_t)), abs=1e-14
             )
 
 
 def test_drift_tolerance_benchmark_point():
     # a path drift of 1/(32 pi) wavelengths costs less than 1e-3
-    eps = drift_infidelity_physical(DriftParams(d_x=1.0 / (32.0 * math.pi), d_t=0.0))
+    eps, _ = drift_infidelity_surface(1.0 / (32.0 * math.pi), 0.0)
     assert eps == pytest.approx(math.sin(1.0 / 32.0) ** 2, abs=1e-15)
     assert eps < 1e-3
 
@@ -949,9 +941,9 @@ def test_drift_symmetry_and_sign():
     grid = np.linspace(0.0, 0.1, 11)
     for d_t in grid:
         for d_x in grid:
-            eps = drift_infidelity_physical(DriftParams(d_x, d_t))
+            eps, _ = drift_infidelity_surface(d_x, d_t)
             assert eps >= 0.0
-            assert eps == drift_infidelity_physical(DriftParams(-d_x, d_t))
+            assert eps == drift_infidelity_surface(-d_x, d_t)[0]
 
 
 def test_drift_quadratic_envelope():
@@ -961,20 +953,10 @@ def test_drift_quadratic_envelope():
     grid = np.linspace(0.0, 0.1, 11)
     for d_t in grid:
         for d_x in grid:
-            drift = DriftParams(d_x, d_t)
-            gap = abs(
-                drift_infidelity_exact(0.0, drift.delta_phi, drift.delta_delta)
-                - drift_infidelity_quadratic(drift)
-            )
+            exact = drift_infidelity_exact(0.0, *drift_angles(d_x, d_t))
+            gap = abs(exact - drift_infidelity_surface(d_x, d_t)[1])
             envelope = 35.0 * max(d_x, d_t) ** 4 + 0.3 * d_t**3
             assert gap <= envelope + 1e-15
-
-
-def test_drift_params_validation_and_round_trip():
-    with pytest.raises(DegenerateParameterError):
-        DriftParams(d_x=float("nan"), d_t=0.0)
-    with pytest.raises(DegenerateParameterError):
-        DriftParams(d_x=0.0, d_t=2.0)
 
 
 def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -983,7 +965,8 @@ def ulps_apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_drift_surface_matches_per_point_laws():
-    # the benchmark's drift grid, plus negative drifts and d_t near the pole
+    # the grid against the surface called on each pair of floats: the
+    # benchmark's drift grid, plus negative drifts and d_t near the pole
     d_max = 0.1 * (1.0 + 0.5 * random.Random(101).random())
     axes = (
         np.linspace(0.0, d_max, 151),
@@ -996,14 +979,16 @@ def test_drift_surface_matches_per_point_laws():
         per_quad = np.empty_like(quad)
         for i, dx in enumerate(grid.tolist()):
             for j, dt in enumerate(grid.tolist()):
-                drift = DriftParams(d_x=dx, d_t=dt)
-                per_exact[i, j] = drift_infidelity_physical(drift)
-                per_quad[i, j] = drift_infidelity_quadratic(drift)
+                per_exact[i, j], per_quad[i, j] = drift_infidelity_surface(dx, dt)
         assert np.max(ulps_apart(exact, per_exact)) <= 1
         assert np.max(ulps_apart(quad, per_quad)) <= 1
 
 
 def test_drift_surface_checks_every_point():
+    with pytest.raises(DegenerateParameterError, match="finite"):
+        drift_infidelity_surface(float("nan"), 0.0)
+    with pytest.raises(DegenerateParameterError, match="pole"):
+        drift_infidelity_surface(0.0, 2.0)
     with pytest.raises(DegenerateParameterError, match="finite"):
         drift_infidelity_surface(np.array([0.0, np.nan]), 0.1)
     with pytest.raises(DegenerateParameterError, match="finite"):
@@ -1025,7 +1010,7 @@ def test_drift_exact_rejects_annihilating_direction():
 
 
 def test_region_clean_column_reduces_to_rate_comparison():
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     for t in (0.05, 0.3, 0.6):
         (point,) = dark_count_fidelity_region([t], [0.0])
         assert point.fidelity == pytest.approx(1.0, abs=1e-10)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -13,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,17 +24,15 @@ import paritydistill
 from helpers import drift_csv_by_repr, rates_csv_by_repr
 from paritydistill import (
     ApparatusParams,
-    ExcitationAngle,
     STREAM_VERSION,
     Status,
     StrategyConfig,
     chain_growth_rate,
-    drift_infidelity_physical,
-    drift_infidelity_quadratic,
-    DriftParams,
+    drift_infidelity_surface,
     heralded_state,
     plus_state,
     run_strategy_exact,
+    theta_from_sin_sq,
 )
 from paritydistill import __version__, _csvbytes, analytics, cli, protocol
 from paritydistill.cli import OUTDIR_ENV_VAR, main
@@ -161,9 +161,9 @@ def test_drift_surface(tmp_path, capsys):
     ]
     assert len(rows) == 36
     for row in rows:
-        drift = DriftParams(d_x=float(row[0]), d_t=float(row[1]))
-        assert float(row[2]) == drift_infidelity_physical(drift)
-        assert float(row[3]) == drift_infidelity_quadratic(drift)
+        exact, quadratic = drift_infidelity_surface(float(row[0]), float(row[1]))
+        assert float(row[2]) == exact
+        assert float(row[3]) == quadratic
         # no clipping without the flag
         assert row[4] == row[5]
         assert float(row[5]) == 1.0 - float(row[2])
@@ -453,8 +453,22 @@ def test_chain_k_max_searches_the_series_to_the_pinned_angle(capsys, monkeypatch
 
     monkeypatch.setattr(analytics, "loop_interval_probabilities", counting)
     assert main(["chain", "--t", "1e-3", "--k-max", "256"]) == 0
-    assert parse_report(capsys.readouterr().out)["theta_opt"] == 0.38048747064055727
+    values = parse_report(capsys.readouterr().out)
+    assert values["theta_opt"] == 0.38048747064055727
+    assert values["tail_bound"] == 1.6231030993844976e-18
     assert calls and {k_max for _, k_max in calls} == {258}
+
+
+def test_chain_tail_bound_is_at_most_one(capsys):
+    # at eta ~ 1e-8 the geometric envelope divides by 1 - rho^2 ~ 2 eta
+    # and exceeds 1; as a bound on a probability mass it stops at 1
+    assert main(["chain", "--t", "1e-6", "--k-max", "4", "--theta", "1e-4"]) == 0
+    captured = capsys.readouterr()
+    assert parse_report(captured.out)["tail_bound"] == 1.0
+    assert "warning: series tail bound 1.000e+00 exceeds" in captured.err
+    result = chain_growth_rate(ApparatusParams(t1=1e-6, t2=1e-6), 1e-4, k_max=4)
+    assert result.tail_bound == 1.0 and not result.converged
+    assert 0.0 < 1.0 - result.p_loop - result.p_fail <= result.tail_bound
 
 
 def test_cached_parser_answers_as_a_fresh_process(tmp_path, capsys, monkeypatch):
@@ -772,11 +786,11 @@ def test_simulate_summary_against_exact_tree(tmp_path, capsys):
     assert m, out
     observed, se, exact = map(float, m.groups())
     params = ApparatusParams(t1=0.8, t2=0.8)
-    theta = ExcitationAngle.from_sin_sq(0.3)
+    theta = theta_from_sin_sq(0.3)
     tree = run_strategy_exact(
         plus_state(CLIENT_LABELS),
         heralded_state(params, theta),
-        StrategyConfig.two_iterates_only(rng_seed=13),
+        StrategyConfig(rng_seed=13),
     )
     assert exact == pytest.approx(tree.success_probability, rel=1e-12)
     assert abs(observed - exact) < 4.0 * max(se, 1e-6)
@@ -803,8 +817,8 @@ def test_simulate_builds_no_leaves(tmp_path, capsys, monkeypatch):
     assert "exact" in capsys.readouterr().out
     tree = run_strategy_exact(
         plus_state(CLIENT_LABELS),
-        heralded_state(ApparatusParams(t1=0.01, t2=0.01), ExcitationAngle.from_sin_sq(0.1)),
-        StrategyConfig.loop(32),
+        heralded_state(ApparatusParams(t1=0.01, t2=0.01), theta_from_sin_sq(0.1)),
+        StrategyConfig(32),
     )
     with pytest.raises(AssertionError, match="built a Leaf"):
         tree.leaves
@@ -1165,3 +1179,23 @@ def test_star_import_binds_every_exported_name():
     for name in names:
         assert namespace[name] is getattr(paritydistill, name), name
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    # a public name that no module of the package loads and no benchmark
+    # file names is API whose only consumer is its own unit test
+    package = Path(paritydistill.__file__).parent
+    loaded = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    named = set()
+    for path in (package.parents[1] / "bench").glob("*.py"):
+        named |= set(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    # the classification spec, and criterion 8's integer walk counts
+    specified = {"classify", "sequence_counts"}
+    assert set(paritydistill.__all__) - loaded - named == specified

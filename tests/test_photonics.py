@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,15 +15,19 @@ from paritydistill import (
     ApparatusParams,
     ConfigFormatError,
     DegenerateParameterError,
-    ExcitationAngle,
     HeraldedPair,
+    StrategyConfig,
+    chain_growth_rate,
     eta_weight,
     fidelity,
     heralded_state,
     heralded_state_with_dark_counts,
     p_click,
+    rate_bell,
+    run_trajectories,
+    theta_from_sin_sq,
 )
-from paritydistill.photonics import _cos_sq_two_phi, _dark_count_brokers
+from paritydistill.photonics import _cos_sq_two_phi, _dark_count_brokers, _sin_sq_theta
 
 
 def test_params_derived_quantities():
@@ -81,22 +86,76 @@ def test_detuning_reduction():
     assert -math.pi / 2 < d <= math.pi / 2
 
 
-def test_excitation_angle():
-    assert ExcitationAngle.from_sin_sq(1.0 / 3.0).sin_sq == pytest.approx(1.0 / 3.0)
-    with pytest.raises(DegenerateParameterError):
-        ExcitationAngle(-0.1)
-    with pytest.raises(DegenerateParameterError):
-        ExcitationAngle.from_sin_sq(1.5)
+LINK = ApparatusParams(t1=0.3, t2=0.2)
+DARK_LINK = dataclasses.replace(LINK, p_dark=1e-3)
+
+
+def _sampled(theta):
+    stats = run_trajectories(StrategyConfig(4, rng_seed=3), LINK, theta, 50)
+    columns = (stats.attempts, stats.iterates, stats.status, stats.fidelity)
+    return (stats.theta, type(stats.theta), *(c.tobytes() for c in columns))
+
+
+def _dark_counted(theta):
+    state, p_herald = heralded_state_with_dark_counts(DARK_LINK, theta)
+    return state.elements.tobytes(), p_herald
+
+
+# Every entry point that takes the excitation angle: theta in radians.
+ANGLE_ENTRY_POINTS = {
+    "p_click": lambda theta: p_click(LINK, theta),
+    "eta_weight": lambda theta: eta_weight(LINK, theta),
+    "heralded_state": lambda theta: heralded_state(LINK, theta),
+    "heralded_state_with_dark_counts": _dark_counted,
+    "rate_bell": lambda theta: rate_bell(LINK, theta),
+    "chain_growth_rate": lambda theta: chain_growth_rate(LINK, theta),
+    "run_trajectories": _sampled,
+}
+
+
+@pytest.mark.parametrize("entry", list(ANGLE_ENTRY_POINTS))
+def test_angle_contract_at_every_entry_point(entry):
+    call = ANGLE_ENTRY_POINTS[entry]
+    for theta in (-1e-12, math.pi / 2.0 + 1e-9, math.nan, math.inf):
+        with pytest.raises(DegenerateParameterError, match="theta"):
+            call(theta)
+    # a float, a numpy float and an int are one angle; theta = 0 is valid
+    # only where no click is needed (the false heralds of a dark link), so
+    # elsewhere all three raise alike
+    for theta in (0, 1):
+        results = []
+        for value in (float(theta), np.float64(theta), theta):
+            try:
+                results.append(call(value))
+            except DegenerateParameterError as exc:
+                assert theta == 0, exc
+                results.append(str(exc))
+        assert results[0] == results[1] == results[2], (entry, theta)
+
+
+def test_theta_from_sin_sq_contract():
+    for s in (-1e-12, 1.0 + 1e-12, math.nan):
+        with pytest.raises(DegenerateParameterError, match="sin"):
+            theta_from_sin_sq(s)
+    assert theta_from_sin_sq(0.0) == 0.0
+    assert theta_from_sin_sq(1.0) == math.pi / 2.0
+    # sqrt, asin, sin and the square each round once; 2 ulp holds on 99.8%
+    # of this grid and 3 ulp on all of it
+    grid = np.concatenate([np.linspace(0.0, 1.0, 100_001), np.geomspace(1e-300, 1.0, 2_001)])
+    back = np.array([_sin_sq_theta(theta_from_sin_sq(s)) for s in grid.tolist()])
+    ulps = np.abs(back.view(np.int64) - grid.view(np.int64))
+    assert np.max(ulps) <= 3
+    assert np.mean(ulps <= 2) >= 0.99
 
 
 def test_p_click_certain_case():
     p = ApparatusParams(t1=1.0, t2=1.0)
-    assert p_click(p, ExcitationAngle(math.pi / 2.0)) == pytest.approx(1.0, abs=1e-14)
+    assert p_click(p, math.pi / 2.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_p_click_no_excitation():
     p = ApparatusParams(t1=0.7, t2=0.4)
-    assert p_click(p, ExcitationAngle(0.0)) == 0.0
+    assert p_click(p, 0.0) == 0.0
 
 
 def test_p_click_against_emission_breakdown():
@@ -110,7 +169,7 @@ def test_p_click_against_emission_breakdown():
         for s in (0.1, 1.0 / 3.0, 0.8):
             params = ApparatusParams(t1=t, t2=t)
             breakdown = 2.0 * t * s * (1.0 - s) + s * s * (1.0 - (1.0 - t) ** 2)
-            assert p_click(params, ExcitationAngle.from_sin_sq(s)) == pytest.approx(
+            assert p_click(params, theta_from_sin_sq(s)) == pytest.approx(
                 breakdown, abs=1e-12
             )
 
@@ -125,13 +184,13 @@ def test_p_click_against_survival_product():
         s = rng.uniform(0.0, 1.0)
         params = ApparatusParams(t1=t1, t2=t2)
         expect = 1.0 - (1.0 - s * t1) * (1.0 - s * t2)
-        assert p_click(params, ExcitationAngle.from_sin_sq(s)) == pytest.approx(
+        assert p_click(params, theta_from_sin_sq(s)) == pytest.approx(
             expect, abs=1e-12
         )
 
 
 def test_p_click_monotone_in_transmittance():
-    s = ExcitationAngle.from_sin_sq(0.4)
+    s = theta_from_sin_sq(0.4)
     grid = np.linspace(0.01, 1.0, 25)
     values = [p_click(ApparatusParams(t1=t, t2=0.3), s) for t in grid]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -142,19 +201,19 @@ def test_p_click_monotone_in_transmittance():
 def test_eta_weight_reference_point():
     # T=1, phi=0, s=1/3: (1/3)(2-1)/(2-1/3) = 1/5
     p = ApparatusParams(t1=1.0, t2=1.0)
-    assert eta_weight(p, ExcitationAngle.from_sin_sq(1.0 / 3.0)) == pytest.approx(
+    assert eta_weight(p, theta_from_sin_sq(1.0 / 3.0)) == pytest.approx(
         0.2, abs=1e-12
     )
 
 
 def test_eta_weight_limits():
     p = ApparatusParams(t1=0.6, t2=0.6)
-    assert eta_weight(p, ExcitationAngle(math.pi / 2.0)) == pytest.approx(1.0, abs=1e-12)
-    assert eta_weight(p, ExcitationAngle.from_sin_sq(1e-12)) == pytest.approx(
+    assert eta_weight(p, math.pi / 2.0) == pytest.approx(1.0, abs=1e-12)
+    assert eta_weight(p, theta_from_sin_sq(1e-12)) == pytest.approx(
         0.0, abs=1e-11
     )
     with pytest.raises(DegenerateParameterError):
-        eta_weight(p, ExcitationAngle(0.0))
+        eta_weight(p, 0.0)
 
 
 def test_eta_p_click_identity():
@@ -164,7 +223,7 @@ def test_eta_p_click_identity():
         t1, t2 = rng.uniform(0.05, 1.0, size=2)
         s = rng.uniform(0.01, 1.0)
         params = ApparatusParams(t1=t1, t2=t2)
-        theta = ExcitationAngle.from_sin_sq(s)
+        theta = theta_from_sin_sq(s)
         t = params.mean_transmission
         rhs = s * s * t * (2.0 - t * params.cos_sq_two_phi)
         assert eta_weight(params, theta) * p_click(params, theta) == pytest.approx(
@@ -173,7 +232,7 @@ def test_eta_p_click_identity():
 
 
 def test_eta_independent_of_path_lengths():
-    theta = ExcitationAngle.from_sin_sq(0.25)
+    theta = theta_from_sin_sq(0.25)
     a = ApparatusParams(t1=0.4, t2=0.2, x1=0.0, x2=0.0)
     b = ApparatusParams(t1=0.4, t2=0.2, x1=3.7, x2=1.1)
     assert eta_weight(a, theta) == eta_weight(b, theta)
@@ -224,17 +283,17 @@ def test_heralded_pair_fidelity_symbolic_oracle():
 
 def test_heralded_state_copies_apparatus_angles():
     params = ApparatusParams(t1=0.5, t2=0.2, x1=0.4, x2=0.1)
-    pair = heralded_state(params, ExcitationAngle.from_sin_sq(0.3))
+    pair = heralded_state(params, theta_from_sin_sq(0.3))
     assert pair.phi == pytest.approx(params.phi)
     assert pair.delta == pytest.approx(params.delta)
     assert pair.eta == pytest.approx(
-        eta_weight(params, ExcitationAngle.from_sin_sq(0.3))
+        eta_weight(params, theta_from_sin_sq(0.3))
     )
 
 
 def test_dark_counts_reduce_exactly_at_zero():
     params = ApparatusParams(t1=0.3, t2=0.15, x1=0.2)
-    theta = ExcitationAngle.from_sin_sq(0.4)
+    theta = theta_from_sin_sq(0.4)
     state, p_herald = heralded_state_with_dark_counts(params, theta)
     clean = heralded_state(params, theta).expand(("B1", "B2"))
     np.testing.assert_array_equal(state.elements, clean.elements)
@@ -255,7 +314,7 @@ def test_dark_count_brokers_match_pointwise_mixture():
         delta = [link.delta for link in links]
         brokers, p_herald = _dark_count_brokers(t1, t2, phi, delta, s, p)
         assert brokers.shape == (6, 4, 4)
-        theta = ExcitationAngle.from_sin_sq(s)
+        theta = theta_from_sin_sq(s)
         for link, broker, herald in zip(links, brokers, p_herald):
             pc = p_click(link, theta)
             w = np.array(
@@ -291,7 +350,7 @@ def test_dark_counts_false_herald_at_zero_excitation():
     # no emission ever: a herald is certainly a dark count; brokers
     # remain in |00>
     params = ApparatusParams(t1=0.3, t2=0.15, p_dark=0.01)
-    state, p_herald = heralded_state_with_dark_counts(params, ExcitationAngle(0.0))
+    state, p_herald = heralded_state_with_dark_counts(params, 0.0)
     expect = np.zeros((4, 4))
     expect[0, 0] = 1.0
     np.testing.assert_allclose(state.elements, expect, atol=1e-15)
@@ -318,14 +377,14 @@ def test_dark_counts_false_herald_weights_complete():
         )
         params = ApparatusParams(t1=t1, t2=t2)
         assert no_click == pytest.approx(
-            1.0 - p_click(params, ExcitationAngle.from_sin_sq(s)), abs=1e-12
+            1.0 - p_click(params, theta_from_sin_sq(s)), abs=1e-12
         )
 
 
 def test_dark_counts_penalty_is_first_order():
     # T=1, theta=pi/2: clean herald is pure |11>; small p_dark mixes in
     # O(p_dark) of false heralds
-    theta = ExcitationAngle(math.pi / 2.0)
+    theta = math.pi / 2.0
     ref = HeraldedPair(eta=1.0, phi=0.0, delta=0.0).expand(("B1", "B2"))
     for p in (1e-3, 1e-4, 1e-5):
         params = ApparatusParams(t1=1.0, t2=1.0, p_dark=p)
@@ -337,7 +396,7 @@ def test_dark_counts_penalty_is_first_order():
 
 def test_dark_counts_herald_probability_composition():
     params = ApparatusParams(t1=0.4, t2=0.3, p_dark=0.02)
-    theta = ExcitationAngle.from_sin_sq(0.5)
+    theta = theta_from_sin_sq(0.5)
     _, p_herald = heralded_state_with_dark_counts(params, theta)
     pc = p_click(params, theta)
     expect = (1.0 - 0.02) * pc + 2.0 * 0.02 * (1.0 - 0.02) * (1.0 - pc)

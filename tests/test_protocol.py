@@ -25,7 +25,6 @@ from paritydistill import (
     DegenerateParameterError,
     HeraldedPair,
     ApparatusParams,
-    ExcitationAngle,
     IterateOutcome,
     Leaf,
     OUTCOMES,
@@ -36,7 +35,6 @@ from paritydistill import (
     eta_weight,
     heralded_state,
     heralded_state_with_dark_counts,
-    iterate_channel,
     loop_interval_probabilities,
     optimize_theta,
     p_click,
@@ -44,6 +42,7 @@ from paritydistill import (
     run_iterate_exact,
     run_strategy_exact,
     run_trajectories,
+    theta_from_sin_sq,
 )
 from paritydistill import _csvbytes, protocol
 from paritydistill.constants import BRANCH_PRUNE_EPSILON
@@ -258,11 +257,10 @@ def test_strategy_config_validation():
         StrategyConfig(max_iterates=8, rng_seed=-1)
     with pytest.raises(ValueError):
         StrategyConfig(max_iterates=8, rng_seed=2**64)
-    assert StrategyConfig.loop(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
-    # the two-iterate strategy is the loop capped at two
-    assert StrategyConfig.two_iterates_only(rng_seed=3) == StrategyConfig.loop(2, rng_seed=3)
-    assert StrategyConfig.two_iterates_only().max_iterates == 2
-    assert StrategyConfig.loop(max_iterates=12).max_iterates == 12
+    assert StrategyConfig(16, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+    # the two-iterate strategy is the default cap of two
+    assert StrategyConfig(rng_seed=3) == StrategyConfig(2, rng_seed=3)
+    assert StrategyConfig(max_iterates=12).max_iterates == 12
 
 
 @pytest.mark.parametrize("field", ["max_iterates", "rng_seed"])
@@ -308,16 +306,13 @@ def test_circuit_and_closed_form_routes_agree():
         clients = random_mixed_clients(rng) if rng.random() < 0.5 else random_pure_clients(rng)
         pair = random_pair(rng)
         circuit = run_iterate_exact(clients, pair)
+        masks = protocol._outcome_masks(pair)
         for oc in OUTCOMES:
-            mapped = iterate_channel(clients, pair, oc)
-            assert circuit[oc].probability == pytest.approx(
-                mapped.trace.real, abs=1e-12
-            )
+            mapped = masks[oc.index] * clients.elements
+            assert circuit[oc].probability == pytest.approx(np.trace(mapped).real, abs=1e-12)
             if circuit[oc].state is not None:
                 np.testing.assert_allclose(
-                    circuit[oc].state.elements,
-                    mapped.elements / mapped.trace,
-                    atol=1e-12,
+                    circuit[oc].state.elements, mapped / np.trace(mapped), atol=1e-12
                 )
 
 
@@ -337,9 +332,10 @@ def test_diagonal_probability_shortcut_matches_channel():
         pair = random_pair(rng)
         scale = protocol._compact_tables(pair)[0].tolist()
         probs = _outcome_probabilities(clients.elements.diagonal().real, scale)
+        masks = protocol._outcome_masks(pair)
         for idx, oc in enumerate(OUTCOMES):
             assert probs[idx] == pytest.approx(
-                iterate_channel(clients, pair, oc).trace.real, abs=1e-12
+                np.trace(masks[oc.index] * clients.elements).real, abs=1e-12
             )
 
 
@@ -367,7 +363,7 @@ def mask_case(kind: str, rng):
             x1=rng.uniform(0.0, 1.0),
             p_dark=rng.uniform(1e-4, 0.2),
         )
-        theta = ExcitationAngle.from_sin_sq(rng.uniform(0.05, 0.9))
+        theta = theta_from_sin_sq(rng.uniform(0.05, 0.9))
         return heralded_state_with_dark_counts(params, theta)[0]
     return DensityMatrix(random_mixed_clients(rng).elements, ("B1", "B2"))
 
@@ -396,7 +392,7 @@ def test_gathered_masks_match_circuit(kind):
 def test_clean_two_iterate_tree():
     # eta = 0: success probability cos^2(2 phi)/2, failure exactly zero
     clients = plus_state(CLIENT_LABELS)
-    cfg = StrategyConfig.two_iterates_only()
+    cfg = StrategyConfig()
     tree = run_strategy_exact(clients, HeraldedPair(eta=0.0, phi=0.0, delta=0.0), cfg)
     assert tree.success_probability == pytest.approx(0.5, abs=1e-12)
     assert tree.failure_probability == 0.0
@@ -407,7 +403,7 @@ def test_clean_two_iterate_tree():
 
 
 def test_two_pair_success_probability_grid():
-    cfg = StrategyConfig.two_iterates_only()
+    cfg = StrategyConfig()
     clients = plus_state(CLIENT_LABELS)
     for eta in (0.0, 0.3, 0.7):
         for phi in (-0.5, 0.0, 0.4):
@@ -423,7 +419,7 @@ def test_clean_link_distills_perfectly_from_any_pure_clients():
     # eta = 0 at arbitrary (phi, delta): every success leaf reproduces
     # the clients' own parity component exactly
     rng = RNG(113)
-    cfg = StrategyConfig.two_iterates_only()
+    cfg = StrategyConfig()
     for _ in range(20):
         pair = HeraldedPair(
             eta=0.0, phi=rng.uniform(-0.7, 0.7), delta=rng.uniform(-1.5, 1.5)
@@ -435,7 +431,7 @@ def test_clean_link_distills_perfectly_from_any_pure_clients():
 def test_tree_conserves_probability_and_profiles():
     rng = RNG(127)
     clients = plus_state(CLIENT_LABELS)
-    for cfg in (StrategyConfig.two_iterates_only(), StrategyConfig.loop(max_iterates=7)):
+    for cfg in (StrategyConfig(), StrategyConfig(max_iterates=7)):
         tree = run_strategy_exact(clients, random_pair(rng), cfg)
         assert tree.total_probability == pytest.approx(1.0, abs=1e-10)
         profile = depth_profile(tree)
@@ -451,7 +447,7 @@ def test_loop_tree_matches_interval_series():
     cap = 6
     clients = plus_state(CLIENT_LABELS)
     tree = run_strategy_exact(
-        clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig.loop(cap)
+        clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig(cap)
     )
     ps, pf = loop_interval_probabilities(eta, cap)
     profile = depth_profile(tree)
@@ -470,7 +466,7 @@ def test_success_leaves_live_in_complementary_parity_subspace():
     rng = RNG(131)
     clients = plus_state(CLIENT_LABELS)
     tree = run_strategy_exact(
-        clients, random_pair(rng), StrategyConfig.loop(max_iterates=6)
+        clients, random_pair(rng), StrategyConfig(max_iterates=6)
     )
     for leaf in tree.leaves:
         if not leaf.status.is_success:
@@ -494,7 +490,7 @@ def test_failure_leaves_are_diagonal_product_states():
     """
     rng = RNG(137)
     clients = plus_state(CLIENT_LABELS)
-    for cfg in (StrategyConfig.two_iterates_only(), StrategyConfig.loop(max_iterates=6)):
+    for cfg in (StrategyConfig(), StrategyConfig(max_iterates=6)):
         for _ in range(5):
             tree = run_strategy_exact(clients, random_pair(rng), cfg)
             failures = [leaf for leaf in tree.leaves if leaf.status is Status.FAILURE]
@@ -535,9 +531,9 @@ def test_count_class_tree_matches_circuit_oracle(kind):
     # every mass, the depth profile and the success fidelity agree
     rng = RNG(149)
     configs = (
-        StrategyConfig.two_iterates_only(),
-        StrategyConfig.loop(max_iterates=5),
-        StrategyConfig.loop(max_iterates=8),
+        StrategyConfig(),
+        StrategyConfig(max_iterates=5),
+        StrategyConfig(max_iterates=8),
     )
     for cfg in configs:
         for _ in range(2):
@@ -599,7 +595,7 @@ def test_large_cap_loop_tree_matches_interval_series(monkeypatch):
         for cap in (16, 32):
             calls.clear()
             tree = run_strategy_exact(
-                clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig.loop(cap)
+                clients, HeraldedPair(eta=eta, phi=0.0, delta=0.0), StrategyConfig(cap)
             )
             assert len(calls) == 0
             ps, pf = loop_interval_probabilities(eta, cap)
@@ -626,8 +622,8 @@ def test_walk_stops_once_nothing_is_pending():
     params = ApparatusParams(t1=1e-2, t2=1e-2)
     pair = heralded_state(params, optimize_theta(params, Objective.CHAIN_RATE).optimal_theta)
     clients = plus_state(CLIENT_LABELS)
-    short = run_strategy_exact(clients, pair, StrategyConfig.loop(200))
-    long = run_strategy_exact(clients, pair, StrategyConfig.loop(400))
+    short = run_strategy_exact(clients, pair, StrategyConfig(200))
+    long = run_strategy_exact(clients, pair, StrategyConfig(400))
     assert short.pending_probability == 0.0
     assert [(l.history, l.status, l.probability) for l in long.leaves] == [
         (l.history, l.status, l.probability) for l in short.leaves
@@ -649,7 +645,7 @@ def test_walk_streams_its_depths():
     # read depth by depth it holds O(cap) classes (~2.4 MiB at cap 256),
     # where a walk that kept every depth held O(cap^2) (~97 MiB).  The
     # tree's statistics read it so: its 66,852 leaves took ~120 MiB.
-    pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), ExcitationAngle.from_sin_sq(1e-3))
+    pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3))
     masks = protocol._outcome_masks(pair)
     clients = plus_state(CLIENT_LABELS)
     tracemalloc.start()
@@ -657,7 +653,7 @@ def test_walk_streams_its_depths():
         depths = sum(1 for _ in protocol._walk(masks, clients.elements, 256))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        mean = run_strategy_exact(clients, pair, StrategyConfig.loop(256)).mean_iterates
+        mean = run_strategy_exact(clients, pair, StrategyConfig(256)).mean_iterates
         tree_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -679,7 +675,7 @@ def leaf_order_sum(values) -> float:
 def statistics_case(kind: str, rng):
     if kind == "unbalanced":
         params = ApparatusParams(t1=0.02, t2=0.005)
-        return heralded_state(params, ExcitationAngle.from_sin_sq(1.0 / 3.0))
+        return heralded_state(params, theta_from_sin_sq(1.0 / 3.0))
     return mask_case(kind, rng)
 
 
@@ -695,7 +691,7 @@ def test_tree_statistics_are_leaf_order_sums(kind):
     clients = plus_state(CLIENT_LABELS)
     for cap in (2, 3, 12, 32):
         broker = statistics_case(kind, rng)
-        cfg = StrategyConfig.loop(cap)
+        cfg = StrategyConfig(cap)
         tree = run_strategy_exact(clients, broker, cfg)
         statistics = (
             tree.success_probability,
@@ -732,7 +728,7 @@ def test_tree_statistics_are_leaf_order_sums(kind):
 def test_walk_matches_count_class_tree_at_large_caps(kind):
     # an unbalanced link beyond the circuit oracle's reach, leaf by leaf
     # against the count-class dynamic program
-    theta = ExcitationAngle.from_sin_sq(1.0 / 3.0)
+    theta = theta_from_sin_sq(1.0 / 3.0)
     params = ApparatusParams(t1=0.02, t2=0.005, p_dark=1e-3)
     broker = {
         "pair": lambda: heralded_state(params, theta),
@@ -741,7 +737,7 @@ def test_walk_matches_count_class_tree_at_large_caps(kind):
     }[kind]()
     clients = plus_state(CLIENT_LABELS)
     for cap in (16, 32):
-        cfg = StrategyConfig.loop(cap)
+        cfg = StrategyConfig(cap)
         tree = run_strategy_exact(clients, broker, cfg)
         reference = count_class_tree(clients, broker, cfg)
         classes = {count_class(leaf.history): leaf for leaf in tree.leaves}
@@ -761,7 +757,7 @@ def test_representative_histories_are_frontier_form():
     rng = RNG(163)
     kinds = ("pair", "dark", "general")
     for cap in range(2, 13):
-        cfg = StrategyConfig.two_iterates_only() if cap == 2 else StrategyConfig.loop(cap)
+        cfg = StrategyConfig() if cap == 2 else StrategyConfig(cap)
         tree = run_strategy_exact(plus_state(CLIENT_LABELS), mask_case(kinds[cap % 3], rng), cfg)
         for leaf in tree.leaves:
             assert classify(leaf.history) is leaf.status
@@ -774,7 +770,7 @@ def test_tree_rejects_broker_that_does_not_conserve_probability():
     pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
     half = DensityMatrix(0.5 * pair.expand().elements, ("B1", "B2"))
     with pytest.raises(DegenerateParameterError, match="masks"):
-        run_strategy_exact(plus_state(CLIENT_LABELS), half, StrategyConfig.loop(4))
+        run_strategy_exact(plus_state(CLIENT_LABELS), half, StrategyConfig(4))
 
 
 def broker_stack(rng, n: int) -> np.ndarray:
@@ -819,7 +815,7 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
     # masses bit for bit, the fidelity against the leaves scored with
     # ``fidelity``
     rng = RNG(31)
-    cfg = StrategyConfig.two_iterates_only()
+    cfg = StrategyConfig()
     for _ in range(5):
         clients = plus_state(CLIENT_LABELS) if clients_kind == "plus" else random_pure_clients(rng)
         brokers = broker_stack(rng, 9)
@@ -874,7 +870,7 @@ def test_two_iterate_closed_form_is_nan_without_success_mass():
     np.testing.assert_array_equal(p_two, 0.0)
     assert np.isnan(fid).all()
     broker = DensityMatrix(contaminated[0], ("B1", "B2"))
-    tree = run_strategy_exact(clients, broker, StrategyConfig.loop(4))
+    tree = run_strategy_exact(clients, broker, StrategyConfig(4))
     assert tree.success_probability == 0.0
     assert math.isnan(tree.mean_success_fidelity())
 
@@ -892,14 +888,14 @@ def test_two_iterate_closed_form_checks_mass_and_purity():
     with pytest.raises(DegenerateParameterError, match="rank-one target"):
         fold_fidelity(masks, mixed.elements, 2)
     pair = HeraldedPair(eta=0.2, phi=0.1, delta=0.3)
-    tree = run_strategy_exact(mixed, pair, StrategyConfig.loop(4))
+    tree = run_strategy_exact(mixed, pair, StrategyConfig(4))
     assert tree.success_probability > 0.0
     with pytest.raises(DegenerateParameterError, match="rank-one target"):
         tree.mean_success_fidelity()
     # basis clients: one parity's target vanishes, and no success lands there
     for bits in ("00", "01", "10", "11"):
         clients = basis_state(bits, CLIENT_LABELS)
-        tree = run_strategy_exact(clients, pair, StrategyConfig.loop(4))
+        tree = run_strategy_exact(clients, pair, StrategyConfig(4))
         assert tree.success_probability > 0.0
         expect = leaf_success_fidelity(tree)
         assert tree.mean_success_fidelity() == pytest.approx(expect, abs=1e-12)
@@ -915,7 +911,7 @@ def test_nan_brokers_raise(entry):
     broker = DensityMatrix(elements, ("B1", "B2"), validate=False)
     clients = plus_state(CLIENT_LABELS)
     with pytest.raises(DegenerateParameterError, match="masks must be finite"):
-        run_strategy_exact(clients, broker, StrategyConfig.loop(4))
+        run_strategy_exact(clients, broker, StrategyConfig(4))
     with pytest.raises(DegenerateParameterError, match="masks must be finite"):
         protocol._fold(protocol._outcome_masks(elements[None]), clients.elements, 2)
 
@@ -933,7 +929,7 @@ def test_walk_and_overlap_checks_reject_nan():
     with pytest.raises(DegenerateParameterError, match="rank-one target"):
         fold_fidelity(masks, rho, 2)
     unchecked = DensityMatrix(rho, CLIENT_LABELS, validate=False)
-    tree = run_strategy_exact(unchecked, pair, StrategyConfig.loop(4))
+    tree = run_strategy_exact(unchecked, pair, StrategyConfig(4))
     with pytest.raises(DegenerateParameterError, match="rank-one target"):
         tree.mean_success_fidelity()
 
@@ -943,8 +939,8 @@ def test_mean_success_fidelity_builds_no_leaves(monkeypatch):
     walks = []
     walk = protocol._walk
     monkeypatch.setattr(protocol, "_walk", lambda *args: walks.append(args) or walk(*args))
-    pair = heralded_state(ApparatusParams(t1=1e-2, t2=1e-2), ExcitationAngle.from_sin_sq(0.14))
-    tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, StrategyConfig.loop(12))
+    pair = heralded_state(ApparatusParams(t1=1e-2, t2=1e-2), theta_from_sin_sq(0.14))
+    tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, StrategyConfig(12))
     fid = tree.mean_success_fidelity()
     assert "leaves" not in vars(tree)
     assert len(walks) == 1
@@ -954,7 +950,7 @@ def test_mean_success_fidelity_builds_no_leaves(monkeypatch):
 def test_fully_contaminated_tree_never_classifies():
     clients = plus_state(CLIENT_LABELS)
     tree = run_strategy_exact(
-        clients, HeraldedPair(eta=1.0, phi=0.0, delta=0.0), StrategyConfig.loop(5)
+        clients, HeraldedPair(eta=1.0, phi=0.0, delta=0.0), StrategyConfig(5)
     )
     assert tree.pending_probability == pytest.approx(1.0, abs=1e-12)
     assert tree.success_probability == 0.0
@@ -1054,8 +1050,8 @@ def test_pick_outcome_never_chooses_zero_probability():
 
 def test_trajectory_input_validation():
     params = ApparatusParams(t1=0.5, t2=0.5)
-    theta = ExcitationAngle.from_sin_sq(0.3)
-    cfg = StrategyConfig.two_iterates_only(rng_seed=1)
+    theta = theta_from_sin_sq(0.3)
+    cfg = StrategyConfig(rng_seed=1)
     with pytest.raises(ValueError):
         run_trajectories(cfg, params, theta, 0)
     with pytest.raises(ValueError):
@@ -1063,14 +1059,14 @@ def test_trajectory_input_validation():
     from paritydistill import DegenerateParameterError
 
     with pytest.raises(DegenerateParameterError):
-        run_trajectories(cfg, params, ExcitationAngle(0.0), 10)
+        run_trajectories(cfg, params, 0.0, 10)
 
 
 def test_trajectory_indices_stay_below_two_to_the_63():
     # np.arange of int64 trial indices once wrapped past 2**63 - 1
     params = ApparatusParams(t1=0.5, t2=0.5)
-    theta = ExcitationAngle.from_sin_sq(0.3)
-    cfg = StrategyConfig.two_iterates_only(rng_seed=1)
+    theta = theta_from_sin_sq(0.3)
+    cfg = StrategyConfig(rng_seed=1)
     for start in (2**63 - 2, 2**63):
         with pytest.raises(ValueError, match=r"leave the range \[0, 2\*\*63\)"):
             run_trajectories(cfg, params, theta, 4, trial_start=start)
@@ -1090,12 +1086,12 @@ def test_trajectories_reject_dark_counts():
 def test_trajectory_counts_take_integers_only(count):
     # arange would truncate trial_start=1.5 and quietly run trials 1..n
     params = ApparatusParams(t1=0.5, t2=0.5)
-    cfg = StrategyConfig.two_iterates_only(rng_seed=1)
+    cfg = StrategyConfig(rng_seed=1)
     counts = {"n_trials": 10, "trial_start": 1}
-    dark = ExcitationAngle(0.0)  # nothing to sample: the type check comes first
+    dark = 0.0  # nothing to sample: the type check comes first
     with pytest.raises(TypeError):
         run_trajectories(cfg, params, dark, **{**counts, count: counts[count] + 0.5})
-    theta = ExcitationAngle.from_sin_sq(0.3)
+    theta = theta_from_sin_sq(0.3)
     as_numpy = run_trajectories(cfg, params, theta, **{**counts, count: np.int64(counts[count])})
     as_int = run_trajectories(cfg, params, theta, **counts)
     np.testing.assert_array_equal(as_numpy.trial, as_int.trial)
@@ -1106,8 +1102,8 @@ def test_trajectories_near_lossless_balanced_point():
     # t1 = t2 = 1 with a weak drive: eta is tiny and the two-iterate
     # success probability sits just below 1/2
     params = ApparatusParams(t1=1.0, t2=1.0)
-    theta = ExcitationAngle.from_sin_sq(1e-3)
-    cfg = StrategyConfig.two_iterates_only(rng_seed=11)
+    theta = theta_from_sin_sq(1e-3)
+    cfg = StrategyConfig(rng_seed=11)
     n = 20000
     stats = run_trajectories(cfg, params, theta, n)
     summary = stats.summary()
@@ -1122,8 +1118,8 @@ def test_trajectories_near_lossless_balanced_point():
 
 def test_trajectories_against_exact_tree_generic_point():
     params = ApparatusParams(t1=0.8, t2=0.4, x1=0.3)
-    theta = ExcitationAngle.from_sin_sq(0.3)
-    cfg = StrategyConfig.two_iterates_only(rng_seed=23)
+    theta = theta_from_sin_sq(0.3)
+    cfg = StrategyConfig(rng_seed=23)
     n = 20000
     stats = run_trajectories(cfg, params, theta, n)
     summary = stats.summary()
@@ -1145,8 +1141,8 @@ def test_trajectories_against_exact_tree_generic_point():
 
 def test_trajectories_loop_strategy_against_tree():
     params = ApparatusParams(t1=0.5, t2=0.5)
-    theta = ExcitationAngle.from_sin_sq(0.5)
-    cfg = StrategyConfig.loop(max_iterates=8, rng_seed=37)
+    theta = theta_from_sin_sq(0.5)
+    cfg = StrategyConfig(max_iterates=8, rng_seed=37)
     n = 20000
     stats = run_trajectories(cfg, params, theta, n)
     summary = stats.summary()
@@ -1166,8 +1162,8 @@ def test_trajectories_loop_strategy_against_tree():
 
 def test_trajectories_replay_bit_identical():
     params = ApparatusParams(t1=0.6, t2=0.3)
-    theta = ExcitationAngle.from_sin_sq(0.4)
-    cfg = StrategyConfig.loop(max_iterates=6, rng_seed=5)
+    theta = theta_from_sin_sq(0.4)
+    cfg = StrategyConfig(max_iterates=6, rng_seed=5)
     a = run_trajectories(cfg, params, theta, 500)
     b = run_trajectories(cfg, params, theta, 500)
     np.testing.assert_array_equal(a.attempts, b.attempts)
@@ -1178,24 +1174,21 @@ def test_trajectories_replay_bit_identical():
 
 def test_trajectories_are_partition_invariant():
     params = ApparatusParams(t1=0.6, t2=0.3)
-    theta = ExcitationAngle.from_sin_sq(0.4)
-    cfg = StrategyConfig.loop(max_iterates=6, rng_seed=5)
+    theta = theta_from_sin_sq(0.4)
+    cfg = StrategyConfig(max_iterates=6, rng_seed=5)
     whole = run_trajectories(cfg, params, theta, 400)
     left = run_trajectories(cfg, params, theta, 250)
     right = run_trajectories(cfg, params, theta, 150, trial_start=250)
-    # the same angle given as a float or as an ExcitationAngle is one run
-    as_float = run_trajectories(cfg, params, theta.theta, 150, trial_start=250)
-    assert as_float.theta == right.theta == whole.theta
+    assert right.theta == whole.theta
     for column in ("trial", "attempts", "iterates", "status", "fidelity"):
         joined = np.concatenate([getattr(left, column), getattr(right, column)])
         np.testing.assert_array_equal(joined, getattr(whole, column))
-        np.testing.assert_array_equal(getattr(as_float, column), getattr(right, column))
 
 
 def test_sample_stats_csv_format(tmp_path):
     params = ApparatusParams(t1=0.6, t2=0.3)
-    theta = ExcitationAngle.from_sin_sq(0.4)
-    stats = run_trajectories(StrategyConfig.two_iterates_only(rng_seed=9), params, theta, 5)
+    theta = theta_from_sin_sq(0.4)
+    stats = run_trajectories(StrategyConfig(rng_seed=9), params, theta, 5)
     path = tmp_path / "runs.csv"
     stats.write_csv(path)
     lines = path.read_text().splitlines()
@@ -1259,20 +1252,20 @@ CERTAIN_CLICK = ApparatusParams(t1=1.0, t2=1.0)
 @pytest.mark.parametrize(
     "config, params, sin_sq",
     [
-        (StrategyConfig.two_iterates_only(rng_seed=17), UNBALANCED, 0.4),
-        (StrategyConfig.loop(10, rng_seed=17), UNBALANCED, 0.4),
+        (StrategyConfig(rng_seed=17), UNBALANCED, 0.4),
+        (StrategyConfig(10, rng_seed=17), UNBALANCED, 0.4),
         # survivors of the last depth are never advanced
-        (StrategyConfig.loop(3, rng_seed=17), UNBALANCED, 0.4),
-        (StrategyConfig.loop(10, rng_seed=17), BALANCED, 0.4),
+        (StrategyConfig(3, rng_seed=17), UNBALANCED, 0.4),
+        (StrategyConfig(10, rng_seed=17), BALANCED, 0.4),
         # long runs: many distinct histories live at once, some to the cap
-        (StrategyConfig.loop(64, rng_seed=17), UNBALANCED, 0.1),
+        (StrategyConfig(64, rng_seed=17), UNBALANCED, 0.1),
         # three of four branch weights are exactly zero after depth 0
-        (StrategyConfig.loop(6, rng_seed=17), CERTAIN_CLICK, 1.0),
+        (StrategyConfig(6, rng_seed=17), CERTAIN_CLICK, 1.0),
     ],
     ids=["two_iterates", "loop", "loop_cap3", "loop_balanced", "loop_cap64", "certain_click"],
 )
 def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
-    theta = ExcitationAngle.from_sin_sq(sin_sq)
+    theta = theta_from_sin_sq(sin_sq)
     chunk = protocol._CHUNK_TRIALS
     start, n = chunk - 37, chunk + 100  # two chunks, off the chunk grid
     stats = run_trajectories(config, params, theta, n, trial_start=start)
@@ -1296,9 +1289,9 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
 @pytest.mark.parametrize(
     "config, params",
     [
-        (StrategyConfig.two_iterates_only(rng_seed=23), UNBALANCED),
-        (StrategyConfig.loop(12, rng_seed=23), UNBALANCED),
-        (StrategyConfig.loop(12, rng_seed=23), BALANCED),
+        (StrategyConfig(rng_seed=23), UNBALANCED),
+        (StrategyConfig(12, rng_seed=23), UNBALANCED),
+        (StrategyConfig(12, rng_seed=23), BALANCED),
     ],
     ids=["two_iterates", "loop_cap12", "loop_balanced"],
 )
@@ -1306,7 +1299,7 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
 def test_sampled_columns_do_not_depend_on_the_chunk_size(config, params, chunk, monkeypatch):
     # trials of one chunk share its table of distinct histories, so a
     # chunk of one trial and a chunk that holds every trial must agree
-    theta = ExcitationAngle.from_sin_sq(0.2)
+    theta = theta_from_sin_sq(0.2)
     default = run_trajectories(config, params, theta, 300, trial_start=11)
     monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
     stats = run_trajectories(config, params, theta, 300, trial_start=11)
@@ -1333,8 +1326,8 @@ def test_sampler_advances_one_column_per_distinct_history(cap, monkeypatch):
 
     monkeypatch.setattr(protocol, "_uniforms", spy_uniforms)
     monkeypatch.setattr(protocol, "_advance", spy_advance)
-    params, theta = ApparatusParams(t1=0.01, t2=0.01), ExcitationAngle.from_sin_sq(0.2)
-    run_trajectories(StrategyConfig.loop(cap, rng_seed=101), params, theta, 10_000)
+    params, theta = ApparatusParams(t1=0.01, t2=0.01), theta_from_sin_sq(0.2)
+    run_trajectories(StrategyConfig(cap, rng_seed=101), params, theta, 10_000)
     assert calls and max(depth for depth, _, _ in calls) == cap - 1
     for depth, live, columns in calls:
         assert columns <= min(live, 4 * 2**depth), (depth, live, columns)
@@ -1346,8 +1339,8 @@ def test_sampled_success_fidelity_never_exceeds_one():
     # on this link and angle the unclipped overlap of 6,884 successes
     # rounds to 1 + 2^-52; the sampler clips it as ``fidelity`` does
     params = ApparatusParams(t1=0.3, t2=0.1, x1=0.3)
-    theta = ExcitationAngle(0.6215643307802488)
-    stats = run_trajectories(StrategyConfig.two_iterates_only(rng_seed=5), params, theta, 40_000)
+    theta = 0.6215643307802488
+    stats = run_trajectories(StrategyConfig(rng_seed=5), params, theta, 40_000)
     success = np.isin(stats.status, [s.value for s in Status if s.is_success])
     assert np.count_nonzero(success) == 6884
     assert np.all(stats.fidelity[success] == 1.0)
@@ -1359,10 +1352,10 @@ def test_trajectories_at_certain_click(t1, t2):
     # outcome three of the four branch weights are exactly zero, so
     # every trial repeats its first outcome up to the cap
     params = ApparatusParams(t1=t1, t2=t2)
-    theta = ExcitationAngle.from_sin_sq(1.0)
+    theta = theta_from_sin_sq(1.0)
     assert p_click(params, theta) == 1.0
     assert heralded_state(params, theta).eta == 1.0
-    for config in (StrategyConfig.two_iterates_only(rng_seed=3), StrategyConfig.loop(6, rng_seed=3)):
+    for config in (StrategyConfig(rng_seed=3), StrategyConfig(6, rng_seed=3)):
         stats = run_trajectories(config, params, theta, 300)
         np.testing.assert_array_equal(stats.attempts, stats.iterates)
         assert np.all(stats.iterates == config.max_iterates)
@@ -1378,9 +1371,9 @@ def test_sampler_rejects_zero_weight_of_a_failing_trial(monkeypatch):
     # other-parity outcome at depth 1, which would end it as a failure,
     # and its zero weight must raise although its state is never read
     params = ApparatusParams(t1=1.0, t2=1.0)
-    theta = ExcitationAngle.from_sin_sq(1.0)
+    theta = theta_from_sin_sq(1.0)
     pick = protocol._pick_outcome
-    for config in (StrategyConfig.two_iterates_only(rng_seed=3), StrategyConfig.loop(6, rng_seed=3)):
+    for config in (StrategyConfig(rng_seed=3), StrategyConfig(6, rng_seed=3)):
         depths = []
 
         def other_parity_at_depth_one(probs, u):
@@ -1400,8 +1393,8 @@ def test_sampler_rejects_zero_weight_of_a_failing_trial(monkeypatch):
 def test_trajectory_cells_match_depth_profile():
     # chi-square of the (iterates, status) cells against the exact tree,
     # rejected at p = 1e-3; every expected count is above 20
-    theta = ExcitationAngle.from_sin_sq(0.4)
-    config = StrategyConfig.loop(10, rng_seed=2024)
+    theta = theta_from_sin_sq(0.4)
+    config = StrategyConfig(10, rng_seed=2024)
     n = 200_000
     tree = run_strategy_exact(
         plus_state(CLIENT_LABELS), heralded_state(UNBALANCED, theta), config
@@ -1425,12 +1418,12 @@ def test_windows_per_herald_match_click_probability():
     # 20 seeds, each from about 10^4 geometric waits at T = 1e-2; checks
     # at p = 1e-3: each |z| (Bonferroni), their mean, their sum of squares
     params = ApparatusParams(t1=1e-2, t2=1e-2)
-    theta = ExcitationAngle.from_sin_sq(0.1)
+    theta = theta_from_sin_sq(0.1)
     pc = p_click(params, theta)
     seeds = range(20)
     z = []
     for seed in seeds:
-        stats = run_trajectories(StrategyConfig.loop(4, rng_seed=seed), params, theta, 4000)
+        stats = run_trajectories(StrategyConfig(4, rng_seed=seed), params, theta, 4000)
         heralds = int(np.sum(stats.iterates))
         mean = float(np.sum(stats.attempts)) / heralds
         z.append((mean - 1.0 / pc) / (math.sqrt(1.0 - pc) / pc / math.sqrt(heralds)))
@@ -1474,7 +1467,7 @@ def test_write_csv_matches_csv_writer(tmp_path):
     last = slice(2 * _csvbytes.BATCH_ROWS, n)
     iterates[last], status[last], fidelity[last] = 5, Status.SUCCESS_PARITY_ODD.value, -0.0
     stats = protocol.SampleStats(
-        StrategyConfig.loop(16, rng_seed=2**63 + 11),
+        StrategyConfig(16, rng_seed=2**63 + 11),
         UNBALANCED,
         0.7,
         np.arange(10**9, 10**9 + 3 * n, 3, dtype=np.int64),
@@ -1507,7 +1500,7 @@ def sample_stats(n, seed=0, **columns):
     }
     values.update(columns)
     cap = max(4, int(values["iterates"].max(initial=0)))
-    return protocol.SampleStats(StrategyConfig.loop(cap, rng_seed=seed), UNBALANCED, 0.7, **values)
+    return protocol.SampleStats(StrategyConfig(cap, rng_seed=seed), UNBALANCED, 0.7, **values)
 
 
 def test_sample_stats_rejects_misaligned_or_unsorted_columns():
@@ -1659,7 +1652,7 @@ def test_sampler_never_passes_the_iterate_cap(cap):
     # sin^2 theta = 0.5 on a lossy link keeps many runs pending, so the
     # cap is reached and, if the sampler ran past it, passed
     stats = run_trajectories(
-        StrategyConfig.loop(cap, rng_seed=cap), UNBALANCED, ExcitationAngle.from_sin_sq(0.5), 4000
+        StrategyConfig(cap, rng_seed=cap), UNBALANCED, theta_from_sin_sq(0.5), 4000
     )
     assert stats.iterates.max() == cap
     assert np.all(stats.iterates[stats.status == Status.PENDING.value] == cap)
@@ -1669,7 +1662,7 @@ def test_sample_stats_rejects_iterates_past_the_cap():
     def stats(cap, iterates):
         values = sample_stats(len(iterates), iterates=np.array(iterates))
         return protocol.SampleStats(
-            StrategyConfig.loop(cap),
+            StrategyConfig(cap),
             UNBALANCED,
             0.7,
             values.trial,
