@@ -387,8 +387,17 @@ def test_sequence_counts_small_values():
     assert sequence_counts(6)[0] == 2
     for k in (3, 5, 7, 9):
         assert sequence_counts(k)[0] == 0
-    with pytest.raises(ValueError):
-        sequence_counts(1)
+
+
+def test_sequence_count_vector_validation():
+    for k in (1, 0, -3):
+        with pytest.raises(ValueError):
+            sequence_counts(k)
+    # one entry per imbalance 1 .. k - 1 of the length-(k - 1) prefixes
+    for k in range(2, 13):
+        counts = sequence_counts(k)
+        assert len(counts) == k - 1
+        assert all(type(c) is int and c >= 0 for c in counts)
 
 
 def test_interval_probabilities_small_k_closed_forms():
@@ -984,11 +993,21 @@ def test_drift_surface_matches_per_point_laws():
         assert np.max(ulps_apart(quad, per_quad)) <= 1
 
 
-def test_drift_surface_checks_every_point():
+def test_drift_params_validation_and_round_trip():
     with pytest.raises(DegenerateParameterError, match="finite"):
         drift_infidelity_surface(float("nan"), 0.0)
+    with pytest.raises(DegenerateParameterError, match="finite"):
+        drift_infidelity_surface(0.0, float("inf"))
     with pytest.raises(DegenerateParameterError, match="pole"):
         drift_infidelity_surface(0.0, 2.0)
+    # a pair of floats reads the same laws as the one-point arrays
+    for d_x, d_t in ((0.0, 0.0), (0.013, -0.02), (-0.2, 1.5)):
+        scalar = drift_infidelity_surface(d_x, d_t)
+        array = drift_infidelity_surface(np.array([d_x]), np.array([d_t]))
+        assert [float(v) for v in scalar] == [float(v[0]) for v in array]
+
+
+def test_drift_surface_checks_every_point():
     with pytest.raises(DegenerateParameterError, match="finite"):
         drift_infidelity_surface(np.array([0.0, np.nan]), 0.1)
     with pytest.raises(DegenerateParameterError, match="finite"):
