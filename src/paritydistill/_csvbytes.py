@@ -23,6 +23,7 @@ after an integer.
 
 from __future__ import annotations
 
+import hashlib
 from functools import cache
 from typing import Sequence
 
@@ -33,11 +34,13 @@ import numpy as np
 # deviates), so a batch's working set stays near 1 MB.
 BATCH_ROWS = 4096
 
-# A batch's distinct floats go through repr up to this many, float_repr
-# above.  repr costs ~1 us a value, float_repr ~400-650 us for any count
-# up to ~1,000; they cross near 450-600 (best of 25, 2-vCPU Xeon VM).
-# simulate's fidelity batches hold ~2 distinct values, the sweeps' ~4,096.
-_REPR_MAX_DISTINCT = 384
+# A batch's distinct floats go through repr up to this many; above, the
+# whole batch goes through float_repr.  repr costs ~1.2 us a value,
+# float_repr ~1.1-1.7 ms a batch of 4,096 and ~0.8 ms one of 1,024, so
+# they cross near 1,000-1,400 distinct values in a full batch (best of
+# 15, 2-vCPU Xeon VM).  simulate's fidelity batches hold ~2 distinct
+# values, the sweeps' ~4,096.
+_REPR_MAX_DISTINCT = 1024
 
 
 def ascii_digits(values: np.ndarray) -> np.ndarray:
@@ -263,22 +266,32 @@ def float_repr(values: np.ndarray) -> np.ndarray:
 
 
 def _float_text(values: np.ndarray) -> np.ndarray:
-    """A float64 batch as text rows, each distinct bit pattern formatted once."""
-    bits, codes = np.unique(values.view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if len(distinct) <= _REPR_MAX_DISTINCT:
-        table = text_table([repr(v) for v in distinct.tolist()])
-    else:
-        table = float_repr(distinct)
-    return np.take(table, codes, axis=0)
+    """A float64 batch as text rows.
+
+    One sort of the bit patterns counts the distinct values.  A few are
+    each formatted once by ``repr`` and found by binary search; when
+    there are many, ``float_repr`` formats the batch as it is, which
+    costs about as much as formatting only the distinct values.
+    """
+    bits = values.view(np.uint64)
+    ordered = np.sort(bits)
+    fresh = np.empty(len(ordered), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    if np.count_nonzero(fresh) > _REPR_MAX_DISTINCT:
+        return float_repr(values)
+    distinct = ordered[fresh]
+    table = text_table([repr(v) for v in distinct.view(np.float64).tolist()])
+    return np.take(table, np.searchsorted(distinct, bits), axis=0)
 
 
-def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
-    """Write a CSV of equal-length columns as bytes, batch by batch.
+def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
+    """Write a CSV of equal-length columns as bytes, batch by batch, and
+    return the sha256 hex digest of the bytes written.
 
-    A column is a float64 array, each batch's distinct bit patterns
-    (``-0.0`` apart from ``0.0``) formatted once, by ``repr`` when few
-    and by ``float_repr`` otherwise; a nonnegative integer array, by
+    A column is a float64 array, by ``repr`` once per distinct bit
+    pattern (``-0.0`` apart from ``0.0``) when a batch holds few, and by
+    ``float_repr`` otherwise; a nonnegative integer array, by
     ``ascii_digits``; or a ``(table, codes)`` pair: a text matrix with
     one row per distinct value, and each row's index into it.  Any other
     column, or a negative integer, raises ``ValueError`` before the file
@@ -297,8 +310,11 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
             raise ValueError("integer columns must be nonnegative")
     comma = np.frombuffer(b",", dtype=np.uint8)
     newline = np.frombuffer(b"\n", dtype=np.uint8)
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(",".join(header).encode() + b"\n")
+        data = ",".join(header).encode() + b"\n"
+        digest.update(data)
+        fh.write(data)
         for lo in range(0, n_rows, BATCH_ROWS):
             rows = slice(lo, lo + BATCH_ROWS)
             n = min(BATCH_ROWS, n_rows - lo)
@@ -315,4 +331,9 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
                         text = formatted[id(column)] = kernel(column[rows])
                 parts += [text, np.broadcast_to(comma, (n, 1))]
             parts[-1] = np.broadcast_to(newline, (n, 1))
-            fh.write(np.concatenate(parts, axis=1).tobytes().translate(None, b"\0"))
+            data = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+            digest.update(data)
+            fh.write(data)
+            # not held beside the next batch's kernel temporaries
+            del data
+    return digest.hexdigest()

@@ -15,7 +15,6 @@ numerical routine signals degeneracy or non-convergence.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -64,24 +63,21 @@ def _publish(args, parameters: dict, write, seed: int | None = None) -> Path:
     """Write ``args.output`` through ``write(path)``, then its manifest.
 
     The file goes to ``--outdir``, else ``$PARITYDISTILL_OUTDIR``, else
-    the working directory.  The manifest next to it records the command,
-    ``parameters``, the seed, the package version and the file's sha256.
+    the working directory.  ``write`` returns the sha256 hex digest of
+    the bytes it wrote, so a simulate CSV of hundreds of MB is never read
+    back.  The manifest next to it records the command, ``parameters``,
+    the seed, the package version and that digest.
     """
     outdir = Path(os.environ.get(OUTDIR_ENV_VAR, ".") if args.outdir is None else args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / args.output
-    write(path)
-    # hashed in blocks: a simulate CSV runs to hundreds of MB
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    digest = write(path)
     manifest = {
         "command": args.command,
         "parameters": parameters,
         "seed": seed,
         "version": __version__,
-        "outputs": [{"file": path.name, "sha256": digest.hexdigest()}],
+        "outputs": [{"file": path.name, "sha256": digest}],
     }
     with open(path.with_suffix(".manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -274,16 +270,17 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
 # memory: 0.14 s at 256 (1.6 s at 1024), and simulate peaks at ~38 MiB
 # RSS.  The sampler pays a fixed cost per depth in every chunk that keeps
-# a trial to the cap: ~1.6 s per 100,000 trials at 256 on that link
-# (~4.9 s at 1024), ~155 s for the largest --trials at 256.  That cost,
-# not the walk, keeps the cap at 256 (2-vCPU Xeon VM, resource.getrusage).
+# a trial to the cap: ~1.2-1.4 s per 100,000 trials at 256 on that link
+# (~3.6 s at 1024), ~130 s for the largest --trials at 256.  That cost,
+# not the walk, keeps the cap at 256 (2-vCPU Xeon VM; times best of 2
+# runs, RSS by resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
-# ~447 MiB RSS and takes ~6.3 s on a 2-vCPU Xeon VM (resource.getrusage);
+# ~447 MiB RSS and takes ~4.5 s on a 2-vCPU Xeon VM (resource.getrusage);
 # the exact walk adds ~2.4 MiB at the largest cap.  Its ~300 MB CSV is
-# written and hashed in blocks.
+# written in batches and hashed as it is written.
 SIMULATE_TRIALS_LIMIT = 10_000_000
 
 

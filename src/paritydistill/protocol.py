@@ -25,7 +25,9 @@ again to make each class one leaf only when its leaves are read; the
 dark-count region grid is the cap-2 fold on a whole stack of brokers.
 
 By the same masks a sampled trial's state is a function of its outcome
-history, so the sampler keeps one per distinct history (``_sample_chunk``).
+history, so the sampler keeps one per distinct history (``_sample_chunk``),
+and reads each history's classification off a static table of the same
+(first outcome, balance) classes (``_class_steps``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -519,8 +521,11 @@ STREAM_VERSION = 2
 
 # Trials evolved together.  Uniforms are keyed by the absolute trial
 # index, so results never depend on this; it bounds the working arrays
-# (~0.8 MB).  Of 2,048 to 16,384 it samples cap 2 fastest; deeper caps
-# spread their per-depth work over more trials in larger chunks.
+# (~0.8 MB).  A depth costs ~50-60 us of numpy calls whatever its live
+# count, so larger chunks sample faster: 40,000 two-iterate trials at
+# t = 0.01 take ~5-8 ms at 4,096 and ~4-5 ms at 16,384, and 100,000 at
+# cap 256 on t = 0.5, sin^2 theta = 1e-3 take ~1.2-1.4 s at 4,096 and
+# ~0.6-0.75 s at 16,384 (2-vCPU Xeon VM), at four times the memory.
 _CHUNK_TRIALS = 4096
 
 
@@ -622,13 +627,14 @@ class SampleStats:
             "iterate_histogram": hist,
         }
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path) -> str:
         """One row per trial, in trial order, through ``write_columns``:
         the integer columns as digits, ``fidelity`` as its ``repr``, and the
-        seed and status gathered from small text tables."""
+        seed and status gathered from small text tables.  Returns the
+        sha256 hex digest of the bytes written."""
         seed = (text_table([str(self.rng_seed)]), np.broadcast_to(np.intp(0), (self.n_trials,)))
         status = (text_table([Status(v).name.lower() for v in range(len(Status))]), self.status)
-        write_columns(
+        return write_columns(
             path,
             ["seed", "trial", "attempts", "iterates", "status", "fidelity"],
             [seed, self.trial, self.attempts, self.iterates, status, self.fidelity],
@@ -650,11 +656,18 @@ _PARTNER = np.array([0, 1, 2, 3, 5, 4, 7, 6])
 _PLUS_COMPACT = np.array([0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.25, 0.0])
 
 
+# SplitMix64's shifts and multipliers as numpy scalars, made once: the
+# sampler mixes every depth, and making a scalar costs about as much as
+# a small array op.
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output function on a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
 
 
 def _trial_streams(seed: int, trials: np.ndarray) -> np.ndarray:
@@ -668,11 +681,17 @@ def _trial_streams(seed: int, trials: np.ndarray) -> np.ndarray:
     return _mix64(key + counters)
 
 
-def _uniforms(streams: np.ndarray, draw: int) -> np.ndarray:
-    """Draw ``draw`` of each trial stream, as a 53-bit float in [0, 1)."""
-    offset = np.uint64(((draw + 1) * _GOLDEN_GAMMA) & _MASK64)
-    bits = _mix64(streams + offset) >> np.uint64(11)
-    return bits.astype(np.float64) * 2.0**-53
+def _uniforms(streams: np.ndarray, draws) -> np.ndarray:
+    """Draws ``draws`` of each trial stream, as 53-bit floats in [0, 1).
+
+    ``draws`` is one draw index, which gives one float per stream, or a
+    sequence of them, which gives one row per index from one mixing pass.
+    """
+    draws = np.asarray(draws, dtype=np.uint64)
+    # arrays wrap mod 2**64 silently, where numpy scalars would warn
+    offsets = (draws.reshape(-1, 1) + np.uint64(1)) * np.uint64(_GOLDEN_GAMMA)
+    bits = _mix64(streams + offsets) >> _S11
+    return (bits.astype(np.float64) * 2.0**-53).reshape(draws.shape + streams.shape)
 
 
 def _compact_tables(pair: HeraldedPair) -> tuple[np.ndarray, np.ndarray]:
@@ -712,19 +731,17 @@ def _branch_probabilities(states: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _pick_outcome(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index by inverse CDF on ``u`` in [0, 1).
 
-    The index counts the cumulative thresholds at or below ``u`` times
-    the total.  A zero-probability outcome shares its threshold with the
-    next one, and ``u * total < total`` for every ``u < 1``, so such an
-    outcome is never chosen.
+    ``thresholds`` are the cumulative outcome probabilities, shape (4, n),
+    summed in index order.  The index counts the first three at or below
+    ``u`` times the total.  A zero-probability outcome shares its
+    threshold with the next one, and ``u * total < total`` for every
+    ``u < 1``, so such an outcome is never chosen.
     """
-    first = probs[0]
-    second = first + probs[1]
-    third = second + probs[2]
-    r = u * (third + probs[3])
-    return (r >= first).astype(np.intp) + (r >= second) + (r >= third)
+    r = u * thresholds[3]
+    return (r >= thresholds[0]).astype(np.intp) + (r >= thresholds[1]) + (r >= thresholds[2])
 
 
 def _positive(weight: np.ndarray) -> None:
@@ -746,8 +763,47 @@ def _advance(
     Every operation is elementwise per column, so advancing a subset of
     the columns gives the same bits as advancing all and then selecting.
     """
-    grown = scale[:, outcome] * states + twist[:, outcome] * states[_PARTNER]
+    grown = scale.take(outcome, axis=1) * states
+    grown += twist.take(outcome, axis=1) * states.take(_PARTNER, axis=0)
     return grown * (1.0 / weight)
+
+
+# Class ids of ``_class_steps``: before any outcome, and after the run has
+# classified; a pending class (first parity p, balance b) is 2 + p (2 cap
+# + 1) + b + cap.
+_START, _SETTLED = 0, 1
+
+
+@cache
+def _class_steps(cap: int) -> np.ndarray:
+    """Status code and next class of each (class, outcome), shape (2, classes, 4).
+
+    ``classify`` reads a pending history by the parity of its first
+    outcome and its balance: +1 for each outcome 0 or 2, -1 for each 1 or
+    3.  An outcome of the other parity fails the run; one of the same
+    parity that brings the balance to zero succeeds with that parity.
+    Classified runs move to ``_SETTLED``, whose row no trial reads, and
+    so do the balances past the cap, which no run reaches before its cap.
+    """
+    width = 2 * cap + 1
+    steps = np.zeros((2, 2 + 2 * width, 4), dtype=np.int64)
+    steps[:, _SETTLED] = [[Status.FAILURE.value] * 4, [_SETTLED] * 4]
+    for k, oc in enumerate(OUTCOMES):
+        step = 1 - 2 * oc.j
+        steps[:, _START, k] = Status.PENDING.value, 2 + oc.parity * width + step + cap
+        for parity in (0, 1):
+            for balance in range(-cap, cap + 1):
+                row = 2 + parity * width + balance + cap
+                after = balance + step
+                if oc.parity != parity:
+                    steps[:, row, k] = Status.FAILURE.value, _SETTLED
+                elif after == 0:
+                    steps[:, row, k] = _WON[k].value, _SETTLED
+                else:
+                    ahead = row + step if abs(after) <= cap else _SETTLED
+                    steps[:, row, k] = Status.PENDING.value, ahead
+    steps.flags.writeable = False
+    return steps
 
 
 def _sample_chunk(
@@ -760,19 +816,27 @@ def _sample_chunk(
     """Evolve one chunk of trials together, one iterate depth at a time.
 
     Draw ``2 d`` of a trial gives the attempt windows of its herald at
-    depth ``d`` and draw ``2 d + 1`` its outcome.  Trials leave the
-    working arrays as soon as their history classifies; those left at
-    the cap stay pending.  ``log_miss`` is ln(1 - p_click), -inf when
-    every window heralds, which makes every wait one window.
+    depth ``d`` and draw ``2 d + 1`` its outcome; one mixing pass makes
+    both.  Trials leave the working arrays as soon as their history
+    classifies; those left at the cap stay pending.  ``log_miss`` is
+    ln(1 - p_click), -inf when every window heralds, which makes every
+    wait one window.
 
-    A trial's state is a function of its outcome history alone, so the
-    chunk keeps one column per distinct live history (``table``) and each
-    trial the index of its column (``node``); depth 0 is the column |++>.
-    Weights are computed per column and checked per trial, a failing
-    trial's too.  Each successor key ``4 node + k`` that is read is
-    advanced once: a trial's that did not fail, and at the cap only a
-    success's, for its fidelity.  Every step is elementwise per column,
-    so the bits are those of advancing each trial alone.
+    A trial's state and class are functions of its outcome history alone,
+    so the chunk keeps one column per distinct live history (``table``,
+    with its class in ``classes``) and each trial the index of its column
+    (``node``); depth 0 is the column |++> of class ``_START``.  Per
+    depth, each successor key ``4 node + k`` reads its status code and
+    next class off one gather of the columns' class rows
+    (``_class_steps``), and its weight off its column's probabilities.
+    A trial takes its column's cumulative thresholds, picks ``k``, then
+    takes its key's status code; it carries nothing else between depths.
+    Every key a trial picked, a failing one too, must have a positive
+    weight.  Each key that is read is advanced once: a trial's that did
+    not fail, and at the cap only a success's, for its fidelity, which
+    is computed once per key and gathered.  After the cap's depth nothing
+    is compacted.  Every step is elementwise per column, so the bits are
+    those of advancing each trial alone.
     """
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
@@ -782,45 +846,55 @@ def _sample_chunk(
     live = np.arange(n)
     windows = np.zeros(n, dtype=np.int64)
     table = _PLUS_COMPACT[:, None]
-    node, balance = np.zeros((2, n), dtype=np.intp)
+    classes = np.array([_START])
+    node = np.zeros(n, dtype=np.intp)
+    steps = _class_steps(cap)
     for depth in range(cap):
-        wait = _uniforms(streams, 2 * depth)
+        last = depth + 1 == cap
+        wait, pick = _uniforms(streams, (2 * depth, 2 * depth + 1))
         windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
         probs = _branch_probabilities(table, scale)
-        outcome = _pick_outcome(probs[:, node], _uniforms(streams, 2 * depth + 1))
-        _positive(probs[outcome, node])
-        parity = (outcome ^ (outcome >> 1)) & 1
-        if depth == 0:
-            first = parity
-        # +1 for j = 0 and -1 for j = 1: the two signatures of one parity
-        balance += 1 - 2 * (outcome & 1)
-        failed = parity != first
-        succeeded = ~failed & (balance == 0)
-        last = depth + 1 == cap
-        key = node * 4 + outcome
-        counts = np.bincount(key[succeeded if last else ~failed])
-        need = counts.nonzero()[0]
-        parent, picked = need >> 2, need & 3
-        table = _advance(table[:, parent], picked, probs[picked, parent], scale, twist)
-        column = np.empty(len(counts), dtype=np.intp)
+        outcome = _pick_outcome(np.cumsum(probs, axis=0).take(node, axis=1), pick)
+        key = 4 * node + outcome
+        codes, successors = np.take(steps, classes, axis=1).reshape(2, -1)
+        weights = probs.T.ravel()
+        picked = np.bincount(key, minlength=len(codes)) > 0
+        _positive(weights[picked])
+        advanced = codes != Status.FAILURE.value
+        if last:
+            advanced &= codes != Status.PENDING.value
+        need = np.flatnonzero(picked & advanced)
+        table = _advance(table.take(need >> 2, axis=1), need & 3, weights.take(need), scale, twist)
+        classes = successors.take(need)
+        code = codes.take(key)
+        ended = slice(None) if last else np.flatnonzero(code)
+        if last or len(ended):
+            done = live[ended]
+            status[done], iterates[done], attempts[done] = code[ended], depth + 1, windows[ended]
+            # each success key's overlap with its parity's target, clipped as
+            # ``fidelity`` clips it: roundoff can carry a perfect pair past 1;
+            # ``need`` holds no failure, so a nonzero code is a success
+            won = np.flatnonzero(codes.take(need))
+            if len(won):
+                states, keys = table.take(won, axis=1), need.take(won)
+                even = codes.take(keys) == Status.SUCCESS_PARITY_EVEN.value
+                overlap = np.where(
+                    even,
+                    0.5 * (states[1] + states[2]) + states[4],
+                    0.5 * (states[0] + states[3]) + states[6],
+                )
+                fids = np.full(len(codes), np.nan)
+                fids[keys] = np.clip(overlap, 0.0, 1.0)
+                fidelity[done] = fids.take(key[ended])
+            if last:
+                break
+            kept = np.flatnonzero(code == Status.PENDING.value)
+            if not len(kept):
+                break
+            live, streams, windows, key = (a.take(kept) for a in (live, streams, windows, key))
+        column = np.empty(len(codes), dtype=np.intp)
         column[need] = np.arange(len(need))
-        status[live[failed]] = Status.FAILURE.value
-        if succeeded.any():
-            won, won_first = live[succeeded], first[succeeded]
-            status[won] = 1 + won_first
-            # each column's overlap with the even and odd targets, clipped as
-            # ``fidelity`` clips it: roundoff can carry a perfect pair past 1
-            overlap = 0.5 * (table[[1, 0]] + table[[2, 3]]) + table[[4, 6]]
-            fidelity[won] = np.clip(overlap[won_first, column[key[succeeded]]], 0.0, 1.0)
-        done = failed | succeeded
-        iterates[live[done]] = depth + 1
-        attempts[live[done]] = windows[done]
-        keep = ~done
-        live, streams, windows = live[keep], streams[keep], windows[keep]
-        if not len(live) or last:
-            break
-        first, balance, node = first[keep], balance[keep], column[key[keep]]
-    attempts[live] = windows
+        node = column.take(key)
     return attempts, iterates, status, fidelity
 
 

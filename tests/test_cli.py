@@ -225,7 +225,7 @@ def test_every_csv_goes_through_the_one_column_writer(argv, tmp_path, capsys, mo
 
     def counting(path, *args, **kwargs):
         paths.append(path)
-        _csvbytes.write_columns(path, *args, **kwargs)
+        return _csvbytes.write_columns(path, *args, **kwargs)
 
     monkeypatch.setattr(cli, "write_columns", counting)
     monkeypatch.setattr(protocol, "write_columns", counting)

@@ -250,6 +250,32 @@ def test_classify_examples():
     assert not Status.FAILURE.is_success
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 8])
+def test_class_steps_classify_every_prefix(cap):
+    # the sampler reads each status from this table alone: following it
+    # from the start class along every frontier-form history of up to cap
+    # outcomes gives ``classify`` of each prefix, and a classified run
+    # moves to the settled class
+    steps = protocol._class_steps(cap)
+    assert steps is protocol._class_steps(cap) and not steps.flags.writeable
+    frontier = [((), protocol._START)]
+    for _ in range(cap):
+        grown = []
+        for history, cls in frontier:
+            for oc in OUTCOMES:
+                code, after = steps[:, cls, oc.index].tolist()
+                prefix = history + (oc,)
+                assert code == classify(prefix).value, prefix
+                if code == Status.PENDING.value:
+                    grown.append((prefix, after))
+                else:
+                    assert after == protocol._SETTLED, prefix
+        frontier = grown
+    # the runs still pending at the cap: a first outcome, then cap - 1 of
+    # its parity that never balance
+    assert len(frontier) == 4 * math.comb(cap - 1, (cap - 1) // 2)
+
+
 def test_strategy_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(max_iterates=1)
@@ -1040,7 +1066,8 @@ def test_pick_outcome_never_chooses_zero_probability():
         for _ in range(20):
             probs = np.array(support, dtype=float)[:, None] * rng.uniform(1e-300, 1.0, (4, 1))
             probs = np.repeat(probs, 3, axis=1)
-            chosen = protocol._pick_outcome(probs, np.array([lowest, 0.5, highest]))
+            thresholds = np.cumsum(probs, axis=0)
+            chosen = protocol._pick_outcome(thresholds, np.array([lowest, 0.5, highest]))
             assert all(support[k] for k in chosen), (support, chosen)
 
 
@@ -1249,9 +1276,19 @@ def test_counter_stream_known_answers():
 CERTAIN_CLICK = ApparatusParams(t1=1.0, t2=1.0)
 
 
+def cap_one_config(rng_seed: int) -> StrategyConfig:
+    """A config of cap 1, which ``StrategyConfig`` rejects, since no run
+    classifies in one iterate; the sampler runs it, every trial pending."""
+    config = StrategyConfig(rng_seed=rng_seed)
+    object.__setattr__(config, "max_iterates", 1)
+    return config
+
+
 @pytest.mark.parametrize(
     "config, params, sin_sq",
     [
+        # one iterate: the start class's row alone, and no fidelity
+        (cap_one_config(17), UNBALANCED, 0.4),
         (StrategyConfig(rng_seed=17), UNBALANCED, 0.4),
         (StrategyConfig(10, rng_seed=17), UNBALANCED, 0.4),
         # survivors of the last depth are never advanced
@@ -1262,7 +1299,15 @@ CERTAIN_CLICK = ApparatusParams(t1=1.0, t2=1.0)
         # three of four branch weights are exactly zero after depth 0
         (StrategyConfig(6, rng_seed=17), CERTAIN_CLICK, 1.0),
     ],
-    ids=["two_iterates", "loop", "loop_cap3", "loop_balanced", "loop_cap64", "certain_click"],
+    ids=[
+        "cap1",
+        "two_iterates",
+        "loop",
+        "loop_cap3",
+        "loop_balanced",
+        "loop_cap64",
+        "certain_click",
+    ],
 )
 def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
     theta = theta_from_sin_sq(sin_sq)
@@ -1277,7 +1322,7 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
         np.testing.assert_array_equal(column, expected)
     for name in ("attempts", "iterates", "status", "fidelity"):
         np.testing.assert_array_equal(getattr(stats, name), getattr(whole, name)[start:])
-    if params is CERTAIN_CLICK:
+    if params is CERTAIN_CLICK or config.max_iterates == 1:
         assert np.all(stats.status == Status.PENDING.value)
     else:
         assert set(stats.status.tolist()) == {s.value for s in Status}
@@ -1287,22 +1332,26 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
 
 
 @pytest.mark.parametrize(
-    "config, params",
+    "config, params, sin_sq, n",
     [
-        (StrategyConfig(rng_seed=23), UNBALANCED),
-        (StrategyConfig(12, rng_seed=23), UNBALANCED),
-        (StrategyConfig(12, rng_seed=23), BALANCED),
+        (StrategyConfig(rng_seed=23), UNBALANCED, 0.2, 300),
+        (StrategyConfig(12, rng_seed=23), UNBALANCED, 0.2, 300),
+        (StrategyConfig(12, rng_seed=23), BALANCED, 0.2, 300),
+        # the deep link: 5 of these 100 trials stay pending to the cap
+        (StrategyConfig(256, rng_seed=23), ApparatusParams(t1=0.5, t2=0.5), 1e-3, 100),
     ],
-    ids=["two_iterates", "loop_cap12", "loop_balanced"],
+    ids=["two_iterates", "loop_cap12", "loop_balanced", "deep_cap256"],
 )
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
-def test_sampled_columns_do_not_depend_on_the_chunk_size(config, params, chunk, monkeypatch):
+def test_sampled_columns_do_not_depend_on_the_chunk_size(
+    config, params, sin_sq, n, chunk, monkeypatch
+):
     # trials of one chunk share its table of distinct histories, so a
     # chunk of one trial and a chunk that holds every trial must agree
-    theta = theta_from_sin_sq(0.2)
-    default = run_trajectories(config, params, theta, 300, trial_start=11)
+    theta = theta_from_sin_sq(sin_sq)
+    default = run_trajectories(config, params, theta, n, trial_start=11)
     monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
-    stats = run_trajectories(config, params, theta, 300, trial_start=11)
+    stats = run_trajectories(config, params, theta, n, trial_start=11)
     for name in ("trial", "attempts", "iterates", "status", "fidelity"):
         np.testing.assert_array_equal(getattr(stats, name), getattr(default, name))
 
@@ -1315,9 +1364,9 @@ def test_sampler_advances_one_column_per_distinct_history(cap, monkeypatch):
     draws, calls = [], []
     uniforms, advance = protocol._uniforms, protocol._advance
 
-    def spy_uniforms(streams, draw):
-        draws.append((draw // 2, len(streams)))
-        return uniforms(streams, draw)
+    def spy_uniforms(streams, pair):
+        draws.append((pair[0] // 2, len(streams)))
+        return uniforms(streams, pair)
 
     def spy_advance(states, outcome, weight, scale, twist):
         depth, live = draws[-1]
@@ -1376,8 +1425,9 @@ def test_sampler_rejects_zero_weight_of_a_failing_trial(monkeypatch):
     for config in (StrategyConfig(rng_seed=3), StrategyConfig(6, rng_seed=3)):
         depths = []
 
-        def other_parity_at_depth_one(probs, u):
-            outcome = pick(probs, u)
+        def other_parity_at_depth_one(thresholds, u):
+            outcome = pick(thresholds, u)
+            probs = np.diff(thresholds, axis=0, prepend=0.0)
             depths.append(len(depths))
             if depths[-1] == 1:
                 outcome[0] ^= 1
