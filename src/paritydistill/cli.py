@@ -268,12 +268,12 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 
 # Largest --max-iterates.  Where nothing is pruned early (t = 0.5,
 # sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
-# memory: 0.14 s at 256 (1.6 s at 1024), and simulate peaks at ~38 MiB
-# RSS.  The sampler pays a fixed cost per depth in every chunk that keeps
-# a trial to the cap: ~1.2-1.4 s per 100,000 trials at 256 on that link
-# (~3.6 s at 1024), ~130 s for the largest --trials at 256.  That cost,
-# not the walk, keeps the cap at 256 (2-vCPU Xeon VM; times best of 2
-# runs, RSS by resource.getrusage).
+# memory: 0.14 s at 256 (1.6 s at 1024).  The sampler's rows take
+# O(cap^2) memory, ~5 MB at 256 (~73 MB at 1024; simulate peaks at ~45
+# MiB RSS at 256), and it pays ~0.35-0.5 s per 100,000 trials at 256 on
+# that link (~1.3-1.6 s at 1024), ~45 s for the largest --trials.  These,
+# not the walk, keep the cap at 256 (2-vCPU Xeon VM; best of 2-3 runs,
+# RSS by resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary

@@ -8,7 +8,7 @@ classifies as success or failure, or a strategy-dependent cap is hit.
 
 One iterate has one closed form: its four outcome masks, a gather of
 the broker matrix (``_outcome_masks``), which the exact trees and the
-sampler's tables both read.  The circuit route (``run_iterate_exact``)
+sampler's rows both read.  The circuit route (``run_iterate_exact``)
 evolves the full four-qubit density matrix through the gate sequence;
 no production path calls it, and the test suite keeps it as the
 independent oracle the gather is pinned against.
@@ -24,10 +24,10 @@ exact tree (``run_strategy_exact``) is the fold on one broker, and walks
 again to make each class one leaf only when its leaves are read; the
 dark-count region grid is the cap-2 fold on a whole stack of brokers.
 
-By the same masks a sampled trial's state is a function of its outcome
-history, so the sampler keeps one per distinct history (``_sample_chunk``),
-and reads each history's classification off a static table of the same
-(first outcome, balance) classes (``_class_steps``).
+By the same masks a sampled trial's state is fixed by its depth and its
+(first parity, balance) class, so a trial carries only its class id
+(``_class_steps``) and reads its outcome weights off rows of this count
+law (``_count_rows``), built once per run for every chunk.
 """
 
 from __future__ import annotations
@@ -517,15 +517,18 @@ def run_strategy_exact(
 # read off the dense branch maps.  Version 2 reads the tables from the
 # gathered outcome masks, whose entries differ from version 1's by up to
 # 2.3e-16, enough to flip an outcome whose uniform sits on a threshold.
-STREAM_VERSION = 2
+# Version 3 reads weights and fidelities off the count law instead
+# (``_count_rows``): on 60 random dark-free links (300,000 trials) only
+# success fidelities moved, 27% of them, by at most 8.9e-16.
+STREAM_VERSION = 3
 
 # Trials evolved together.  Uniforms are keyed by the absolute trial
 # index, so results never depend on this; it bounds the working arrays
-# (~0.8 MB).  A depth costs ~50-60 us of numpy calls whatever its live
-# count, so larger chunks sample faster: 40,000 two-iterate trials at
-# t = 0.01 take ~5-8 ms at 4,096 and ~4-5 ms at 16,384, and 100,000 at
-# cap 256 on t = 0.5, sin^2 theta = 1e-3 take ~1.2-1.4 s at 4,096 and
-# ~0.6-0.75 s at 16,384 (2-vCPU Xeon VM), at four times the memory.
+# (~0.8 MB).  A depth costs ~25 us of numpy calls whatever its live
+# count, so larger chunks sample deep runs faster: 100,000 trials at cap
+# 256 on t = 0.5, sin^2 theta = 1e-3 take ~0.35-0.5 s at 4,096 and
+# ~0.16-0.23 s at 16,384, at four times the memory, while 40,000
+# two-iterate trials at t = 0.01 take ~3-6 ms at either (2-vCPU Xeon VM).
 _CHUNK_TRIALS = 4096
 
 
@@ -649,13 +652,6 @@ class SampleStats:
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-# Compact trajectory rows: d0..d3, then (re, im) of rho[1,2] and of
-# rho[0,3].  ``_PARTNER`` pairs each coherence row with its other half;
-# every entry of |++> is 1/4.
-_PARTNER = np.array([0, 1, 2, 3, 5, 4, 7, 6])
-_PLUS_COMPACT = np.array([0.25, 0.25, 0.25, 0.25, 0.25, 0.0, 0.25, 0.0])
-
-
 # SplitMix64's shifts and multipliers as numpy scalars, made once: the
 # sampler mixes every depth, and making a scalar costs about as much as
 # a small array op.
@@ -694,43 +690,6 @@ def _uniforms(streams: np.ndarray, draws) -> np.ndarray:
     return (bits.astype(np.float64) * 2.0**-53).reshape(draws.shape + streams.shape)
 
 
-def _compact_tables(pair: HeraldedPair) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome multipliers of the compact trajectory state.
-
-    From |++> the outcome masks never populate a coherence outside the
-    opposite-parity pairs, so a trajectory state is carried as eight real
-    rows: the diagonal d0..d3, then the real and imaginary parts of
-    rho[1,2] and of rho[0,3].  Outcome ``k`` multiplies the state
-    entrywise by its mask (``_outcome_masks``).  Row ``r`` of the
-    successor is ``scale[r, k] * row_r + twist[r, k] * partner_r``, which
-    is the complex product for a coherence and a plain scaling (``twist``
-    zero) for the diagonal.  Both tables have shape (8, 4): one column
-    per outcome.
-    """
-    masks = _outcome_masks(pair)
-    scale = np.zeros((8, 4))
-    twist = np.zeros((8, 4))
-    scale[:4] = masks.diagonal(axis1=1, axis2=2).real.T
-    for row, (a, b) in ((4, (1, 2)), (6, (0, 3))):
-        scale[row] = scale[row + 1] = masks[:, a, b].real
-        twist[row] = -masks[:, a, b].imag
-        twist[row + 1] = masks[:, a, b].imag
-    return scale, twist
-
-
-def _branch_probabilities(states: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Outcome probabilities, shape (4, m), of compact states of shape (8, m).
-
-    ``p_k = sum_j scale[j, k] d_j``, summed in index order.  Every term
-    is nonnegative, so a probability is exactly zero only when each of
-    its terms is.
-    """
-    probs = scale[0, :, None] * states[0]
-    for j in (1, 2, 3):
-        probs = probs + scale[j, :, None] * states[j]
-    return probs
-
-
 def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Outcome index by inverse CDF on ``u`` in [0, 1).
 
@@ -744,34 +703,14 @@ def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= thresholds[0]).astype(np.intp) + (r >= thresholds[1]) + (r >= thresholds[2])
 
 
-def _positive(weight: np.ndarray) -> None:
-    """Raise unless every chosen branch weight, which a successor state
-    is divided by, is positive."""
-    if not (weight > 0.0).all():
-        raise DegenerateParameterError("sampled an outcome of zero probability")
-
-
-def _advance(
-    states: np.ndarray,
-    outcome: np.ndarray,
-    weight: np.ndarray,
-    scale: np.ndarray,
-    twist: np.ndarray,
-) -> np.ndarray:
-    """Apply each column's chosen branch map and renormalize by its weight.
-
-    Every operation is elementwise per column, so advancing a subset of
-    the columns gives the same bits as advancing all and then selecting.
-    """
-    grown = scale.take(outcome, axis=1) * states
-    grown += twist.take(outcome, axis=1) * states.take(_PARTNER, axis=0)
-    return grown * (1.0 / weight)
-
-
 # Class ids of ``_class_steps``: before any outcome, and after the run has
-# classified; a pending class (first parity p, balance b) is 2 + p (2 cap
-# + 1) + b + cap.
+# classified.  Pending classes (``_class_id``) go in order of |balance|,
+# so after d outcomes a run is in one of the first 4 d + 6 classes.
 _START, _SETTLED = 0, 1
+
+
+def _class_id(parity: int, balance: int) -> int:
+    return 2 + 4 * abs(balance) + 2 * (balance < 0) + parity
 
 
 @cache
@@ -785,31 +724,118 @@ def _class_steps(cap: int) -> np.ndarray:
     Classified runs move to ``_SETTLED``, whose row no trial reads, and
     so do the balances past the cap, which no run reaches before its cap.
     """
-    width = 2 * cap + 1
-    steps = np.zeros((2, 2 + 2 * width, 4), dtype=np.int64)
-    steps[:, _SETTLED] = [[Status.FAILURE.value] * 4, [_SETTLED] * 4]
+    # every row starts as _SETTLED's, and the two unused ids of balance -0 stay so
+    steps = np.zeros((2, _class_id(1, -cap) + 1, 4), dtype=np.int64)
+    steps[:] = np.array([Status.FAILURE.value, _SETTLED])[:, None, None]
     for k, oc in enumerate(OUTCOMES):
         step = 1 - 2 * oc.j
-        steps[:, _START, k] = Status.PENDING.value, 2 + oc.parity * width + step + cap
+        steps[:, _START, k] = Status.PENDING.value, _class_id(oc.parity, step)
         for parity in (0, 1):
             for balance in range(-cap, cap + 1):
-                row = 2 + parity * width + balance + cap
+                row = _class_id(parity, balance)
                 after = balance + step
                 if oc.parity != parity:
                     steps[:, row, k] = Status.FAILURE.value, _SETTLED
                 elif after == 0:
                     steps[:, row, k] = _WON[k].value, _SETTLED
                 else:
-                    ahead = row + step if abs(after) <= cap else _SETTLED
+                    ahead = _class_id(parity, after) if abs(after) <= cap else _SETTLED
                     steps[:, row, k] = Status.PENDING.value, ahead
     steps.flags.writeable = False
     return steps
 
 
+# By first parity: the outcome that raises a pending run's balance, the
+# one that lowers it, and (one index per row) the client indices a
+# success delivers, ``_PROJECTED_INDICES``.
+_RAISES, _LOWERS = np.array([0, 2]), np.array([3, 1])
+_DELIVERED = np.array(_PROJECTED_INDICES).T
+
+# Depths of rows built per call: a numpy pass over sixteen depths costs
+# little more than a pass over one (2,000 cap-12 trials at t = 0.01 take
+# ~1.15 ms, against ~2.6 ms a depth per call).
+_ROW_DEPTHS = 16
+
+
+def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
+    """The sampler's rows of depths ``first`` onward, ``_ROW_DEPTHS`` at most.
+
+    A run pending after ``d`` outcomes in class (parity ``p``, balance
+    ``b``) has drawn its raising outcome ``A`` ``n_A = (d + b) / 2`` times
+    and ``B = 3 - A`` ``n_B = (d - b) / 2`` times.  The masks act
+    entrywise on |++>, so its clients' diagonal is proportional to ``w_a =
+    m_A[a]^n_A m_B[a]^n_B`` (``m_k`` mask ``k``'s diagonal), taken in log
+    space less its largest entry, so that no power underflows, and
+    outcome ``k`` weighs ``sum_a w_a m_k[a]``, summed in index order.
+
+    Per depth: the cumulative weights, shape (4, classes); whether each
+    weight is positive, by key ``4 class + k``; and the fidelities by
+    status code (``_success_fidelities``).  Every class a run can be in
+    gets a row; one of zero weight gets zeros and no positive flag.
+    """
+    depth = np.arange(first, min(first + _ROW_DEPTHS, cap))
+    # the classes a run can be in at these depths: _START and _SETTLED,
+    # then the pending classes by |balance| (``_class_id``)
+    size, rest = np.divmod(np.arange(_class_id(1, -depth[-1]) - 1), 4)
+    parity = np.concatenate([[0, 0], rest & 1])
+    balance = np.concatenate([[0, 0], size * (1 - (rest & 2))])
+    raised = (depth[:, None] + balance) * 0.5
+    lowered = (depth[:, None] - balance) * 0.5
+    diag = masks.diagonal(axis1=1, axis2=2).real
+    logs = np.log(diag, out=np.full_like(diag, -np.inf), where=diag > 0.0)
+    # log w, axes (a, depth, class); a zero count adds log 1 = 0
+    log_w = np.zeros((4,) + raised.shape)
+    for count, outcomes in ((raised, _RAISES), (lowered, _LOWERS)):
+        factor = np.take(logs[outcomes].T, parity, axis=1)[:, None]
+        log_w += np.multiply(count, factor, out=np.zeros_like(log_w), where=count > 0.0)
+    top = log_w.max(axis=0)
+    np.subtract(log_w, top, out=log_w, where=top > -np.inf)
+    w = np.exp(log_w, out=log_w)
+    # weights, axes (depth, k, class)
+    columns = diag.T[:, :, None]
+    probs = w[0][:, None] * columns[0]
+    for a in (1, 2, 3):
+        probs += w[a][:, None] * columns[a]
+    positive = (probs > 0.0).transpose(0, 2, 1).reshape(len(depth), -1)
+    thresholds = probs
+    for k in (1, 2, 3):
+        thresholds[:, k] += thresholds[:, k - 1]
+    return list(zip(thresholds, positive, _success_fidelities(masks, depth)))
+
+
+def _success_fidelities(masks: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Fidelity of a run that ends at each depth, by status code; NaN but
+    for a success.
+
+    A success after ``2 n`` outcomes leaves ``Q^n`` entrywise on |++>,
+    ``Q = M_A * M_B``.  With ``x_a = (Q_aa / max Q)^n`` and ``z`` the same
+    power of the delivered coherence ``Q_ik``, which is ``|broker[1,
+    2]|^2``, its fidelity is ``(x_i / 2 + x_k / 2 + z) / sum_a x_a``,
+    clipped to [0, 1] as ``fidelity`` clips it.
+    """
+    diag = masks.diagonal(axis1=1, axis2=2).real
+    up = masks[_RAISES, _DELIVERED[0], _DELIVERED[1]]
+    down = masks[_LOWERS, _DELIVERED[0], _DELIVERED[1]]
+    q = np.empty((2, 5))  # by first parity: Q's diagonal, its delivered coherence
+    q[:, :4] = diag[_RAISES] * diag[_LOWERS]
+    q[:, 4] = up.real * down.real - up.imag * down.imag
+    top = q[:, :4].max(axis=1, keepdims=True)
+    ratio = np.divide(q, top, out=np.zeros_like(q), where=top > 0.0)
+    logs = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio > 0.0)
+    odd = depth % 2 == 1
+    x = np.exp(((depth[odd] + 1) // 2)[:, None, None] * logs)
+    inner = 0.5 * (x[:, [0, 1], _DELIVERED[0]] + x[:, [0, 1], _DELIVERED[1]]) + x[..., 4]
+    total = ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
+    fid = np.divide(inner, total, out=np.full_like(total, np.nan), where=total > 0.0)
+    by_code = np.full((len(depth), len(Status)), np.nan)
+    by_code[odd, 1:3] = np.clip(fid, 0.0, 1.0)  # the even and odd success codes
+    return by_code
+
+
 def _sample_chunk(
     streams: np.ndarray,
-    scale: np.ndarray,
-    twist: np.ndarray,
+    masks: np.ndarray,
+    rows: list,
     log_miss: float,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -822,21 +848,13 @@ def _sample_chunk(
     ln(1 - p_click), -inf when every window heralds, which makes every
     wait one window.
 
-    A trial's state and class are functions of its outcome history alone,
-    so the chunk keeps one column per distinct live history (``table``,
-    with its class in ``classes``) and each trial the index of its column
-    (``node``); depth 0 is the column |++> of class ``_START``.  Per
-    depth, each successor key ``4 node + k`` reads its status code and
-    next class off one gather of the columns' class rows
-    (``_class_steps``), and its weight off its column's probabilities.
-    A trial takes its column's cumulative thresholds, picks ``k``, then
-    takes its key's status code; it carries nothing else between depths.
-    Every key a trial picked, a failing one too, must have a positive
-    weight.  Each key that is read is advanced once: a trial's that did
-    not fail, and at the cap only a success's, for its fidelity, which
-    is computed once per key and gathered.  After the cap's depth nothing
-    is compacted.  Every step is elementwise per column, so the bits are
-    those of advancing each trial alone.
+    A trial carries only its class of ``_class_steps``.  Per depth it takes
+    its class's row (``_count_rows``), picks ``k``, and reads the status
+    code and next class of its key ``4 class + k`` off the table; every
+    key picked, a failing one too, must have a positive weight, and a run
+    that ends takes its status code's fidelity.  ``rows``, shared by the
+    run's chunks, grows when a chunk first goes deeper, so each depth is
+    built once.  After the cap's depth nothing is compacted.
     """
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
@@ -845,56 +863,31 @@ def _sample_chunk(
     fidelity = np.full(n, np.nan)
     live = np.arange(n)
     windows = np.zeros(n, dtype=np.int64)
-    table = _PLUS_COMPACT[:, None]
-    classes = np.array([_START])
-    node = np.zeros(n, dtype=np.intp)
-    steps = _class_steps(cap)
+    classes = np.full(n, _START)
+    codes, successors = _class_steps(cap).reshape(2, -1)
     for depth in range(cap):
-        last = depth + 1 == cap
+        if depth == len(rows):
+            rows.extend(_count_rows(masks, cap, depth))
+        thresholds, positive, fidelities = rows[depth]
         wait, pick = _uniforms(streams, (2 * depth, 2 * depth + 1))
         windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
-        probs = _branch_probabilities(table, scale)
-        outcome = _pick_outcome(np.cumsum(probs, axis=0).take(node, axis=1), pick)
-        key = 4 * node + outcome
-        codes, successors = np.take(steps, classes, axis=1).reshape(2, -1)
-        weights = probs.T.ravel()
-        picked = np.bincount(key, minlength=len(codes)) > 0
-        _positive(weights[picked])
-        advanced = codes != Status.FAILURE.value
-        if last:
-            advanced &= codes != Status.PENDING.value
-        need = np.flatnonzero(picked & advanced)
-        table = _advance(table.take(need >> 2, axis=1), need & 3, weights.take(need), scale, twist)
-        classes = successors.take(need)
+        key = 4 * classes + _pick_outcome(thresholds.take(classes, axis=1), pick)
+        if not positive.take(key).all():
+            raise DegenerateParameterError("sampled an outcome of zero probability")
         code = codes.take(key)
+        last = depth + 1 == cap
         ended = slice(None) if last else np.flatnonzero(code)
         if last or len(ended):
             done = live[ended]
             status[done], iterates[done], attempts[done] = code[ended], depth + 1, windows[ended]
-            # each success key's overlap with its parity's target, clipped as
-            # ``fidelity`` clips it: roundoff can carry a perfect pair past 1;
-            # ``need`` holds no failure, so a nonzero code is a success
-            won = np.flatnonzero(codes.take(need))
-            if len(won):
-                states, keys = table.take(won, axis=1), need.take(won)
-                even = codes.take(keys) == Status.SUCCESS_PARITY_EVEN.value
-                overlap = np.where(
-                    even,
-                    0.5 * (states[1] + states[2]) + states[4],
-                    0.5 * (states[0] + states[3]) + states[6],
-                )
-                fids = np.full(len(codes), np.nan)
-                fids[keys] = np.clip(overlap, 0.0, 1.0)
-                fidelity[done] = fids.take(key[ended])
+            fidelity[done] = fidelities.take(code[ended])
             if last:
                 break
             kept = np.flatnonzero(code == Status.PENDING.value)
             if not len(kept):
                 break
             live, streams, windows, key = (a.take(kept) for a in (live, streams, windows, key))
-        column = np.empty(len(codes), dtype=np.intp)
-        column[need] = np.arange(len(need))
-        node = column.take(key)
+        classes = successors.take(key)
     return attempts, iterates, status, fidelity
 
 
@@ -916,8 +909,9 @@ def run_trajectories(
     ``STREAM_VERSION``, so results are reproducible bit for bit and
     independent of how a trial range is split into batches.  Trials are
     evolved together in fixed chunks, and the chunking cannot change a
-    result either.  Trial indices lie in [0, 2**63), and the sampled link
-    is dark-free: a nonzero ``params.p_dark`` raises.
+    result either; the chunks share one list of rows (``_count_rows``),
+    O(cap^2) floats, ~5 MB at cap 256.  Trial indices lie in [0, 2**63),
+    and the sampled link is dark-free: a nonzero ``params.p_dark`` raises.
     """
     n_trials, trial_start = operator.index(n_trials), operator.index(trial_start)
     if n_trials < 1:
@@ -936,17 +930,18 @@ def run_trajectories(
         raise DegenerateParameterError("click probability vanishes, nothing to sample")
     # at p_click = 1, log1p(-u) / -inf is +0.0: every herald takes one window
     log_miss = math.log1p(-pc) if pc < 1.0 else -math.inf
-    scale, twist = _compact_tables(pair)
+    masks = _outcome_masks(pair)
+    rows: list = []  # each depth's rows, built once and read by every chunk
     trials = np.arange(trial_start, trial_start + n_trials, dtype=np.int64)
     attempts = np.empty(n_trials, dtype=np.int64)
     iterates = np.empty(n_trials, dtype=np.int64)
     status_codes = np.empty(n_trials, dtype=np.int8)
     fidelities = np.empty(n_trials)
     for lo in range(0, n_trials, _CHUNK_TRIALS):
-        rows = slice(lo, lo + _CHUNK_TRIALS)
-        streams = _trial_streams(config.rng_seed, trials[rows])
-        attempts[rows], iterates[rows], status_codes[rows], fidelities[rows] = _sample_chunk(
-            streams, scale, twist, log_miss, config.max_iterates
+        chunk = slice(lo, lo + _CHUNK_TRIALS)
+        streams = _trial_streams(config.rng_seed, trials[chunk])
+        attempts[chunk], iterates[chunk], status_codes[chunk], fidelities[chunk] = _sample_chunk(
+            streams, masks, rows, log_miss, config.max_iterates
         )
     return SampleStats(
         config, params, float(theta), trials, attempts, iterates, status_codes, fidelities

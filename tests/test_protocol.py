@@ -140,10 +140,14 @@ def circuit_masks(broker) -> np.ndarray:
     return masks
 
 
-# Scalar sampler reference: a per-trial loop over Python floats and
-# integers.  It recomputes the counter uniforms with Python integers and
-# repeats the vectorised sampler's arithmetic in the same order, so the
-# two must agree bit for bit; classification goes through ``classify``.
+# Scalar sampler references: per-trial loops over Python floats and
+# integers that recompute the counter uniforms with Python integers.
+# ``scalar_trajectories`` repeats the vectorised sampler's count law in
+# the same order, with numpy's ``exp`` and ``log`` (whose bits differ from
+# ``math``'s), so the two must agree bit for bit.  ``history_trajectories``
+# carries each trial's compact state through its history instead, the
+# independent oracle; it agrees up to the rounding of the two routes.
+# Classification goes through ``classify`` in both.
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -161,6 +165,27 @@ def counter_uniform(seed: int, trial: int, draw: int) -> float:
     key = splitmix64((seed + GOLDEN_GAMMA) & MASK64)
     stream = splitmix64((key + (trial + 1) * GOLDEN_GAMMA) & MASK64)
     return (splitmix64((stream + (draw + 1) * GOLDEN_GAMMA) & MASK64) >> 11) * 2.0**-53
+
+
+def compact_tables(pair) -> tuple[list, list]:
+    """Per-outcome multipliers of the compact state, as nested lists.
+
+    From |++> the masks never populate a coherence outside the
+    opposite-parity pairs, so a state is eight reals: the diagonal d0..d3,
+    then (re, im) of rho[1,2] and of rho[0,3].  Row ``r`` of the successor
+    under outcome ``k`` is ``scale[r][k] * row_r + twist[r][k] *
+    partner_r``: the complex product for a coherence, a plain scaling for
+    the diagonal.
+    """
+    masks = protocol._outcome_masks(pair)
+    scale = np.zeros((8, 4))
+    twist = np.zeros((8, 4))
+    scale[:4] = masks.diagonal(axis1=1, axis2=2).real.T
+    for row, (a, b) in ((4, (1, 2)), (6, (0, 3))):
+        scale[row] = scale[row + 1] = masks[:, a, b].real
+        twist[row] = -masks[:, a, b].imag
+        twist[row + 1] = masks[:, a, b].imag
+    return scale.tolist(), twist.tolist()
 
 
 def _outcome_probabilities(state, scale) -> list[float]:
@@ -183,15 +208,30 @@ def _compact_step(state, k: int, weight: float, scale, twist) -> tuple:
     )
 
 
-def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
-    """Per-trial loop with the sampler's stream; returns its five columns."""
+def _pick(u: float, probs) -> int:
+    """Inverse CDF on the cumulative sums of ``probs``, in index order."""
+    t0 = probs[0]
+    t1 = probs[1] + t0
+    t2 = probs[2] + t1
+    r = u * (probs[3] + t2)
+    return (r >= t0) + (r >= t1) + (r >= t2)
+
+
+def _trajectories(
+    config, params, theta, n_trials, trial_start, weights, fidelity, start=None, advance=None
+):
+    """The per-trial loop shared by both references.
+
+    A trial's state starts as ``start``; ``weights(state, history)`` gives
+    its outcome probabilities, ``advance(state, k, probs)``, if given, its
+    next state, and ``fidelity(state, history)`` a success's fidelity.
+    """
     pc = p_click(params, theta)
     log_miss = math.log1p(-pc) if pc < 1.0 else None
-    scale, twist = (t.tolist() for t in protocol._compact_tables(heralded_state(params, theta)))
     seed = config.rng_seed
     rows = []
     for trial in range(trial_start, trial_start + n_trials):
-        state = PLUS_COMPACT
+        state = start
         history: list[IterateOutcome] = []
         windows = 0
         status = Status.PENDING
@@ -199,27 +239,96 @@ def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
             depth = len(history)
             u = counter_uniform(seed, trial, 2 * depth)
             windows += 1 if log_miss is None else math.floor(math.log1p(-u) / log_miss) + 1
-            p = _outcome_probabilities(state, scale)
-            r = counter_uniform(seed, trial, 2 * depth + 1) * (((p[0] + p[1]) + p[2]) + p[3])
-            if r < p[0]:
-                k = 0
-            elif r < p[0] + p[1]:
-                k = 1
-            elif r < (p[0] + p[1]) + p[2]:
-                k = 2
-            else:
-                k = 3
+            p = weights(state, history)
+            k = _pick(counter_uniform(seed, trial, 2 * depth + 1), p)
             assert p[k] > 0.0, "a zero-probability outcome was chosen"
-            state = _compact_step(state, k, p[k], scale, twist)
             history.append(OUTCOMES[k])
+            if advance is not None:
+                state = advance(state, k, p)
             status = classify(history)
-        fid = float("nan")
-        if status is Status.SUCCESS_PARITY_EVEN:
-            fid = min(max(0.5 * (state[1] + state[2]) + state[4], 0.0), 1.0)
-        elif status is Status.SUCCESS_PARITY_ODD:
-            fid = min(max(0.5 * (state[0] + state[3]) + state[6], 0.0), 1.0)
+        fid = fidelity(state, history) if status.is_success else float("nan")
         rows.append((trial, windows, len(history), status.value, fid))
     return tuple(np.array(col) for col in zip(*rows))
+
+
+def history_trajectories(config, params, theta, n_trials, trial_start=0):
+    """The history oracle: each trial's compact state, advanced per outcome."""
+    scale, twist = compact_tables(heralded_state(params, theta))
+
+    def fidelity(state, history):
+        if history[0].parity == 0:
+            return min(max(0.5 * (state[1] + state[2]) + state[4], 0.0), 1.0)
+        return min(max(0.5 * (state[0] + state[3]) + state[6], 0.0), 1.0)
+
+    return _trajectories(
+        config, params, theta, n_trials, trial_start,
+        weights=lambda state, history: _outcome_probabilities(state, scale),
+        fidelity=fidelity,
+        start=PLUS_COMPACT,
+        advance=lambda state, k, p: _compact_step(state, k, p[k], scale, twist),
+    )
+
+
+def _exp(x: float) -> float:
+    return float(np.exp(x))
+
+
+def _log(x: float) -> float:
+    """numpy's log of a positive float, -inf at zero."""
+    return float(np.log(x)) if x > 0.0 else -math.inf
+
+
+def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
+    """The count-law reference: a trial's state is its two outcome counts.
+
+    A pending trial of first parity ``p`` has drawn ``n_A`` times the
+    outcome ``A`` of that parity with bit ``j = 0`` and ``n_B`` times
+    ``B = 3 - A``; its clients' diagonal is ``w_a = m_A[a]^n_A
+    m_B[a]^n_B``, taken in log space less its largest entry, and outcome
+    ``k`` weighs ``sum_a w_a m_k[a]``.  A success after ``2 n`` outcomes
+    holds ``Q^n`` on |++>, ``Q = M_A * M_B``.
+    """
+    masks = protocol._outcome_masks(heralded_state(params, theta))
+    diag = [[float(masks[k, a, a].real) for a in range(4)] for k in range(4)]
+    logs = [[_log(m) for m in row] for row in diag]
+
+    def drawn(history) -> tuple[int, int, int]:
+        if not history:
+            return 0, 0, 0
+        a = (0, 2)[history[0].parity]
+        n_a = sum(oc.index == a for oc in history)
+        return a, n_a, len(history) - n_a
+
+    def weights(_, history):
+        a, n_a, n_b = drawn(history)
+        log_w = []
+        for i in range(4):
+            up = n_a * logs[a][i] if n_a > 0 else 0.0
+            down = n_b * logs[3 - a][i] if n_b > 0 else 0.0
+            log_w.append(up + down)
+        top = max(log_w)
+        w = [_exp(v - top) if top > -math.inf else _exp(v) for v in log_w]
+        probs = []
+        for k in range(4):
+            p = w[0] * diag[k][0]
+            for i in (1, 2, 3):
+                p = p + w[i] * diag[k][i]
+            probs.append(p)
+        return probs
+
+    def fidelity(_, history):
+        a, n, _ = drawn(history)
+        q = [diag[a][i] * diag[3 - a][i] for i in range(4)]
+        i, j = protocol._PROJECTED_INDICES[history[0].parity]
+        up, down = complex(masks[a, i, j]), complex(masks[3 - a, i, j])
+        q.append(up.real * down.real - up.imag * down.imag)
+        top = max(q[:4])
+        x = [_exp(n * _log(v / top)) for v in q]
+        total = ((x[0] + x[1]) + x[2]) + x[3]
+        fid = (0.5 * (x[i] + x[j]) + x[4]) / total if total > 0.0 else float("nan")
+        return min(max(fid, 0.0), 1.0)
+
+    return _trajectories(config, params, theta, n_trials, trial_start, weights, fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +364,8 @@ def test_class_steps_classify_every_prefix(cap):
     # the sampler reads each status from this table alone: following it
     # from the start class along every frontier-form history of up to cap
     # outcomes gives ``classify`` of each prefix, and a classified run
-    # moves to the settled class
+    # moves to the settled class; a run pending after d outcomes is in one
+    # of the first 4 d + 6 classes, the ones its rows cover
     steps = protocol._class_steps(cap)
     assert steps is protocol._class_steps(cap) and not steps.flags.writeable
     frontier = [((), protocol._START)]
@@ -267,6 +377,7 @@ def test_class_steps_classify_every_prefix(cap):
                 prefix = history + (oc,)
                 assert code == classify(prefix).value, prefix
                 if code == Status.PENDING.value:
+                    assert after < 4 * len(prefix) + 6, prefix
                     grown.append((prefix, after))
                 else:
                     assert after == protocol._SETTLED, prefix
@@ -356,7 +467,7 @@ def test_diagonal_probability_shortcut_matches_channel():
     for _ in range(20):
         clients = random_mixed_clients(rng)
         pair = random_pair(rng)
-        scale = protocol._compact_tables(pair)[0].tolist()
+        scale = compact_tables(pair)[0]
         probs = _outcome_probabilities(clients.elements.diagonal().real, scale)
         masks = protocol._outcome_masks(pair)
         for idx, oc in enumerate(OUTCOMES):
@@ -984,7 +1095,7 @@ def test_fully_contaminated_tree_never_classifies():
 
 
 # ---------------------------------------------------------------------------
-# Compact trajectory state
+# Compact states and count-law rows
 
 
 def random_compact_states(rng, n):
@@ -1017,7 +1128,7 @@ def compact_of(m) -> tuple:
 
 def test_compact_step_matches_dense_branch_map():
     for m, pair in random_compact_states(RNG(139), 50):
-        scale, twist = (t.tolist() for t in protocol._compact_tables(pair))
+        scale, twist = compact_tables(pair)
         compact = compact_of(m)
         probs = _outcome_probabilities(compact, scale)
         for oc in OUTCOMES:
@@ -1028,34 +1139,147 @@ def test_compact_step_matches_dense_branch_map():
             np.testing.assert_allclose(nxt, compact_of(dense / weight), atol=1e-12)
 
 
+def class_path(cap: int, history) -> list[int]:
+    """The ``_class_steps`` class before each outcome of a history."""
+    steps, path = protocol._class_steps(cap), [protocol._START]
+    for oc in history[:-1]:
+        path.append(int(steps[1, path[-1], oc.index]))
+    return path
+
+
+def count_rows(masks, cap: int) -> list[tuple]:
+    """Every depth's rows of the sampler's count law, block by block."""
+    rows = []
+    while len(rows) < cap:
+        rows.extend(protocol._count_rows(masks, cap, len(rows)))
+    return rows
+
+
+def row_weights(row, cls: int) -> np.ndarray:
+    """A class's outcome weights, normalized, from its cumulative row."""
+    thresholds = row[0][:, cls]
+    return np.diff(thresholds, prepend=0.0) / thresholds[3]
+
+
+def random_run(rng, length: int) -> list[IterateOutcome]:
+    """A first outcome, then outcomes of its parity that never balance
+    before the last, which may."""
+    first = int(rng.integers(4))
+    history, balance = [OUTCOMES[first]], 1
+    for step in range(1, length):
+        down = rng.uniform() < 0.5 and (balance > 1 or step == length - 1)
+        balance += -1 if down else 1
+        history.append(OUTCOMES[3 - first if down else first])
+    return history
+
+
 def test_vectorised_step_matches_dense_branch_map():
-    for m, pair in random_compact_states(RNG(139), 50):
-        scale, twist = protocol._compact_tables(pair)
-        # one column per outcome, all starting from the same state
-        states = np.repeat(np.array(compact_of(m))[:, None], 4, axis=1)
-        outcome = np.arange(4)
-        probs = protocol._branch_probabilities(states, scale)
-        after = protocol._advance(states, outcome, probs[outcome, outcome], scale, twist)
-        for oc in OUTCOMES:
-            dense = branch_map_elements(m, pair.eta, pair.phi, pair.delta, oc.i, oc.j)
-            weight = dense.trace().real
-            np.testing.assert_allclose(probs[oc.index], weight, atol=1e-13)
-            # the dense map populates nothing outside the compact entries
-            outside = dense.copy()
-            for a, b in ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0)):
-                outside[a, b] = 0.0
-            assert np.max(np.abs(outside)) == 0.0
+    # the sampler's per-depth step reads a class's outcome weights and a
+    # success's fidelity off the count-law rows; along random runs they
+    # match the dense branch maps applied one outcome at a time
+    cap, rng, successes = 12, RNG(139), 0
+    for _, pair in random_compact_states(rng, 50):
+        rows = count_rows(protocol._outcome_masks(pair), cap)
+        history = random_run(rng, cap)
+        rho = np.full((4, 4), 0.25, dtype=complex)
+        for depth, (oc, cls) in enumerate(zip(history, class_path(cap, history))):
+            maps = [
+                branch_map_elements(rho, pair.eta, pair.phi, pair.delta, o.i, o.j)
+                for o in OUTCOMES
+            ]
+            weights = [m.trace().real for m in maps]
+            np.testing.assert_allclose(row_weights(rows[depth], cls), weights, atol=1e-12)
+            rho = maps[oc.index] / weights[oc.index]
+            status = classify(history[: depth + 1])
+            if status.is_success:
+                a, b = protocol._PROJECTED_INDICES[history[0].parity]
+                dense = 0.5 * (rho[a, a] + rho[b, b]).real + rho[a, b].real
+                assert rows[depth][2][status.value] == pytest.approx(min(dense, 1.0), abs=1e-12)
+                successes += 1
+    assert successes
+
+
+def test_vectorised_step_rejects_zero_weight(monkeypatch):
+    # on the certain-click link every outcome repeats the first: after
+    # outcome 0, outcome 3 has weight exactly zero, and the class (parity
+    # 0, balance 1) at depth 3, reached only through it, has no weight at
+    # all; its row holds zeros, not the NaN of 0/0, and flags nothing, and
+    # a trial handed that zero-weight outcome raises
+    params, theta = ApparatusParams(t1=1.0, t2=1.0), theta_from_sin_sq(1.0)
+    cap = 6
+    rows = count_rows(protocol._outcome_masks(heralded_state(params, theta)), cap)
+    assert all(np.isfinite(row[0]).all() for row in rows)
+    after_zero = class_path(cap, [OUTCOMES[0]] * 2)[1]
+    assert rows[1][1][4 * after_zero : 4 * after_zero + 4].tolist() == [True, False, False, False]
+    stranded = class_path(cap, [OUTCOMES[0], OUTCOMES[0], OUTCOMES[3], OUTCOMES[0]])[3]
+    assert not rows[3][1][4 * stranded : 4 * stranded + 4].any()
+    assert not rows[3][0][:, stranded].any()
+    pick = protocol._pick_outcome
+    depths = []
+
+    def partner_at_depth_one(thresholds, u):
+        outcome = pick(thresholds, u)
+        depths.append(len(depths))
+        if depths[-1] == 1:
+            outcome[0] = 3 - outcome[0]
+        return outcome
+
+    monkeypatch.setattr(protocol, "_pick_outcome", partner_at_depth_one)
+    with pytest.raises(DegenerateParameterError, match="zero probability"):
+        run_trajectories(StrategyConfig(cap, rng_seed=3), params, theta, 300)
+    assert depths == [0, 1]
+
+
+def test_count_rows_read_an_undrawn_zero_diagonal_as_one():
+    # on a clean link (eta = 0) four diagonal entries of the masks are zero;
+    # the start class has drawn nothing, so its weights are the sums of the
+    # diagonals (m^0 = 1, not 0 * log 0), and a class that has drawn only
+    # one outcome weighs each index by that outcome's diagonal, zeros too
+    pair = HeraldedPair(eta=0.0, phi=0.3, delta=0.2)
+    masks = protocol._outcome_masks(pair)
+    diag = masks.diagonal(axis1=1, axis2=2).real
+    assert np.count_nonzero(diag == 0.0) == 8
+    rows = count_rows(masks, 8)
+    start = diag.sum(axis=1)
+    np.testing.assert_allclose(row_weights(rows[0], protocol._START), start / start.sum(), atol=1e-15)
+    for first in range(4):
+        history = [OUTCOMES[first]] * 3
+        for depth, cls in enumerate(class_path(8, history)):
+            w = diag[first] ** depth
             np.testing.assert_allclose(
-                after[:, oc.index], compact_of(dense / weight), atol=1e-12
+                row_weights(rows[depth], cls), diag @ w / w.sum(), atol=1e-14
             )
 
 
-def test_vectorised_step_rejects_zero_weight():
-    scale, twist = protocol._compact_tables(HeraldedPair(eta=0.3, phi=0.1, delta=0.2))
-    states = np.zeros((8, 1))
-    probs = protocol._branch_probabilities(states, scale)
-    with pytest.raises(DegenerateParameterError):
-        protocol._positive(probs[[2], 0])
+def test_count_rows_stay_finite_where_powers_underflow():
+    # at cap 256 on a heavily contaminated link the diagonal powers of a
+    # deep class underflow in linear space (0.05^255 < 1e-330), but the rows,
+    # built in log space less each row's largest entry, stay finite and
+    # match exact rational arithmetic
+    from fractions import Fraction
+
+    cap = 256
+    masks = protocol._outcome_masks(HeraldedPair(eta=0.9, phi=0.3, delta=0.2))
+    diag = masks.diagonal(axis1=1, axis2=2).real
+    rows = count_rows(masks, cap)
+    assert all(np.isfinite(row[0]).all() for row in rows)
+    exact = [[Fraction(float(m)) for m in row] for row in diag]
+    rng = RNG(151)
+    underflowed = 0
+    for sample in range(12):
+        history = random_run(rng, cap)
+        path = class_path(cap, history)
+        depth = cap - 1 if sample % 2 else int(rng.integers(cap // 2, cap))
+        up = history[0].index
+        n_up = sum(oc.index == up for oc in history[:depth])
+        n_down = depth - n_up
+        w = [exact[up][a] ** n_up * exact[3 - up][a] ** n_down for a in range(4)]
+        p = [sum(w[a] * exact[k][a] for a in range(4)) for k in range(4)]
+        expected = [float(v / sum(p)) for v in p]
+        np.testing.assert_allclose(row_weights(rows[depth], path[depth]), expected, atol=1e-12)
+        linear = diag[up] ** n_up * diag[3 - up] ** n_down
+        underflowed += not linear.any()
+    assert underflowed
 
 
 def test_pick_outcome_never_chooses_zero_probability():
@@ -1284,17 +1508,17 @@ def cap_one_config(rng_seed: int) -> StrategyConfig:
     return config
 
 
-@pytest.mark.parametrize(
+SAMPLER_CASES = pytest.mark.parametrize(
     "config, params, sin_sq",
     [
         # one iterate: the start class's row alone, and no fidelity
         (cap_one_config(17), UNBALANCED, 0.4),
         (StrategyConfig(rng_seed=17), UNBALANCED, 0.4),
         (StrategyConfig(10, rng_seed=17), UNBALANCED, 0.4),
-        # survivors of the last depth are never advanced
+        # survivors of the last depth are never classified again
         (StrategyConfig(3, rng_seed=17), UNBALANCED, 0.4),
         (StrategyConfig(10, rng_seed=17), BALANCED, 0.4),
-        # long runs: many distinct histories live at once, some to the cap
+        # long runs: many classes live at once, some to the cap
         (StrategyConfig(64, rng_seed=17), UNBALANCED, 0.1),
         # three of four branch weights are exactly zero after depth 0
         (StrategyConfig(6, rng_seed=17), CERTAIN_CLICK, 1.0),
@@ -1309,6 +1533,9 @@ def cap_one_config(rng_seed: int) -> StrategyConfig:
         "certain_click",
     ],
 )
+
+
+@SAMPLER_CASES
 def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
     theta = theta_from_sin_sq(sin_sq)
     chunk = protocol._CHUNK_TRIALS
@@ -1329,6 +1556,22 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
     if params is BALANCED:
         success = np.isin(stats.status, [s.value for s in Status if s.is_success])
         assert np.all(stats.fidelity[success] == 1.0)
+
+
+@SAMPLER_CASES
+def test_sampler_matches_the_history_oracle(config, params, sin_sq):
+    # the count law against each trial's state carried through its
+    # history: the same outcomes, and fidelities within rounding
+    theta = theta_from_sin_sq(sin_sq)
+    start, n = protocol._CHUNK_TRIALS - 37, protocol._CHUNK_TRIALS + 100
+    stats = run_trajectories(config, params, theta, n, trial_start=start)
+    _, attempts, iterates, status, fidelity = history_trajectories(
+        config, params, theta, n, trial_start=start
+    )
+    np.testing.assert_array_equal(stats.attempts, attempts)
+    np.testing.assert_array_equal(stats.iterates, iterates)
+    np.testing.assert_array_equal(stats.status, status)
+    np.testing.assert_allclose(stats.fidelity, fidelity, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -1356,32 +1599,37 @@ def test_sampled_columns_do_not_depend_on_the_chunk_size(
         np.testing.assert_array_equal(getattr(stats, name), getattr(default, name))
 
 
-@pytest.mark.parametrize("cap", [2, 12])
-def test_sampler_advances_one_column_per_distinct_history(cap, monkeypatch):
-    # a pending history of depth d + 1 that has not failed is its first
-    # outcome and then d outcomes of that parity: at most 4 * 2^d of them,
-    # and never more than the trials still live, whatever their number
-    draws, calls = [], []
-    uniforms, advance = protocol._uniforms, protocol._advance
+@pytest.mark.parametrize(
+    "cap, params, sin_sq, n",
+    [
+        (2, ApparatusParams(t1=0.01, t2=0.01), 0.2, 10_000),
+        (12, ApparatusParams(t1=0.01, t2=0.01), 0.2, 10_000),
+        # 35 of these 300 trials stay pending to the cap
+        (40, ApparatusParams(t1=0.5, t2=0.5), 1e-3, 300),
+    ],
+    ids=["2", "12", "40"],
+)
+def test_sampler_builds_each_depths_rows_once(cap, params, sin_sq, n, monkeypatch):
+    # every chunk of a run reads one list of rows, extended _ROW_DEPTHS
+    # depths at a time when a chunk first goes deeper: each depth is built
+    # once per run, whatever the chunk size
+    theta = theta_from_sin_sq(sin_sq)
+    count_rows = protocol._count_rows
+    built = {}
+    for chunk in (1, 3, 4096):
+        calls = built[chunk] = []
 
-    def spy_uniforms(streams, pair):
-        draws.append((pair[0] // 2, len(streams)))
-        return uniforms(streams, pair)
+        def spy(masks, cap, first):
+            calls.append(first)
+            return count_rows(masks, cap, first)
 
-    def spy_advance(states, outcome, weight, scale, twist):
-        depth, live = draws[-1]
-        calls.append((depth, live, states.shape[1]))
-        return advance(states, outcome, weight, scale, twist)
-
-    monkeypatch.setattr(protocol, "_uniforms", spy_uniforms)
-    monkeypatch.setattr(protocol, "_advance", spy_advance)
-    params, theta = ApparatusParams(t1=0.01, t2=0.01), theta_from_sin_sq(0.2)
-    run_trajectories(StrategyConfig(cap, rng_seed=101), params, theta, 10_000)
-    assert calls and max(depth for depth, _, _ in calls) == cap - 1
-    for depth, live, columns in calls:
-        assert columns <= min(live, 4 * 2**depth), (depth, live, columns)
-        if cap == 2:
-            assert columns <= 4
+        monkeypatch.setattr(protocol, "_count_rows", spy)
+        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
+        stats = run_trajectories(StrategyConfig(cap, rng_seed=101), params, theta, n)
+    deepest = int(stats.iterates.max())
+    assert deepest == cap
+    expected = list(range(0, deepest, protocol._ROW_DEPTHS))
+    assert built == {1: expected, 3: expected, 4096: expected}
 
 
 def test_sampled_success_fidelity_never_exceeds_one():
@@ -1461,6 +1709,72 @@ def test_trajectory_cells_match_depth_profile():
     assert set(observed) <= set(expected)
     stat = sum((observed.get(cell, 0) - e) ** 2 / e for cell, e in expected.items())
     assert chi2_sf(stat, len(expected) - 1) > 1e-3, stat
+
+
+def test_deep_trajectory_cells_match_the_walk():
+    # the case the count law is built for: cap 256 where nothing is pruned
+    # early, so runs reach every depth.  Chi-square of the (iterates,
+    # status) cells against the exact walk's masses, rejected at p = 1e-3;
+    # cells of one status are pooled in depth order until each pool
+    # expects at least 20 runs
+    params, theta = ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3)
+    cap, n = 256, 20_000
+    masks = protocol._outcome_masks(heralded_state(params, theta))
+    rho = plus_state(CLIENT_LABELS).elements
+    mass = {}
+    for depth, ((_, won), (_, lost), (_, pending), pruned) in enumerate(
+        protocol._walk(masks, rho, cap), start=2
+    ):
+        mass[depth, Status.SUCCESS_PARITY_EVEN.value] = float(won[[0, 3]].sum())
+        mass[depth, Status.SUCCESS_PARITY_ODD.value] = float(won[[1, 2]].sum())
+        mass[depth, Status.FAILURE.value] = float(lost.sum())
+    assert depth == cap and float(pruned) < 1e-9
+    mass[cap, Status.PENDING.value] = float(pending.sum())
+    stats = run_trajectories(StrategyConfig(cap, rng_seed=2024), params, theta, n)
+    cells, counts = np.unique(np.stack([stats.iterates, stats.status]), axis=1, return_counts=True)
+    observed = {(int(d), int(s)): int(c) for (d, s), c in zip(cells.T, counts)}
+    assert set(observed) <= set(mass)
+    pools = []
+    for status in sorted({s for _, s in mass}):
+        pool = [0.0, 0]
+        for depth in sorted(d for d, s in mass if s == status):
+            pool[0] += n * mass[depth, status]
+            pool[1] += observed.get((depth, status), 0)
+            if pool[0] >= 20.0:
+                pools.append(pool)
+                pool = [0.0, 0]
+        if pool[0] > 0.0:
+            pools[-1] = [pools[-1][0] + pool[0], pools[-1][1] + pool[1]]
+    assert len(pools) > 30 and min(e for e, _ in pools) >= 20.0
+    stat = sum((o - e) ** 2 / e for e, o in pools)
+    assert chi2_sf(stat, len(pools) - 1) > 1e-3, stat
+
+
+@pytest.mark.parametrize("cap", [2, 8, 32, 64])
+def test_success_is_perfect_on_any_dark_free_link(cap):
+    # a dark-free heralded pair delivers the target exactly on success
+    # (the paper's point), so every sampled success fidelity and the exact
+    # tree's mean sit at 1 up to rounding, on random links and angles;
+    # rounding carries about a third of these links past 1, and a sampled
+    # fidelity is clipped as ``fidelity`` clips it
+    rng = RNG(157 + cap)
+    worst, best = 1.0, 0.0
+    for link in range(50):
+        while True:
+            t1, t2 = 1.0 - rng.uniform(0.0, 1.0, 2)
+            params = ApparatusParams(t1=t1, t2=t2, x1=rng.uniform(-1.0, 1.0))
+            theta = theta_from_sin_sq(rng.uniform(0.0, 1.0))
+            pair = heralded_state(params, theta)
+            if 0.0 < pair.eta < 0.95:
+                break
+        config = StrategyConfig(cap, rng_seed=link)
+        stats = run_trajectories(config, params, theta, 200)
+        success = np.isin(stats.status, [s.value for s in Status if s.is_success])
+        tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, config)
+        worst = min(worst, tree.mean_success_fidelity(), *stats.fidelity[success].tolist())
+        best = stats.fidelity[success].max(initial=best)
+    assert worst >= 1.0 - 1e-14, worst
+    assert best == 1.0
 
 
 def test_windows_per_herald_match_click_probability():
