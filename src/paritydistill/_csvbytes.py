@@ -5,6 +5,8 @@ returns a ``uint8`` text matrix, one row per value, whose row bytes less
 their NUL padding are the value's text.  A CSV batch is then one
 ``np.concatenate`` of such matrices and separator columns, and deleting
 its NULs leaves the batch's bytes, with no Python string made per row.
+A batch's float columns are formatted by one kernel call over their
+joined values, since a call has a fixed cost of ~0.3 ms.
 
 ``float_repr`` gives exactly ``repr(float(v))`` for every float64.  Its
 digits are the shortest decimal that rounds back to ``v``, the one
@@ -29,18 +31,23 @@ from typing import Sequence
 
 import numpy as np
 
-# Rows formatted per batch: a float column holds ~25 bytes a row of text
-# and ~220 bytes a row of kernel temporaries (tracemalloc, 4,096 normal
-# deviates), so a batch's working set stays near 1 MB.
+# Rows formatted per batch, and float values: a batch's float columns go
+# through the float kernel in one call, which costs ~0.3 ms however few
+# values it holds and ~210 bytes a value of temporaries (tracemalloc,
+# normal deviates), so a table of one or two float columns keeps full
+# batches, one of more shorter ones, and a call's working set stays
+# under 2 MB.
 BATCH_ROWS = 4096
+_BATCH_FLOATS = 2 * BATCH_ROWS
 
-# A batch's distinct floats go through repr up to this many; above, the
-# whole batch goes through float_repr.  repr costs ~1.2 us a value,
-# float_repr ~1.1-1.7 ms a batch of 4,096 and ~0.8 ms one of 1,024, so
-# they cross near 1,000-1,400 distinct values in a full batch (best of
-# 15, 2-vCPU Xeon VM).  simulate's fidelity batches hold ~2 distinct
-# values, the sweeps' ~4,096.
-_REPR_MAX_DISTINCT = 1024
+# A float call's distinct values go through repr up to this many plus a
+# quarter of its values; above, the whole call goes through float_repr.
+# repr costs ~0.7 us a distinct value and ~0.1 us a value to find each
+# row's text, float_repr ~0.3 ms a call and ~0.2-0.3 us a value, so they
+# cross near 1,200-1,500 distinct values in a call of 4,096 and near
+# 2,300-3,000 in one of 8,192 (best of 21, 2-vCPU Xeon VM).  simulate's
+# fidelity calls hold ~2 distinct values, the sweeps' all distinct.
+_REPR_MAX_DISTINCT = 256
 
 
 def ascii_digits(values: np.ndarray) -> np.ndarray:
@@ -278,36 +285,49 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     fresh = np.empty(len(ordered), dtype=bool)
     fresh[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
-    if np.count_nonzero(fresh) > _REPR_MAX_DISTINCT:
+    if np.count_nonzero(fresh) > _REPR_MAX_DISTINCT + len(values) // 4:
         return float_repr(values)
     distinct = ordered[fresh]
     table = text_table([repr(v) for v in distinct.view(np.float64).tolist()])
     return np.take(table, np.searchsorted(distinct, bits), axis=0)
 
 
+def _batch_rows(float_columns: int) -> int:
+    """Rows a batch of a table with this many distinct float columns holds."""
+    return min(BATCH_ROWS, _BATCH_FLOATS // max(float_columns, 1))
+
+
 def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
     """Write a CSV of equal-length columns as bytes, batch by batch, and
     return the sha256 hex digest of the bytes written.
 
-    A column is a float64 array, by ``repr`` once per distinct bit
-    pattern (``-0.0`` apart from ``0.0``) when a batch holds few, and by
-    ``float_repr`` otherwise; a nonnegative integer array, by
+    A column is a float64 array; a nonnegative integer array, by
     ``ascii_digits``; or a ``(table, codes)`` pair: a text matrix with
     one row per distinct value, and each row's index into it.  Any other
-    column, or a negative integer, raises ``ValueError`` before the file
-    is opened.  A column passed twice, as the same object, is formatted
-    once a batch.  Fields are numbers and bare words, so none needs quoting.
+    column, a negative integer, a code that indexes no row of its table
+    or a column of another length raises ``ValueError`` before the file
+    is opened.  A batch's float columns go through ``_float_text`` in one
+    call over their joined values, each column object once however often
+    it is passed, and each takes its own rows back; a batch holds at most
+    ``BATCH_ROWS`` rows and ``_BATCH_FLOATS`` float values.  Fields are
+    numbers and bare words, so none needs quoting.
     """
     n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     for column in columns:
         if isinstance(column, tuple):
-            continue
-        if not isinstance(column, np.ndarray) or (
+            table, column = column
+            if len(column) and (column.min() < 0 or column.max() >= len(table)):
+                raise ValueError("a code indexes no row of its table")
+        elif not isinstance(column, np.ndarray) or (
             column.dtype != np.float64 and column.dtype.kind not in "iu"
         ):
             raise ValueError("a column is a float64 array, integer array or (table, codes) pair")
-        if column.dtype.kind == "i" and len(column) and column.min() < 0:
+        elif column.dtype.kind == "i" and len(column) and column.min() < 0:
             raise ValueError("integer columns must be nonnegative")
+        if len(column) != n_rows:
+            raise ValueError("columns differ in length")
+    floats = {id(c): c for c in columns if not isinstance(c, tuple) and c.dtype.kind == "f"}
+    batch = _batch_rows(len(floats))
     comma = np.frombuffer(b",", dtype=np.uint8)
     newline = np.frombuffer(b"\n", dtype=np.uint8)
     digest = hashlib.sha256()
@@ -315,11 +335,15 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
         data = ",".join(header).encode() + b"\n"
         digest.update(data)
         fh.write(data)
-        for lo in range(0, n_rows, BATCH_ROWS):
-            rows = slice(lo, lo + BATCH_ROWS)
-            n = min(BATCH_ROWS, n_rows - lo)
+        for lo in range(0, n_rows, batch):
+            rows = slice(lo, lo + batch)
+            n = min(batch, n_rows - lo)
             formatted: dict[int, np.ndarray] = {}
             parts = []
+            if floats:
+                text = _float_text(np.concatenate([c[rows] for c in floats.values()]))
+                for i, key in enumerate(floats):
+                    formatted[key] = text[i * n : (i + 1) * n]
             for column in columns:
                 if isinstance(column, tuple):
                     table, codes = column
@@ -327,13 +351,12 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
                 else:
                     text = formatted.get(id(column))
                     if text is None:
-                        kernel = _float_text if column.dtype.kind == "f" else ascii_digits
-                        text = formatted[id(column)] = kernel(column[rows])
+                        text = formatted[id(column)] = ascii_digits(column[rows])
                 parts += [text, np.broadcast_to(comma, (n, 1))]
             parts[-1] = np.broadcast_to(newline, (n, 1))
             data = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
             digest.update(data)
             fh.write(data)
             # not held beside the next batch's kernel temporaries
-            del data
+            del data, text
     return digest.hexdigest()

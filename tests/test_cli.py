@@ -187,12 +187,24 @@ def test_drift_cutoff_clips_display_column(tmp_path, capsys):
 
 @pytest.mark.parametrize("cutoff", [False, True])
 @pytest.mark.parametrize("d_max, points", [(0.1, 6), (1.5, 70)])
-def test_drift_csv_is_byte_equal_to_the_repr_formatter(d_max, points, cutoff, tmp_path, capsys):
-    # 70 points make 4,900 rows, past one batch of the byte writer
+def test_drift_csv_is_byte_equal_to_the_repr_formatter(
+    d_max, points, cutoff, tmp_path, capsys, monkeypatch
+):
+    # 70 points make 4,900 rows, past one batch of the byte writer, whose
+    # rows per batch are read where the writer sizes them
+    batch_rows = []
+    sizing = _csvbytes._batch_rows
+
+    def recording(float_columns):
+        batch_rows.append(sizing(float_columns))
+        return batch_rows[-1]
+
+    monkeypatch.setattr(_csvbytes, "_batch_rows", recording)
     argv = ["drift", "--d-max", repr(d_max), "--points", str(points), "--outdir", str(tmp_path)]
     assert main(argv + ["--cutoff"] * cutoff) == 0
     assert f"({points**2} rows)" in capsys.readouterr().out
-    assert points != 70 or points**2 > _csvbytes.BATCH_ROWS
+    assert len(batch_rows) == 1
+    assert points != 70 or points**2 > batch_rows[0]
     assert (tmp_path / "drift.csv").read_bytes() == drift_csv_by_repr(d_max, points, cutoff)
 
 

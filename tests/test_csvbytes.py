@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritydistill import _csvbytes
-from paritydistill._csvbytes import float_repr, text_table, write_columns
+from paritydistill._csvbytes import ascii_digits, float_repr, text_table, write_columns
 
 MAX_FLOAT = sys.float_info.max
 
@@ -119,8 +119,9 @@ def test_write_columns_joins_float_and_word_columns(tmp_path):
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
     x[::97] = -0.0
     # the first batch holds exactly as many distinct bit patterns as repr
-    # formats, specials among them; the second one more
-    few = _csvbytes._REPR_MAX_DISTINCT
+    # formats in a call of its one float column, specials among them; the
+    # second one more
+    few = _csvbytes._REPR_MAX_DISTINCT + rows // 4
     special = [0.0, -0.0, math.nan, -math.nan, 5e-324, math.inf]
     for batch, count in ((0, few), (1, few + 1)):
         pool = np.concatenate([special, rng.random(count - len(special))])
@@ -147,11 +148,120 @@ def test_write_columns_joins_float_and_word_columns(tmp_path):
 
 def test_write_columns_rejects_columns_it_would_misprint(tmp_path):
     path = tmp_path / "out.csv"
+    words = text_table(["a", "b"])
     for column, message in (
         (np.array([1, -1, 2]), "must be nonnegative"),
         (np.full(3, 0.5, dtype=np.float32), "a column is a float64 array"),
         ([0.5, 0.5, 0.5], "a column is a float64 array"),
+        (np.arange(5.0), "columns differ in length"),
+        (np.arange(2), "columns differ in length"),
+        ((words, np.zeros(4, dtype=np.intp)), "columns differ in length"),
+        ((words, np.array([0, 1, 2])), "a code indexes no row of its table"),
+        ((words, np.array([0, -1, 1])), "a code indexes no row of its table"),
     ):
         with pytest.raises(ValueError, match=message):
             write_columns(path, ["x", "y"], [np.zeros(3), column])
         assert not path.exists()
+
+
+def csv_by_repr(header, columns) -> str:
+    """The CSV of float64 columns, one ``repr`` per field."""
+    rows = zip(*(column.tolist() for column in columns))
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def spy_float_repr(monkeypatch):
+    """Record the length of each ``float_repr`` call of the writer."""
+    calls = []
+
+    def recording(values):
+        calls.append(len(values))
+        return float_repr(values)
+
+    monkeypatch.setattr(_csvbytes, "float_repr", recording)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_write_columns_formats_a_batchs_float_columns_in_one_call(k, tmp_path, monkeypatch):
+    """k float columns straddling batch edges, byte-equal to per-row repr."""
+    rows = _csvbytes._batch_rows(k)
+    assert rows * k <= 2 * _csvbytes.BATCH_ROWS
+    # the last batch's distinct values still go through float_repr
+    tail = rows // 2 + 3
+    n = 2 * rows + tail
+    rng = np.random.default_rng(k)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(k)]
+    calls = spy_float_repr(monkeypatch)
+    header = [f"c{i}" for i in range(k)]
+    write_columns(tmp_path / "out.csv", header, columns)
+    assert (tmp_path / "out.csv").read_text() == csv_by_repr(header, columns)
+    # one call a batch, each within the writer's float budget
+    assert calls == [rows * k, rows * k, tail * k]
+    assert max(calls) <= 2 * _csvbytes.BATCH_ROWS
+
+
+def test_write_columns_joins_few_and_many_distinct_floats(tmp_path, monkeypatch):
+    rows = _csvbytes._batch_rows(2)
+    n = rows + 5
+    rng = np.random.default_rng(11)
+    few = rng.choice([0.25, 1.0 / 3.0, -0.0], n)
+    many = rng.random(n)
+    calls = spy_float_repr(monkeypatch)
+    write_columns(tmp_path / "out.csv", ["few", "many"], [few, many])
+    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["few", "many"], [few, many])
+    # the batches' distinct values are counted over both columns together
+    assert calls == [2 * rows]
+    # two few-distinct columns go through repr together
+    calls.clear()
+    write_columns(tmp_path / "out.csv", ["few", "twice"], [few, 2.0 * few])
+    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["few", "twice"], [few, 2.0 * few])
+    assert calls == []
+
+
+def test_write_columns_formats_a_column_passed_twice_once(tmp_path, monkeypatch):
+    rows = _csvbytes._batch_rows(2)
+    assert rows == _csvbytes.BATCH_ROWS
+    n = rows + 9
+    rng = np.random.default_rng(12)
+    x, y = rng.random(n), rng.standard_normal(n)
+    calls = spy_float_repr(monkeypatch)
+    write_columns(tmp_path / "out.csv", ["x", "y", "x2", "y2"], [x, y, x, y])
+    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["x", "y", "x2", "y2"], [x, y, x, y])
+    # each object goes into the one call of a batch once; the last goes through repr
+    assert calls == [2 * rows]
+
+
+def test_write_columns_joins_special_floats(tmp_path):
+    rows = _csvbytes._batch_rows(3)
+    n = 2 * rows + 3
+    rng = np.random.default_rng(13)
+    special = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324]
+    subnormal = rng.integers(1, 2**52, n, dtype=np.uint64).view(np.float64)
+    columns = [
+        np.resize(special, n),
+        subnormal,
+        rng.permutation(np.concatenate([special, rng.standard_normal(n - len(special))])),
+    ]
+    header = ["special", "subnormal", "mixed"]
+    write_columns(tmp_path / "out.csv", header, columns)
+    assert (tmp_path / "out.csv").read_text() == csv_by_repr(header, columns)
+
+
+def test_ascii_digits_pads_on_the_left():
+    cases = [
+        np.array([0], dtype=np.int64),
+        np.array([9, 10, 0], dtype=np.int64),
+        np.array([99, 100, 7], dtype=np.uint8),
+        np.array([2**32 - 1, 0, 12], dtype=np.uint32),
+        np.array([2**32, 2**32 - 1, 5], dtype=np.int64),
+        np.array([2**63 - 1, 0, 10**18], dtype=np.int64),
+        np.array([2**64 - 1, 2**63, 1], dtype=np.uint64),
+    ]
+    for values in cases:
+        text = ascii_digits(values)
+        width = len(str(int(values.max())))
+        assert text.dtype == np.uint8 and text.shape == (len(values), width)
+        for row, v in zip(text, values.tolist()):
+            digits = str(v).encode()
+            assert row.tobytes() == b"\0" * (width - len(digits)) + digits
