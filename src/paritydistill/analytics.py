@@ -21,20 +21,19 @@ from .errors import DegenerateParameterError, NonConvergenceError
 from .photonics import (
     ApparatusParams,
     _check_link,
+    _click_and_weight,
     _cos_sq_two_phi,
     _dark_count_brokers,
     _per_tau,
     _sin_sq_theta,
     _sq,
-    eta_weight,
-    p_click,
     theta_from_sin_sq,
 )
 from .protocol import CLIENT_LABELS, _fold, _outcome_masks, _success_fidelity
 from .qstate import _check_density, plus_state
 
-# Unread here: bench/tracing.py patches both by name, and tests/test_tracing.py needs them.
-from .photonics import heralded_state_with_dark_counts  # noqa: F401
+# Unread here: bench/tracing.py patches these by name, and tests/test_tracing.py needs them.
+from .photonics import eta_weight, heralded_state_with_dark_counts, p_click  # noqa: F401
 from .protocol import run_strategy_exact  # noqa: F401
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -373,10 +372,10 @@ def chain_growth_rate(
     """
     if k_max is not None:
         _check_series(params, k_max)
-    pc = p_click(params, theta)
+    s = _sin_sq_theta(theta)
+    pc, eta = _click_and_weight(params.mean_transmission, params.cos_sq_two_phi, s)
     if pc < TRACE_EPSILON:
         raise DegenerateParameterError("click probability vanishes")
-    eta = eta_weight(params, theta)
     if not 0.0 < eta < 1.0:
         raise DegenerateParameterError(
             f"run statistics need contamination weight strictly inside (0, 1), got {eta}"

@@ -24,10 +24,10 @@ exact tree (``run_strategy_exact``) is the fold on one broker, and walks
 again to make each class one leaf only when its leaves are read; the
 dark-count region grid is the cap-2 fold on a whole stack of brokers.
 
-By the same masks a sampled trial's state is fixed by its depth and its
-(first parity, balance) class, so a trial carries only its class id
-(``_class_steps``) and reads its outcome weights off rows of this count
-law (``_count_rows``), built once per run for every chunk.
+By the same masks a sampled trial's state is fixed by its depth, its
+first parity and its count of raising outcomes, its class, so a trial
+carries only that and reads its weights and status codes off rows of
+this count law (``_count_rows``), built once per run for every chunk.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -703,53 +703,16 @@ def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= thresholds[0]).astype(np.intp) + (r >= thresholds[1]) + (r >= thresholds[2])
 
 
-# Class ids of ``_class_steps``: before any outcome, and after the run has
-# classified.  Pending classes (``_class_id``) go in order of |balance|,
-# so after d outcomes a run is in one of the first 4 d + 6 classes.
-_START, _SETTLED = 0, 1
-
-
-def _class_id(parity: int, balance: int) -> int:
-    return 2 + 4 * abs(balance) + 2 * (balance < 0) + parity
-
-
-@cache
-def _class_steps(cap: int) -> np.ndarray:
-    """Status code and next class of each (class, outcome), shape (2, classes, 4).
-
-    ``classify`` reads a pending history by the parity of its first
-    outcome and its balance: +1 for each outcome 0 or 2, -1 for each 1 or
-    3.  An outcome of the other parity fails the run; one of the same
-    parity that brings the balance to zero succeeds with that parity.
-    Classified runs move to ``_SETTLED``, whose row no trial reads, and
-    so do the balances past the cap, which no run reaches before its cap.
-    """
-    # every row starts as _SETTLED's, and the two unused ids of balance -0 stay so
-    steps = np.zeros((2, _class_id(1, -cap) + 1, 4), dtype=np.int64)
-    steps[:] = np.array([Status.FAILURE.value, _SETTLED])[:, None, None]
-    for k, oc in enumerate(OUTCOMES):
-        step = 1 - 2 * oc.j
-        steps[:, _START, k] = Status.PENDING.value, _class_id(oc.parity, step)
-        for parity in (0, 1):
-            for balance in range(-cap, cap + 1):
-                row = _class_id(parity, balance)
-                after = balance + step
-                if oc.parity != parity:
-                    steps[:, row, k] = Status.FAILURE.value, _SETTLED
-                elif after == 0:
-                    steps[:, row, k] = _WON[k].value, _SETTLED
-                else:
-                    ahead = _class_id(parity, after) if abs(after) <= cap else _SETTLED
-                    steps[:, row, k] = Status.PENDING.value, ahead
-    steps.flags.writeable = False
-    return steps
-
-
 # By first parity: the outcome that raises a pending run's balance, the
 # one that lowers it, and (one index per row) the client indices a
 # success delivers, ``_PROJECTED_INDICES``.
 _RAISES, _LOWERS = np.array([0, 2]), np.array([3, 1])
 _DELIVERED = np.array(_PROJECTED_INDICES).T
+
+# By outcome: its parity, whether it raises its parity's balance, and its class step.
+_PARITY = np.array([o.parity for o in OUTCOMES], dtype=np.int8)
+_RAISING = np.array([1 - o.j for o in OUTCOMES])
+_STEP = 2 * _RAISING + _PARITY
 
 # Depths of rows built per call: a numpy pass over sixteen depths costs
 # little more than a pass over one (2,000 cap-12 trials at t = 0.01 take
@@ -760,27 +723,32 @@ _ROW_DEPTHS = 16
 def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
     """The sampler's rows of depths ``first`` onward, ``_ROW_DEPTHS`` at most.
 
-    A run pending after ``d`` outcomes in class (parity ``p``, balance
-    ``b``) has drawn its raising outcome ``A`` ``n_A = (d + b) / 2`` times
-    and ``B = 3 - A`` ``n_B = (d - b) / 2`` times.  The masks act
-    entrywise on |++>, so its clients' diagonal is proportional to ``w_a =
-    m_A[a]^n_A m_B[a]^n_B`` (``m_k`` mask ``k``'s diagonal), taken in log
-    space less its largest entry, so that no power underflows, and
-    outcome ``k`` weighs ``sum_a w_a m_k[a]``, summed in index order.
+    A run pending after ``d`` outcomes is fixed by the parity ``p`` of its
+    first outcome and the count ``n`` of its raising outcome ``A =
+    _RAISES[p]``; it has drawn ``B = 3 - A`` ``d - n`` times.  Its class is
+    ``c = 2 n + p``, one of ``2 (d + 1)``: every run starts in class 0, and
+    outcome ``k`` moves it to ``(c & ~1) + _STEP[k]``.  After the first
+    outcome, ``k`` fails the run if its parity is not ``p`` and succeeds
+    if it balances the run, ``2 (n + _RAISING[k]) = d + 1``.
 
-    Per depth: the cumulative weights, shape (4, classes); whether each
-    weight is positive, by key ``4 class + k``; and the fidelities by
-    status code (``_success_fidelities``).  Every class a run can be in
-    gets a row; one of zero weight gets zeros and no positive flag.
+    The masks act entrywise on |++>, so the clients' diagonal is
+    proportional to ``w_a = m_A[a]^n m_B[a]^(d - n)`` (``m_k`` mask
+    ``k``'s diagonal), taken in log space less its largest entry, so that
+    no power underflows, and outcome ``k`` weighs ``sum_a w_a m_k[a]``,
+    summed in index order.
+
+    Per depth, over its classes: the cumulative weights, shape (4,
+    classes); by key ``4 c + k``, whether each weight is positive and its
+    int8 status code; and the fidelities by status code
+    (``_success_fidelities``).  A class of zero weight gets zeros and no
+    positive flag.
     """
     depth = np.arange(first, min(first + _ROW_DEPTHS, cap))
-    # the classes a run can be in at these depths: _START and _SETTLED,
-    # then the pending classes by |balance| (``_class_id``)
-    size, rest = np.divmod(np.arange(_class_id(1, -depth[-1]) - 1), 4)
-    parity = np.concatenate([[0, 0], rest & 1])
-    balance = np.concatenate([[0, 0], size * (1 - (rest & 2))])
-    raised = (depth[:, None] + balance) * 0.5
-    lowered = (depth[:, None] - balance) * 0.5
+    classes = np.arange(2 * depth[-1] + 2)
+    parity, n = classes & 1, classes >> 1
+    # the counts of A and B, axes (depth, class); B's is negative past the depth
+    raised = np.zeros((len(depth), 1)) + n
+    lowered = depth[:, None] - raised
     diag = masks.diagonal(axis1=1, axis2=2).real
     logs = np.log(diag, out=np.full_like(diag, -np.inf), where=diag > 0.0)
     # log w, axes (a, depth, class); a zero count adds log 1 = 0
@@ -800,7 +768,15 @@ def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
     thresholds = probs
     for k in (1, 2, 3):
         thresholds[:, k] += thresholds[:, k - 1]
-    return list(zip(thresholds, positive, _success_fidelities(masks, depth)))
+    # status codes, axes (depth, key); FAILURE outranks a success code 1 + parity
+    c, k = np.divmod(np.arange(8 * depth[-1] + 8), 4)  # key 4 c + k
+    fails = ((c & 1) != _PARITY[k]) & (depth > 0)[:, None]
+    balances = 2 * ((c >> 1) + _RAISING[k]) == depth[:, None] + 1
+    codes = np.maximum(fails * np.int8(Status.FAILURE.value), balances * (1 + _PARITY[k]))
+    return [
+        (thresholds[i, :, : 2 * d + 2], positive[i, : 8 * d + 8], codes[i, : 8 * d + 8], fid)
+        for i, (d, fid) in enumerate(zip(depth.tolist(), _success_fidelities(masks, depth)))
+    ]
 
 
 def _success_fidelities(masks: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -848,13 +824,13 @@ def _sample_chunk(
     ln(1 - p_click), -inf when every window heralds, which makes every
     wait one window.
 
-    A trial carries only its class of ``_class_steps``.  Per depth it takes
-    its class's row (``_count_rows``), picks ``k``, and reads the status
-    code and next class of its key ``4 class + k`` off the table; every
-    key picked, a failing one too, must have a positive weight, and a run
-    that ends takes its status code's fidelity.  ``rows``, shared by the
-    run's chunks, grows when a chunk first goes deeper, so each depth is
-    built once.  After the cap's depth nothing is compacted.
+    A trial carries only its class ``c`` (``_count_rows``).  Per depth it
+    picks ``k`` off its class's weights and reads the status code of its
+    key ``4 c + k``; every key picked, a failing one too, must have a
+    positive weight, a run that ends takes its status code's fidelity, and
+    one still pending moves to class ``(c & ~1) + _STEP[k]``.  ``rows``,
+    shared by the run's chunks, grows when a chunk first goes deeper, so
+    each depth is built once.  After the cap's depth nothing is compacted.
     """
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
@@ -863,12 +839,11 @@ def _sample_chunk(
     fidelity = np.full(n, np.nan)
     live = np.arange(n)
     windows = np.zeros(n, dtype=np.int64)
-    classes = np.full(n, _START)
-    codes, successors = _class_steps(cap).reshape(2, -1)
+    classes = np.zeros(n, dtype=np.intp)
     for depth in range(cap):
         if depth == len(rows):
             rows.extend(_count_rows(masks, cap, depth))
-        thresholds, positive, fidelities = rows[depth]
+        thresholds, positive, codes, fidelities = rows[depth]
         wait, pick = _uniforms(streams, (2 * depth, 2 * depth + 1))
         windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
         key = 4 * classes + _pick_outcome(thresholds.take(classes, axis=1), pick)
@@ -887,7 +862,7 @@ def _sample_chunk(
             if not len(kept):
                 break
             live, streams, windows, key = (a.take(kept) for a in (live, streams, windows, key))
-        classes = successors.take(key)
+        classes = (key >> 2 & ~1) + _STEP.take(key & 3)
     return attempts, iterates, status, fidelity
 
 
@@ -910,7 +885,8 @@ def run_trajectories(
     independent of how a trial range is split into batches.  Trials are
     evolved together in fixed chunks, and the chunking cannot change a
     result either; the chunks share one list of rows (``_count_rows``),
-    O(cap^2) floats, ~5 MB at cap 256.  Trial indices lie in [0, 2**63),
+    O(cap^2) bytes: 2.8 MB at cap 256 and 43 MB at 1024 (``ru_maxrss`` up
+    6.3 and 68 MiB on the deep link).  Trial indices lie in [0, 2**63),
     and the sampled link is dark-free: a nonzero ``params.p_dark`` raises.
     """
     n_trials, trial_start = operator.index(n_trials), operator.index(trial_start)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import tracemalloc
 from statistics import NormalDist
@@ -361,26 +362,26 @@ def test_classify_examples():
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 8])
 def test_class_steps_classify_every_prefix(cap):
-    # the sampler reads each status from this table alone: following it
-    # from the start class along every frontier-form history of up to cap
-    # outcomes gives ``classify`` of each prefix, and a classified run
-    # moves to the settled class; a run pending after d outcomes is in one
-    # of the first 4 d + 6 classes, the ones its rows cover
-    steps = protocol._class_steps(cap)
-    assert steps is protocol._class_steps(cap) and not steps.flags.writeable
-    frontier = [((), protocol._START)]
-    for _ in range(cap):
+    # the sampler reads each status off its rows' codes alone: following
+    # the class rule from class 0 along every frontier-form history of up
+    # to cap outcomes gives ``classify`` of each prefix; a run pending
+    # after d outcomes is in class 2 n + p, n the count of its raising
+    # outcome and p its first parity, one of the 2 (d + 1) its rows cover
+    rows = count_rows(protocol._outcome_masks(HeraldedPair(eta=0.3, phi=0.2, delta=0.1)), cap)
+    frontier = [((), 0)]
+    for depth in range(cap):
+        codes = rows[depth][2]
         grown = []
         for history, cls in frontier:
             for oc in OUTCOMES:
-                code, after = steps[:, cls, oc.index].tolist()
                 prefix = history + (oc,)
-                assert code == classify(prefix).value, prefix
-                if code == Status.PENDING.value:
-                    assert after < 4 * len(prefix) + 6, prefix
+                assert codes[4 * cls + oc.index] == classify(prefix).value, prefix
+                if classify(prefix) is Status.PENDING:
+                    after = (cls & ~1) + int(protocol._STEP[oc.index])
+                    raised = protocol._RAISES[prefix[0].parity]
+                    n = sum(o.index == raised for o in prefix)
+                    assert after == 2 * n + prefix[0].parity < 2 * (depth + 2), prefix
                     grown.append((prefix, after))
-                else:
-                    assert after == protocol._SETTLED, prefix
         frontier = grown
     # the runs still pending at the cap: a first outcome, then cap - 1 of
     # its parity that never balance
@@ -1139,11 +1140,11 @@ def test_compact_step_matches_dense_branch_map():
             np.testing.assert_allclose(nxt, compact_of(dense / weight), atol=1e-12)
 
 
-def class_path(cap: int, history) -> list[int]:
-    """The ``_class_steps`` class before each outcome of a history."""
-    steps, path = protocol._class_steps(cap), [protocol._START]
+def class_path(history) -> list[int]:
+    """The sampler's class (``_count_rows``) before each outcome of a history."""
+    path = [0]
     for oc in history[:-1]:
-        path.append(int(steps[1, path[-1], oc.index]))
+        path.append((path[-1] & ~1) + int(protocol._STEP[oc.index]))
     return path
 
 
@@ -1182,7 +1183,7 @@ def test_vectorised_step_matches_dense_branch_map():
         rows = count_rows(protocol._outcome_masks(pair), cap)
         history = random_run(rng, cap)
         rho = np.full((4, 4), 0.25, dtype=complex)
-        for depth, (oc, cls) in enumerate(zip(history, class_path(cap, history))):
+        for depth, (oc, cls) in enumerate(zip(history, class_path(history))):
             maps = [
                 branch_map_elements(rho, pair.eta, pair.phi, pair.delta, o.i, o.j)
                 for o in OUTCOMES
@@ -1194,7 +1195,7 @@ def test_vectorised_step_matches_dense_branch_map():
             if status.is_success:
                 a, b = protocol._PROJECTED_INDICES[history[0].parity]
                 dense = 0.5 * (rho[a, a] + rho[b, b]).real + rho[a, b].real
-                assert rows[depth][2][status.value] == pytest.approx(min(dense, 1.0), abs=1e-12)
+                assert rows[depth][3][status.value] == pytest.approx(min(dense, 1.0), abs=1e-12)
                 successes += 1
     assert successes
 
@@ -1209,9 +1210,9 @@ def test_vectorised_step_rejects_zero_weight(monkeypatch):
     cap = 6
     rows = count_rows(protocol._outcome_masks(heralded_state(params, theta)), cap)
     assert all(np.isfinite(row[0]).all() for row in rows)
-    after_zero = class_path(cap, [OUTCOMES[0]] * 2)[1]
+    after_zero = class_path([OUTCOMES[0]] * 2)[1]
     assert rows[1][1][4 * after_zero : 4 * after_zero + 4].tolist() == [True, False, False, False]
-    stranded = class_path(cap, [OUTCOMES[0], OUTCOMES[0], OUTCOMES[3], OUTCOMES[0]])[3]
+    stranded = class_path([OUTCOMES[0], OUTCOMES[0], OUTCOMES[3], OUTCOMES[0]])[3]
     assert not rows[3][1][4 * stranded : 4 * stranded + 4].any()
     assert not rows[3][0][:, stranded].any()
     pick = protocol._pick_outcome
@@ -1241,10 +1242,10 @@ def test_count_rows_read_an_undrawn_zero_diagonal_as_one():
     assert np.count_nonzero(diag == 0.0) == 8
     rows = count_rows(masks, 8)
     start = diag.sum(axis=1)
-    np.testing.assert_allclose(row_weights(rows[0], protocol._START), start / start.sum(), atol=1e-15)
+    np.testing.assert_allclose(row_weights(rows[0], 0), start / start.sum(), atol=1e-15)
     for first in range(4):
         history = [OUTCOMES[first]] * 3
-        for depth, cls in enumerate(class_path(8, history)):
+        for depth, cls in enumerate(class_path(history)):
             w = diag[first] ** depth
             np.testing.assert_allclose(
                 row_weights(rows[depth], cls), diag @ w / w.sum(), atol=1e-14
@@ -1268,7 +1269,7 @@ def test_count_rows_stay_finite_where_powers_underflow():
     underflowed = 0
     for sample in range(12):
         history = random_run(rng, cap)
-        path = class_path(cap, history)
+        path = class_path(history)
         depth = cap - 1 if sample % 2 else int(rng.integers(cap // 2, cap))
         up = history[0].index
         n_up = sum(oc.index == up for oc in history[:depth])
@@ -1280,6 +1281,23 @@ def test_count_rows_stay_finite_where_powers_underflow():
         linear = diag[up] ** n_up * diag[3 - up] ** n_down
         underflowed += not linear.any()
     assert underflowed
+
+
+def test_count_rows_hold_only_the_classes_a_run_can_reach():
+    # a run pending after d outcomes is in one of 2 (d + 1) classes, and
+    # each depth's rows cover no more; at cap 256 the arrays they hold
+    # take under 3 MB
+    pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3))
+    rows = count_rows(protocol._outcome_masks(pair), 256)
+    held = {}
+    for depth, (thresholds, positive, codes, fidelities) in enumerate(rows):
+        classes = 2 * (depth + 1)
+        assert thresholds.shape == (4, classes)
+        assert positive.shape == codes.shape == (4 * classes,) and codes.dtype == np.int8
+        for array in (thresholds, positive, codes, fidelities):
+            owner = array if array.base is None else array.base
+            held[id(owner)] = owner.nbytes
+    assert sum(held.values()) < 3_000_000
 
 
 def test_pick_outcome_never_chooses_zero_probability():
@@ -1572,6 +1590,33 @@ def test_sampler_matches_the_history_oracle(config, params, sin_sq):
     np.testing.assert_array_equal(stats.iterates, iterates)
     np.testing.assert_array_equal(stats.status, status)
     np.testing.assert_allclose(stats.fidelity, fidelity, rtol=0.0, atol=1e-15)
+
+
+# sha256 of the attempts, iterates, status and fidelity bytes of two deep
+# runs, recorded at stream version 3 before the sampler's class became its
+# count: 83 of the cap-256 trials stay pending to the cap, and 336 of the
+# 1,140 cap-32 successes have a fidelity below 1.0, so a moved ulp shows
+DEEP_COLUMNS_SHA256 = {
+    "deep_cap256": "35bdafc7a06bbb7d4a3aa2bd9a6babae5e0d0d81c27087c4450d55742f3b9711",
+    "unbalanced_cap32": "f0f81f0c0f4e54c99e203a0a8d7fc3c8fa90dd1929737c0b7262645aaa69c799",
+}
+
+
+@pytest.mark.parametrize(
+    "case, config, params, sin_sq",
+    [
+        ("deep_cap256", StrategyConfig(256, rng_seed=23), ApparatusParams(t1=0.5, t2=0.5), 1e-3),
+        ("unbalanced_cap32", StrategyConfig(32, rng_seed=23), UNBALANCED, 0.05),
+    ],
+    ids=["deep_cap256", "unbalanced_cap32"],
+)
+def test_deep_sampled_columns_digest(case, config, params, sin_sq):
+    assert protocol.STREAM_VERSION == 3
+    stats = run_trajectories(config, params, theta_from_sin_sq(sin_sq), 2000)
+    digest = hashlib.sha256()
+    for column in (stats.attempts, stats.iterates, stats.status, stats.fidelity):
+        digest.update(column.tobytes())
+    assert digest.hexdigest() == DEEP_COLUMNS_SHA256[case]
 
 
 @pytest.mark.parametrize(
