@@ -268,7 +268,7 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 
 # Largest --max-iterates.  Where nothing is pruned early (t = 0.5,
 # sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
-# memory: 0.14 s at 256 (1.6 s at 1024).  The sampler's rows take
+# memory: 0.045 s at 256 (0.53 s at 1024).  The sampler's rows take
 # O(cap^2) memory, 2.8 MB at 256 (43 MB at 1024; 20,000 trials raise
 # ru_maxrss by 6.3 MiB at 256, 68 MiB at 1024), and it pays ~0.35-0.5 s
 # per 100,000 trials at 256 on that link (~1.3-1.6 s at 1024), ~45 s for
@@ -279,7 +279,7 @@ SIMULATE_CAP_LIMIT = 256
 # Largest --trials: each trial holds ~40 bytes of samples and summary
 # temporaries, so the largest run (two-iterate, t = 0.01) peaks at
 # ~447 MiB RSS and takes ~4.5 s on a 2-vCPU Xeon VM (resource.getrusage);
-# the exact walk adds ~2.4 MiB at the largest cap.  Its ~300 MB CSV is
+# the exact walk adds ~1.8 MiB at the largest cap.  Its ~300 MB CSV is
 # written in batches and hashed as it is written.
 SIMULATE_TRIALS_LIMIT = 10_000_000
 
@@ -467,8 +467,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     handler = _COMMANDS[args.command]
+    # the command's own parser, whose usage a handler's usage error prints
     try:
-        return handler(parser, args)
+        return handler(parser._subparsers._group_actions[0].choices[args.command], args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except ConfigFormatError as exc:

@@ -13,21 +13,20 @@ evolves the full four-qubit density matrix through the gate sequence;
 no production path calls it, and the test suite keeps it as the
 independent oracle the gather is pinned against.
 
-Exact results come from one walk (``_walk``).  A pending run is known
-by its first outcome ``j`` and its balance: the count of ``j`` less the
-count of its same-parity partner ``3 - j``.  Outcome ``k`` acts on the
-clients as an entrywise mask, so the walk carries, per (first outcome,
-balance), the summed unnormalized client matrix of all histories there,
-and one mask product moves them all.  One fold (``_fold``) sums the
-masses and success fidelities of the classes as each depth arrives.  The
-exact tree (``run_strategy_exact``) is the fold on one broker, and walks
-again to make each class one leaf only when its leaves are read; the
-dark-count region grid is the cap-2 fold on a whole stack of brokers.
+Exact results come from one walk (``_walk``) over count classes: a
+pending run is known by the parity ``p`` of its first outcome and the
+count ``n`` of its raising outcome ``_RAISES[p]``.  Outcome ``k`` acts on
+the clients as an entrywise mask, so the walk carries, per class, the
+summed unnormalized client matrix of all histories there, and one mask
+product moves them all.  One fold (``_fold``) sums the masses and
+success fidelities of the classes as each depth arrives.  The exact tree
+(``run_strategy_exact``) is the fold on one broker, and walks again to
+make each class one leaf only when its leaves are read; the dark-count
+region grid is the cap-2 fold on a whole stack of brokers.
 
-By the same masks a sampled trial's state is fixed by its depth, its
-first parity and its count of raising outcomes, its class, so a trial
-carries only that and reads its weights and status codes off rows of
-this count law (``_count_rows``), built once per run for every chunk.
+By the same masks a sampled trial's state is fixed by its depth and its
+class, so a trial carries only that and reads its weights and status
+codes off rows of this count law (``_count_rows``), built once per run.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ from .qstate import fidelity  # noqa: F401
 
 CLIENT_LABELS = ("C1", "C2")
 
-# Measured parity -> basis indices of the client subspace the branch
-# projects onto (always the opposite parity).
-_PROJECTED_INDICES = ((1, 2), (0, 3))
-
 
 class Status(Enum):
     """Terminal classification of an outcome history."""
@@ -115,6 +110,14 @@ OUTCOMES = (
     IterateOutcome(1, 0),
     IterateOutcome(1, 1),
 )
+
+# By first parity ``p``, the measured parity of a success: the moves of a
+# pending run, the outcomes that add 0 and 1 to its count ``n`` of raising
+# outcomes and the two of the other parity, which fail it; and the client
+# basis indices a success projects onto, those of the other parity.
+_MOVES = np.array([[3, 0, 1, 2], [1, 2, 0, 3]])
+_LOWERS, _RAISES, _FAILS = _MOVES[:, 0], _MOVES[:, 1], _MOVES[:, 2:]
+_DELIVERED = np.array([[1, 2], [0, 3]])
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,10 @@ def run_iterate_exact(
 class Leaf:
     """One terminal (or cap-truncated) class of an exact strategy tree.
 
-    A class holds the histories with one first outcome ``j`` and one
-    count of each outcome; they share the status, the iterate count and
-    the normalized client state.  ``history`` is one member: its ``j``s,
-    then its partners ``3 - j``, then any failing outcome.
+    A class holds the histories with one first outcome and one count of
+    each outcome; they share the status, the iterate count and the
+    normalized client state.  ``history`` is one member: the more frequent
+    outcome of its parity, the other, then any outcome that ended it.
     ``probability`` is the class mass, summed over every member history.
     """
 
@@ -269,8 +272,9 @@ class ExactTree:
     and keeps only sums over the classes, added one class at a time in
     leaf order, so each mass equals the same sum over ``leaves`` bit for
     bit.  ``leaves`` walks again on first read and makes one leaf per
-    class.  Each leaf stands for every history of its class (see
-    ``Leaf``), so leaf masses, not leaf counts, are the physical quantities.
+    class, in the order ``_walk`` yields them.  Each leaf stands for every
+    history of its class (see ``Leaf``), so leaf masses, not leaf counts,
+    are the physical quantities.
     """
 
     initial_clients: DensityMatrix
@@ -301,13 +305,15 @@ class ExactTree:
         leaves = []
         walk = _walk(self.masks, self.initial_clients.elements, cap)
         for depth, (won, lost, pending, _) in enumerate(walk, start=2):
-            for (j,), state, p in _kept(*won, labels):
-                leaves.append(Leaf(_representative(j, depth, 0), state, _WON[j], p))
-            for (j, b, f), state, p in _kept(*lost, labels):
-                history = _representative(j, depth - 1, b + 1) + (OUTCOMES[_FAILING[j][f]],)
-                leaves.append(Leaf(history, state, Status.FAILURE, p))
-        for (j, b), state, p in _kept(*pending, labels):
-            leaves.append(Leaf(_representative(j, cap, b + 1), state, Status.PENDING, p))
+            for (p, s), state, mass in _kept(*won, labels):
+                last = OUTCOMES[(_RAISES, _LOWERS)[s][p]]
+                history = _representative(p, depth // 2 - 1 + s, depth - 1) + (last,)
+                leaves.append(Leaf(history, state, Status(1 + p), mass))
+            for (p, n, f), state, mass in _kept(*lost, labels):
+                history = _representative(p, n, depth - 1) + (OUTCOMES[_FAILS[p, f]],)
+                leaves.append(Leaf(history, state, Status.FAILURE, mass))
+        for (p, n), state, mass in _kept(*pending, labels):
+            leaves.append(Leaf(_representative(p, n, cap), state, Status.PENDING, mass))
         return tuple(leaves)
 
     def mean_success_fidelity(self) -> float:
@@ -330,16 +336,16 @@ def _success_fidelity(success, overlap) -> np.ndarray:
 
 
 def _targets(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugated target of each outcome's success, ``(4, 4, 4)``, and
-    whether each measured parity's target is rank one, ``(2,)``.
+    """The conjugated target of each measured parity's success, ``(2, 4,
+    4)``, and whether each is rank one, ``(2,)``.
 
     A success of measured parity ``m`` delivers the clients in the subspace
-    ``_PROJECTED_INDICES[m]``; its target, left zero unless rank one (its top
+    ``_DELIVERED[m]``; its target, left zero unless rank one (its top
     eigenvalue carries all but RANK_ONE_RTOL of its trace, as ``fidelity``
     requires), is the normalized projection of ``rho`` there.
     """
     entries, by_parity, rank_one = rho.tolist(), [], []
-    for i, k in _PROJECTED_INDICES:
+    for i, k in _DELIVERED.tolist():
         a, b, d = entries[i][i].real, entries[i][k], entries[k][k].real
         trace = a + d
         top = 0.5 * trace + math.hypot(0.5 * (a - d), abs(b))
@@ -349,11 +355,7 @@ def _targets(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             for col in (i, k):
                 target[row, col] = entries[row][col].conjugate() / trace
         by_parity.append(target)
-    return np.stack([by_parity[o.parity] for o in OUTCOMES]), np.array(rank_one)
-
-
-# The two outcomes of the other parity, which fail a run begun with j.
-_FAILING = ((1, 2), (0, 3), (0, 3), (1, 2))
+    return np.stack(by_parity), np.array(rank_one)
 
 
 def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,41 +378,47 @@ def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray
 def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``.
 
-    ``classify`` reads a pending history by its first outcome ``j`` and
-    its balance ``b``, the count of ``j`` less that of its partner
-    ``3 - j``.  Class (j, b) carries the summed unnormalized client
-    matrix of its histories, whose trace is its mass; the masks act
-    entrywise, so one product moves a whole class.  Outcome ``j`` moves it
-    to ``b + 1``, the partner to ``b - 1`` (success at 0), and the other
-    parity (``_FAILING[j]``) fails it.  Yields, for each depth from 2 to
-    ``cap``, the success classes ``(..., j)``, the failure classes ``(...,
-    j, b - 1, f)``, ``f`` the failing outcome's place in ``_FAILING[j]``,
-    and the classes still pending ``(..., j, b - 1)``, each as a pair of
-    the class matrices and their masses, then the mass pruned so far
-    ``(...)``, and keeps no depth it has yielded.  A class lighter than
-    ``BRANCH_PRUNE_EPSILON`` is zeroed where it is reached and its mass
-    pruned.  The walk stops after the first depth that leaves no class
-    pending in any stack member, so it may end before ``cap``; the depths
-    it skips would add only zeros.  Once exhausted, it raises unless the
-    kept and the pruned mass sum to one.
+    ``classify`` reads a pending history by its count class (p, n), the
+    sampler's ``c = 2 n + p``: the parity ``p`` of its first outcome and
+    the count ``n`` of its raising outcome ``_RAISES[p]``, ``0 .. d`` after
+    ``d`` outcomes.  A class carries the summed unnormalized client matrix
+    of its histories, whose trace is its mass; the masks act entrywise, so
+    one product moves a whole class.  ``_RAISES[p]`` moves it to ``n + 1``,
+    ``_LOWERS[p]`` keeps it at ``n`` and ``_FAILS[p]`` fails it.  At an
+    even depth ``2 m`` a run begun with the lowering outcome balances by
+    raising class ``m - 1``, and one begun with the raising outcome by
+    lowering class ``m``; pending slot ``m`` stays empty.  Yields, for each
+    depth from 2 to ``cap``, the success classes ``(..., p, s)``, ``s`` 0
+    and 1 for those two ways (zero at odd depths), the failure classes
+    ``(..., p, n, f)``, ``f`` the place in ``_FAILS[p]``, and the classes
+    still pending ``(..., p, n)``, each as a pair of the class matrices and
+    their masses, then the mass pruned so far ``(...)``, and keeps no depth
+    it has yielded.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is
+    zeroed where it is reached and its mass pruned.  The walk stops after
+    the first depth that leaves no class pending in any stack member; the
+    depths it skips would add only zeros.  Once exhausted, it raises
+    unless the kept and the pruned mass sum to one.
     """
     batch = masks.ndim - 3
-    grow = masks[..., :, None, :, :]
-    close = masks[..., ::-1, None, :, :]
-    fail = masks[..., _FAILING, :, :][..., :, None, :, :, :]
-    pending = grow * rho
+    moves = masks[..., _MOVES[:, None], :, :]  # (..., p, 1, move, 4, 4)
+    pending = moves[..., 0, :2, :, :] * rho  # n = 0 and n = 1 after one outcome
     _, pruned, waiting = _drop_light(pending, batch)
     settled = np.zeros_like(pruned)
     for depth in range(2, cap + 1):
-        lost = pending[..., None, :, :] * fail
-        closed = pending * close
-        grown = pending * grow
-        pending = np.zeros(grown.shape[:-3] + (depth,) + grown.shape[-2:], dtype=grown.dtype)
-        pending[..., 1:, :, :] = grown
-        pending[..., : depth - 2, :, :] += closed[..., 1:, :, :]
-        won = closed[..., 0, :, :]
-        won_mass, dropped, kept = _drop_light(won, batch)
-        pruned, settled = pruned + dropped, settled + kept
+        moved = pending[..., None, :, :] * moves[..., :2, :, :]  # (..., p, n, move, 4, 4)
+        lost = pending[..., None, :, :] * moves[..., 2:, :, :]
+        pending = np.zeros(moved.shape[:-4] + (depth + 1, 4, 4), dtype=moved.dtype)
+        pending[..., :-1, :, :] = moved[..., 0, :, :]
+        pending[..., 1:, :, :] += moved[..., 1, :, :]
+        if depth % 2:  # no run balances at an odd depth
+            won = np.zeros(pending.shape[:-3] + (2, 4, 4), dtype=moved.dtype)
+            won_mass = np.zeros(won.shape[:-2])
+        else:
+            m = depth // 2  # raising class m - 1 and lowering m: flat moves 2 m - 1, 2 m
+            won = moved.reshape(pending.shape[:-3] + (-1, 4, 4))[..., 2 * m - 1 : 2 * m + 1, :, :]
+            pending[..., m, :, :] = 0.0
+            won_mass, dropped, kept = _drop_light(won, batch)
+            pruned, settled = pruned + dropped, settled + kept
         lost_mass, dropped, kept = _drop_light(lost, batch)
         pruned, settled = pruned + dropped, settled + kept
         pending_mass, dropped, waiting = _drop_light(pending, batch)
@@ -427,14 +435,10 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
         )
 
 
-def _representative(j: int, length: int, balance: int) -> tuple[IterateOutcome, ...]:
-    """A pending history of ``length`` outcomes: ``j``, then its partner."""
-    ahead = (length + balance) // 2
-    return (OUTCOMES[j],) * ahead + (OUTCOMES[3 - j],) * (length - ahead)
-
-
-# Status of a success class, by its first outcome's parity.
-_WON = tuple(Status(1 + o.parity) for o in OUTCOMES)
+def _representative(p: int, n: int, length: int) -> tuple[IterateOutcome, ...]:
+    """``length`` pending outcomes of parity ``p``, ``n`` raising, the more frequent first."""
+    up, down = (OUTCOMES[_RAISES[p]],) * n, (OUTCOMES[_LOWERS[p]],) * (length - n)
+    return up + down if 2 * n > length else down + up
 
 
 def _kept(classes: np.ndarray, mass: np.ndarray, labels):
@@ -452,19 +456,20 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
     ``(..., 4)`` by ``Status`` value, the success mass, the total (with
     the pruned mass), the pruned mass, ``mean_iterates`` and the success
     overlap sum, to which a success class ``S`` of mass ``p`` adds
-    ``clip(<T|S>, 0, p)``, ``p`` times its clipped fidelity to its target
-    ``T`` (``_targets``; NaN where ``T`` is not rank one).  Each sum adds
-    its classes in leaf order, one at a time (``np.add.accumulate``); a
-    pruned class adds 0.0, which leaves a sum's bits as they are.
+    ``clip(<T|S>, 0, p)``, ``p`` times its clipped fidelity to its parity's
+    target ``T`` (``_targets``; NaN where ``T`` is not rank one).  Each sum
+    adds its classes in leaf order, one at a time (``np.add.accumulate``);
+    a class of no mass adds 0.0, which leaves a sum's bits as they are.
     """
     targets, rank_one = _targets(rho)
     # Columns of ``sums``: the even and odd success masses, the success
     # mass, the overlap sum, the total, the mass times iterates, the failure
     # and the pending mass.  A class adds its row of ``weights`` times its mass.
-    weights = np.zeros((8 * cap - 4, 7))
-    weights[:4, :3] = [[o.parity == 0, o.parity == 1, 1.0] for o in OUTCOMES]
+    weights = np.zeros((4 * cap + 4, 7))
+    weights[:4, :3] = [[p == 0, p == 1, 1.0] for p in (0, 0, 1, 1)]
     weights[:, 4] = weights[4:, 6] = 1.0
     sums = np.zeros(masks.shape[:-3] + (8,))
+    by_class = sums.shape[:-1] + (-1,)
 
     def add(columns: slice, rows: np.ndarray) -> None:
         rows[..., 0, :] += sums[..., columns]
@@ -472,13 +477,13 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
 
     walk = enumerate(_walk(masks, rho, cap), start=2)
     for depth, ((won, won_mass), (_, lost_mass), (_, pending_mass), pruned) in walk:
-        masses = np.concatenate([won_mass, lost_mass.reshape(sums.shape[:-1] + (-1,))], axis=-1)
+        masses = np.concatenate([won_mass.reshape(by_class), lost_mass.reshape(by_class)], -1)
         weights[:, 5] = depth
         rows = masses[..., None] * weights[: masses.shape[-1]]
-        overlap = np.maximum((won * targets).sum(axis=(-2, -1)).real, 0.0)
-        rows[..., :4, 3] = np.minimum(overlap, won_mass)
+        overlap = (won * targets[:, None]).sum(axis=(-2, -1)).real.reshape(by_class)
+        rows[..., :4, 3] = np.minimum(np.maximum(overlap, 0.0), masses[..., :4])
         add(slice(0, 7), rows)
-    add(slice(4, 8), pending_mass.reshape(sums.shape[:-1] + (-1, 1)) * [1.0, cap, 0.0, 1.0])
+    add(slice(4, 8), pending_mass.reshape(by_class + (1,)) * [1.0, cap, 0.0, 1.0])
     # NaN where a success of measured parity m rests on a target that is not rank one
     misread = ((sums[..., :2] > 0.0) & ~rank_one).any(axis=-1)
     overlap = np.where(misread, np.nan, sums[..., 3])
@@ -703,12 +708,6 @@ def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= thresholds[0]).astype(np.intp) + (r >= thresholds[1]) + (r >= thresholds[2])
 
 
-# By first parity: the outcome that raises a pending run's balance, the
-# one that lowers it, and (one index per row) the client indices a
-# success delivers, ``_PROJECTED_INDICES``.
-_RAISES, _LOWERS = np.array([0, 2]), np.array([3, 1])
-_DELIVERED = np.array(_PROJECTED_INDICES).T
-
 # By outcome: its parity, whether it raises its parity's balance, and its class step.
 _PARITY = np.array([o.parity for o in OUTCOMES], dtype=np.int8)
 _RAISING = np.array([1 - o.j for o in OUTCOMES])
@@ -790,8 +789,8 @@ def _success_fidelities(masks: np.ndarray, depth: np.ndarray) -> np.ndarray:
     clipped to [0, 1] as ``fidelity`` clips it.
     """
     diag = masks.diagonal(axis1=1, axis2=2).real
-    up = masks[_RAISES, _DELIVERED[0], _DELIVERED[1]]
-    down = masks[_LOWERS, _DELIVERED[0], _DELIVERED[1]]
+    i, k = _DELIVERED.T
+    up, down = masks[_RAISES, i, k], masks[_LOWERS, i, k]
     q = np.empty((2, 5))  # by first parity: Q's diagonal, its delivered coherence
     q[:, :4] = diag[_RAISES] * diag[_LOWERS]
     q[:, 4] = up.real * down.real - up.imag * down.imag
@@ -800,7 +799,7 @@ def _success_fidelities(masks: np.ndarray, depth: np.ndarray) -> np.ndarray:
     logs = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio > 0.0)
     odd = depth % 2 == 1
     x = np.exp(((depth[odd] + 1) // 2)[:, None, None] * logs)
-    inner = 0.5 * (x[:, [0, 1], _DELIVERED[0]] + x[:, [0, 1], _DELIVERED[1]]) + x[..., 4]
+    inner = 0.5 * (x[:, [0, 1], i] + x[:, [0, 1], k]) + x[..., 4]
     total = ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
     fid = np.divide(inner, total, out=np.full_like(total, np.nan), where=total > 0.0)
     by_code = np.full((len(depth), len(Status)), np.nan)

@@ -692,6 +692,30 @@ def test_flag_bounds_are_enforced_by_the_parser(
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", "--t-min", "0.5", "--t-max", "0.1"], "--t-min exceeds --t-max (empty range)"),
+        (["chain", "--t", "0.1", "--t1", "0.1", "--t2", "0.1"], "--t conflicts with --t1/--t2"),
+        (["simulate", "--t", "0.01", "--wavelength", "0"], "wavelength must be positive, got 0.0"),
+        (
+            ["simulate", "--t", "0.01", "--max-iterates", "3"],
+            "the two-iterate strategy stops at exactly two iterates",
+        ),
+    ],
+    ids=["rates-range", "chain-link", "simulate-link", "simulate-cap"],
+)
+def test_handler_usage_errors_print_the_command_usage(argv, message, tmp_path, capsys):
+    # a check across flags runs in the handler; its error names the command
+    # and prints the command's usage, as the parser's own range checks do
+    command = argv[0]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: paritydistill {command} ")
+    assert err.splitlines()[-1] == f"paritydistill {command}: error: {message}"
+    assert not any(tmp_path.iterdir())
+
+
 def test_largest_sizes_are_accepted(tmp_path, capsys):
     assert main(["chain", "--t", "0.5", "--k-max", "4096", "--theta", "0.6"]) == 0
     argv = ["simulate", "--t", "0.5", "--strategy", "loop", "--max-iterates", "256"]

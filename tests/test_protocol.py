@@ -320,7 +320,7 @@ def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
     def fidelity(_, history):
         a, n, _ = drawn(history)
         q = [diag[a][i] * diag[3 - a][i] for i in range(4)]
-        i, j = protocol._PROJECTED_INDICES[history[0].parity]
+        i, j = protocol._DELIVERED[history[0].parity]
         up, down = complex(masks[a, i, j]), complex(masks[3 - a, i, j])
         q.append(up.real * down.real - up.imag * down.imag)
         top = max(q[:4])
@@ -780,8 +780,8 @@ def test_walk_stops_once_nothing_is_pending():
 
 def test_walk_streams_its_depths():
     # nothing is pruned early on this link, so the walk runs to the cap;
-    # read depth by depth it holds O(cap) classes (~2.4 MiB at cap 256),
-    # where a walk that kept every depth held O(cap^2) (~97 MiB).  The
+    # read depth by depth it holds O(cap) classes (~1.6 MiB at cap 256),
+    # where a walk that kept every depth held O(cap^2) (~83 MiB).  The
     # tree's statistics read it so: its 66,852 leaves took ~120 MiB.
     pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3))
     masks = protocol._outcome_masks(pair)
@@ -902,6 +902,32 @@ def test_representative_histories_are_frontier_form():
             assert len(leaf.history) == leaf.iterates
             for end in range(1, len(leaf.history)):
                 assert classify(leaf.history[:end]) is Status.PENDING
+    # and so is the member named for each pending count class (p, n): its
+    # first parity is p and n of its outcomes are p's raising one
+    for length in range(1, 13):
+        for p in (0, 1):
+            for n in range(length + 1):
+                if 2 * n == length:
+                    continue
+                history = protocol._representative(p, n, length)
+                assert len(history) == length and history[0].parity == p
+                assert sum(o.index == protocol._RAISES[p] for o in history) == n
+                for end in range(1, length + 1):
+                    assert classify(history[:end]) is Status.PENDING
+
+
+def test_walk_holds_only_reachable_classes():
+    # after d outcomes a pending run is in one of the d + 1 count classes
+    # of its first parity, and only the balanced one, n = d / 2, is empty:
+    # every other class the walk carries holds mass
+    masks = protocol._outcome_masks(mask_case("general", RNG(173)))
+    rho = plus_state(CLIENT_LABELS).elements
+    walk = enumerate(protocol._walk(masks, rho, 16), start=2)
+    for depth, (_, _, (pending, mass), pruned) in walk:
+        assert pending.shape == (2, depth + 1, 4, 4)
+        balanced = 2 * np.arange(depth + 1) == depth
+        np.testing.assert_array_equal(mass == 0.0, np.broadcast_to(balanced, (2, depth + 1)))
+    assert depth == 16 and pruned == 0.0
 
 
 def test_tree_rejects_broker_that_does_not_conserve_probability():
@@ -973,7 +999,10 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
 
 
 def walk_arrays(depth) -> list[np.ndarray]:
-    """The arrays one depth of ``_walk`` yields, in order."""
+    """The arrays one depth of ``_walk`` yields, in order: the success
+    classes by (first parity, side), the failure classes by (first
+    parity, count, failing outcome) and the pending ones by (first
+    parity, count), each with its masses, then the pruned mass."""
     (won, won_mass), (lost, lost_mass), (pending, pending_mass), pruned = depth
     return [won, won_mass, lost, lost_mass, pending, pending_mass, pruned]
 
@@ -993,7 +1022,9 @@ def test_stacked_walk_equals_its_flattened_form():
     flat = list(protocol._walk(masks, rho, 6))
     stacked = list(protocol._walk(grid, rho, 6))
     assert len(flat) == len(stacked)
-    for a, b in zip(flat, stacked):
+    for depth, (a, b) in enumerate(zip(flat, stacked), start=2):
+        shapes = [(2, 2), (2, depth, 2), (2, depth + 1)]
+        assert [x.shape for x in walk_arrays(a)[1:6:2]] == [(12, *s) for s in shapes]
         for x, y in zip(walk_arrays(a), walk_arrays(b)):
             np.testing.assert_array_equal(y.reshape(x.shape), x)
 
@@ -1193,7 +1224,7 @@ def test_vectorised_step_matches_dense_branch_map():
             rho = maps[oc.index] / weights[oc.index]
             status = classify(history[: depth + 1])
             if status.is_success:
-                a, b = protocol._PROJECTED_INDICES[history[0].parity]
+                a, b = protocol._DELIVERED[history[0].parity]
                 dense = 0.5 * (rho[a, a] + rho[b, b]).real + rho[a, b].real
                 assert rows[depth][3][status.value] == pytest.approx(min(dense, 1.0), abs=1e-12)
                 successes += 1
@@ -1770,8 +1801,9 @@ def test_deep_trajectory_cells_match_the_walk():
     for depth, ((_, won), (_, lost), (_, pending), pruned) in enumerate(
         protocol._walk(masks, rho, cap), start=2
     ):
-        mass[depth, Status.SUCCESS_PARITY_EVEN.value] = float(won[[0, 3]].sum())
-        mass[depth, Status.SUCCESS_PARITY_ODD.value] = float(won[[1, 2]].sum())
+        # the success classes are indexed (first parity, side)
+        mass[depth, Status.SUCCESS_PARITY_EVEN.value] = float(won[0].sum())
+        mass[depth, Status.SUCCESS_PARITY_ODD.value] = float(won[1].sum())
         mass[depth, Status.FAILURE.value] = float(lost.sum())
     assert depth == cap and float(pruned) < 1e-9
     mass[cap, Status.PENDING.value] = float(pending.sum())

@@ -71,6 +71,29 @@ def test_tracer_installs_and_restores_every_binding():
     assert not changed(snapshot)
 
 
+def test_tracer_counts_the_loop_jobs_tree(tmp_path):
+    # the exact-loop job's tree work counts, which the benchmark requires
+    # to repeat between jobs: its cap-12 tree at T = 1e-2 and the
+    # chain-rate angle has 336 leaves in 324 (first parity, outcome
+    # counts) classes, the two success leaves of a parity and depth
+    # sharing one
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    argv = ["simulate", "--strategy", "loop", "--max-iterates", "12", "--t", "0.01"]
+    argv += ["--trials", "100", "--outdir", str(tmp_path)]
+    try:
+        tracer.install(paritydistill)
+        tracer.start_job(0)
+        assert paritydistill.cli.main(argv) == 0
+        metrics = tracer.job_metrics(0)
+    finally:
+        tracer.uninstall()
+    [tree] = tracer.trees
+    assert tree.cap == 12
+    assert len(tree.leaves) == metrics["protocol.tree.leaves"] == 336
+    assert tracing._count_classes(tree) == metrics["protocol.tree.count_classes"] == 324
+
+
 def imported_but_unread(path: Path) -> set[str]:
     """Names a module binds by ``import`` and never loads."""
     tree = ast.parse(path.read_text(), filename=str(path))
