@@ -18,15 +18,16 @@ pending run is known by the parity ``p`` of its first outcome and the
 count ``n`` of its raising outcome ``_RAISES[p]``.  Outcome ``k`` acts on
 the clients as an entrywise mask, so the walk carries, per class, the
 summed unnormalized client matrix of all histories there, and one mask
-product moves them all.  One fold (``_fold``) sums the masses and
-success fidelities of the classes as each depth arrives.  The exact tree
-(``run_strategy_exact``) is the fold on one broker, and walks again to
-make each class one leaf only when its leaves are read; the dark-count
-region grid is the cap-2 fold on a whole stack of brokers.
+product moves them all.  One fold (``_fold``) sums the masses and success
+fidelities (``_success_fidelities``) of the classes as each depth
+arrives.  The exact tree (``run_strategy_exact``) is the fold on one
+broker, and walks again to make each class one leaf only when its leaves
+are read; the dark-count region grid is the cap-2 fold on a whole stack.
 
 By the same masks a sampled trial's state is fixed by its depth and its
-class, so a trial carries only that and reads its weights and status
-codes off rows of this count law (``_count_rows``), built once per run.
+class, so a trial carries only that and reads its weights, status codes
+and fidelities off rows of this count law (``_count_rows``), built once
+per run.
 """
 
 from __future__ import annotations
@@ -118,6 +119,9 @@ OUTCOMES = (
 _MOVES = np.array([[3, 0, 1, 2], [1, 2, 0, 3]])
 _LOWERS, _RAISES, _FAILS = _MOVES[:, 0], _MOVES[:, 1], _MOVES[:, 2:]
 _DELIVERED = np.array([[1, 2], [0, 3]])
+# The entries of Q = M_A * M_B a success reads, by first parity: diagonal, delivered coherence
+_Q_ROWS = np.array([[0, 1, 2, 3, 1], [0, 1, 2, 3, 0]])
+_Q_COLS = np.array([[0, 1, 2, 3, 2], [0, 1, 2, 3, 3]])
 
 
 @dataclass(frozen=True)
@@ -317,13 +321,10 @@ class ExactTree:
         return tuple(leaves)
 
     def mean_success_fidelity(self) -> float:
-        """Probability-weighted fidelity of the success classes.
-
-        Each success class is compared against the normalized projection
-        of the initial client state onto the delivered parity subspace
-        (the parity opposite to the measured one), which must be rank
-        one.  NaN when no success mass survives.
-        """
+        """Probability-weighted fidelity of the success classes to the
+        normalized projection of the initial clients onto the delivered
+        parity subspace, which must be rank one (``_success_fidelities``).
+        NaN when no success mass survives."""
         return float(_success_fidelity(self.success_probability, self.success_overlap))
 
 
@@ -335,27 +336,40 @@ def _success_fidelity(success, overlap) -> np.ndarray:
     return np.divide(overlap, success, out=fid, where=np.greater(success, TRACE_EPSILON))
 
 
-def _targets(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The conjugated target of each measured parity's success, ``(2, 4,
-    4)``, and whether each is rank one, ``(2,)``.
+def _success_fidelities(masks: np.ndarray, rho: np.ndarray, pairs: np.ndarray):
+    """Fidelity of a success after ``2 m`` outcomes, ``m`` in ``pairs``, by
+    first parity, ``(..., len(pairs), 2)`` for masks ``(..., 4, 4, 4)``,
+    and whether each parity's target is rank one, ``(2,)``.
 
-    A success of measured parity ``m`` delivers the clients in the subspace
-    ``_DELIVERED[m]``; its target, left zero unless rank one (its top
-    eigenvalue carries all but RANK_ONE_RTOL of its trace, as ``fidelity``
-    requires), is the normalized projection of ``rho`` there.
+    A success of first parity ``p`` holds ``rho * Q^m`` entrywise, ``Q =
+    M_A * M_B`` (``A, B = _RAISES[p], _LOWERS[p]``), and its target is the
+    normalized projection of ``rho`` on ``(i, k) = _DELIVERED[p]``, rank
+    one when its top eigenvalue carries all but RANK_ONE_RTOL of its trace.
+    With ``r = diag rho``, ``x_a = (Q_aa / max Q)^m`` and ``z`` the same
+    power of ``Q_ik = |broker[1, 2]|^2``, in log space so that no power
+    underflows, it is ``(r_i^2 x_i + r_k^2 x_k + 2 |rho_ik|^2 z) / ((r_i +
+    r_k) sum_a r_a x_a)``, clipped to [0, 1] as ``fidelity`` clips it; NaN
+    where no state survives.  Sums add in index order, entry by entry.
     """
-    entries, by_parity, rank_one = rho.tolist(), [], []
+    entries, weights, rank_one = rho.tolist(), [], []
+    r = [entries[a][a].real for a in range(4)]
     for i, k in _DELIVERED.tolist():
-        a, b, d = entries[i][i].real, entries[i][k], entries[k][k].real
-        trace = a + d
-        top = 0.5 * trace + math.hypot(0.5 * (a - d), abs(b))
+        coherence, trace = abs(entries[i][k]), r[i] + r[k]
+        top = 0.5 * trace + math.hypot(0.5 * (r[i] - r[k]), coherence)
         rank_one.append(trace >= TRACE_EPSILON and top >= (1.0 - RANK_ONE_RTOL) * trace)
-        target = np.zeros((4, 4), dtype=complex)
-        for row in (i, k) if rank_one[-1] else ():
-            for col in (i, k):
-                target[row, col] = entries[row][col].conjugate() / trace
-        by_parity.append(target)
-    return np.stack(by_parity), np.array(rank_one)
+        above = [r[a] * r[a] if a in (i, k) else 0.0 for a in range(4)] + [2 * coherence**2]
+        weights.append([above, [trace * v for v in r] + [0.0]])
+    ab = masks[..., _MOVES[:, :2].T[:, :, None], _Q_ROWS, _Q_COLS]  # (..., B or A, p, entry)
+    q = ab[..., 0, :, :].real * ab[..., 1, :, :].real
+    q[..., 4] -= ab[..., 0, :, 4].imag * ab[..., 1, :, 4].imag
+    top = q[..., :4].max(axis=-1, keepdims=True)
+    ratio = np.divide(q, top, out=np.zeros(q.shape), where=top > 0.0)
+    logs = np.log(ratio, out=np.full(q.shape, -np.inf), where=ratio > 0.0)
+    x = np.exp(pairs[:, None, None] * logs[..., None, :, :])
+    sums = np.add.accumulate(x[..., None, :] * weights, axis=-1)[..., 4]
+    below = sums[..., 1]
+    fid = np.divide(sums[..., 0], below, out=np.full(below.shape, np.nan), where=below > 0.0)
+    return np.minimum(np.maximum(fid, 0.0, out=fid), 1.0, out=fid), np.array(rank_one)
 
 
 def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,13 +469,13 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
     Per member of a stack of masks ``(..., 4, 4, 4)``: the status masses
     ``(..., 4)`` by ``Status`` value, the success mass, the total (with
     the pruned mass), the pruned mass, ``mean_iterates`` and the success
-    overlap sum, to which a success class ``S`` of mass ``p`` adds
-    ``clip(<T|S>, 0, p)``, ``p`` times its clipped fidelity to its parity's
-    target ``T`` (``_targets``; NaN where ``T`` is not rank one).  Each sum
-    adds its classes in leaf order, one at a time (``np.add.accumulate``);
-    a class of no mass adds 0.0, which leaves a sum's bits as they are.
+    overlap sum of mass times fidelity (``_success_fidelities``; NaN where
+    a success's target is not rank one).  Each sum adds its classes in leaf
+    order, one at a time (``np.add.accumulate``); a class of no mass adds
+    0.0, which leaves a sum's bits as they are.
     """
-    targets, rank_one = _targets(rho)
+    fid, rank_one = _success_fidelities(masks, rho, np.arange(1, cap // 2 + 1))
+    fid = fid.repeat(2, axis=-1)  # by success class (p, s)
     # Columns of ``sums``: the even and odd success masses, the success
     # mass, the overlap sum, the total, the mass times iterates, the failure
     # and the pending mass.  A class adds its row of ``weights`` times its mass.
@@ -476,12 +490,12 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
         sums[..., columns] = np.add.accumulate(rows, axis=-2)[..., -1, :]
 
     walk = enumerate(_walk(masks, rho, cap), start=2)
-    for depth, ((won, won_mass), (_, lost_mass), (_, pending_mass), pruned) in walk:
+    for depth, ((_, won_mass), (_, lost_mass), (_, pending_mass), pruned) in walk:
         masses = np.concatenate([won_mass.reshape(by_class), lost_mass.reshape(by_class)], -1)
         weights[:, 5] = depth
         rows = masses[..., None] * weights[: masses.shape[-1]]
-        overlap = (won * targets[:, None]).sum(axis=(-2, -1)).real.reshape(by_class)
-        rows[..., :4, 3] = np.minimum(np.maximum(overlap, 0.0), masses[..., :4])
+        won = masses[..., :4]  # zero at an odd depth
+        rows[..., :4, 3] = np.where(won > 0.0, won * fid[..., depth // 2 - 1, :], 0.0)
         add(slice(0, 7), rows)
     add(slice(4, 8), pending_mass.reshape(by_class + (1,)) * [1.0, cap, 0.0, 1.0])
     # NaN where a success of measured parity m rests on a target that is not rank one
@@ -713,6 +727,8 @@ _PARITY = np.array([o.parity for o in OUTCOMES], dtype=np.int8)
 _RAISING = np.array([1 - o.j for o in OUTCOMES])
 _STEP = 2 * _RAISING + _PARITY
 
+_PLUS = np.full((4, 4), 0.25)  # |++>, every trial's clients
+
 # Depths of rows built per call: a numpy pass over sixteen depths costs
 # little more than a pass over one (2,000 cap-12 trials at t = 0.01 take
 # ~1.15 ms, against ~2.6 ms a depth per call).
@@ -738,9 +754,9 @@ def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
 
     Per depth, over its classes: the cumulative weights, shape (4,
     classes); by key ``4 c + k``, whether each weight is positive and its
-    int8 status code; and the fidelities by status code
-    (``_success_fidelities``).  A class of zero weight gets zeros and no
-    positive flag.
+    int8 status code; and the fidelities by status code, NaN but for a
+    success (``_success_fidelities`` at |++>).  A class of zero weight gets
+    zeros and no positive flag.
     """
     depth = np.arange(first, min(first + _ROW_DEPTHS, cap))
     classes = np.arange(2 * depth[-1] + 2)
@@ -772,39 +788,13 @@ def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
     fails = ((c & 1) != _PARITY[k]) & (depth > 0)[:, None]
     balances = 2 * ((c >> 1) + _RAISING[k]) == depth[:, None] + 1
     codes = np.maximum(fails * np.int8(Status.FAILURE.value), balances * (1 + _PARITY[k]))
+    odd = depth % 2 == 1  # a run that ends at depth d has drawn d + 1 outcomes
+    fid = np.full((len(depth), len(Status)), np.nan)
+    fid[odd, 1:3] = _success_fidelities(masks, _PLUS, (depth[odd] + 1) // 2)[0]
     return [
-        (thresholds[i, :, : 2 * d + 2], positive[i, : 8 * d + 8], codes[i, : 8 * d + 8], fid)
-        for i, (d, fid) in enumerate(zip(depth.tolist(), _success_fidelities(masks, depth)))
+        (thresholds[i, :, : 2 * d + 2], positive[i, : 8 * d + 8], codes[i, : 8 * d + 8], fid[i])
+        for i, d in enumerate(depth.tolist())
     ]
-
-
-def _success_fidelities(masks: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Fidelity of a run that ends at each depth, by status code; NaN but
-    for a success.
-
-    A success after ``2 n`` outcomes leaves ``Q^n`` entrywise on |++>,
-    ``Q = M_A * M_B``.  With ``x_a = (Q_aa / max Q)^n`` and ``z`` the same
-    power of the delivered coherence ``Q_ik``, which is ``|broker[1,
-    2]|^2``, its fidelity is ``(x_i / 2 + x_k / 2 + z) / sum_a x_a``,
-    clipped to [0, 1] as ``fidelity`` clips it.
-    """
-    diag = masks.diagonal(axis1=1, axis2=2).real
-    i, k = _DELIVERED.T
-    up, down = masks[_RAISES, i, k], masks[_LOWERS, i, k]
-    q = np.empty((2, 5))  # by first parity: Q's diagonal, its delivered coherence
-    q[:, :4] = diag[_RAISES] * diag[_LOWERS]
-    q[:, 4] = up.real * down.real - up.imag * down.imag
-    top = q[:, :4].max(axis=1, keepdims=True)
-    ratio = np.divide(q, top, out=np.zeros_like(q), where=top > 0.0)
-    logs = np.log(ratio, out=np.full_like(ratio, -np.inf), where=ratio > 0.0)
-    odd = depth % 2 == 1
-    x = np.exp(((depth[odd] + 1) // 2)[:, None, None] * logs)
-    inner = 0.5 * (x[:, [0, 1], i] + x[:, [0, 1], k]) + x[..., 4]
-    total = ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
-    fid = np.divide(inner, total, out=np.full_like(total, np.nan), where=total > 0.0)
-    by_code = np.full((len(depth), len(Status)), np.nan)
-    by_code[odd, 1:3] = np.clip(fid, 0.0, 1.0)  # the even and odd success codes
-    return by_code
 
 
 def _sample_chunk(

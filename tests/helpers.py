@@ -125,20 +125,20 @@ def region_by_tree(
     *,
     tau: float = 1.0,
     sin_sq_theta: float = 1.0 / 3.0,
-) -> tuple[np.ndarray, list[RegionLabel]]:
+) -> tuple[np.ndarray, list[RegionLabel], np.ndarray]:
     """The dark-count region grid point by point, through the exact tree.
 
     Per point: one dark-count broker, one two-iterate ``run_strategy_exact``
     from |++>, and the mean success fidelity of its leaves, each scored
     with ``fidelity`` (``leaf_success_fidelity``), classified as
     ``dark_count_fidelity_region`` classifies.  Returns the seven numeric
-    ``RegionPoint`` fields as an (N, 7) array, transmission-major, and the
-    labels.
+    ``RegionPoint`` fields as an (N, 7) array, transmission-major, the
+    labels, and each point's tree's own ``mean_success_fidelity``.
     """
     theta = theta_from_sin_sq(sin_sq_theta)
     cfg = StrategyConfig()
     clients = plus_state(CLIENT_LABELS)
-    rows, labels = [], []
+    rows, labels, tree_fidelities = [], [], []
     for t in transmissions:
         for p in dark_probabilities:
             params = ApparatusParams(t1=float(t), t2=float(t), p_dark=float(p), tau=tau)
@@ -155,7 +155,8 @@ def region_by_tree(
             else:
                 labels.append(RegionLabel.REFERENCE_BETTER)
             rows.append((float(t), float(p), p_herald, p_two, fid, rate, reference))
-    return np.array(rows), labels
+            tree_fidelities.append(tree.mean_success_fidelity())
+    return np.array(rows), labels, np.array(tree_fidelities)
 
 
 def parity_projection(clients: DensityMatrix, measured_parity: int) -> DensityMatrix:
@@ -175,7 +176,9 @@ def leaf_success_fidelity(tree: ExactTree | LeafTree) -> float:
     Each success leaf is scored with ``fidelity`` against the normalized
     projection of the initial clients onto the delivered parity subspace
     (``parity_projection``), which must be rank one.  NaN when no success
-    mass survives.
+    mass survives.  It shares no code with the library's success-fidelity
+    law (``protocol._success_fidelities``), which the fold and the
+    sampler read, so it is that law's independent route.
     """
     total = 0.0
     acc = 0.0

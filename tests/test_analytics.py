@@ -1119,7 +1119,7 @@ _REGION_ORACLE_GRIDS = {
 
 def assert_region_matches_tree(t, darks, **kwargs):
     points = dark_count_fidelity_region(t, darks, **kwargs)
-    expect, labels = region_by_tree(t, darks, **kwargs)
+    expect, labels, tree_fidelities = region_by_tree(t, darks, **kwargs)
     got = np.array(
         [
             (
@@ -1138,8 +1138,10 @@ def assert_region_matches_tree(t, darks, **kwargs):
     np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, equal_nan=True)
     # the grid's brokers are the per-point brokers bit for bit, and so
-    # are the class masses its walk sums
+    # are the class masses its walk sums and the success fidelities of
+    # the per-point trees
     np.testing.assert_array_equal(got[:, 3], expect[:, 3])
+    np.testing.assert_array_equal(got[:, 4], tree_fidelities)
 
 
 @pytest.mark.parametrize("name", sorted(_REGION_ORACLE_GRIDS))

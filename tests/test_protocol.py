@@ -996,6 +996,48 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
             assert total[k] == pytest.approx(tree.total_probability, abs=1e-15)
             assert pruned[k] == pytest.approx(tree.pruned_probability, abs=1e-15)
             assert fid[k] == pytest.approx(leaf_success_fidelity(tree), rel=1e-13, nan_ok=True)
+            # each member's success fidelity is its own tree's, bit for bit
+            assert fid[k] == tree.mean_success_fidelity()
+
+
+@pytest.mark.parametrize("cap", [2, 8, 32])
+def test_success_fidelities_match_the_walk_class_by_class(cap):
+    # the success-fidelity law against every success class the walk keeps,
+    # each scored against its parity's target built here from the clients
+    rng = RNG(59 + cap)
+    scored = 0
+    for kind in ("pair", "dark", "general") * 3:
+        for clients in (plus_state(CLIENT_LABELS), random_pure_clients(rng)):
+            rho = clients.normalized().elements
+            masks = protocol._outcome_masks(mask_case(kind, rng))
+            fid, rank_one = protocol._success_fidelities(masks, rho, np.arange(1, cap // 2 + 1))
+            assert fid.shape == (cap // 2, 2) and rank_one.tolist() == [True, True]
+            targets = np.zeros((2, 4, 4), dtype=complex)
+            for p, (i, k) in enumerate(protocol._DELIVERED.tolist()):
+                keep = np.ix_([i, k], [i, k])
+                targets[p][keep] = rho[keep] / (rho[i, i] + rho[k, k]).real
+            for depth, ((won, won_mass), *_) in enumerate(protocol._walk(masks, rho, cap), 2):
+                for p, s in np.argwhere(won_mass > 0.0).tolist():
+                    overlap = np.vdot(targets[p], won[p, s]).real / won_mass[p, s]
+                    score = min(max(overlap, 0.0), 1.0)
+                    assert fid[depth // 2 - 1, p] == pytest.approx(score, rel=0, abs=1e-14)
+                    scored += 1
+    assert scored >= 18  # every run has success mass at depth 2
+
+
+def test_success_fidelities_of_a_stack_are_its_members():
+    # elementwise over the stack: each member gets the bits of its own call
+    masks = protocol._outcome_masks(broker_stack(RNG(47), 12))
+    rho = random_pure_clients(RNG(53)).elements
+    pairs = np.arange(1, 17)
+    fid, rank_one = protocol._success_fidelities(masks, rho, pairs)
+    assert fid.shape == (12, 16, 2) and rank_one.all()
+    for member, expect in zip(masks, fid):
+        one, one_rank = protocol._success_fidelities(member, rho, pairs)
+        np.testing.assert_array_equal(one, expect)
+        np.testing.assert_array_equal(one_rank, rank_one)
+    grid, _ = protocol._success_fidelities(masks.reshape(3, 4, 4, 4, 4), rho, pairs)
+    np.testing.assert_array_equal(grid.reshape(fid.shape), fid)
 
 
 def walk_arrays(depth) -> list[np.ndarray]:
