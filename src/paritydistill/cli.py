@@ -268,12 +268,12 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 
 # Largest --max-iterates.  Where nothing is pruned early (t = 0.5,
 # sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
-# memory: 0.045 s at 256 (0.53 s at 1024).  The sampler's rows take
-# O(cap^2) memory, 2.8 MB at 256 (43 MB at 1024; 20,000 trials raise
-# ru_maxrss by 6.3 MiB at 256, 68 MiB at 1024), and it pays ~0.35-0.5 s
-# per 100,000 trials at 256 on that link (~1.3-1.6 s at 1024), ~45 s for
-# the largest --trials.  These, not the walk, keep the cap at 256 (2-vCPU
-# Xeon VM; best of 2-3 runs, RSS by resource.getrusage).
+# memory: 0.045 s at 256 (0.53 s at 1024).  The sampler's tables take
+# O(cap) memory, 180 KB at 1024 (20,000 trials raise ru_maxrss by
+# 0.5 MiB at 256 and at 1024), but it pays ~0.3 s per 100,000 trials at
+# 256 on that link (~0.9-1.4 s at 1024), ~30 s for the largest --trials.
+# That time, not the walk, keeps the cap at 256 (2-vCPU Xeon VM; best of
+# 3 runs, RSS by resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary

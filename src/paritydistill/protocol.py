@@ -8,7 +8,7 @@ classifies as success or failure, or a strategy-dependent cap is hit.
 
 One iterate has one closed form: its four outcome masks, a gather of
 the broker matrix (``_outcome_masks``), which the exact trees and the
-sampler's rows both read.  The circuit route (``run_iterate_exact``)
+sampler's tables both read.  The circuit route (``run_iterate_exact``)
 evolves the full four-qubit density matrix through the gate sequence;
 no production path calls it, and the test suite keeps it as the
 independent oracle the gather is pinned against.
@@ -24,10 +24,11 @@ arrives.  The exact tree (``run_strategy_exact``) is the fold on one
 broker, and walks again to make each class one leaf only when its leaves
 are read; the dark-count region grid is the cap-2 fold on a whole stack.
 
-By the same masks a sampled trial's state is fixed by its depth and its
-class, so a trial carries only that and reads its weights, status codes
-and fidelities off rows of this count law (``_count_rows``), built once
-per run.
+The same masks sum to one on the diagonal, so the sampled histories are
+a mixture over client entries ``a``, of weight ``rho_aa``, of independent
+outcomes, ``k`` of weight ``m_k[a]``.  A trial carries its entry and its
+balance class and reads its weights, status codes, next classes and
+success fidelity off static O(cap) tables (``_run_tables``).
 """
 
 from __future__ import annotations
@@ -392,24 +393,24 @@ def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray
 def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``.
 
-    ``classify`` reads a pending history by its count class (p, n), the
-    sampler's ``c = 2 n + p``: the parity ``p`` of its first outcome and
-    the count ``n`` of its raising outcome ``_RAISES[p]``, ``0 .. d`` after
-    ``d`` outcomes.  A class carries the summed unnormalized client matrix
-    of its histories, whose trace is its mass; the masks act entrywise, so
-    one product moves a whole class.  ``_RAISES[p]`` moves it to ``n + 1``,
-    ``_LOWERS[p]`` keeps it at ``n`` and ``_FAILS[p]`` fails it.  At an
-    even depth ``2 m`` a run begun with the lowering outcome balances by
-    raising class ``m - 1``, and one begun with the raising outcome by
-    lowering class ``m``; pending slot ``m`` stays empty.  Yields, for each
-    depth from 2 to ``cap``, the success classes ``(..., p, s)``, ``s`` 0
-    and 1 for those two ways (zero at odd depths), the failure classes
-    ``(..., p, n, f)``, ``f`` the place in ``_FAILS[p]``, and the classes
-    still pending ``(..., p, n)``, each as a pair of the class matrices and
-    their masses, then the mass pruned so far ``(...)``, and keeps no depth
-    it has yielded.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is
-    zeroed where it is reached and its mass pruned.  The walk stops after
-    the first depth that leaves no class pending in any stack member; the
+    ``classify`` reads a pending history by its count class (p, n): the
+    parity ``p`` of its first outcome and the count ``n`` of its raising
+    outcome ``_RAISES[p]``, ``0 .. d`` after ``d`` outcomes.  A class
+    carries the summed unnormalized client matrix of its histories, whose
+    trace is its mass; the masks act entrywise, so one product moves a
+    whole class.  ``_RAISES[p]`` moves it to ``n + 1``, ``_LOWERS[p]``
+    keeps it at ``n`` and ``_FAILS[p]`` fails it.  At an even depth ``2 m``
+    a run begun with the lowering outcome balances by raising class ``m -
+    1``, and one begun with the raising outcome by lowering class ``m``;
+    pending slot ``m`` stays empty.  Yields, for each depth from 2 to
+    ``cap``, the success classes ``(..., p, s)``, ``s`` 0 and 1 for those
+    two ways (zero at odd depths), the failure classes ``(..., p, n, f)``,
+    ``f`` the place in ``_FAILS[p]``, and the classes still pending
+    ``(..., p, n)``, each as a pair of the class matrices and their
+    masses, then the mass pruned so far ``(...)``, and keeps no depth it
+    has yielded.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is zeroed
+    where it is reached and its mass pruned.  The walk stops after the
+    first depth that leaves no class pending in any stack member; the
     depths it skips would add only zeros.  Once exhausted, it raises
     unless the kept and the pruned mass sum to one.
     """
@@ -537,17 +538,20 @@ def run_strategy_exact(
 # gathered outcome masks, whose entries differ from version 1's by up to
 # 2.3e-16, enough to flip an outcome whose uniform sits on a threshold.
 # Version 3 reads weights and fidelities off the count law instead
-# (``_count_rows``): on 60 random dark-free links (300,000 trials) only
-# success fidelities moved, 27% of them, by at most 8.9e-16.
-STREAM_VERSION = 3
+# (rows of the law of a run's outcome counts): on 60 random dark-free
+# links (300,000 trials) only success fidelities moved, 27% of them, by
+# at most 8.9e-16.  Version 4 draws a client entry first (draw 0), then
+# each outcome off that entry's mask diagonals (``_run_tables``), so
+# every draw index past 0 moves up by one.
+STREAM_VERSION = 4
 
 # Trials evolved together.  Uniforms are keyed by the absolute trial
 # index, so results never depend on this; it bounds the working arrays
-# (~0.8 MB).  A depth costs ~25 us of numpy calls whatever its live
-# count, so larger chunks sample deep runs faster: 100,000 trials at cap
-# 256 on t = 0.5, sin^2 theta = 1e-3 take ~0.35-0.5 s at 4,096 and
-# ~0.16-0.23 s at 16,384, at four times the memory, while 40,000
-# two-iterate trials at t = 0.01 take ~3-6 ms at either (2-vCPU Xeon VM).
+# (~1 MB).  A depth costs ~25 us of numpy calls whatever its live count,
+# so larger chunks sample deep runs faster: 100,000 trials at cap 256 on
+# t = 0.5, sin^2 theta = 1e-3 take ~0.28-0.33 s at 4,096 and ~0.14 s at
+# 16,384, at four times the memory, while 40,000 two-iterate trials at
+# t = 0.01 take ~4-5 ms at either (2-vCPU Xeon VM).
 _CHUNK_TRIALS = 4096
 
 
@@ -722,136 +726,103 @@ def _pick_outcome(thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (r >= thresholds[0]).astype(np.intp) + (r >= thresholds[1]) + (r >= thresholds[2])
 
 
-# By outcome: its parity, whether it raises its parity's balance, and its class step.
 _PARITY = np.array([o.parity for o in OUTCOMES], dtype=np.int8)
-_RAISING = np.array([1 - o.j for o in OUTCOMES])
-_STEP = 2 * _RAISING + _PARITY
-
 _PLUS = np.full((4, 4), 0.25)  # |++>, every trial's clients
 
-# Depths of rows built per call: a numpy pass over sixteen depths costs
-# little more than a pass over one (2,000 cap-12 trials at t = 0.01 take
-# ~1.15 ms, against ~2.6 ms a depth per call).
-_ROW_DEPTHS = 16
 
+def _run_tables(masks: np.ndarray, cap: int) -> tuple[np.ndarray, ...]:
+    """The sampler's static tables for runs of at most ``cap`` outcomes.
 
-def _count_rows(masks: np.ndarray, cap: int, first: int) -> list[tuple]:
-    """The sampler's rows of depths ``first`` onward, ``_ROW_DEPTHS`` at most.
+    The masks act entrywise and their diagonals ``m_k`` sum to one, so
+    outcomes ``k_1 .. k_d`` from |++> have probability ``sum_a rho_aa
+    m_{k_1}[a] .. m_{k_d}[a]``: a trial draws a client entry ``a`` of
+    weight ``rho_aa = 1/4``, then each outcome ``k`` independently, of
+    weight ``m_k[a]``.  ``classify`` reads a begun run by its first parity
+    ``p`` and its balance ``b``, its outcomes with ``j = 0`` less those
+    with ``j = 1``.  Its class is ``c = 2 (b + cap) + p``; class ``4 cap +
+    2`` starts every run, and any first outcome leaves it pending at ``b =
+    +-1``.  Outcome ``k`` fails a begun run if its parity is not ``p`` and
+    succeeds with that parity if it brings ``b`` to zero.
 
-    A run pending after ``d`` outcomes is fixed by the parity ``p`` of its
-    first outcome and the count ``n`` of its raising outcome ``A =
-    _RAISES[p]``; it has drawn ``B = 3 - A`` ``d - n`` times.  Its class is
-    ``c = 2 n + p``, one of ``2 (d + 1)``: every run starts in class 0, and
-    outcome ``k`` moves it to ``(c & ~1) + _STEP[k]``.  After the first
-    outcome, ``k`` fails the run if its parity is not ``p`` and succeeds
-    if it balances the run, ``2 (n + _RAISING[k]) = d + 1``.
-
-    The masks act entrywise on |++>, so the clients' diagonal is
-    proportional to ``w_a = m_A[a]^n m_B[a]^(d - n)`` (``m_k`` mask
-    ``k``'s diagonal), taken in log space less its largest entry, so that
-    no power underflows, and outcome ``k`` weighs ``sum_a w_a m_k[a]``,
-    summed in index order.
-
-    Per depth, over its classes: the cumulative weights, shape (4,
-    classes); by key ``4 c + k``, whether each weight is positive and its
-    int8 status code; and the fidelities by status code, NaN but for a
-    success (``_success_fidelities`` at |++>).  A class of zero weight gets
-    zeros and no positive flag.
+    Returns the cumulative outcome weights by entry, shape (4, 4), summed
+    in index order; whether each weight is positive, by key ``4 a + k``;
+    the int8 status code and the next class by key ``4 c + k``; and the
+    fidelities by (depth, status code), NaN but for a success, which
+    holds its class's state (``_success_fidelities`` at |++>).  Only the
+    last outcome reaches ``b = +-cap``, so their next classes go unread.
     """
-    depth = np.arange(first, min(first + _ROW_DEPTHS, cap))
-    classes = np.arange(2 * depth[-1] + 2)
-    parity, n = classes & 1, classes >> 1
-    # the counts of A and B, axes (depth, class); B's is negative past the depth
-    raised = np.zeros((len(depth), 1)) + n
-    lowered = depth[:, None] - raised
-    diag = masks.diagonal(axis1=1, axis2=2).real
-    logs = np.log(diag, out=np.full_like(diag, -np.inf), where=diag > 0.0)
-    # log w, axes (a, depth, class); a zero count adds log 1 = 0
-    log_w = np.zeros((4,) + raised.shape)
-    for count, outcomes in ((raised, _RAISES), (lowered, _LOWERS)):
-        factor = np.take(logs[outcomes].T, parity, axis=1)[:, None]
-        log_w += np.multiply(count, factor, out=np.zeros_like(log_w), where=count > 0.0)
-    top = log_w.max(axis=0)
-    np.subtract(log_w, top, out=log_w, where=top > -np.inf)
-    w = np.exp(log_w, out=log_w)
-    # weights, axes (depth, k, class)
-    columns = diag.T[:, :, None]
-    probs = w[0][:, None] * columns[0]
-    for a in (1, 2, 3):
-        probs += w[a][:, None] * columns[a]
-    positive = (probs > 0.0).transpose(0, 2, 1).reshape(len(depth), -1)
-    thresholds = probs
-    for k in (1, 2, 3):
-        thresholds[:, k] += thresholds[:, k - 1]
-    # status codes, axes (depth, key); FAILURE outranks a success code 1 + parity
-    c, k = np.divmod(np.arange(8 * depth[-1] + 8), 4)  # key 4 c + k
-    fails = ((c & 1) != _PARITY[k]) & (depth > 0)[:, None]
-    balances = 2 * ((c >> 1) + _RAISING[k]) == depth[:, None] + 1
-    codes = np.maximum(fails * np.int8(Status.FAILURE.value), balances * (1 + _PARITY[k]))
-    odd = depth % 2 == 1  # a run that ends at depth d has drawn d + 1 outcomes
-    fid = np.full((len(depth), len(Status)), np.nan)
-    fid[odd, 1:3] = _success_fidelities(masks, _PLUS, (depth[odd] + 1) // 2)[0]
-    return [
-        (thresholds[i, :, : 2 * d + 2], positive[i, : 8 * d + 8], codes[i, : 8 * d + 8], fid[i])
-        for i, d in enumerate(depth.tolist())
-    ]
+    diag = masks.diagonal(axis1=1, axis2=2).real  # (k, a)
+    c, k = np.divmod(np.arange(16 * cap + 12), 4)  # key 4 c + k
+    begun = c < 4 * cap + 2
+    parity = np.where(begun, c & 1, _PARITY[k])
+    balance = np.where(begun, (c >> 1) - cap, 0) + 1 - 2 * (k & 1)
+    fails = parity != _PARITY[k]
+    codes = np.where(fails, Status.FAILURE.value, (balance == 0) * (1 + parity)).astype(np.int8)
+    fid = np.full((cap, len(Status)), np.nan)
+    # a run that ends at depth d has drawn d + 1 outcomes, an even number on success
+    fid[1::2, 1:3] = _success_fidelities(masks, _PLUS, np.arange(1, cap // 2 + 1))[0]
+    return np.cumsum(diag, axis=0), (diag > 0.0).T.ravel(), codes, 2 * (balance + cap) + parity, fid
 
 
 def _sample_chunk(
     streams: np.ndarray,
-    masks: np.ndarray,
-    rows: list,
+    tables: tuple[np.ndarray, ...],
     log_miss: float,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Evolve one chunk of trials together, one iterate depth at a time.
 
-    Draw ``2 d`` of a trial gives the attempt windows of its herald at
-    depth ``d`` and draw ``2 d + 1`` its outcome; one mixing pass makes
-    both.  Trials leave the working arrays as soon as their history
-    classifies; those left at the cap stay pending.  ``log_miss`` is
-    ln(1 - p_click), -inf when every window heralds, which makes every
+    Draw 0 of a trial picks its client entry; at depth ``d`` draw ``2 d +
+    1`` gives the attempt windows of its herald and draw ``2 d + 2`` its
+    outcome.  Depth 0 makes its three draws in one mixing pass, every
+    later depth its two.  Trials leave the working arrays as soon as their
+    history classifies; those left at the cap stay pending.  ``log_miss``
+    is ln(1 - p_click), -inf when every window heralds, which makes every
     wait one window.
 
-    A trial carries only its class ``c`` (``_count_rows``).  Per depth it
-    picks ``k`` off its class's weights and reads the status code of its
-    key ``4 c + k``; every key picked, a failing one too, must have a
-    positive weight, a run that ends takes its status code's fidelity, and
-    one still pending moves to class ``(c & ~1) + _STEP[k]``.  ``rows``,
-    shared by the run's chunks, grows when a chunk first goes deeper, so
-    each depth is built once.  After the cap's depth nothing is compacted.
+    A trial carries its entry's column of cumulative weights, the offset
+    ``4 a`` of its entry's positive flags and its class ``c``
+    (``_run_tables``).  Per depth it picks ``k`` off the column and reads
+    the status code and next class of its key ``4 c + k``; every outcome
+    picked, a failing one too, must have a positive weight, and a run that
+    ends takes its depth's fidelity of its status code.  After the cap's
+    depth nothing is compacted.
     """
+    thresholds, positive, codes, following, fidelities = tables
     n = len(streams)
     attempts = np.zeros(n, dtype=np.int64)
     iterates = np.full(n, cap, dtype=np.int64)
     status = np.full(n, Status.PENDING.value, dtype=np.int8)
     fidelity = np.full(n, np.nan)
-    live = np.arange(n)
-    windows = np.zeros(n, dtype=np.int64)
-    classes = np.zeros(n, dtype=np.intp)
+    live, windows = np.arange(n), np.zeros(n, dtype=np.int64)
+    first, wait, pick = _uniforms(streams, (0, 1, 2))
+    entries = (4.0 * first).astype(np.intp)  # every entry of |++> weighs 1/4
+    columns, flags = thresholds.take(entries, axis=1), 4 * entries
+    classes = np.full(n, 4 * cap + 2)
     for depth in range(cap):
-        if depth == len(rows):
-            rows.extend(_count_rows(masks, cap, depth))
-        thresholds, positive, codes, fidelities = rows[depth]
-        wait, pick = _uniforms(streams, (2 * depth, 2 * depth + 1))
+        if depth:
+            wait, pick = _uniforms(streams, (2 * depth + 1, 2 * depth + 2))
         windows += (np.floor(np.log1p(-wait) / log_miss) + 1.0).astype(np.int64)
-        key = 4 * classes + _pick_outcome(thresholds.take(classes, axis=1), pick)
-        if not positive.take(key).all():
+        outcome = _pick_outcome(columns, pick)
+        if not positive.take(flags + outcome).all():
             raise DegenerateParameterError("sampled an outcome of zero probability")
+        key = 4 * classes + outcome
         code = codes.take(key)
         last = depth + 1 == cap
         ended = slice(None) if last else np.flatnonzero(code)
         if last or len(ended):
             done = live[ended]
             status[done], iterates[done], attempts[done] = code[ended], depth + 1, windows[ended]
-            fidelity[done] = fidelities.take(code[ended])
+            fidelity[done] = fidelities[depth].take(code[ended])
             if last:
                 break
             kept = np.flatnonzero(code == Status.PENDING.value)
             if not len(kept):
                 break
-            live, streams, windows, key = (a.take(kept) for a in (live, streams, windows, key))
-        classes = (key >> 2 & ~1) + _STEP.take(key & 3)
+            live, streams, windows, columns, flags, key = (
+                a.take(kept, axis=-1) for a in (live, streams, windows, columns, flags, key)
+            )
+        classes = following.take(key)
     return attempts, iterates, status, fidelity
 
 
@@ -873,10 +844,12 @@ def run_trajectories(
     ``STREAM_VERSION``, so results are reproducible bit for bit and
     independent of how a trial range is split into batches.  Trials are
     evolved together in fixed chunks, and the chunking cannot change a
-    result either; the chunks share one list of rows (``_count_rows``),
-    O(cap^2) bytes: 2.8 MB at cap 256 and 43 MB at 1024 (``ru_maxrss`` up
-    6.3 and 68 MiB on the deep link).  Trial indices lie in [0, 2**63),
-    and the sampled link is dark-free: a nonzero ``params.p_dark`` raises.
+    result either; the chunks share the run's static tables
+    (``_run_tables``), ~180 KB at cap 1024.  A trial draws a client entry
+    of |++>, then outcomes independent given the entry, a device of the
+    sampling alone: a success records its class's fidelity.  Trial
+    indices lie in [0, 2**63), and the sampled link is dark-free: a
+    nonzero ``params.p_dark`` raises.
     """
     n_trials, trial_start = operator.index(n_trials), operator.index(trial_start)
     if n_trials < 1:
@@ -895,8 +868,7 @@ def run_trajectories(
         raise DegenerateParameterError("click probability vanishes, nothing to sample")
     # at p_click = 1, log1p(-u) / -inf is +0.0: every herald takes one window
     log_miss = math.log1p(-pc) if pc < 1.0 else -math.inf
-    masks = _outcome_masks(pair)
-    rows: list = []  # each depth's rows, built once and read by every chunk
+    tables = _run_tables(_outcome_masks(pair), config.max_iterates)
     trials = np.arange(trial_start, trial_start + n_trials, dtype=np.int64)
     attempts = np.empty(n_trials, dtype=np.int64)
     iterates = np.empty(n_trials, dtype=np.int64)
@@ -906,7 +878,7 @@ def run_trajectories(
         chunk = slice(lo, lo + _CHUNK_TRIALS)
         streams = _trial_streams(config.rng_seed, trials[chunk])
         attempts[chunk], iterates[chunk], status_codes[chunk], fidelities[chunk] = _sample_chunk(
-            streams, masks, rows, log_miss, config.max_iterates
+            streams, tables, log_miss, config.max_iterates
         )
     return SampleStats(
         config, params, float(theta), trials, attempts, iterates, status_codes, fidelities

@@ -769,14 +769,12 @@ def test_simulate_is_reproducible(tmp_path, capsys):
 
 
 # sha256 of the simulate CSV at the benchmark's two simulate jobs, both
-# at T = 1e-2 and seed 101, recorded at stream version 2, before the
-# sampler grouped trials by outcome history.  Version 3 (the count law)
-# moves fidelities by a few ulps, but these links' successes all clip to
-# 1.0, so the bytes stand: any change to a sampled bit or to the CSV
-# bytes shows here
+# at T = 1e-2 and seed 101, recorded at stream version 4, which draws a
+# client entry before the outcomes: any change to a sampled bit or to
+# the CSV bytes shows here
 BENCHMARK_CSV_SHA256 = {
-    "two_iterates": "5d8d11308ab77840b511bc652265eae6a2275202868aa5e89a1d36c79d95e6f0",
-    "loop_cap12": "bbc608da54764b5f583d7ae497e34bbfec718b244314a4103dad2a858e1f51fb",
+    "two_iterates": "bba084fb1e2753983b1381e809241ebc8517aa8362c56eb4ea36527716b61d34",
+    "loop_cap12": "8150a9de43d6a704a6d05b3b50561295477d22e113f280ed96a67d74b77be23f",
 }
 
 
@@ -788,7 +786,7 @@ BENCHMARK_CSV_SHA256 = {
     ],
 )
 def test_simulate_csv_digest_at_the_benchmark_links(case, argv, tmp_path, capsys):
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     code = main(["simulate", *argv, "--t", "0.01", "--seed", "101", "--outdir", str(tmp_path)])
     assert code == 0
     capsys.readouterr()

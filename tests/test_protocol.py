@@ -143,12 +143,16 @@ def circuit_masks(broker) -> np.ndarray:
 
 # Scalar sampler references: per-trial loops over Python floats and
 # integers that recompute the counter uniforms with Python integers.
-# ``scalar_trajectories`` repeats the vectorised sampler's count law in
-# the same order, with numpy's ``exp`` and ``log`` (whose bits differ from
-# ``math``'s), so the two must agree bit for bit.  ``history_trajectories``
-# carries each trial's compact state through its history instead, the
-# independent oracle; it agrees up to the rounding of the two routes.
-# Classification goes through ``classify`` in both.
+# Draw 0 picks a trial's client entry ``a`` of |++>, each of weight 1/4,
+# and the outcomes are then independent, of the same weights at every
+# depth.  ``scalar_trajectories`` repeats the vectorised sampler's tables
+# in the same order, with numpy's ``exp`` and ``log`` (whose bits differ
+# from ``math``'s), so the two must agree bit for bit.
+# ``history_trajectories`` is the independent oracle: it takes the weights
+# off the dense branch maps of |a><a| and carries each trial's |++>
+# compact state through its history for the fidelity; it agrees up to the
+# rounding of the two routes.  Classification goes through ``classify``
+# in both.
 
 MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -223,29 +227,30 @@ def _trajectories(
 ):
     """The per-trial loop shared by both references.
 
-    A trial's state starts as ``start``; ``weights(state, history)`` gives
-    its outcome probabilities, ``advance(state, k, probs)``, if given, its
-    next state, and ``fidelity(state, history)`` a success's fidelity.
+    ``weights[a]`` are the outcome probabilities of client entry ``a``.  A
+    trial's state starts as ``start``; ``advance(state, k)``, if given,
+    gives its next state, and ``fidelity(state, history)`` a success's
+    fidelity.
     """
     pc = p_click(params, theta)
     log_miss = math.log1p(-pc) if pc < 1.0 else None
     seed = config.rng_seed
     rows = []
     for trial in range(trial_start, trial_start + n_trials):
+        p = weights[int(4.0 * counter_uniform(seed, trial, 0))]
         state = start
         history: list[IterateOutcome] = []
         windows = 0
         status = Status.PENDING
         while status is Status.PENDING and len(history) < config.max_iterates:
             depth = len(history)
-            u = counter_uniform(seed, trial, 2 * depth)
+            u = counter_uniform(seed, trial, 2 * depth + 1)
             windows += 1 if log_miss is None else math.floor(math.log1p(-u) / log_miss) + 1
-            p = weights(state, history)
-            k = _pick(counter_uniform(seed, trial, 2 * depth + 1), p)
+            k = _pick(counter_uniform(seed, trial, 2 * depth + 2), p)
             assert p[k] > 0.0, "a zero-probability outcome was chosen"
             history.append(OUTCOMES[k])
             if advance is not None:
-                state = advance(state, k, p)
+                state = advance(state, k)
             status = classify(history)
         fid = fidelity(state, history) if status.is_success else float("nan")
         rows.append((trial, windows, len(history), status.value, fid))
@@ -253,8 +258,18 @@ def _trajectories(
 
 
 def history_trajectories(config, params, theta, n_trials, trial_start=0):
-    """The history oracle: each trial's compact state, advanced per outcome."""
-    scale, twist = compact_tables(heralded_state(params, theta))
+    """The history oracle: weights off the dense branch maps of each client
+    entry, and each trial's compact state, advanced per outcome."""
+    pair = heralded_state(params, theta)
+    scale, twist = compact_tables(pair)
+    pair_angles, weights = (pair.eta, pair.phi, pair.delta), []
+    for a in range(4):
+        basis = basis_state(f"{a:02b}", CLIENT_LABELS).elements
+        maps = [branch_map_elements(basis, *pair_angles, oc.i, oc.j) for oc in OUTCOMES]
+        weights.append([float(m.trace().real) for m in maps])
+
+    def advance(state, k):
+        return _compact_step(state, k, _outcome_probabilities(state, scale)[k], scale, twist)
 
     def fidelity(state, history):
         if history[0].parity == 0:
@@ -262,11 +277,7 @@ def history_trajectories(config, params, theta, n_trials, trial_start=0):
         return min(max(0.5 * (state[0] + state[3]) + state[6], 0.0), 1.0)
 
     return _trajectories(
-        config, params, theta, n_trials, trial_start,
-        weights=lambda state, history: _outcome_probabilities(state, scale),
-        fidelity=fidelity,
-        start=PLUS_COMPACT,
-        advance=lambda state, k, p: _compact_step(state, k, p[k], scale, twist),
+        config, params, theta, n_trials, trial_start, weights, fidelity, PLUS_COMPACT, advance
     )
 
 
@@ -280,45 +291,18 @@ def _log(x: float) -> float:
 
 
 def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
-    """The count-law reference: a trial's state is its two outcome counts.
-
-    A pending trial of first parity ``p`` has drawn ``n_A`` times the
-    outcome ``A`` of that parity with bit ``j = 0`` and ``n_B`` times
-    ``B = 3 - A``; its clients' diagonal is ``w_a = m_A[a]^n_A
-    m_B[a]^n_B``, taken in log space less its largest entry, and outcome
-    ``k`` weighs ``sum_a w_a m_k[a]``.  A success after ``2 n`` outcomes
-    holds ``Q^n`` on |++>, ``Q = M_A * M_B``.
+    """The table reference: outcome ``k`` of client entry ``a`` weighs
+    ``m_k[a]``, mask ``k``'s diagonal.  A pending trial of first parity
+    ``p`` has drawn ``n`` times the outcome ``A`` of that parity with bit
+    ``j = 0``, and its success after ``2 n`` outcomes holds ``Q^n`` on
+    |++>, ``Q = M_A * M_B``, ``B = 3 - A``.
     """
     masks = protocol._outcome_masks(heralded_state(params, theta))
     diag = [[float(masks[k, a, a].real) for a in range(4)] for k in range(4)]
-    logs = [[_log(m) for m in row] for row in diag]
-
-    def drawn(history) -> tuple[int, int, int]:
-        if not history:
-            return 0, 0, 0
-        a = (0, 2)[history[0].parity]
-        n_a = sum(oc.index == a for oc in history)
-        return a, n_a, len(history) - n_a
-
-    def weights(_, history):
-        a, n_a, n_b = drawn(history)
-        log_w = []
-        for i in range(4):
-            up = n_a * logs[a][i] if n_a > 0 else 0.0
-            down = n_b * logs[3 - a][i] if n_b > 0 else 0.0
-            log_w.append(up + down)
-        top = max(log_w)
-        w = [_exp(v - top) if top > -math.inf else _exp(v) for v in log_w]
-        probs = []
-        for k in range(4):
-            p = w[0] * diag[k][0]
-            for i in (1, 2, 3):
-                p = p + w[i] * diag[k][i]
-            probs.append(p)
-        return probs
 
     def fidelity(_, history):
-        a, n, _ = drawn(history)
+        a = (0, 2)[history[0].parity]
+        n = sum(oc.index == a for oc in history)
         q = [diag[a][i] * diag[3 - a][i] for i in range(4)]
         i, j = protocol._DELIVERED[history[0].parity]
         up, down = complex(masks[a, i, j]), complex(masks[3 - a, i, j])
@@ -329,6 +313,7 @@ def scalar_trajectories(config, params, theta, n_trials, trial_start=0):
         fid = (0.5 * (x[i] + x[j]) + x[4]) / total if total > 0.0 else float("nan")
         return min(max(fid, 0.0), 1.0)
 
+    weights = [[diag[k][a] for k in range(4)] for a in range(4)]
     return _trajectories(config, params, theta, n_trials, trial_start, weights, fidelity)
 
 
@@ -362,26 +347,25 @@ def test_classify_examples():
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 8])
 def test_class_steps_classify_every_prefix(cap):
-    # the sampler reads each status off its rows' codes alone: following
-    # the class rule from class 0 along every frontier-form history of up
-    # to cap outcomes gives ``classify`` of each prefix; a run pending
-    # after d outcomes is in class 2 n + p, n the count of its raising
-    # outcome and p its first parity, one of the 2 (d + 1) its rows cover
-    rows = count_rows(protocol._outcome_masks(HeraldedPair(eta=0.3, phi=0.2, delta=0.1)), cap)
-    frontier = [((), 0)]
+    # the sampler reads each status off its tables alone: following the
+    # next classes from the start class along every frontier-form history
+    # of up to cap outcomes gives ``classify`` of each prefix; a run
+    # pending after d outcomes is in class 2 (b + cap) + p, b the count of
+    # its outcomes with j = 0 less those with j = 1 and p its first parity
+    masks = protocol._outcome_masks(HeraldedPair(eta=0.3, phi=0.2, delta=0.1))
+    _, _, codes, following, _ = protocol._run_tables(masks, cap)
+    frontier = [((), 4 * cap + 2)]
     for depth in range(cap):
-        codes = rows[depth][2]
         grown = []
         for history, cls in frontier:
             for oc in OUTCOMES:
-                prefix = history + (oc,)
-                assert codes[4 * cls + oc.index] == classify(prefix).value, prefix
+                prefix, key = history + (oc,), 4 * cls + oc.index
+                assert codes[key] == classify(prefix).value, prefix
                 if classify(prefix) is Status.PENDING:
-                    after = (cls & ~1) + int(protocol._STEP[oc.index])
-                    raised = protocol._RAISES[prefix[0].parity]
-                    n = sum(o.index == raised for o in prefix)
-                    assert after == 2 * n + prefix[0].parity < 2 * (depth + 2), prefix
-                    grown.append((prefix, after))
+                    balance = sum(1 - 2 * o.j for o in prefix)
+                    assert following[key] == 2 * (balance + cap) + prefix[0].parity, prefix
+                    assert 0 < abs(balance) <= depth + 1, prefix
+                    grown.append((prefix, int(following[key])))
         frontier = grown
     # the runs still pending at the cap: a first outcome, then cap - 1 of
     # its parity that never balance
@@ -1169,7 +1153,7 @@ def test_fully_contaminated_tree_never_classifies():
 
 
 # ---------------------------------------------------------------------------
-# Compact states and count-law rows
+# Compact states and the sampler's tables
 
 
 def random_compact_states(rng, n):
@@ -1213,81 +1197,51 @@ def test_compact_step_matches_dense_branch_map():
             np.testing.assert_allclose(nxt, compact_of(dense / weight), atol=1e-12)
 
 
-def class_path(history) -> list[int]:
-    """The sampler's class (``_count_rows``) before each outcome of a history."""
-    path = [0]
-    for oc in history[:-1]:
-        path.append((path[-1] & ~1) + int(protocol._STEP[oc.index]))
-    return path
-
-
-def count_rows(masks, cap: int) -> list[tuple]:
-    """Every depth's rows of the sampler's count law, block by block."""
-    rows = []
-    while len(rows) < cap:
-        rows.extend(protocol._count_rows(masks, cap, len(rows)))
-    return rows
-
-
-def row_weights(row, cls: int) -> np.ndarray:
-    """A class's outcome weights, normalized, from its cumulative row."""
-    thresholds = row[0][:, cls]
-    return np.diff(thresholds, prepend=0.0) / thresholds[3]
-
-
-def random_run(rng, length: int) -> list[IterateOutcome]:
-    """A first outcome, then outcomes of its parity that never balance
-    before the last, which may."""
-    first = int(rng.integers(4))
-    history, balance = [OUTCOMES[first]], 1
-    for step in range(1, length):
-        down = rng.uniform() < 0.5 and (balance > 1 or step == length - 1)
-        balance += -1 if down else 1
-        history.append(OUTCOMES[3 - first if down else first])
-    return history
-
-
 def test_vectorised_step_matches_dense_branch_map():
-    # the sampler's per-depth step reads a class's outcome weights and a
-    # success's fidelity off the count-law rows; along random runs they
-    # match the dense branch maps applied one outcome at a time
-    cap, rng, successes = 12, RNG(139), 0
-    for _, pair in random_compact_states(rng, 50):
-        rows = count_rows(protocol._outcome_masks(pair), cap)
-        history = random_run(rng, cap)
-        rho = np.full((4, 4), 0.25, dtype=complex)
-        for depth, (oc, cls) in enumerate(zip(history, class_path(history))):
-            maps = [
-                branch_map_elements(rho, pair.eta, pair.phi, pair.delta, o.i, o.j)
-                for o in OUTCOMES
-            ]
-            weights = [m.trace().real for m in maps]
-            np.testing.assert_allclose(row_weights(rows[depth], cls), weights, atol=1e-12)
-            rho = maps[oc.index] / weights[oc.index]
-            status = classify(history[: depth + 1])
-            if status.is_success:
-                a, b = protocol._DELIVERED[history[0].parity]
-                dense = 0.5 * (rho[a, a] + rho[b, b]).real + rho[a, b].real
-                assert rows[depth][3][status.value] == pytest.approx(min(dense, 1.0), abs=1e-12)
-                successes += 1
-    assert successes
+    # the mixture identity, the exact link between the sampled law and the
+    # physics: the masks act entrywise and sum to one on the diagonal, so
+    # a run of outcomes k_i from any clients rho has the probability
+    # sum_a rho_aa prod_i m_{k_i}[a], with m read off the sampler's
+    # cumulative weights, and it must equal the trace of the circuit's
+    # dense branch maps applied in order
+    rng = RNG(139)
+    clients = {
+        "plus": lambda: plus_state(CLIENT_LABELS),
+        "pure": lambda: random_pure_clients(rng),
+        "mixed": lambda: random_mixed_clients(rng),
+    }
+    compared = 0
+    for kind in ("pair", "dark", "general"):
+        for make in clients.values():
+            for _ in range(4):
+                broker, state = mask_case(kind, rng), make()
+                thresholds = protocol._run_tables(protocol._outcome_masks(broker), 2)[0]
+                m = np.diff(thresholds, axis=0, prepend=0.0)  # (k, a)
+                mixture, trace = state.elements.diagonal().real, 1.0
+                for _ in range(int(rng.integers(1, 13))):
+                    branches = run_iterate_exact(state, broker)
+                    probs = np.array([branches[oc].probability for oc in OUTCOMES])
+                    k = int(rng.choice(4, p=probs / probs.sum()))
+                    state, trace = branches[OUTCOMES[k]].state, trace * probs[k]
+                    mixture = mixture * m[k]
+                    assert float(mixture.sum()) == pytest.approx(trace, abs=1e-13)
+                    compared += 1
+    assert compared > 200
 
 
 def test_vectorised_step_rejects_zero_weight(monkeypatch):
-    # on the certain-click link every outcome repeats the first: after
-    # outcome 0, outcome 3 has weight exactly zero, and the class (parity
-    # 0, balance 1) at depth 3, reached only through it, has no weight at
-    # all; its row holds zeros, not the NaN of 0/0, and flags nothing, and
-    # a trial handed that zero-weight outcome raises
+    # on the certain-click link each client entry allows one outcome
+    # alone, which its trials repeat: the tables flag one positive weight
+    # per entry, and its partner 3 - k is not flagged, so a trial handed
+    # that zero-weight outcome at depth 1 raises
     params, theta = ApparatusParams(t1=1.0, t2=1.0), theta_from_sin_sq(1.0)
     cap = 6
-    rows = count_rows(protocol._outcome_masks(heralded_state(params, theta)), cap)
-    assert all(np.isfinite(row[0]).all() for row in rows)
-    after_zero = class_path([OUTCOMES[0]] * 2)[1]
-    assert rows[1][1][4 * after_zero : 4 * after_zero + 4].tolist() == [True, False, False, False]
-    stranded = class_path([OUTCOMES[0], OUTCOMES[0], OUTCOMES[3], OUTCOMES[0]])[3]
-    assert not rows[3][1][4 * stranded : 4 * stranded + 4].any()
-    assert not rows[3][0][:, stranded].any()
+    masks = protocol._outcome_masks(heralded_state(params, theta))
+    thresholds, positive, *_ = protocol._run_tables(masks, cap)
+    assert np.isfinite(thresholds).all()
+    flags = positive.reshape(4, 4)  # (entry, outcome)
+    assert flags.sum(axis=1).tolist() == [1, 1, 1, 1]
+    assert not flags[np.arange(4), 3 - flags.argmax(axis=1)].any()
     pick = protocol._pick_outcome
     depths = []
 
@@ -1302,75 +1256,6 @@ def test_vectorised_step_rejects_zero_weight(monkeypatch):
     with pytest.raises(DegenerateParameterError, match="zero probability"):
         run_trajectories(StrategyConfig(cap, rng_seed=3), params, theta, 300)
     assert depths == [0, 1]
-
-
-def test_count_rows_read_an_undrawn_zero_diagonal_as_one():
-    # on a clean link (eta = 0) four diagonal entries of the masks are zero;
-    # the start class has drawn nothing, so its weights are the sums of the
-    # diagonals (m^0 = 1, not 0 * log 0), and a class that has drawn only
-    # one outcome weighs each index by that outcome's diagonal, zeros too
-    pair = HeraldedPair(eta=0.0, phi=0.3, delta=0.2)
-    masks = protocol._outcome_masks(pair)
-    diag = masks.diagonal(axis1=1, axis2=2).real
-    assert np.count_nonzero(diag == 0.0) == 8
-    rows = count_rows(masks, 8)
-    start = diag.sum(axis=1)
-    np.testing.assert_allclose(row_weights(rows[0], 0), start / start.sum(), atol=1e-15)
-    for first in range(4):
-        history = [OUTCOMES[first]] * 3
-        for depth, cls in enumerate(class_path(history)):
-            w = diag[first] ** depth
-            np.testing.assert_allclose(
-                row_weights(rows[depth], cls), diag @ w / w.sum(), atol=1e-14
-            )
-
-
-def test_count_rows_stay_finite_where_powers_underflow():
-    # at cap 256 on a heavily contaminated link the diagonal powers of a
-    # deep class underflow in linear space (0.05^255 < 1e-330), but the rows,
-    # built in log space less each row's largest entry, stay finite and
-    # match exact rational arithmetic
-    from fractions import Fraction
-
-    cap = 256
-    masks = protocol._outcome_masks(HeraldedPair(eta=0.9, phi=0.3, delta=0.2))
-    diag = masks.diagonal(axis1=1, axis2=2).real
-    rows = count_rows(masks, cap)
-    assert all(np.isfinite(row[0]).all() for row in rows)
-    exact = [[Fraction(float(m)) for m in row] for row in diag]
-    rng = RNG(151)
-    underflowed = 0
-    for sample in range(12):
-        history = random_run(rng, cap)
-        path = class_path(history)
-        depth = cap - 1 if sample % 2 else int(rng.integers(cap // 2, cap))
-        up = history[0].index
-        n_up = sum(oc.index == up for oc in history[:depth])
-        n_down = depth - n_up
-        w = [exact[up][a] ** n_up * exact[3 - up][a] ** n_down for a in range(4)]
-        p = [sum(w[a] * exact[k][a] for a in range(4)) for k in range(4)]
-        expected = [float(v / sum(p)) for v in p]
-        np.testing.assert_allclose(row_weights(rows[depth], path[depth]), expected, atol=1e-12)
-        linear = diag[up] ** n_up * diag[3 - up] ** n_down
-        underflowed += not linear.any()
-    assert underflowed
-
-
-def test_count_rows_hold_only_the_classes_a_run_can_reach():
-    # a run pending after d outcomes is in one of 2 (d + 1) classes, and
-    # each depth's rows cover no more; at cap 256 the arrays they hold
-    # take under 3 MB
-    pair = heralded_state(ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3))
-    rows = count_rows(protocol._outcome_masks(pair), 256)
-    held = {}
-    for depth, (thresholds, positive, codes, fidelities) in enumerate(rows):
-        classes = 2 * (depth + 1)
-        assert thresholds.shape == (4, classes)
-        assert positive.shape == codes.shape == (4 * classes,) and codes.dtype == np.int8
-        for array in (thresholds, positive, codes, fidelities):
-            owner = array if array.base is None else array.base
-            held[id(owner)] = owner.nbytes
-    assert sum(held.values()) < 3_000_000
 
 
 def test_pick_outcome_never_chooses_zero_probability():
@@ -1602,7 +1487,7 @@ def cap_one_config(rng_seed: int) -> StrategyConfig:
 SAMPLER_CASES = pytest.mark.parametrize(
     "config, params, sin_sq",
     [
-        # one iterate: the start class's row alone, and no fidelity
+        # one iterate: the start class alone, and no fidelity
         (cap_one_config(17), UNBALANCED, 0.4),
         (StrategyConfig(rng_seed=17), UNBALANCED, 0.4),
         (StrategyConfig(10, rng_seed=17), UNBALANCED, 0.4),
@@ -1651,8 +1536,8 @@ def test_vectorised_sampler_matches_scalar_reference(config, params, sin_sq):
 
 @SAMPLER_CASES
 def test_sampler_matches_the_history_oracle(config, params, sin_sq):
-    # the count law against each trial's state carried through its
-    # history: the same outcomes, and fidelities within rounding
+    # the tables against the dense branch maps and each trial's state
+    # carried through its history: the same outcomes, fidelities within rounding
     theta = theta_from_sin_sq(sin_sq)
     start, n = protocol._CHUNK_TRIALS - 37, protocol._CHUNK_TRIALS + 100
     stats = run_trajectories(config, params, theta, n, trial_start=start)
@@ -1666,12 +1551,12 @@ def test_sampler_matches_the_history_oracle(config, params, sin_sq):
 
 
 # sha256 of the attempts, iterates, status and fidelity bytes of two deep
-# runs, recorded at stream version 3 before the sampler's class became its
-# count: 83 of the cap-256 trials stay pending to the cap, and 336 of the
-# 1,140 cap-32 successes have a fidelity below 1.0, so a moved ulp shows
+# runs, recorded at stream version 4: 88 of the cap-256 trials stay
+# pending to the cap, and 341 of the 1,170 cap-32 successes have a
+# fidelity below 1.0, so a moved ulp shows
 DEEP_COLUMNS_SHA256 = {
-    "deep_cap256": "35bdafc7a06bbb7d4a3aa2bd9a6babae5e0d0d81c27087c4450d55742f3b9711",
-    "unbalanced_cap32": "f0f81f0c0f4e54c99e203a0a8d7fc3c8fa90dd1929737c0b7262645aaa69c799",
+    "deep_cap256": "8851480f891c02c72f7f5e1a29f0f7beba9ee9c5cc5e61dba4d26c6943b9cade",
+    "unbalanced_cap32": "90164deab2d981185496c235014afeb2a812f55081c88489111bc8327b3d3e75",
 }
 
 
@@ -1684,7 +1569,7 @@ DEEP_COLUMNS_SHA256 = {
     ids=["deep_cap256", "unbalanced_cap32"],
 )
 def test_deep_sampled_columns_digest(case, config, params, sin_sq):
-    assert protocol.STREAM_VERSION == 3
+    assert protocol.STREAM_VERSION == 4
     stats = run_trajectories(config, params, theta_from_sin_sq(sin_sq), 2000)
     digest = hashlib.sha256()
     for column in (stats.attempts, stats.iterates, stats.status, stats.fidelity):
@@ -1698,7 +1583,7 @@ def test_deep_sampled_columns_digest(case, config, params, sin_sq):
         (StrategyConfig(rng_seed=23), UNBALANCED, 0.2, 300),
         (StrategyConfig(12, rng_seed=23), UNBALANCED, 0.2, 300),
         (StrategyConfig(12, rng_seed=23), BALANCED, 0.2, 300),
-        # the deep link: 5 of these 100 trials stay pending to the cap
+        # the deep link: 2 of these 100 trials stay pending to the cap
         (StrategyConfig(256, rng_seed=23), ApparatusParams(t1=0.5, t2=0.5), 1e-3, 100),
     ],
     ids=["two_iterates", "loop_cap12", "loop_balanced", "deep_cap256"],
@@ -1717,47 +1602,37 @@ def test_sampled_columns_do_not_depend_on_the_chunk_size(
         np.testing.assert_array_equal(getattr(stats, name), getattr(default, name))
 
 
-@pytest.mark.parametrize(
-    "cap, params, sin_sq, n",
-    [
-        (2, ApparatusParams(t1=0.01, t2=0.01), 0.2, 10_000),
-        (12, ApparatusParams(t1=0.01, t2=0.01), 0.2, 10_000),
-        # 35 of these 300 trials stay pending to the cap
-        (40, ApparatusParams(t1=0.5, t2=0.5), 1e-3, 300),
-    ],
-    ids=["2", "12", "40"],
-)
-def test_sampler_builds_each_depths_rows_once(cap, params, sin_sq, n, monkeypatch):
-    # every chunk of a run reads one list of rows, extended _ROW_DEPTHS
-    # depths at a time when a chunk first goes deeper: each depth is built
-    # once per run, whatever the chunk size
-    theta = theta_from_sin_sq(sin_sq)
-    count_rows = protocol._count_rows
-    built = {}
-    for chunk in (1, 3, 4096):
-        calls = built[chunk] = []
-
-        def spy(masks, cap, first):
-            calls.append(first)
-            return count_rows(masks, cap, first)
-
-        monkeypatch.setattr(protocol, "_count_rows", spy)
-        monkeypatch.setattr(protocol, "_CHUNK_TRIALS", chunk)
-        stats = run_trajectories(StrategyConfig(cap, rng_seed=101), params, theta, n)
-    deepest = int(stats.iterates.max())
-    assert deepest == cap
-    expected = list(range(0, deepest, protocol._ROW_DEPTHS))
-    assert built == {1: expected, 3: expected, 4096: expected}
+def test_sampler_memory_is_linear_in_the_cap():
+    # the sampler's tables are O(cap): at cap 1024 on the deep link (t =
+    # 0.5, sin^2 theta = 1e-3), where nothing is pruned early, they hold
+    # under 256 KiB, and 20,000 trials, some of them to the cap, peak
+    # under 4 MiB, their 0.5 MB of columns included
+    params, theta = ApparatusParams(t1=0.5, t2=0.5), theta_from_sin_sq(1e-3)
+    cap = 1024
+    tables = protocol._run_tables(protocol._outcome_masks(heralded_state(params, theta)), cap)
+    held = {}
+    for array in tables:
+        owner = array if array.base is None else array.base
+        held[id(owner)] = owner.nbytes
+    assert sum(held.values()) < 256 * 1024
+    tracemalloc.start()
+    try:
+        stats = run_trajectories(StrategyConfig(cap, rng_seed=29), params, theta, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.iterates.max() == cap
+    assert peak < 4 * 2**20, peak
 
 
 def test_sampled_success_fidelity_never_exceeds_one():
-    # on this link and angle the unclipped overlap of 6,884 successes
+    # on this link and angle the unclipped overlap of 6,826 successes
     # rounds to 1 + 2^-52; the sampler clips it as ``fidelity`` does
     params = ApparatusParams(t1=0.3, t2=0.1, x1=0.3)
     theta = 0.6215643307802488
     stats = run_trajectories(StrategyConfig(rng_seed=5), params, theta, 40_000)
     success = np.isin(stats.status, [s.value for s in Status if s.is_success])
-    assert np.count_nonzero(success) == 6884
+    assert np.count_nonzero(success) == 6826
     assert np.all(stats.fidelity[success] == 1.0)
 
 
@@ -1830,8 +1705,8 @@ def test_trajectory_cells_match_depth_profile():
 
 
 def test_deep_trajectory_cells_match_the_walk():
-    # the case the count law is built for: cap 256 where nothing is pruned
-    # early, so runs reach every depth.  Chi-square of the (iterates,
+    # the deep case: cap 256 where nothing is pruned early, so runs reach
+    # every depth.  Chi-square of the (iterates,
     # status) cells against the exact walk's masses, rejected at p = 1e-3;
     # cells of one status are pooled in depth order until each pool
     # expects at least 20 runs

@@ -5,13 +5,15 @@ name, for ``bench/run.py --trace 1``.  No other test runs it, so a
 library change that unbinds a traced name would break the per-layer
 benchmark silently; this test installs and uninstalls the tracer.  The
 names it patches are also the only imports a library module may keep
-without reading them.
+without reading them.  The last test guards, by AST, the sampler's
+independence of the exact walk that the chi-square tests rely on.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import types
 from pathlib import Path
 
@@ -166,3 +168,46 @@ def test_only_the_photonics_helper_divides_by_tau():
         for where, _ in divisions_by_tau(path)
     }
     assert divisions == {("photonics", "_per_tau")}
+
+
+def definitions_reached(path: Path, roots: list[str]) -> set[str]:
+    """Every name the module-level definitions ``roots`` load, followed
+    through the module's own functions and classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name in defined:
+            todo += [
+                node.id
+                for node in ast.walk(defined[name])
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            ]
+    return reached
+
+
+def test_the_sampler_reaches_no_exact_evaluator():
+    # the chi-square tests pit the sampled cells against the exact walk,
+    # which checks the sampler only while it shares no evaluator with the
+    # walk: the two routes meet in the outcome masks and the success
+    # fidelity law alone
+    path = Path(paritydistill.protocol.__file__)
+    sampler = definitions_reached(path, ["_run_tables", "_sample_chunk", "run_trajectories"])
+    exact = definitions_reached(path, ["run_strategy_exact", "ExactTree"])
+    assert not sampler & {"_walk", "_fold", "_drop_light", "run_strategy_exact", "ExactTree"}
+    protocol = paritydistill.protocol
+    shared = {
+        name
+        for name in sampler & exact
+        if inspect.isfunction(value := getattr(protocol, name, None))
+        and value.__module__ == protocol.__name__
+    }
+    assert shared == {"_outcome_masks", "_success_fidelities"}
