@@ -266,14 +266,15 @@ def cmd_chain(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-# Largest --max-iterates.  Where nothing is pruned early (t = 0.5,
-# sin^2 theta = 1e-3) the exact walk takes O(cap^2) time and O(cap)
-# memory: 0.045 s at 256 (0.53 s at 1024).  The sampler's tables take
-# O(cap) memory, 180 KB at 1024 (20,000 trials raise ru_maxrss by
-# 0.5 MiB at 256 and at 1024), but it pays ~0.3 s per 100,000 trials at
-# 256 on that link (~0.9-1.4 s at 1024), ~30 s for the largest --trials.
-# That time, not the walk, keeps the cap at 256 (2-vCPU Xeon VM; best of
-# 3 runs, RSS by resource.getrusage).
+# Largest --max-iterates.  On a link whose runs last long (t = 0.5,
+# sin^2 theta = 1e-3) the exact tree's statistics take O(cap) time and
+# memory, ~0.26 ms at 256 and ~0.43 ms at 1024, so only the sampler bounds
+# the cap.  Its tables take O(cap) memory, 180 KB at 1024 (20,000 trials
+# raise ru_maxrss by 0.5 MiB at 256 and at 1024), but it pays a fixed cost
+# per depth in every chunk that keeps a trial to the cap: ~0.28 s per
+# 100,000 trials at 256 on that link (~0.78 s at 1024), ~28 s for the
+# largest --trials.  That time keeps the cap at 256 (2-vCPU Xeon VM; best
+# of 3 runs, RSS by resource.getrusage).
 SIMULATE_CAP_LIMIT = 256
 
 # Largest --trials: each trial holds ~40 bytes of samples and summary

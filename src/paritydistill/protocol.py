@@ -13,21 +13,25 @@ evolves the full four-qubit density matrix through the gate sequence;
 no production path calls it, and the test suite keeps it as the
 independent oracle the gather is pinned against.
 
-Exact results come from one walk (``_walk``) over count classes: a
-pending run is known by the parity ``p`` of its first outcome and the
-count ``n`` of its raising outcome ``_RAISES[p]``.  Outcome ``k`` acts on
-the clients as an entrywise mask, so the walk carries, per class, the
-summed unnormalized client matrix of all histories there, and one mask
-product moves them all.  One fold (``_fold``) sums the masses and success
-fidelities (``_success_fidelities``) of the classes as each depth
-arrives.  The exact tree (``run_strategy_exact``) is the fold on one
-broker, and walks again to make each class one leaf only when its leaves
-are read; the dark-count region grid is the cap-2 fold on a whole stack.
+Outcome ``k`` acts on the clients as an entrywise mask whose diagonal
+``m_k`` sums to one over ``k``, so the histories are a mixture over
+client entries ``a``, of weight ``rho_aa``, of independent outcomes, ``k``
+of weight ``m_k[a]``.  Given its first parity ``p``, a run is then a +-1
+walk on the balance of ``p``'s two outcomes that succeeds at its first
+return and fails on an outcome of the other parity.  The exact
+statistics (``_fold``) are that walk's first-passage law
+(``_first_passage``), O(cap) per (parity, entry), with each success's
+fidelity from one closed form (``_success_fidelities``).  The exact tree
+(``run_strategy_exact``) is the fold on one broker; the dark-count region
+grid is the cap-2 fold on a whole stack.
 
-The same masks sum to one on the diagonal, so the sampled histories are
-a mixture over client entries ``a``, of weight ``rho_aa``, of independent
-outcomes, ``k`` of weight ``m_k[a]``.  A trial carries its entry and its
-balance class and reads its weights, status codes, next classes and
+A tree's leaves come from a second evaluator, read only when ``leaves``
+is: one walk (``_walk``) over count classes, a pending run known by ``p``
+and the count ``n`` of its raising outcome ``_RAISES[p]``, each class
+carrying the summed unnormalized client matrix of its histories.
+
+The sampler draws from the same mixture: a trial carries its entry and
+its balance class and reads its weights, status codes, next classes and
 success fidelity off static O(cap) tables (``_run_tables``).
 """
 
@@ -273,13 +277,14 @@ class Leaf:
 class ExactTree:
     """The exact strategy evolution: its masses, and its leaves on demand.
 
-    ``run_strategy_exact`` reads each depth of the walk once (``_fold``)
-    and keeps only sums over the classes, added one class at a time in
-    leaf order, so each mass equals the same sum over ``leaves`` bit for
-    bit.  ``leaves`` walks again on first read and makes one leaf per
-    class, in the order ``_walk`` yields them.  Each leaf stands for every
-    history of its class (see ``Leaf``), so leaf masses, not leaf counts,
-    are the physical quantities.
+    The statistics come from the first-passage law (``_fold``), which
+    prunes nothing: ``pruned_probability`` is 0.0 and ``total_probability``
+    the law's total.  ``leaves`` walks the count classes (``_walk``) on
+    first read and makes one leaf per class, in the order the walk yields
+    them; the walk drops classes lighter than the pruning epsilon, so the
+    leaf masses fall short of the statistics by the mass it dropped.  Each
+    leaf stands for every history of its class (see ``Leaf``), so leaf
+    masses, not leaf counts, are the physical quantities.
     """
 
     initial_clients: DensityMatrix
@@ -287,8 +292,8 @@ class ExactTree:
     cap: int
     status_masses: tuple[float, ...]  # by ``Status`` value
     success_probability: float
-    total_probability: float  # the leaves' mass, then the pruned mass
-    pruned_probability: float
+    total_probability: float  # the law's total, one within PROBABILITY_SUM_ATOL
+    pruned_probability: float  # 0.0: the law prunes nothing
     mean_iterates: float
     success_overlap: float  # fidelity times mass, summed over success classes
 
@@ -391,7 +396,9 @@ def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
-    """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``.
+    """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``:
+    the classes behind ``ExactTree.leaves``, whose statistics ``_fold``
+    takes from the first-passage law instead.
 
     ``classify`` reads a pending history by its count class (p, n): the
     parity ``p`` of its first outcome and the count ``n`` of its raising
@@ -464,46 +471,71 @@ def _kept(classes: np.ndarray, mass: np.ndarray, labels):
         yield index, DensityMatrix(state, labels, validate=False), p
 
 
+def _first_passage(x: np.ndarray, y: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """First returns and no-return weights of a +-1 walk from 0, per up
+    weight ``x`` and down weight ``y`` (``x, y >= 0``, broadcast together).
+
+    With ``s = x + y`` and ``r = (x / s) (y / s) <= 1/4``, the first return at
+    step ``2 m`` weighs ``F(2 m) = 2 Cat(m - 1) (x y)^m = c_m s^(2 m)``,
+    ``c_m = 2 Cat(m - 1) r^m`` (Feller, vol. 1, chs. III and XIV), and
+    the walks of ``d`` steps that never return weigh ``W(d) = s^d u(d)``,
+    ``u(d) = 1 - sum_{m <= d/2} c_m``.  Each ``c_m`` is one ``np.cumprod``
+    of step factors at most one, so nothing overflows.  Returns ``F(2 m)``
+    for ``m = 1 .. cap // 2``, shape ``(..., cap // 2)``, and ``W(d)`` for
+    ``d = 1 .. cap``, shape ``(..., cap)``.
+    """
+    s = x + y
+    up, down = (np.divide(v, s, out=np.zeros(s.shape), where=s > 0.0) for v in (x, y))
+    r = up * down
+    m = np.arange(1, cap // 2 + 1)
+    steps = np.where(m > 1, (4.0 * m - 6.0) / m, 2.0)  # 2 Cat(m - 1) / Cat(m - 2), 2 at m = 1
+    c = np.cumprod(r[..., None] * steps, axis=-1)
+    u = np.concatenate([np.ones(s.shape + (1,)), (1.0 - np.cumsum(c, axis=-1)).repeat(2, -1)], -1)
+    power = np.cumprod(np.broadcast_to(s[..., None], s.shape + (cap,)), axis=-1)  # s^d
+    return c * power[..., 1::2], power * u[..., :cap]
+
+
 def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
-    """The statistics of a strategy run, read off one walk (``_walk``).
+    """The statistics of a strategy run, from the first-passage law.
 
     Per member of a stack of masks ``(..., 4, 4, 4)``: the status masses
-    ``(..., 4)`` by ``Status`` value, the success mass, the total (with
-    the pruned mass), the pruned mass, ``mean_iterates`` and the success
-    overlap sum of mass times fidelity (``_success_fidelities``; NaN where
-    a success's target is not rank one).  Each sum adds its classes in leaf
-    order, one at a time (``np.add.accumulate``); a class of no mass adds
-    0.0, which leaves a sum's bits as they are.
+    ``(..., 4)`` by ``Status`` value, the success mass, the total, the
+    pruned mass (zero: nothing is pruned), ``mean_iterates`` and the
+    success overlap sum of mass times fidelity (``_success_fidelities``;
+    NaN where a success's target is not rank one).
+
+    The masks act entrywise and their diagonals ``m_k`` sum to one, so a
+    history's mass is ``sum_a rho_aa prod_i m_{k_i}[a]``.  Given the first
+    parity ``p`` and the entry ``a``, a run is a walk of up weight ``m_A[a]``
+    and down weight ``m_B[a]`` (``A, B = _RAISES[p], _LOWERS[p]``) that
+    fails with weight ``f = sum m_{_FAILS[p]}[a]``.  It succeeds at its
+    first return (``_first_passage``'s ``F``), fails at depth ``d`` from
+    ``W(d - 1) f`` and is pending at the cap with ``W(cap)``: O(cap) work
+    per (parity, entry).  A success of no mass adds 0.0 to the overlap,
+    whatever its fidelity.  Raises unless the masses sum to one.
     """
-    fid, rank_one = _success_fidelities(masks, rho, np.arange(1, cap // 2 + 1))
-    fid = fid.repeat(2, axis=-1)  # by success class (p, s)
-    # Columns of ``sums``: the even and odd success masses, the success
-    # mass, the overlap sum, the total, the mass times iterates, the failure
-    # and the pending mass.  A class adds its row of ``weights`` times its mass.
-    weights = np.zeros((4 * cap + 4, 7))
-    weights[:4, :3] = [[p == 0, p == 1, 1.0] for p in (0, 0, 1, 1)]
-    weights[:, 4] = weights[4:, 6] = 1.0
-    sums = np.zeros(masks.shape[:-3] + (8,))
-    by_class = sums.shape[:-1] + (-1,)
-
-    def add(columns: slice, rows: np.ndarray) -> None:
-        rows[..., 0, :] += sums[..., columns]
-        sums[..., columns] = np.add.accumulate(rows, axis=-2)[..., -1, :]
-
-    walk = enumerate(_walk(masks, rho, cap), start=2)
-    for depth, ((_, won_mass), (_, lost_mass), (_, pending_mass), pruned) in walk:
-        masses = np.concatenate([won_mass.reshape(by_class), lost_mass.reshape(by_class)], -1)
-        weights[:, 5] = depth
-        rows = masses[..., None] * weights[: masses.shape[-1]]
-        won = masses[..., :4]  # zero at an odd depth
-        rows[..., :4, 3] = np.where(won > 0.0, won * fid[..., depth // 2 - 1, :], 0.0)
-        add(slice(0, 7), rows)
-    add(slice(4, 8), pending_mass.reshape(by_class + (1,)) * [1.0, cap, 0.0, 1.0])
-    # NaN where a success of measured parity m rests on a target that is not rank one
-    misread = ((sums[..., :2] > 0.0) & ~rank_one).any(axis=-1)
-    overlap = np.where(misread, np.nan, sums[..., 3])
-    by_status = sums[..., [7, 0, 1, 6]]
-    return by_status, sums[..., 2], sums[..., 4] + pruned, pruned, sums[..., 5], overlap
+    diag = masks.diagonal(axis1=-2, axis2=-1).real  # (..., k, a)
+    weight = rho.diagonal().real[:, None]  # rho_aa, against (..., p, a, depth)
+    first, no_return = _first_passage(diag[..., _RAISES, :], diag[..., _LOWERS, :], cap)
+    fails = diag[..., _FAILS[:, 0], :] + diag[..., _FAILS[:, 1], :]
+    won = (first * weight).sum(axis=-2)  # (..., p, m): success after 2 m outcomes
+    lost = (no_return[..., :-1] * (fails[..., None] * weight)).sum(axis=-2).sum(axis=-2)
+    pending = (no_return[..., -1] * weight[:, 0]).sum(axis=-1).sum(axis=-1)
+    by_parity, failure = won.sum(axis=-1), lost.sum(axis=-1)  # failure at depths 2 .. cap
+    success = by_parity[..., 0] + by_parity[..., 1]
+    total = success + failure + pending
+    defect = float(np.max(np.abs(total - 1.0)))
+    if not defect <= PROBABILITY_SUM_ATOL:
+        raise DegenerateParameterError(f"strategy tree lost probability mass: defect {defect:.3e}")
+    depth, pairs = np.arange(2, cap + 1), np.arange(1, cap // 2 + 1)
+    mean = (won * (2 * pairs)).sum(axis=(-2, -1)) + (lost * depth).sum(axis=-1) + cap * pending
+    fid, rank_one = _success_fidelities(masks, rho, pairs)
+    scored = np.where(won > 0.0, won * fid.swapaxes(-2, -1), 0.0)
+    # NaN where a success of measured parity p rests on a target that is not rank one
+    misread = ((by_parity > 0.0) & ~rank_one).any(axis=-1)
+    overlap = np.where(misread, np.nan, scored.sum(axis=(-2, -1)))
+    by_status = np.stack([pending, by_parity[..., 0], by_parity[..., 1], failure], axis=-1)
+    return by_status, success, total, np.zeros_like(total), mean, overlap
 
 
 def run_strategy_exact(
@@ -513,12 +545,11 @@ def run_strategy_exact(
 ) -> ExactTree:
     """Evaluate every measurement branch of a strategy exactly.
 
-    Folds the walk of the classes (``_fold``) under the outcome masks
-    gathered from the broker (``_outcome_masks``), adding the mass of
-    each success, failure and cap-pending class to the tree's sums as its
-    depth arrives.  Classes lighter than the pruning epsilon are dropped
-    into ``pruned_probability``, and the walk checks that probability is
-    conserved.
+    Reads the tree's statistics off the first-passage law (``_fold``)
+    under the outcome masks gathered from the broker (``_outcome_masks``),
+    in O(cap) time and memory, and checks that probability is conserved.
+    No class is pruned and no leaf is built; ``ExactTree.leaves`` walks
+    the classes when it is read.
     """
     if clients.n_qubits != 2:
         raise ValueError("the iterate acts on exactly two client qubits")
@@ -785,8 +816,9 @@ def _sample_chunk(
     (``_run_tables``).  Per depth it picks ``k`` off the column and reads
     the status code and next class of its key ``4 c + k``; every outcome
     picked, a failing one too, must have a positive weight, and a run that
-    ends takes its depth's fidelity of its status code.  After the cap's
-    depth nothing is compacted.
+    ends takes its depth's fidelity of its status code.  Every first
+    outcome leaves its run pending, so depth 0 reads no status code unless
+    it is the cap's.  After the cap's depth nothing is compacted.
     """
     thresholds, positive, codes, following, fidelities = tables
     n = len(streams)
@@ -807,8 +839,11 @@ def _sample_chunk(
         if not positive.take(flags + outcome).all():
             raise DegenerateParameterError("sampled an outcome of zero probability")
         key = 4 * classes + outcome
-        code = codes.take(key)
         last = depth + 1 == cap
+        if not (depth or last):  # every first outcome leaves its run pending
+            classes = following.take(key)
+            continue
+        code = codes.take(key)
         ended = slice(None) if last else np.flatnonzero(code)
         if last or len(ended):
             done = live[ended]

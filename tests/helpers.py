@@ -35,7 +35,17 @@ from paritydistill import (
 )
 from paritydistill.analytics import DARK_FIDELITY_CUTOFF
 from paritydistill.constants import BRANCH_PRUNE_EPSILON, PROBABILITY_SUM_ATOL, TRACE_EPSILON
-from paritydistill.protocol import CLIENT_LABELS, _outcome_masks
+from paritydistill.protocol import (
+    _FAILS,
+    _LOWERS,
+    _RAISES,
+    CLIENT_LABELS,
+    _first_passage,
+    _outcome_masks,
+)
+
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 def asymmetry_distortion(phi: float, delta: float) -> np.ndarray:
@@ -254,6 +264,67 @@ def depth_profile(tree: ExactTree | LeafTree) -> dict[int, dict[Status, float]]:
         row = profile.setdefault(leaf.iterates, {})
         row[leaf.status] = row.get(leaf.status, 0.0) + leaf.probability
     return profile
+
+
+def gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``, ``u`` the float64 unit roundoff:
+    ``n`` roundings of nonnegative operands move a result by at most this
+    relative amount (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3)."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def first_passage_bound(s, depths):
+    """The README's bound on the float law's ``W(d)`` and ``F(d)`` at the
+    depths ``depths`` of a walk of step weight ``s = x + y``:
+    ``gamma_6d s^d + (d + 1)^2 2^-1074``.  ``s`` here is the float sum, so
+    the exact ``s^d`` is at most ``(1 + gamma_d)`` times its ``s^d``, and
+    ``gamma_(7d + 3)`` in place of ``gamma_6d`` covers that and the
+    rounding of the power and of the product."""
+    d = np.asarray(depths, dtype=float)
+    return gamma(7 * d + 3) * np.asarray(s)[..., None] ** d + (d + 1) ** 2 * SMALLEST_SUBNORMAL
+
+
+def fold_bound(masks: np.ndarray, rho: np.ndarray, cap: int) -> dict[str, float]:
+    """A bound on the rounding error of each statistic ``_fold`` gives one
+    broker: ``status`` (by ``Status`` value), ``success``, ``total`` and
+    ``mean`` (``mean_iterates``).
+
+    Each statistic sums nonnegative terms ``w rho_aa T``, ``T`` one of
+    ``F(2 m)``, ``f W(d - 1)`` and ``W(cap)`` and ``w`` 1 or the depth.
+    ``T`` lies within ``first_passage_bound`` of its value, and the
+    products with ``f``, ``rho_aa`` and ``w`` and the sums over entries,
+    parities and depths add at most ``cap + 12`` roundings, so a statistic
+    lies within ``(1 + g) sum w rho_aa e_T + 2 g S`` of its exact value,
+    ``e_T`` the bound on ``T``, ``S`` the float statistic and ``g =
+    gamma_(cap + 12)``.  ``F`` is bounded through its float value: its
+    ``12 m`` roundings give ``|F^ - F| <= gamma_24m F^``.
+    """
+    diag = masks.diagonal(axis1=-2, axis2=-1).real
+    weight = rho.diagonal().real[:, None]
+    x, y = diag[_RAISES], diag[_LOWERS]
+    first, no_return = _first_passage(x, y, cap)
+    f = (diag[_FAILS[:, 0]] + diag[_FAILS[:, 1]])[..., None]
+    depth, m = np.arange(1, cap + 1), np.arange(1, cap // 2 + 1)
+    err_w = first_passage_bound(x + y, depth)
+    err_f = gamma(24 * m) * first + (2 * m + 1) ** 2 * SMALLEST_SUBNORMAL
+    g = gamma(cap + 12)
+    won = weight * np.stack([first, err_f])  # (value or bound, p, a, m)
+    lost = weight * f * np.stack([no_return[..., :-1], err_w[..., :-1]])
+    left = weight * np.stack([no_return[..., -1:], err_w[..., -1:]])
+
+    def bound(terms) -> float:
+        value, error = (float(np.sum(t)) for t in terms)
+        return (1.0 + g) * error + 2.0 * g * value
+
+    status = [bound(left), bound(won[:, 0]), bound(won[:, 1]), bound(lost)]
+    mean = bound(won * (2 * m)) + bound(lost * depth[1:]) + bound(left * cap)
+    return {
+        "status": status,
+        "success": status[1] + status[2] + 2.0 * g,
+        "total": sum(status) + 4.0 * g,
+        "mean": mean + 4.0 * g * cap,
+    }
 
 
 def count_class_tree(

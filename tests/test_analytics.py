@@ -19,6 +19,8 @@ from helpers import (
     count_class_tree,
     drift_angles,
     drift_infidelity_exact,
+    fold_bound,
+    gamma,
     region_by_tree,
 )
 from paritydistill import (
@@ -52,7 +54,7 @@ from paritydistill import (
     two_photon_reference_rate,
 )
 from paritydistill.analytics import GOLDEN_SECTION_TOL
-from paritydistill.protocol import CLIENT_LABELS
+from paritydistill.protocol import _FAILS, CLIENT_LABELS
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +690,40 @@ def test_chain_growth_closed_form_on_unbalanced_links(t1, t2):
         assert exact.p_fail <= tree.failure_probability + unresolved + 1e-13
         mean_tree = sum(l.probability * l.iterates for l in tree.leaves)
         assert mean_tree - 1e-13 <= exact.mean_iterates <= mean_tree + 1e-8
+
+
+@pytest.mark.parametrize("t1, t2", [(1e-2, 1e-2), (0.02, 0.005)], ids=["balanced", "unbalanced"])
+def test_loop_tree_tends_to_the_chain_closed_form(t1, t2):
+    # as the cap N grows, the exact tree's success mass, failure mass and
+    # mean iterate count tend to the closed form's p_loop = 1 - R, p_fail = R
+    # and <I>, at the chain-rate angle.  A run pending at N ends later, so
+    # each closed value lies above the tree's by at most the pending mass,
+    # and <I> by at most the pending mass times 1 / min f: a pending run
+    # fails each further iterate with weight at least the least failure
+    # weight f of its walks.  Both sides add rounding: the tree's derived
+    # bound (``fold_bound``) and gamma_32 of the closed value, for the
+    # closed form's own roundings and its separately rounded eta
+    params = ApparatusParams(t1=t1, t2=t2)
+    theta = optimize_theta(params, Objective.CHAIN_RATE).optimal_theta
+    exact = chain_growth_rate(params, theta)
+    pair = heralded_state(params, theta)
+    clients = plus_state(CLIENT_LABELS)
+    pending = []
+    for cap in (16, 64, 256, 1024):
+        tree = run_strategy_exact(clients, pair, StrategyConfig(cap))
+        law = fold_bound(tree.masks, tree.initial_clients.elements, cap)
+        diag = tree.masks.diagonal(axis1=-2, axis2=-1).real
+        least_f = diag[_FAILS].sum(axis=1).min()  # by first parity and entry
+        left = tree.pending_probability
+        for got, want, bound, tail in (
+            (tree.success_probability, exact.p_loop, law["success"], left),
+            (tree.failure_probability, exact.p_fail, law["status"][Status.FAILURE.value], left),
+            (tree.mean_iterates, exact.mean_iterates, law["mean"], left / least_f),
+        ):
+            slack = bound + gamma(32) * want
+            assert got - slack <= want <= got + tail + slack, (cap, got, want)
+        pending.append(left)
+    assert pending == sorted(pending, reverse=True) and pending[-1] < 1e-20
 
 
 def test_chain_growth_roadmap_figures_on_unbalanced_links():

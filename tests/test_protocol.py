@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -18,6 +19,8 @@ from helpers import (
     bell_odd,
     count_class_tree,
     depth_profile,
+    fold_bound,
+    gamma,
     leaf_success_fidelity,
 )
 from paritydistill import (
@@ -746,7 +749,7 @@ def test_walk_stops_once_nothing_is_pending():
     clients = plus_state(CLIENT_LABELS)
     short = run_strategy_exact(clients, pair, StrategyConfig(200))
     long = run_strategy_exact(clients, pair, StrategyConfig(400))
-    assert short.pending_probability == 0.0
+    assert sum(l.probability for l in short.leaves if l.status is Status.PENDING) == 0.0
     assert [(l.history, l.status, l.probability) for l in long.leaves] == [
         (l.history, l.status, l.probability) for l in short.leaves
     ]
@@ -805,10 +808,20 @@ def leaf_record(tree) -> list[tuple]:
     return [(l.history, l.status, l.probability, l.state.elements.tobytes()) for l in tree.leaves]
 
 
+def walk_pruned(tree) -> float:
+    """The mass the walk behind a tree's leaves pruned, summed to its last depth."""
+    *_, last = protocol._walk(tree.masks, tree.initial_clients.elements, tree.cap)
+    return float(last[-1])
+
+
 @pytest.mark.parametrize("kind", ["pair", "dark", "general", "unbalanced"])
 def test_tree_statistics_are_leaf_order_sums(kind):
-    # the tree keeps sums of the walk's masses, not leaves; each must be
-    # the sum over its own leaves in leaf order, bit for bit
+    # the tree's statistics come from the first-passage law and its leaves
+    # from the walk: each statistic is the sum over its own leaves in leaf
+    # order, within the walk's pruned mass (times the cap for the mean),
+    # the law's derived bound (``fold_bound``) and the walk's: a leaf mass
+    # carries at most 2 cap + 2 roundings of nonnegative operands, and a
+    # leaf-order sum one more per leaf and per iterate product
     rng = RNG(167)
     clients = plus_state(CLIENT_LABELS)
     for cap in (2, 3, 12, 32):
@@ -827,23 +840,112 @@ def test_tree_statistics_are_leaf_order_sums(kind):
         assert all(type(value) is float for value in statistics)
         leaves = tree.leaves
         assert leaves and tree.leaves is leaves
-        assert tree.success_probability == leaf_order_sum(
-            l.probability for l in leaves if l.status.is_success
-        )
+        pruned, law = walk_pruned(tree), fold_bound(tree.masks, tree.initial_clients.elements, cap)
+        walk = gamma(2 * cap + 4 + len(leaves))
+
+        def near(got: float, values, law_bound: float, weight: float = 1.0) -> None:
+            want = leaf_order_sum(values)
+            assert abs(got - want) <= weight * pruned * (1.0 + walk) + law_bound + walk * want
+
+        success = (l.probability for l in leaves if l.status.is_success)
+        near(tree.success_probability, success, law["success"])
         for status in Status:
-            assert tree.status_probability(status) == leaf_order_sum(
-                l.probability for l in leaves if l.status is status
-            )
+            masses = (l.probability for l in leaves if l.status is status)
+            near(tree.status_probability(status), masses, law["status"][status.value])
         assert tree.failure_probability == tree.status_probability(Status.FAILURE)
         assert tree.pending_probability == tree.status_probability(Status.PENDING)
-        pruned = tree.pruned_probability
-        assert tree.total_probability == leaf_order_sum(l.probability for l in leaves) + pruned
-        assert tree.mean_iterates == leaf_order_sum(l.probability * l.iterates for l in leaves)
+        assert tree.pruned_probability == 0.0
+        near(tree.total_probability, [*(l.probability for l in leaves), pruned], law["total"], 0.0)
+        near(tree.mean_iterates, (l.probability * l.iterates for l in leaves), law["mean"], cap)
         # the leaves do not depend on whether the statistics were read first
         fresh = run_strategy_exact(clients, broker, cfg)
         assert leaf_record(fresh) == leaf_record(tree)
         assert fresh.mean_iterates == tree.mean_iterates
-        assert fresh.pruned_probability == pruned
+        assert fresh.pruned_probability == tree.pruned_probability
+
+
+def over_common_denominator(x: float, y: float) -> tuple[int, int, int]:
+    """``e``, ``X`` and ``Y`` with ``x = X / 2^e`` and ``y = Y / 2^e``."""
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    e = max(b, d).bit_length() - 1
+    return e, a * ((1 << e) // b), c * ((1 << e) // d)
+
+
+def exact_walk(x: float, y: float, cap: int) -> tuple[int, list[int], list[int]]:
+    """The walk of up weight ``x`` and down weight ``y`` in exact integers.
+
+    With ``x = X / 2^e`` and ``y = Y / 2^e``, returns ``e``, then ``W(d)
+    2^(e d)`` for ``d = 0 .. cap`` by ``W(d) = (x + y) W(d - 1) - F(d)``, then
+    ``F(2 m) 2^(2 m e) = 2 Cat(m - 1) (X Y)^m`` for ``m = 1 .. cap // 2``.
+    """
+    e, up, down = over_common_denominator(x, y)
+    no_return, first, power, catalan = [1], [], 1, 1  # catalan: Cat(m - 1)
+    for depth in range(1, cap + 1):
+        w = (up + down) * no_return[-1]
+        if depth % 2 == 0:
+            m = depth // 2
+            power *= up * down
+            first.append(2 * catalan * power)
+            w -= first[-1]
+            catalan = catalan * 2 * (2 * m - 1) // (m + 1)
+        no_return.append(w)
+    return e, no_return, first
+
+
+def ballot_sum(x: float, y: float, depth: int) -> Fraction:
+    """``W(depth)`` by the ballot theorem: of the ``C(d, k)`` walks with
+    ``k`` up steps, ``|2 k - d| / d`` never return to zero (Feller, vol. 1,
+    ch. III).  Summed over the common denominator of ``x`` and ``y``."""
+    e, up, down = over_common_denominator(x, y)
+    total, ups = 0, 1
+    for k in range(depth + 1):
+        total += abs(2 * k - depth) * math.comb(depth, k) // depth * ups * down ** (depth - k)
+        ups *= up
+    return Fraction(total, 1 << (e * depth))
+
+
+def exact_error(value: float, exact: int, shift: int) -> float:
+    """``|value - exact / 2^shift|``, rounded once."""
+    num, den = value.as_integer_ratio()
+    top = max(shift, den.bit_length() - 1)
+    return abs(num * ((1 << top) // den) - (exact << (top - shift))) / (1 << top)
+
+
+def test_no_return_weights_match_exact_ballot_sums():
+    # the float law's W(d) and F(2 m) against exact sums at every depth to
+    # cap 1024, within the README's derived bound: W within gamma_6d s^d and
+    # F within gamma_12m F, each plus (d + 1)^2 2^-1074 where values
+    # underflow; the two extra roundings cover taking the exact s^d and F
+    # to floats here.  The exact recursion is itself held to the ballot
+    # sums at some depths
+    cap = 1024
+    broker, _ = heralded_state_with_dark_counts(
+        ApparatusParams(t1=0.3, t2=0.3, p_dark=1e-3), theta_from_sin_sq(1.0 / 3.0)
+    )
+    diag = protocol._outcome_masks(broker).diagonal(axis1=-2, axis2=-1).real
+    dark = zip(diag[protocol._RAISES].ravel().tolist(), diag[protocol._LOWERS].ravel().tolist())
+    entries = list(dict.fromkeys([(0.4995, 0.4995), (0.45, 0.35), *dark]))
+    assert len(entries) == 5  # two dark-count walks, one of each orientation, and one balanced
+    x, y = (np.array(v) for v in zip(*entries))
+    first, no_return = protocol._first_passage(x, y, cap)
+    assert first.shape == (len(entries), cap // 2) and no_return.shape == (len(entries), cap)
+    # an odd cap is the same law, cut short
+    short = protocol._first_passage(x, y, 7)
+    np.testing.assert_array_equal(short[0], first[:, :3])
+    np.testing.assert_array_equal(short[1], no_return[:, :7])
+    floor = (np.arange(2, cap + 2) ** 2 * 2.0**-1074).tolist()
+    for (xe, ye), f_hat, w_hat in zip(entries, first.tolist(), no_return.tolist()):
+        e, w, f = exact_walk(xe, ye, cap)
+        for d in (1, 2, 3, 12, 255):
+            assert ballot_sum(xe, ye, d) == Fraction(w[d], 1 << (e * d))
+        step, power = w[1], 1  # (x + y) 2^e
+        for d in range(1, cap + 1):
+            power *= step
+            bound = gamma(6 * d + 2) * (power / (1 << (e * d))) + floor[d - 1]
+            assert exact_error(w_hat[d - 1], w[d], e * d) <= bound, (xe, ye, d)
+        for m in range(1, cap // 2 + 1):
+            bound = gamma(12 * m + 2) * (f[m - 1] / (1 << (2 * m * e))) + floor[2 * m - 1]
+            assert exact_error(f_hat[m - 1], f[m - 1], 2 * m * e) <= bound, (xe, ye, m)
 
 
 @pytest.mark.parametrize("kind", ["pair", "dark", "general"])
@@ -1130,7 +1232,7 @@ def test_walk_and_overlap_checks_reject_nan():
 
 
 def test_mean_success_fidelity_builds_no_leaves(monkeypatch):
-    # the fidelity is read off the fold's overlap sum: no second walk, no leaf
+    # the fidelity is read off the fold's overlap sum: no walk, no leaf
     walks = []
     walk = protocol._walk
     monkeypatch.setattr(protocol, "_walk", lambda *args: walks.append(args) or walk(*args))
@@ -1138,7 +1240,7 @@ def test_mean_success_fidelity_builds_no_leaves(monkeypatch):
     tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, StrategyConfig(12))
     fid = tree.mean_success_fidelity()
     assert "leaves" not in vars(tree)
-    assert len(walks) == 1
+    assert len(walks) == 0
     assert fid == pytest.approx(leaf_success_fidelity(tree), abs=1e-12)
 
 

@@ -170,9 +170,10 @@ def test_only_the_photonics_helper_divides_by_tau():
     assert divisions == {("photonics", "_per_tau")}
 
 
-def definitions_reached(path: Path, roots: list[str]) -> set[str]:
+def definitions_reached(path: Path, roots: list[str], stop: frozenset = frozenset()) -> set[str]:
     """Every name the module-level definitions ``roots`` load, followed
-    through the module's own functions and classes."""
+    through the module's own functions and classes but those in ``stop``,
+    which are reached and not followed."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defined = {
         node.name: node
@@ -185,7 +186,7 @@ def definitions_reached(path: Path, roots: list[str]) -> set[str]:
         if name in reached:
             continue
         reached.add(name)
-        if name in defined:
+        if name in defined and name not in stop:
             todo += [
                 node.id
                 for node in ast.walk(defined[name])
@@ -202,7 +203,8 @@ def test_the_sampler_reaches_no_exact_evaluator():
     path = Path(paritydistill.protocol.__file__)
     sampler = definitions_reached(path, ["_run_tables", "_sample_chunk", "run_trajectories"])
     exact = definitions_reached(path, ["run_strategy_exact", "ExactTree"])
-    assert not sampler & {"_walk", "_fold", "_drop_light", "run_strategy_exact", "ExactTree"}
+    evaluators = {"_walk", "_fold", "_first_passage", "_drop_light", "run_strategy_exact"}
+    assert not sampler & (evaluators | {"ExactTree"})
     protocol = paritydistill.protocol
     shared = {
         name
@@ -211,3 +213,17 @@ def test_the_sampler_reaches_no_exact_evaluator():
         and value.__module__ == protocol.__name__
     }
     assert shared == {"_outcome_masks", "_success_fidelities"}
+
+
+def test_the_exact_statistics_never_walk():
+    # a tree's statistics and the region grid come from the first-passage
+    # law alone; the walk serves only ``ExactTree.leaves``, so the tree's
+    # class is reached here but not followed
+    path = Path(paritydistill.protocol.__file__)
+    fold = definitions_reached(path, ["_fold", "run_strategy_exact"], frozenset({"ExactTree"}))
+    assert "_first_passage" in fold and "ExactTree" in fold
+    assert not fold & {"_walk", "_drop_light"}
+    analytics = definitions_reached(
+        Path(paritydistill.analytics.__file__), ["dark_count_fidelity_region"]
+    )
+    assert "_fold" in analytics and not analytics & {"_walk", "_drop_light", "run_strategy_exact"}
