@@ -2,11 +2,14 @@
 
 ``write_columns`` is the package's one CSV writer.  Every kernel here
 returns a ``uint8`` text matrix, one row per value, whose row bytes less
-their NUL padding are the value's text.  A CSV batch is then one
-``np.concatenate`` of such matrices and separator columns, and deleting
+their NUL padding are the value's text.  A CSV batch is then such
+matrices side by side, integer and word columns with their separator
+already on and float columns beside a separator column, and deleting
 its NULs leaves the batch's bytes, with no Python string made per row.
-A batch's float columns are formatted by one kernel call over their
-joined values, since a call has a fixed cost of ~0.3 ms.
+Integer digits come four at a time, one ``uint32`` gather from a table
+of every 4-digit group.  A batch's float columns are formatted by one
+kernel call over their joined values, since a call has a fixed cost of
+~0.2 ms.
 
 ``float_repr`` gives exactly ``repr(float(v))`` for every float64.  Its
 digits are the shortest decimal that rounds back to ``v``, the one
@@ -32,43 +35,75 @@ from typing import Sequence
 import numpy as np
 
 # Rows formatted per batch, and float values: a batch's float columns go
-# through the float kernel in one call, which costs ~0.3 ms however few
-# values it holds and ~210 bytes a value of temporaries (tracemalloc,
-# normal deviates), so a table of one or two float columns keeps full
-# batches, one of more shorter ones, and a call's working set stays
-# under 2 MB.
+# through the float kernel in one call, which costs ~0.2 ms however few
+# values it holds and ~195 bytes a value of temporaries (tracemalloc,
+# 1.53 MiB for 8,190 normal deviates), so a table of one or two float
+# columns keeps full batches, one of more shorter ones, and a call's
+# working set stays under 2 MB.
 BATCH_ROWS = 4096
 _BATCH_FLOATS = 2 * BATCH_ROWS
 
 # A float call's distinct values go through repr up to this many plus a
 # quarter of its values; above, the whole call goes through float_repr.
-# repr costs ~0.7 us a distinct value and ~0.1 us a value to find each
-# row's text, float_repr ~0.3 ms a call and ~0.2-0.3 us a value, so they
-# cross near 1,200-1,500 distinct values in a call of 4,096 and near
-# 2,300-3,000 in one of 8,192 (best of 21, 2-vCPU Xeon VM).  simulate's
+# repr costs ~0.6 us a distinct value and ~0.1 us a value to find each
+# row's text, float_repr ~0.2 ms a call and ~0.18-0.25 us a value, so
+# they cross near 1,300-1,500 distinct values in a call of 4,096 and near
+# 2,300-2,500 in one of 8,192 (best of 21, 2-vCPU Xeon VM).  simulate's
 # fidelity calls hold ~2 distinct values, the sweeps' all distinct.
 _REPR_MAX_DISTINCT = 256
 
 
-def ascii_digits(values: np.ndarray) -> np.ndarray:
+@cache
+def _quads() -> np.ndarray:
+    """Every 4-digit group's ASCII bytes as one uint32 word, by row.
+
+    Rows 0-9,999 hold the group zero-padded ("0042"); rows 10,000-19,999
+    NUL for each leading zero, and 0 as four NULs; rows 20,000-29,999 the
+    same, but 0 reads three NULs and "0", for a units group that is all
+    there is.  Built on first use, not at import.
+    """
+    group = np.arange(10_000, dtype=np.uint16)
+    quads = np.empty((3, 10_000, 4), dtype=np.uint8)
+    # a place at a time, so that no temporary outgrows the table
+    for place, power in enumerate((1000, 100, 10, 1)):
+        quads[0, :, place] = group // power % 10 + ord("0")
+        quads[1, :, place] = quads[0, :, place] * (group >= power)
+    quads[2] = quads[1]
+    quads[2, 0, 3] = ord("0")
+    return quads.reshape(30_000, 4).view(np.uint32).ravel()
+
+
+def ascii_digits(values: np.ndarray, end: int | None = None) -> np.ndarray:
     """Nonnegative integers as a right-aligned uint8 matrix of ASCII digits.
 
     One row per value, as wide as the largest value; the places left of
-    a value's leading digit hold NUL.  Each digit is ``q - (q // 10) * 10``
-    in uint32 when every value fits, in uint64 otherwise.
+    a value's leading digit hold NUL.  With ``end``, each row ends in
+    that byte, one column more.  Each 4-digit group takes its four bytes
+    from ``_quads`` with one gather: the NUL-padded rows while every
+    higher group is 0, the zero-padded ones after.  The groups come from
+    ``// 10_000`` in uint32 when every value fits, in uint64 otherwise.
     """
     top = int(values.max())
-    q = values.astype(np.uint32 if top < 2**32 else np.uint64)
-    places = []
-    for place in range(len(str(top))):
-        quotient = q // 10
-        digit = (q - quotient * 10).astype(np.uint8)
-        digit += ord("0")
-        if place:
-            digit *= q != 0
-        places.append(digit)
-        q = quotient
-    return np.stack(places[::-1], axis=1)
+    width = len(str(top))
+    groups = -(-width // 4)
+    q = values.astype(np.uint32 if top < 2**32 else np.uint64, copy=False)
+    quads = _quads()
+    words = np.empty((len(q), groups + (end is not None)), dtype=np.uint32)
+    # the units group reads "0" for a value of 0, a higher group NULs
+    base = 20_000
+    for column in range(groups - 1, 0, -1):
+        rest = q // 10_000
+        row = q - rest * 10_000
+        row += (rest == 0) * q.dtype.type(base)
+        words[:, column] = quads.take(row)
+        q, base = rest, 10_000
+    words[:, 0] = quads.take(np.add(q, base, dtype=np.intp))
+    text = words.view(np.uint8)
+    stop = 4 * groups
+    if end is None:
+        return text[:, stop - width : stop]
+    text[:, stop] = end
+    return text[:, stop - width : stop + 1]
 
 
 def text_table(words: Sequence[str]) -> np.ndarray:
@@ -128,14 +163,26 @@ def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (mid >> 32) + (low >> 32)
 
 
-def _round_to_odd(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """cp * g / 2^127 for g = g1 2^63 + g0, truncated, its last bit set if inexact."""
-    x1 = _mul_high(g0, cp)
-    y0 = g1 * cp  # wraps mod 2^64
-    y1 = _mul_high(g1, cp)
+def _round_to_odd(x1: np.ndarray, y1: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """cp * g / 2^127 for g = g1 2^63 + g0, truncated, its last bit set if inexact.
+
+    From the halves of the products: x1 of g0 * cp, and y1 and y0 of
+    g1 * cp, each 128-bit product as high * 2^64 + low.
+    """
     z = (y0 >> 1) + x1
     vbp = y1 + (z >> 63)
     return vbp | (((z & _LOW63) + _LOW63) >> 63)
+
+
+def _shift_add(high, low, g, shift, subtract=False):
+    """The 128-bit high * 2^64 + low, plus or minus g << shift, as (high, low)."""
+    part = g << shift
+    carry = g >> (np.uint64(64) - shift)
+    if subtract:
+        diff = low - part
+        return high - carry - (diff > low), diff
+    total = low + part
+    return high + carry + (total < low), total
 
 
 def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +201,21 @@ def _shortest_decimal(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     irregular = (t == 0) & (bq > 1)
     k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10_pow2(q))
     h = (q + _flog2_pow10(-k) + 2).astype(np.uint64)
+    # not held beside the products, where the kernel peaks
+    del t, bq, normal, q
     g1, g0 = g1_table[k - _K_MIN], g0_table[k - _K_MIN]
-    cb = c << np.uint64(2)
-    vb = _round_to_odd(g1, g0, cb << h)
-    vbl = _round_to_odd(g1, g0, (cb - np.uint64(2) + irregular) << h)
-    vbr = _round_to_odd(g1, g0, (cb + np.uint64(2)) << h)
+    cp = c << (h + np.uint64(2))
+    # g * cp once; the interval ends are cp + 2^(h+1) and cp - 2^(h+1-irregular)
+    x1, x0 = _mul_high(g0, cp), g0 * cp
+    y1, y0 = _mul_high(g1, cp), g1 * cp
+    vb = _round_to_odd(x1, y1, y0)
+    up = h + np.uint64(1)
+    vbr = _round_to_odd(_shift_add(x1, x0, g0, up)[0], *_shift_add(y1, y0, g1, up))
+    down = up - irregular
+    vbl = _round_to_odd(
+        _shift_add(x1, x0, g0, down, True)[0], *_shift_add(y1, y0, g1, down, True)
+    )
+    del x1, x0, y1, y0, g1, g0, down
     # the rounding interval is closed when c is even
     out = c & np.uint64(1)
     vbl += out
@@ -244,6 +301,7 @@ def float_repr(values: np.ndarray) -> np.ndarray:
     flat = np.zeros(18 * n + 1, dtype=np.uint8)
     digits = flat[1:].reshape(n, 18)
     digits[:, :9], digits[:, 9:] = halves[:n, 1:], halves[n:, 1:]
+    del halves
     shifted = flat[:-1].reshape(n, 18)
     # digits up to the last nonzero one
     significant = 18 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
@@ -292,6 +350,21 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     return np.take(table, np.searchsorted(distinct, bits), axis=0)
 
 
+def _join(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Text matrices of ``n`` rows side by side in one matrix.
+
+    Each part goes in as one copy of ``n`` items of its row width, not
+    one copy a row as ``np.concatenate`` makes.
+    """
+    joined = np.empty((n, sum(part.shape[1] for part in parts)), dtype=np.uint8)
+    at = 0
+    for part in parts:
+        row = np.dtype((np.void, part.shape[1]))
+        joined[:, at : at + row.itemsize].view(row)[...] = part.view(row)
+        at += row.itemsize
+    return joined
+
+
 def _batch_rows(float_columns: int) -> int:
     """Rows a batch of a table with this many distinct float columns holds."""
     return min(BATCH_ROWS, _BATCH_FLOATS // max(float_columns, 1))
@@ -309,8 +382,11 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
     is opened.  A batch's float columns go through ``_float_text`` in one
     call over their joined values, each column object once however often
     it is passed, and each takes its own rows back; a batch holds at most
-    ``BATCH_ROWS`` rows and ``_BATCH_FLOATS`` float values.  Fields are
-    numbers and bare words, so none needs quoting.
+    ``BATCH_ROWS`` rows and ``_BATCH_FLOATS`` float values.  Each table
+    takes its separator as one more column once a call, and each integer
+    column its own from ``ascii_digits``, so a batch joins one part a
+    column and one more a float column.  Fields are numbers and bare
+    words, so none needs quoting.
     """
     n_rows = len(columns[0][1] if isinstance(columns[0], tuple) else columns[0])
     for column in columns:
@@ -328,8 +404,18 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
             raise ValueError("columns differ in length")
     floats = {id(c): c for c in columns if not isinstance(c, tuple) and c.dtype.kind == "f"}
     batch = _batch_rows(len(floats))
-    comma = np.frombuffer(b",", dtype=np.uint8)
-    newline = np.frombuffer(b"\n", dtype=np.uint8)
+    ends = [ord(",")] * (len(columns) - 1) + [ord("\n")]
+    # each table's rows with their separator on, after the padding: float
+    # labels hold NULs inside their rows
+    tables = {
+        i: np.concatenate([column[0], np.full((len(column[0]), 1), end, np.uint8)], axis=1)
+        for i, (column, end) in enumerate(zip(columns, ends))
+        if isinstance(column, tuple)
+    }
+    # the digit table before any batch's temporaries: built above them on
+    # first use, it kept the heap from shrinking when they were freed
+    # (~0.6 MB more RSS held after rates)
+    _quads()
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         data = ",".join(header).encode() + b"\n"
@@ -338,25 +424,26 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> str:
         for lo in range(0, n_rows, batch):
             rows = slice(lo, lo + batch)
             n = min(batch, n_rows - lo)
-            formatted: dict[int, np.ndarray] = {}
-            parts = []
+            text = None
             if floats:
                 text = _float_text(np.concatenate([c[rows] for c in floats.values()]))
-                for i, key in enumerate(floats):
-                    formatted[key] = text[i * n : (i + 1) * n]
-            for column in columns:
-                if isinstance(column, tuple):
-                    table, codes = column
-                    text = np.take(table, codes[rows], axis=0)
+            formatted = {key: text[i * n : (i + 1) * n] for i, key in enumerate(floats)}
+            parts = []
+            for i, (column, end) in enumerate(zip(columns, ends)):
+                if i in tables:
+                    table = tables[i]
+                    if len(table) == 1:
+                        parts.append(np.broadcast_to(table, (n, table.shape[1])))
+                    else:
+                        parts.append(np.take(table, column[1][rows], axis=0))
+                elif id(column) in formatted:
+                    # a float column's text may serve twice, so its separator stays apart
+                    parts += [formatted[id(column)], np.broadcast_to(np.uint8(end), (n, 1))]
                 else:
-                    text = formatted.get(id(column))
-                    if text is None:
-                        text = formatted[id(column)] = ascii_digits(column[rows])
-                parts += [text, np.broadcast_to(comma, (n, 1))]
-            parts[-1] = np.broadcast_to(newline, (n, 1))
-            data = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+                    parts.append(ascii_digits(column[rows], end=end))
+            data = _join(parts, n).tobytes().translate(None, b"\0")
             digest.update(data)
             fh.write(data)
             # not held beside the next batch's kernel temporaries
-            del data, text
+            del data, text, formatted, parts
     return digest.hexdigest()

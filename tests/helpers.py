@@ -439,3 +439,24 @@ def drift_csv_by_repr(d_max: float, points: int, cutoff: bool) -> bytes:
     ]
     header = "d_x,d_t,epsilon_exact,epsilon_quadratic,fidelity,fidelity_raw\n"
     return (header + "".join(lines)).encode()
+
+
+def place_digits(values: np.ndarray) -> np.ndarray:
+    """Nonnegative integers as right-aligned ASCII digits, NUL on the left.
+
+    One pass per decimal place, each digit ``q - (q // 10) * 10`` in
+    uint32 when every value fits and in uint64 otherwise: the reference
+    that the table-driven ``ascii_digits`` is checked against.
+    """
+    top = int(values.max())
+    q = values.astype(np.uint32 if top < 2**32 else np.uint64)
+    places = []
+    for place in range(len(str(top))):
+        quotient = q // 10
+        digit = (q - quotient * 10).astype(np.uint8)
+        digit += ord("0")
+        if place:
+            digit *= q != 0
+        places.append(digit)
+        q = quotient
+    return np.stack(places[::-1], axis=1)

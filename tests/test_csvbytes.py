@@ -6,12 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import place_digits
 
 from paritydistill import _csvbytes
 from paritydistill._csvbytes import ascii_digits, float_repr, text_table, write_columns
@@ -111,6 +114,29 @@ def test_power_table_is_built_on_first_use_not_at_import():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
+def test_quad_table_is_built_on_first_use_not_at_import():
+    package_root = os.path.dirname(os.path.dirname(_csvbytes.__file__))
+    probe = (
+        f"import sys; sys.path.insert(0, {package_root!r})\n"
+        "import paritydistill.cli, paritydistill._csvbytes as c\n"
+        "assert c._quads.cache_info().currsize == 0\n"
+        "c.ascii_digits(c.np.array([7]))\n"
+        "assert c._quads.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+def test_quad_table_rows():
+    quads = _csvbytes._quads()
+    assert quads.dtype == np.uint32 and quads.shape == (30_000,)
+    rows = quads.view(np.uint8).reshape(30_000, 4)
+    for i in range(10_000):
+        padded = f"{i:4d}".replace(" ", "\0").encode()
+        assert rows[i].tobytes() == f"{i:04d}".encode()
+        assert rows[10_000 + i].tobytes() == (padded if i else b"\0" * 4)
+        assert rows[20_000 + i].tobytes() == padded
+
+
 def test_write_columns_joins_float_and_word_columns(tmp_path):
     """Float, integer and word columns, byte-equal to per-row str and repr."""
     rows = _csvbytes.BATCH_ROWS
@@ -144,6 +170,56 @@ def test_write_columns_joins_float_and_word_columns(tmp_path):
         for v, c, i, u in zip(x.tolist(), codes.tolist(), signed.tolist(), unsigned.tolist())
     )
     assert (tmp_path / "out.csv").read_text() == want
+
+
+def test_write_columns_writes_every_column_kind(tmp_path):
+    """Every kind of column in one table, byte-equal to per-row f-strings."""
+    n = _csvbytes._batch_rows(2) + 300
+    rng = np.random.default_rng(41)
+    # float labels hold NULs inside their rows: lead, body and exponent
+    # are each padded to the widest in the table
+    grid = np.array([0.0, -0.001, 1e-07, 12.5, -2.5e20, math.inf, 0.1])
+    labels = float_repr(grid)
+    assert any(b"\0" in row.tobytes().strip(b"\0") for row in labels)
+    label = rng.integers(0, len(grid), n)
+    seed = (text_table(["20201"]), np.broadcast_to(np.intp(0), (n,)))
+    # one integer column of each width from 1 to 19 digits, values of
+    # every narrower width among them
+    integers = []
+    for width in range(1, 20):
+        column = rng.integers(0, 10 ** rng.integers(0, width, n), dtype=np.int64)
+        column[rng.integers(0, n)] = min(10**width, 2**63) - 1
+        integers.append(column)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    y = rng.random(n)
+    columns = [seed, (labels, label), *integers, x, y, x]
+    header = ["seed", "label", *(f"i{w}" for w in range(1, 20)), "x", "y", "x2"]
+    write_columns(tmp_path / "out.csv", header, columns)
+    names = [repr(v) for v in grid.tolist()]
+    rows = zip(label.tolist(), *(c.tolist() for c in integers), x.tolist(), y.tolist())
+    want = [",".join(header) + "\n"] + [
+        f"20201,{names[code]},{','.join(map(str, ints))},{u!r},{v!r},{u!r}\n"
+        for code, *ints, u, v in rows
+    ]
+    # line by line, so that a failure reports one line
+    got = (tmp_path / "out.csv").read_text().splitlines(keepends=True)
+    assert len(got) == len(want)
+    for line, expect in zip(got, want):
+        assert line == expect
+
+
+def test_float_repr_working_set():
+    # the budget BATCH_ROWS' comment cites, ~200 bytes a value: at most
+    # 1.66 MiB of temporaries for a full float batch of drift's
+    values = np.random.default_rng(42).standard_normal(8_190)
+    float_repr(values)  # the tables, built once
+    tracemalloc.start()
+    try:
+        float_repr(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.66 * 2**20, peak
 
 
 def test_write_columns_rejects_columns_it_would_misprint(tmp_path):
@@ -246,6 +322,39 @@ def test_write_columns_joins_special_floats(tmp_path):
     header = ["special", "subnormal", "mixed"]
     write_columns(tmp_path / "out.csv", header, columns)
     assert (tmp_path / "out.csv").read_text() == csv_by_repr(header, columns)
+
+
+# each 4-digit group boundary, around 2^32 where the kernel leaves uint32,
+# and the top of each integer type
+DIGIT_EDGES = [0, 9, 10, 9_999, 10**4, 10**8 - 1, 10**8, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32, np.int16, np.uint8])
+def test_ascii_digits_matches_the_place_loop(dtype):
+    rng = np.random.default_rng(38)
+    top = np.iinfo(dtype).max
+    edges = [e for e in DIGIT_EDGES + [2**64 - 1] if e <= top]
+    for edge in edges:
+        # alone, beside 0 and 1, and among values of every narrower width
+        lows = [10 ** rng.integers(0, 19) for _ in range(64)]
+        mixed = [int(rng.integers(0, min(low, edge) + 1)) for low in lows]
+        for values in ([edge], [edge, 0, 1], [edge, *mixed]):
+            values = np.array(values, dtype=dtype)
+            want = place_digits(values)
+            np.testing.assert_array_equal(ascii_digits(values), want)
+            ended = ascii_digits(values, end=ord(","))
+            assert ended.shape == (len(values), want.shape[1] + 1)
+            np.testing.assert_array_equal(ended[:, :-1], want)
+            assert (ended[:, -1] == ord(",")).all()
+
+
+def test_ascii_digits_matches_the_place_loop_at_every_width():
+    rng = np.random.default_rng(39)
+    for width in range(1, 20):
+        high = min(10**width, 2**63 - 1)
+        values = rng.integers(0, high, 4_096, dtype=np.int64)
+        values[:2] = (10 ** (width - 1), high - 1)
+        np.testing.assert_array_equal(ascii_digits(values), place_digits(values))
 
 
 def test_ascii_digits_pads_on_the_left():

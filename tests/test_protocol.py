@@ -669,9 +669,7 @@ def test_count_class_tree_matches_circuit_oracle(kind):
                 assert tree.status_probability(status) == pytest.approx(
                     oracle.status_probability(status), abs=1e-12
                 )
-            assert tree.pruned_probability == pytest.approx(
-                oracle.pruned_probability, abs=1e-12
-            )
+            assert walk_pruned(tree) == pytest.approx(oracle.pruned_probability, abs=1e-12)
             profile, expect = depth_profile(tree), depth_profile(oracle)
             assert set(profile) == set(expect)
             for depth, row in expect.items():
@@ -757,7 +755,7 @@ def test_walk_stops_once_nothing_is_pending():
         np.stack([l.state.elements for l in long.leaves]),
         np.stack([l.state.elements for l in short.leaves]),
     )
-    assert long.pruned_probability == short.pruned_probability
+    assert walk_pruned(long) == walk_pruned(short)
     masks = protocol._outcome_masks(pair)
     short_depths, short_peak = walk_peak(masks, 200)
     long_depths, long_peak = walk_peak(masks, 400)
@@ -973,7 +971,7 @@ def test_walk_matches_count_class_tree_at_large_caps(kind):
             assert got.status is leaf.status
             assert got.probability == pytest.approx(leaf.probability, abs=1e-12)
             assert np.max(np.abs(got.state.elements - leaf.state.elements)) < 1e-12
-        assert tree.pruned_probability == pytest.approx(reference.pruned_probability, abs=1e-12)
+        assert walk_pruned(tree) == pytest.approx(reference.pruned_probability, abs=1e-12)
 
 
 def test_representative_histories_are_frontier_form():
