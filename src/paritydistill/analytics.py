@@ -496,7 +496,7 @@ def dark_count_fidelity_region(
     if t_grid.size:
         _check_density(brokers)
         clients = plus_state(CLIENT_LABELS).elements
-        _, p_two, _, _, _, overlap = _fold(_outcome_masks(brokers), clients, 2)
+        _, p_two, _, _, overlap = _fold(_outcome_masks(brokers), clients, 2)
         fid = _success_fidelity(p_two, overlap)
         rate = _per_tau(0.5 * p_two * p_herald, tau)
         columns = (t_grid, p_grid, p_herald, p_two, fid, rate, reference)

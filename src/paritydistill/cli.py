@@ -42,7 +42,6 @@ from .photonics import (
     CONFIG_FIELDS,
     ApparatusParams,
     _per_tau,
-    eta_weight,
     heralded_state,
     p_click,
     theta_from_sin_sq,
@@ -330,11 +329,11 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     else:
         objective = Objective.CHAIN_RATE if loop else Objective.BELL_RATE
         theta = optimize_theta(params, objective).optimal_theta
-    if eta_weight(params, theta) == 1.0:
+    pair = heralded_state(params, theta)
+    if pair.eta == 1.0:
         raise DegenerateParameterError(
             "contamination weight is 1: every heralded pair is |11>, so no run can classify"
         )
-    pair = heralded_state(params, theta)
     tree = run_strategy_exact(plus_state(CLIENT_LABELS), pair, config)
     window_rate = tree.success_probability * p_click(params, theta) / tree.mean_iterates
     # before any sampling: raises where the rates overflow at this tau

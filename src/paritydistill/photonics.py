@@ -277,21 +277,25 @@ class HeraldedPair:
             raise DegenerateParameterError(f"eta must lie in [0, 1], got {self.eta}")
 
     def expand(self, labels: Sequence[str] = BROKER_LABELS) -> DensityMatrix:
-        """Dense matrix on the given two labels.
-
-        The first label carries the distortion.  The distorted Bell
-        component stays normalized because the two eigenvalue magnitudes
-        of the distortion average to one on a balanced superposition.
-        """
+        """Dense matrix on the given two labels (``_pair_matrices``)."""
         labels = tuple(labels)
         if len(labels) != 2:
             raise ValueError(f"a pair needs exactly two labels, got {labels}")
-        d0 = (math.cos(self.phi) + math.sin(self.phi)) * np.exp(1j * self.delta)
-        d1 = (math.cos(self.phi) - math.sin(self.phi)) * np.exp(-1j * self.delta)
-        v = np.array([0.0, d0, d1, 0.0], dtype=complex) / math.sqrt(2.0)
-        m = (1.0 - self.eta) * np.outer(v, v.conj())
-        m[3, 3] += self.eta
-        return DensityMatrix(m, labels)
+        return DensityMatrix(_pair_matrices(np.float64(self.eta), self.phi, self.delta), labels)
+
+
+def _pair_matrices(eta, phi, delta) -> np.ndarray:
+    """``(1 - eta) |psi><psi| + eta |11><11|``, shape ``eta.shape + (4, 4)``,
+    elementwise over arrays of ``HeraldedPair`` fields.  The first qubit
+    carries the distortion of the Bell component ``psi``, which stays
+    normalized because the two eigenvalue magnitudes of the distortion
+    average to one on a balanced superposition."""
+    v = np.zeros(eta.shape + (4,), dtype=complex)
+    v[..., 1] = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta) / math.sqrt(2.0)
+    v[..., 2] = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta) / math.sqrt(2.0)
+    m = (1.0 - eta)[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
+    m[..., 3, 3] += eta
+    return m
 
 
 def p_click(params: ApparatusParams, theta) -> float:
@@ -334,12 +338,12 @@ def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.n
     ``BROKER_LABELS``, shape ``broadcast + (4, 4)``, and the herald
     probabilities; see ``heralded_state_with_dark_counts``.  The link
     checks (``_check_link``) and the herald floor hold as array checks.
-    The true-herald part is the matrix ``HeraldedPair.expand`` builds,
-    from the click probability and weight of ``_click_and_weight``; it
-    enters with weight exactly one and the false-herald part with weight
-    exactly zero at ``p_dark = 0``, so that column reduces to the clean
-    heralded state wherever numpy and the C library round ``pow``, ``sin``
-    and ``cos`` alike (see ``_sq``).
+    The true-herald part is the pair ``HeraldedPair.expand`` builds
+    (``_pair_matrices``), from the click probability and weight of
+    ``_click_and_weight``; it enters with weight exactly one and the
+    false-herald part with weight exactly zero at ``p_dark = 0``, so that
+    column reduces to the clean heralded state wherever numpy and the C
+    library round ``pow`` alike (see ``_sq``).
     """
     t1, t2, phi, delta, s, p = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t1, t2, phi, delta, s, p_dark))
@@ -360,12 +364,7 @@ def _dark_count_brokers(t1, t2, phi, delta, s, p_dark) -> tuple[np.ndarray, np.n
     p_herald = (1.0 - p) * pc + dark * (w[..., 0] + w[..., 1] + w[..., 2] + w[..., 3])
     if not np.all(p_herald >= TRACE_EPSILON):
         raise DegenerateParameterError("herald probability vanishes")
-    v = np.zeros(t1.shape + (4,), dtype=complex)
-    v[..., 1] = (np.cos(phi) + np.sin(phi)) * np.exp(1j * delta)
-    v[..., 2] = (np.cos(phi) - np.sin(phi)) * np.exp(-1j * delta)
-    v /= math.sqrt(2.0)
-    true = (1.0 - eta)[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])
-    true[..., 3, 3] += eta
+    true = _pair_matrices(eta, phi, delta)
     false = np.zeros_like(true)
     false[..., range(4), range(4)] = w
     brokers = ((1.0 - p) * pc / p_herald)[..., None, None] * true

@@ -26,9 +26,10 @@ fidelity from one closed form (``_success_fidelities``).  The exact tree
 grid is the cap-2 fold on a whole stack.
 
 A tree's leaves come from a second evaluator, read only when ``leaves``
-is: one walk (``_walk``) over count classes, a pending run known by ``p``
-and the count ``n`` of its raising outcome ``_RAISES[p]``, each class
-carrying the summed unnormalized client matrix of its histories.
+is: one walk (``_walk``) of the tree's one broker over count classes, a
+pending run known by ``p`` and the count ``n`` of its raising outcome
+``_RAISES[p]``, each class carrying the summed unnormalized client
+matrix of its histories.
 
 The sampler draws from the same mixture: a trial carries its entry and
 its balance class and reads its weights, status codes, next classes and
@@ -42,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -278,13 +279,14 @@ class ExactTree:
     """The exact strategy evolution: its masses, and its leaves on demand.
 
     The statistics come from the first-passage law (``_fold``), which
-    prunes nothing: ``pruned_probability`` is 0.0 and ``total_probability``
-    the law's total.  ``leaves`` walks the count classes (``_walk``) on
-    first read and makes one leaf per class, in the order the walk yields
-    them; the walk drops classes lighter than the pruning epsilon, so the
-    leaf masses fall short of the statistics by the mass it dropped.  Each
-    leaf stands for every history of its class (see ``Leaf``), so leaf
-    masses, not leaf counts, are the physical quantities.
+    prunes nothing: ``total_probability`` is the law's total, and
+    ``pruned_probability`` the constant 0.0.  ``leaves`` walks the count
+    classes of the one broker (``_walk``) on first read and makes one leaf
+    per class, in the order the walk yields them; the walk drops classes
+    lighter than the pruning epsilon, so the leaf masses fall short of the
+    statistics by the mass it dropped.  Each leaf stands for every history
+    of its class (see ``Leaf``), so leaf masses, not leaf counts, are the
+    physical quantities.
     """
 
     initial_clients: DensityMatrix
@@ -293,9 +295,9 @@ class ExactTree:
     status_masses: tuple[float, ...]  # by ``Status`` value
     success_probability: float
     total_probability: float  # the law's total, one within PROBABILITY_SUM_ATOL
-    pruned_probability: float  # 0.0: the law prunes nothing
     mean_iterates: float
     success_overlap: float  # fidelity times mass, summed over success classes
+    pruned_probability: ClassVar[float] = 0.0  # the law prunes nothing
 
     def status_probability(self, status: Status) -> float:
         return self.status_masses[status.value]
@@ -378,27 +380,25 @@ def _success_fidelities(masks: np.ndarray, rho: np.ndarray, pairs: np.ndarray):
     return np.minimum(np.maximum(fid, 0.0, out=fid), 1.0, out=fid), np.array(rank_one)
 
 
-def _drop_light(classes: np.ndarray, batch: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _drop_light(classes: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Zero the classes lighter than the pruning epsilon, in place.
 
     Returns each class's mass, zero where it was dropped, then the dropped
-    and the kept mass summed over the class axes.  A mass is the trace
-    summed as ``np.trace`` sums a class that is contiguous in memory, so a
-    stack member, which may lie otherwise, gets the bits of its own walk.
+    and the kept mass summed over the classes.  A mass is the trace, summed
+    ``(d0 + d1) + (d2 + d3)`` as ``np.trace`` sums a contiguous class.
     """
     d = classes.diagonal(axis1=-2, axis2=-1).real
     mass = (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])
     light = mass < BRANCH_PRUNE_EPSILON
     classes[light] = 0.0
     kept = np.where(light, 0.0, mass)
-    axes = tuple(range(batch, mass.ndim))
-    return kept, np.where(light, mass, 0.0).sum(axis=axes), kept.sum(axis=axes)
+    return kept, float(np.where(light, mass, 0.0).sum()), float(kept.sum())
 
 
 def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
-    """Every class of a strategy run, for outcome masks ``(..., 4, 4, 4)``:
-    the classes behind ``ExactTree.leaves``, whose statistics ``_fold``
-    takes from the first-passage law instead.
+    """Every class of a strategy run, for outcome masks ``(4, 4, 4)``: the
+    classes behind ``ExactTree.leaves``, whose statistics ``_fold`` takes
+    from the first-passage law instead.
 
     ``classify`` reads a pending history by its count class (p, n): the
     parity ``p`` of its first outcome and the count ``n`` of its raising
@@ -410,47 +410,44 @@ def _walk(masks: np.ndarray, rho: np.ndarray, cap: int):
     a run begun with the lowering outcome balances by raising class ``m -
     1``, and one begun with the raising outcome by lowering class ``m``;
     pending slot ``m`` stays empty.  Yields, for each depth from 2 to
-    ``cap``, the success classes ``(..., p, s)``, ``s`` 0 and 1 for those
-    two ways (zero at odd depths), the failure classes ``(..., p, n, f)``,
-    ``f`` the place in ``_FAILS[p]``, and the classes still pending
-    ``(..., p, n)``, each as a pair of the class matrices and their
-    masses, then the mass pruned so far ``(...)``, and keeps no depth it
-    has yielded.  A class lighter than ``BRANCH_PRUNE_EPSILON`` is zeroed
-    where it is reached and its mass pruned.  The walk stops after the
-    first depth that leaves no class pending in any stack member; the
-    depths it skips would add only zeros.  Once exhausted, it raises
-    unless the kept and the pruned mass sum to one.
+    ``cap``, the success classes ``(p, s)``, ``s`` 0 and 1 for those two
+    ways (zero at odd depths), the failure classes ``(p, n, f)``, ``f`` the
+    place in ``_FAILS[p]``, and the classes still pending ``(p, n)``, each
+    as a pair of the class matrices and their masses, then the mass pruned
+    so far, and keeps no depth it has yielded.  A class lighter than
+    ``BRANCH_PRUNE_EPSILON`` is zeroed where it is reached and its mass
+    pruned.  The walk stops after the first depth that leaves no class
+    pending; the depths it skips would add only zeros.  Once exhausted, it
+    raises unless the kept and the pruned mass sum to one.
     """
-    batch = masks.ndim - 3
-    moves = masks[..., _MOVES[:, None], :, :]  # (..., p, 1, move, 4, 4)
-    pending = moves[..., 0, :2, :, :] * rho  # n = 0 and n = 1 after one outcome
-    _, pruned, waiting = _drop_light(pending, batch)
-    settled = np.zeros_like(pruned)
+    moves = masks[_MOVES[:, None]]  # (p, 1, move, 4, 4)
+    pending = moves[:, 0, :2] * rho  # n = 0 and n = 1 after one outcome
+    _, pruned, waiting = _drop_light(pending)
+    settled = 0.0
     for depth in range(2, cap + 1):
-        moved = pending[..., None, :, :] * moves[..., :2, :, :]  # (..., p, n, move, 4, 4)
-        lost = pending[..., None, :, :] * moves[..., 2:, :, :]
-        pending = np.zeros(moved.shape[:-4] + (depth + 1, 4, 4), dtype=moved.dtype)
-        pending[..., :-1, :, :] = moved[..., 0, :, :]
-        pending[..., 1:, :, :] += moved[..., 1, :, :]
+        moved = pending[:, :, None] * moves[:, :, :2]  # (p, n, move, 4, 4)
+        lost = pending[:, :, None] * moves[:, :, 2:]
+        pending = np.zeros((2, depth + 1, 4, 4), dtype=moved.dtype)
+        pending[:, :-1] = moved[:, :, 0]
+        pending[:, 1:] += moved[:, :, 1]
         if depth % 2:  # no run balances at an odd depth
-            won = np.zeros(pending.shape[:-3] + (2, 4, 4), dtype=moved.dtype)
-            won_mass = np.zeros(won.shape[:-2])
+            won, won_mass = np.zeros((2, 2, 4, 4), dtype=moved.dtype), np.zeros((2, 2))
         else:
             m = depth // 2  # raising class m - 1 and lowering m: flat moves 2 m - 1, 2 m
-            won = moved.reshape(pending.shape[:-3] + (-1, 4, 4))[..., 2 * m - 1 : 2 * m + 1, :, :]
-            pending[..., m, :, :] = 0.0
-            won_mass, dropped, kept = _drop_light(won, batch)
+            won = moved.reshape(2, -1, 4, 4)[:, 2 * m - 1 : 2 * m + 1]
+            pending[:, m] = 0.0
+            won_mass, dropped, kept = _drop_light(won)
             pruned, settled = pruned + dropped, settled + kept
-        lost_mass, dropped, kept = _drop_light(lost, batch)
+        lost_mass, dropped, kept = _drop_light(lost)
         pruned, settled = pruned + dropped, settled + kept
-        pending_mass, dropped, waiting = _drop_light(pending, batch)
+        pending_mass, dropped, waiting = _drop_light(pending)
         pruned = pruned + dropped
         yield (won, won_mass), (lost, lost_mass), (pending, pending_mass), pruned
         # a kept class weighs at least the pruning epsilon, so no waiting
         # mass means every class is zero and no later depth adds anything
-        if not waiting.any():
+        if not waiting:
             break
-    defect = float(np.max(np.abs(settled + waiting + pruned - 1.0)))
+    defect = abs(settled + waiting + pruned - 1.0)
     if not defect <= PROBABILITY_SUM_ATOL:
         raise DegenerateParameterError(
             f"strategy tree lost probability mass: defect {defect:.3e}"
@@ -499,10 +496,10 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
     """The statistics of a strategy run, from the first-passage law.
 
     Per member of a stack of masks ``(..., 4, 4, 4)``: the status masses
-    ``(..., 4)`` by ``Status`` value, the success mass, the total, the
-    pruned mass (zero: nothing is pruned), ``mean_iterates`` and the
-    success overlap sum of mass times fidelity (``_success_fidelities``;
-    NaN where a success's target is not rank one).
+    ``(..., 4)`` by ``Status`` value, the success mass, the total,
+    ``mean_iterates`` and the success overlap sum of mass times fidelity
+    (``_success_fidelities``; NaN where a success's target is not rank
+    one).  Nothing is pruned.
 
     The masks act entrywise and their diagonals ``m_k`` sum to one, so a
     history's mass is ``sum_a rho_aa prod_i m_{k_i}[a]``.  Given the first
@@ -535,7 +532,7 @@ def _fold(masks: np.ndarray, rho: np.ndarray, cap: int):
     misread = ((by_parity > 0.0) & ~rank_one).any(axis=-1)
     overlap = np.where(misread, np.nan, scored.sum(axis=(-2, -1)))
     by_status = np.stack([pending, by_parity[..., 0], by_parity[..., 1], failure], axis=-1)
-    return by_status, success, total, np.zeros_like(total), mean, overlap
+    return by_status, success, total, mean, overlap
 
 
 def run_strategy_exact(

@@ -441,6 +441,16 @@ def drift_csv_by_repr(d_max: float, points: int, cutoff: bool) -> bytes:
     return (header + "".join(lines)).encode()
 
 
+def assert_same_lines(got: str | bytes, want: str | bytes) -> None:
+    """``got == want`` for whole files, checked as the line counts and then
+    line by line, so that a failure names one line instead of diffing two
+    long strings."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
+    for number, (line, expect) in enumerate(zip(got, want), start=1):
+        assert line == expect, f"line {number}: {line!r}, expected {expect!r}"
+
+
 def place_digits(values: np.ndarray) -> np.ndarray:
     """Nonnegative integers as right-aligned ASCII digits, NUL on the left.
 

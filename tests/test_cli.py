@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paritydistill
-from helpers import drift_csv_by_repr, rates_csv_by_repr
+from helpers import assert_same_lines, drift_csv_by_repr, rates_csv_by_repr
 from paritydistill import (
     ApparatusParams,
     STREAM_VERSION,
@@ -205,7 +205,8 @@ def test_drift_csv_is_byte_equal_to_the_repr_formatter(
     assert f"({points**2} rows)" in capsys.readouterr().out
     assert len(batch_rows) == 1
     assert points != 70 or points**2 > batch_rows[0]
-    assert (tmp_path / "drift.csv").read_bytes() == drift_csv_by_repr(d_max, points, cutoff)
+    written = (tmp_path / "drift.csv").read_bytes()
+    assert_same_lines(written, drift_csv_by_repr(d_max, points, cutoff))
 
 
 def test_rates_csv_is_byte_equal_to_the_repr_formatter(tmp_path, capsys):
@@ -215,7 +216,7 @@ def test_rates_csv_is_byte_equal_to_the_repr_formatter(tmp_path, capsys):
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     assert "(300 rows)" in capsys.readouterr().out
     written = (tmp_path / "rates.csv").read_bytes()
-    assert written == rates_csv_by_repr(1e-12, 1.0, 300, 1e-17)
+    assert_same_lines(written, rates_csv_by_repr(1e-12, 1.0, 300, 1e-17))
     fields = [f for row in written.splitlines()[1:] for f in row.split(b",")[:5]]
     assert {b"1e-12", b"5e+16", b"9016994374947422.0"} <= set(fields)
     assert any(f.startswith(b"0.000") for f in fields) and any(b"e-05" in f for f in fields)

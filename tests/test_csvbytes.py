@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import place_digits
+from helpers import assert_same_lines, place_digits
 
 from paritydistill import _csvbytes
 from paritydistill._csvbytes import ascii_digits, float_repr, text_table, write_columns
@@ -169,7 +169,7 @@ def test_write_columns_joins_float_and_word_columns(tmp_path):
         f"{v!r},{names[c]},{i},{u},{v!r}\n"
         for v, c, i, u in zip(x.tolist(), codes.tolist(), signed.tolist(), unsigned.tolist())
     )
-    assert (tmp_path / "out.csv").read_text() == want
+    assert_same_lines((tmp_path / "out.csv").read_text(), want)
 
 
 def test_write_columns_writes_every_column_kind(tmp_path):
@@ -197,15 +197,11 @@ def test_write_columns_writes_every_column_kind(tmp_path):
     write_columns(tmp_path / "out.csv", header, columns)
     names = [repr(v) for v in grid.tolist()]
     rows = zip(label.tolist(), *(c.tolist() for c in integers), x.tolist(), y.tolist())
-    want = [",".join(header) + "\n"] + [
+    want = ",".join(header) + "\n" + "".join(
         f"20201,{names[code]},{','.join(map(str, ints))},{u!r},{v!r},{u!r}\n"
         for code, *ints, u, v in rows
-    ]
-    # line by line, so that a failure reports one line
-    got = (tmp_path / "out.csv").read_text().splitlines(keepends=True)
-    assert len(got) == len(want)
-    for line, expect in zip(got, want):
-        assert line == expect
+    )
+    assert_same_lines((tmp_path / "out.csv").read_text(), want)
 
 
 def test_float_repr_working_set():
@@ -271,7 +267,8 @@ def test_write_columns_formats_a_batchs_float_columns_in_one_call(k, tmp_path, m
     calls = spy_float_repr(monkeypatch)
     header = [f"c{i}" for i in range(k)]
     write_columns(tmp_path / "out.csv", header, columns)
-    assert (tmp_path / "out.csv").read_text() == csv_by_repr(header, columns)
+    got = (tmp_path / "out.csv").read_text()
+    assert_same_lines(got, csv_by_repr(header, columns))
     # one call a batch, each within the writer's float budget
     assert calls == [rows * k, rows * k, tail * k]
     assert max(calls) <= 2 * _csvbytes.BATCH_ROWS
@@ -285,13 +282,15 @@ def test_write_columns_joins_few_and_many_distinct_floats(tmp_path, monkeypatch)
     many = rng.random(n)
     calls = spy_float_repr(monkeypatch)
     write_columns(tmp_path / "out.csv", ["few", "many"], [few, many])
-    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["few", "many"], [few, many])
+    got = (tmp_path / "out.csv").read_text()
+    assert_same_lines(got, csv_by_repr(["few", "many"], [few, many]))
     # the batches' distinct values are counted over both columns together
     assert calls == [2 * rows]
     # two few-distinct columns go through repr together
     calls.clear()
     write_columns(tmp_path / "out.csv", ["few", "twice"], [few, 2.0 * few])
-    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["few", "twice"], [few, 2.0 * few])
+    got = (tmp_path / "out.csv").read_text()
+    assert_same_lines(got, csv_by_repr(["few", "twice"], [few, 2.0 * few]))
     assert calls == []
 
 
@@ -303,7 +302,8 @@ def test_write_columns_formats_a_column_passed_twice_once(tmp_path, monkeypatch)
     x, y = rng.random(n), rng.standard_normal(n)
     calls = spy_float_repr(monkeypatch)
     write_columns(tmp_path / "out.csv", ["x", "y", "x2", "y2"], [x, y, x, y])
-    assert (tmp_path / "out.csv").read_text() == csv_by_repr(["x", "y", "x2", "y2"], [x, y, x, y])
+    got = (tmp_path / "out.csv").read_text()
+    assert_same_lines(got, csv_by_repr(["x", "y", "x2", "y2"], [x, y, x, y]))
     # each object goes into the one call of a batch once; the last goes through repr
     assert calls == [2 * rows]
 
@@ -321,7 +321,8 @@ def test_write_columns_joins_special_floats(tmp_path):
     ]
     header = ["special", "subnormal", "mixed"]
     write_columns(tmp_path / "out.csv", header, columns)
-    assert (tmp_path / "out.csv").read_text() == csv_by_repr(header, columns)
+    got = (tmp_path / "out.csv").read_text()
+    assert_same_lines(got, csv_by_repr(header, columns))
 
 
 # each 4-digit group boundary, around 2^32 where the kernel leaves uint32,

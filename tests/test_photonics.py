@@ -292,12 +292,19 @@ def test_heralded_state_copies_apparatus_angles():
 
 
 def test_dark_counts_reduce_exactly_at_zero():
-    params = ApparatusParams(t1=0.3, t2=0.15, x1=0.2)
-    theta = theta_from_sin_sq(0.4)
-    state, p_herald = heralded_state_with_dark_counts(params, theta)
-    clean = heralded_state(params, theta).expand(("B1", "B2"))
-    np.testing.assert_array_equal(state.elements, clean.elements)
-    assert p_herald == p_click(params, theta)
+    # both builders take the pair term from one formula, so at p_dark = 0
+    # they agree bit for bit on any link, unbalanced and detuned ones too
+    rng = np.random.default_rng(59)
+    t1, t2 = rng.uniform(0.01, 1.0, size=(2, 6))
+    x1, s = rng.uniform(0.0, 2.0, size=6), rng.uniform(0.05, 1.0, size=6)
+    links = [(ApparatusParams(t1=0.3, t2=0.15, x1=0.2), 0.4)]
+    links += [(ApparatusParams(a, b, x1=x), v) for a, b, x, v in zip(t1, t2, x1, s)]
+    for params, sin_sq in links:
+        theta = theta_from_sin_sq(sin_sq)
+        state, p_herald = heralded_state_with_dark_counts(params, theta)
+        clean = heralded_state(params, theta).expand(("B1", "B2"))
+        np.testing.assert_array_equal(state.elements, clean.elements)
+        assert p_herald == p_click(params, theta)
 
 
 def test_dark_count_brokers_match_pointwise_mixture():

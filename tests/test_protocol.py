@@ -1068,7 +1068,7 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
         clients = plus_state(CLIENT_LABELS) if clients_kind == "plus" else random_pure_clients(rng)
         brokers = broker_stack(rng, 9)
         masks = protocol._outcome_masks(brokers)
-        by_status, p_two, total, pruned, mean, _, fid = fold_fidelity(
+        by_status, p_two, total, mean, _, fid = fold_fidelity(
             masks, clients.normalized().elements, 2
         )
         for k, broker in enumerate(brokers):
@@ -1076,9 +1076,7 @@ def test_two_iterate_closed_form_matches_tree(clients_kind):
             assert p_two[k] == tree.success_probability
             assert tuple(by_status[k].tolist()) == tree.status_masses
             assert mean[k] == tree.mean_iterates
-            # the walk sums the pruned mass over a stack's own layout
             assert total[k] == pytest.approx(tree.total_probability, abs=1e-15)
-            assert pruned[k] == pytest.approx(tree.pruned_probability, abs=1e-15)
             assert fid[k] == pytest.approx(leaf_success_fidelity(tree), rel=1e-13, nan_ok=True)
             # each member's success fidelity is its own tree's, bit for bit
             assert fid[k] == tree.mean_success_fidelity()
@@ -1124,34 +1122,17 @@ def test_success_fidelities_of_a_stack_are_its_members():
     np.testing.assert_array_equal(grid.reshape(fid.shape), fid)
 
 
-def walk_arrays(depth) -> list[np.ndarray]:
-    """The arrays one depth of ``_walk`` yields, in order: the success
-    classes by (first parity, side), the failure classes by (first
-    parity, count, failing outcome) and the pending ones by (first
-    parity, count), each with its masses, then the pruned mass."""
-    (won, won_mass), (lost, lost_mass), (pending, pending_mass), pruned = depth
-    return [won, won_mass, lost, lost_mass, pending, pending_mass, pruned]
-
-
-def test_stacked_walk_equals_its_flattened_form():
-    # a 2-D stack of brokers walks and folds exactly as the same brokers in a row
+def test_stacked_fold_equals_its_flattened_form():
+    # a 2-D stack of brokers folds exactly as the same brokers in a row
     masks = protocol._outcome_masks(broker_stack(RNG(43), 12))
     grid = masks.reshape(3, 4, 4, 4, 4)
     rho = plus_state(CLIENT_LABELS).elements
     for cap in (2, 6):
         flat = fold_fidelity(masks, rho, cap)
         stacked = fold_fidelity(grid, rho, cap)
-        assert len(flat) == len(stacked) == 7
+        assert len(flat) == len(stacked) == 6
         for x, y in zip(flat, stacked):
             assert y.shape[:2] == (3, 4)
-            np.testing.assert_array_equal(y.reshape(x.shape), x)
-    flat = list(protocol._walk(masks, rho, 6))
-    stacked = list(protocol._walk(grid, rho, 6))
-    assert len(flat) == len(stacked)
-    for depth, (a, b) in enumerate(zip(flat, stacked), start=2):
-        shapes = [(2, 2), (2, depth, 2), (2, depth + 1)]
-        assert [x.shape for x in walk_arrays(a)[1:6:2]] == [(12, *s) for s in shapes]
-        for x, y in zip(walk_arrays(a), walk_arrays(b)):
             np.testing.assert_array_equal(y.reshape(x.shape), x)
 
 
@@ -1218,7 +1199,7 @@ def test_walk_and_overlap_checks_reject_nan():
     bad = masks.copy()
     bad[0, 0, 1, 1] = np.nan
     with pytest.raises(DegenerateParameterError, match="lost probability mass"):
-        list(protocol._walk(bad, clients.elements, 4))
+        list(protocol._walk(bad[0], clients.elements, 4))
     rho = clients.elements.copy()
     rho[1, 2] = np.nan
     with pytest.raises(DegenerateParameterError, match="rank-one target"):

@@ -227,3 +227,13 @@ def test_the_exact_statistics_never_walk():
         Path(paritydistill.analytics.__file__), ["dark_count_fidelity_region"]
     )
     assert "_fold" in analytics and not analytics & {"_walk", "_drop_light", "run_strategy_exact"}
+    # across src/ the one definition that loads the walk is the tree's class,
+    # for its ``leaves`` of one broker: no route walks a stack
+    walkers = set()
+    for module in Path(paritydistill.__file__).parent.glob("*.py"):
+        tree = ast.parse(module.read_text(), filename=str(module))
+        names = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        for name in names:
+            if "_walk" in definitions_reached(module, [name], frozenset(names - {name})) - {name}:
+                walkers.add((module.stem, name))
+    assert walkers == {("protocol", "ExactTree")}
